@@ -25,7 +25,6 @@ from .phi import (
     PhiQuery,
     canonicalize,
     max_statistic,
-    phi,
     phi_direct,
     phi_legendre,
     phi_two_prime,

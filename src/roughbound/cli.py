@@ -20,14 +20,19 @@ from .buchstab import build_omega, locate_extremum, omega_samples
 from .errors import DomainError, ResourceError
 from .phi import DEFAULT_EXHAUSTIVE_CAP, phi_direct, phi_legendre, phi_two_prime
 from .pipeline import (
+    DEFAULT_TARGET,
+    PAPER_SCALE_SMALL_U_CAP,
     PipelineConfig,
     REGION_ORDER,
     SELBERG_CLOSED,
     SELBERG_FINITE,
+    SMALL_U_CAP,
     run_full_pipeline,
 )
 from .primes import build_prime_table
 from .sieve_bounds import (
+    CLOSED_FORM_MIN_Y,
+    SELBERG_MIN_Y,
     bonferroni_bound,
     bonferroni_x_bound,
     elementary_bound,
@@ -94,23 +99,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float)
     sp.add_argument("--y", type=float)
     sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--target", type=float, default=0.6)
-    sp.add_argument("--y-lo", type=int, default=241, help="sweep start (selberg-sweep)")
-    sp.add_argument("--y-hi", type=int, default=500_000, help="sweep end (selberg-sweep)")
+    sp.add_argument("--target", type=float, default=DEFAULT_TARGET)
+    sp.add_argument("--y-lo", type=int, default=SELBERG_MIN_Y, help="sweep start (selberg-sweep)")
+    sp.add_argument("--y-hi", type=int, default=CLOSED_FORM_MIN_Y, help="sweep end (selberg-sweep)")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="run region verifiers and emit a certificate report")
     sp.add_argument("--region", choices=["small-y", "mid-y", "selberg", "small-u",
                                          "iteration", "all"], default="all")
-    sp.add_argument("--target", type=float, default=0.6)
+    sp.add_argument("--target", type=float, default=DEFAULT_TARGET)
     sp.add_argument("--format", choices=["json", "text", "csv"], default="text")
-    sp.add_argument("--exhaustive-cap", type=int, default=30_000_000)
-    sp.add_argument("--small-u-cap", type=int, default=500)
-    sp.add_argument("--paper-scale", action="store_true",
-                    help="raise the exhaustive small-u cap to 1100 (hours-scale run)")
+    sp.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
+    sp.add_argument("--small-u-cap", type=int, default=SMALL_U_CAP)
+    sp.add_argument("--paper-scale", action="store_const", dest="small_u_cap",
+                    const=PAPER_SCALE_SMALL_U_CAP,
+                    help=f"same as --small-u-cap {PAPER_SCALE_SMALL_U_CAP} (hours-scale run)")
     sp.add_argument("--parallelism", type=int, default=1)
-    sp.add_argument("--quad-tol", type=float, default=1e-12)
-    sp.add_argument("--sieve-limit", type=int, default=None)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("plot-data", help="emit CSV sample data")
@@ -126,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_phi(args) -> int:
+    if args.x < 0:
+        raise DomainError(f"x must be >= 0, got {args.x}")
     limit = max(2, int(args.y) + 1, math.isqrt(args.x) + 1)
     if args.method in ("two-prime", "all"):
         limit = max(limit, args.x)
@@ -166,7 +172,7 @@ def _cmd_omega(args) -> int:
 def _cmd_table1(args) -> int:
     from .pipeline import verify_small_y
     table = build_prime_table(300)
-    cert = verify_small_y(0.6, table, cap=args.cap, parallelism=args.parallelism)
+    cert = verify_small_y(DEFAULT_TARGET, table, cap=args.cap, parallelism=args.parallelism)
     out, close = _open_out(args.out)
     try:
         if args.format == "json":
@@ -243,10 +249,7 @@ def _cmd_verify(args) -> int:
         target=args.target,
         exhaustive_cap=args.exhaustive_cap,
         small_u_cap=args.small_u_cap,
-        paper_scale=args.paper_scale,
         parallelism=args.parallelism,
-        quadrature_tol=args.quad_tol,
-        sieve_limit=args.sieve_limit,
         regions=regions,
     )
     report = run_full_pipeline(config)

@@ -20,6 +20,7 @@ from .primes import PrimeTable
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 ROUGH_SEGMENT = 1 << 22
+KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ def _rough_mask(lo: int, hi: int, strike) -> np.ndarray:
     return mask
 
 
-def phi_direct(x: int, y: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
-               segment: int = ROUGH_SEGMENT) -> int:
+def phi_direct(x: int, y: float, table: PrimeTable, *,
+               cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
     """Exact Phi(x, y) by a segmented sieve strike.  Degenerate cases:
     Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
     x = int(x)
@@ -76,15 +77,16 @@ def phi_direct(x: int, y: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUS
         return x
     strike = _strike_primes(table, min(y, x))
     count = 0
-    for lo in range(0, x + 1, segment):
-        hi = min(lo + segment, x + 1)
+    for lo in range(0, x + 1, ROUGH_SEGMENT):
+        hi = min(lo + ROUGH_SEGMENT, x + 1)
         count += int(np.count_nonzero(_rough_mask(lo, hi, strike)))
     return count
 
 
 def phi_legendre(x: int, y: float, table: PrimeTable, *, budget: int = 4_000_000) -> int:
     """Exact Phi(x, y) by the memoized inclusion-exclusion recursion
-    phi(x, a) = phi(x, a-1) - phi(x // p_a, a-1)."""
+    phi(n, a) = n - sum_{i <= a} phi(n // p_i, i-1), whose call depth is at
+    most log2(x) rather than pi(y)."""
     x = int(x)
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
@@ -100,9 +102,8 @@ def phi_legendre(x: int, y: float, table: PrimeTable, *, budget: int = 4_000_000
             return n
         if n == 0:
             return 0
-        p = ps[a - 1]
-        if p >= n:
-            # all primes indexed <= a exceed or equal n: only 1 survives
+        if ps[a - 1] >= n:
+            # every prime <= n is among the first a primes: only 1 survives
             return 1
         key = (n, a)
         hit = memo.get(key)
@@ -110,7 +111,9 @@ def phi_legendre(x: int, y: float, table: PrimeTable, *, budget: int = 4_000_000
             return hit
         if len(memo) >= budget:
             raise ResourceError(f"inclusion-exclusion memo exceeded budget {budget}")
-        val = rec(n, a - 1) - rec(n // p, a - 1)
+        val = n
+        for i in range(a):
+            val -= rec(n // ps[i], i)
         memo[key] = val
         return val
 
@@ -149,17 +152,6 @@ def phi_two_prime(x: int, y: float, table: PrimeTable) -> int:
     return table.pi(x) - m + tail
 
 
-def phi(x: int, y: float, table: PrimeTable, method: str = "direct", **kw) -> int:
-    """Dispatch helper used by the CLI."""
-    if method == "direct":
-        return phi_direct(x, y, table, **kw)
-    if method == "legendre":
-        return phi_legendre(x, y, table, **kw)
-    if method == "two-prime":
-        return phi_two_prime(x, y, table)
-    raise DomainError(f"unknown method {method!r}")
-
-
 @dataclass(frozen=True)
 class MaxStatRow:
     """One scanned y-interval: max of (j log y_hi)/n over rough n >= y_hi^2."""
@@ -196,10 +188,13 @@ class IntervalScan:
 
 
 def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
-                        x_min: int | None = None, target: float | None = None,
-                        cap: int | None = None, segment: int = ROUGH_SEGMENT,
-                        keep_violations: int = 64) -> IntervalScan:
-    """Stream y_lo-rough integers n <= x_cap with their 1-based index j."""
+                        target: float | None = None,
+                        cap: int | None = None) -> IntervalScan:
+    """Stream y_lo-rough integers n <= x_cap with their 1-based index j.
+
+    The sup statistic covers n >= y_lo^2; the first KEPT_VIOLATIONS
+    violations are kept as witnesses and all of them are counted.
+    """
     x_cap = int(x_cap)
     if x_cap < 1:
         raise DomainError(f"x_cap must be >= 1, got {x_cap}")
@@ -208,7 +203,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     strike = _strike_primes(table, y_lo)
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
-    lo_bound = int(x_min) if x_min is not None else int(y_lo) * int(y_lo)
+    lo_bound = int(y_lo) * int(y_lo)
 
     j_offset = 0
     best_table = (-1.0, 0, 0)
@@ -216,8 +211,8 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     violations: list[tuple[int, int, float]] = []
     violation_count = 0
 
-    for lo in range(0, x_cap + 1, segment):
-        hi = min(lo + segment, x_cap + 1)
+    for lo in range(0, x_cap + 1, ROUGH_SEGMENT):
+        hi = min(lo + ROUGH_SEGMENT, x_cap + 1)
         mask = _rough_mask(lo, hi, strike)
         idx = np.flatnonzero(mask)
         if idx.size == 0:
@@ -245,7 +240,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
             if target is not None:
                 bad = np.flatnonzero(ratios2 >= target)
                 violation_count += int(bad.size)
-                for b in bad[: max(0, keep_violations - len(violations))]:
+                for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
                     violations.append((int(nv[b]), int(jv[b]), float(ratios2[b])))
 
     return IntervalScan(

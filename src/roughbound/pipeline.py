@@ -30,7 +30,7 @@ from scipy.integrate import quad
 
 from .analytic import AnalyticContext, DEFAULT_CONTEXT, li, pi_lower_599, r_ratio
 from .errors import DomainError, InfeasibleError, NumericError, ResourceError
-from .phi import scan_rough_interval
+from .phi import DEFAULT_EXHAUSTIVE_CAP, KEPT_VIOLATIONS, scan_rough_interval
 from .primes import PrimeTable, build_prime_table
 from .sieve_bounds import (
     CLOSED_FORM_MIN_Y,
@@ -51,6 +51,11 @@ ITERATION = "iteration"
 REGION_ORDER = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATION)
 
 DEFAULT_TARGET = 0.6
+# Exhaustive small-u scans run to y <= SMALL_U_CAP by default; the paper
+# scale runs them to 1100, where the analytic grid takes over (hours-scale).
+SMALL_U_CAP = 500
+PAPER_SCALE_SMALL_U_CAP = 1100
+CLOSED_GRID_TOP = 1e12
 # Milestones established by the small-u region and consumed by the iteration.
 C3_SMALL_U = 0.57163
 SMALL_U_EXHAUSTIVE_MAX = 0.56404
@@ -88,19 +93,10 @@ MAX_STAT_TOL = 1e-5
 @dataclass(frozen=True)
 class PipelineConfig:
     target: float = DEFAULT_TARGET
-    exhaustive_cap: int = 30_000_000
-    small_u_cap: int = 500          # paper_scale raises this to 1100
-    paper_scale: bool = False
+    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
+    small_u_cap: int = SMALL_U_CAP
     parallelism: int = 1
-    selberg_hi: int = CLOSED_FORM_MIN_Y
-    closed_grid_top: float = 1e12
-    quadrature_tol: float = 1e-12
-    sieve_limit: int | None = None
-    regions: tuple[str, ...] = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATION)
-
-    @property
-    def small_u_cap_effective(self) -> int:
-        return 1100 if self.paper_scale else self.small_u_cap
+    regions: tuple[str, ...] = REGION_ORDER
 
 
 @dataclass
@@ -164,13 +160,6 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _map_tasks(fn, tasks, parallelism):
-    if parallelism and parallelism > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _ceil_two_sig(n: int) -> int:
     """Ceiling of n to two significant figures (rounding convention of the
     reference bounds printed in scientific notation)."""
@@ -179,17 +168,34 @@ def _ceil_two_sig(n: int) -> int:
     return int(math.ceil(n / unit)) * unit
 
 
-# ---------------------------------------------------------------------------
-# small-y region
-# ---------------------------------------------------------------------------
+def _check_parallelism(parallelism: int) -> None:
+    if parallelism < 1:
+        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
+
 
 def _scan_task(args):
     table, y_lo, y_hi, x_cap, target = args
     return scan_rough_interval(table, y_lo, y_hi, x_cap, target=target, cap=None)
 
 
-def verify_small_y(target: float = DEFAULT_TARGET, table: PrimeTable | None = None, *,
-                   cap: int = 30_000_000, rows=None, parallelism: int = 1) -> RegionCertificate:
+def _scan_intervals(table: PrimeTable, intervals, target: float, parallelism: int) -> list:
+    """Scan each (y_lo, y_hi, x_cap) interval for violations of the target,
+    on up to `parallelism` worker processes; scans come back in input order."""
+    _check_parallelism(parallelism)
+    tasks = [(table, y_lo, y_hi, x_cap, target) for y_lo, y_hi, x_cap in intervals]
+    workers = min(parallelism, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_scan_task, tasks))
+    return [_scan_task(t) for t in tasks]
+
+
+# ---------------------------------------------------------------------------
+# small-y region
+# ---------------------------------------------------------------------------
+
+def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
+                   rows=None, parallelism: int = 1) -> RegionCertificate:
     """Reproduce the reference small-y table and scan every interval for
     violations of the target.
 
@@ -199,25 +205,22 @@ def verify_small_y(target: float = DEFAULT_TARGET, table: PrimeTable | None = No
     statistic exceeds .6 at x = 9, and the certificate instead asserts that
     every violation there has x < 10.
     """
-    if table is None:
-        table = build_prime_table(300)
     rows = REFERENCE_SMALL_Y_ROWS if rows is None else rows
     needed = max(r[2] for r in rows)
     if cap < needed:
         raise ResourceError(f"small-y scan needs exhaustive cap >= {needed}, got {cap}")
 
     reproduce = abs(target - DEFAULT_TARGET) < 1e-15
-    tasks = []
     meta = []
     for (p, q, printed, is_rounded, printed_max) in rows:
         try:
             xb = elementary_x_bound(p, target, table)
         except InfeasibleError:
             xb = None  # elementary bound can never reach this target
-        tasks.append((table, p, q, printed - 1, target))
         meta.append((p, q, printed, is_rounded, printed_max, xb))
 
-    scans = _map_tasks(_scan_task, tasks, parallelism)
+    scans = _scan_intervals(table, [(p, q, printed - 1) for p, q, printed, *_ in meta],
+                            target, parallelism)
 
     out_rows = []
     failures = []
@@ -245,7 +248,8 @@ def verify_small_y(target: float = DEFAULT_TARGET, table: PrimeTable | None = No
                              "x_bound": xb, "scanned_to": printed})
         if p == 2:
             late = [v for v in scan.violations if v[0] >= 10]
-            if late or (scan.violation_count > len(scan.violations) and len(scan.violations) >= 64):
+            truncated = scan.violation_count > len(scan.violations) >= KEPT_VIOLATIONS
+            if late or truncated:
                 failures.append({"interval": [p, q], "issue": "violation at x >= 10",
                                  "witnesses": late[:8]})
         else:
@@ -274,19 +278,16 @@ def verify_small_y(target: float = DEFAULT_TARGET, table: PrimeTable | None = No
 # mid-y region
 # ---------------------------------------------------------------------------
 
-def verify_mid_y(target: float = DEFAULT_TARGET, table: PrimeTable | None = None, *,
-                 cap: int = 30_000_000, parallelism: int = 1) -> RegionCertificate:
+def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
+                 parallelism: int = 1) -> RegionCertificate:
     """Exhaustively check 71 <= y < 241 below the pre-sieved truncation bounds.
 
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
     14/15 remainder refinement) takes over at an x-bound verified to stay
     below the 3e7 cap; one streaming pass covers all smaller x.
     """
-    if table is None:
-        table = build_prime_table(300)
     ps = [int(p) for p in table.primes_between(70, 240)]
     meta = []
-    tasks = []
     bound_failures = []
     for p in ps:
         q = table.next_prime(p)
@@ -300,9 +301,8 @@ def verify_mid_y(target: float = DEFAULT_TARGET, table: PrimeTable | None = None
                                    "x_bound": xb, "cap": cap})
             xb = cap
         meta.append((p, q, xb))
-        tasks.append((table, p, q, xb - 1, target))
 
-    scans = _map_tasks(_scan_task, tasks, parallelism)
+    scans = _scan_intervals(table, [(p, q, xb - 1) for p, q, xb in meta], target, parallelism)
 
     rows = []
     failures = list(bound_failures)
@@ -333,14 +333,9 @@ def verify_mid_y(target: float = DEFAULT_TARGET, table: PrimeTable | None = None
 # Selberg regions (u >= 7.5)
 # ---------------------------------------------------------------------------
 
-def verify_selberg(target: float = DEFAULT_TARGET, table: PrimeTable | None = None,
-                   ctx: AnalyticContext = DEFAULT_CONTEXT, *,
-                   hi: int = CLOSED_FORM_MIN_Y, closed_grid_top: float = 1e12):
+def verify_selberg(target: float, table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT):
     """Both sieve branches; returns (finite certificate, closed certificate)."""
-    if table is None:
-        table = build_prime_table(hi + 1000)
-
-    rows = selberg_sweep(table, lo=SELBERG_MIN_Y, hi=hi, target=target)
+    rows = selberg_sweep(table, lo=SELBERG_MIN_Y, hi=CLOSED_FORM_MIN_Y, target=target)
     failures = [
         {"y": r.y, "q": r.q, "issue": "nonpositive margin", "coefficient": r.coefficient}
         for r in rows if not (r.margin > 0 and r.f_value < 1)
@@ -359,7 +354,7 @@ def verify_selberg(target: float = DEFAULT_TARGET, table: PrimeTable | None = No
         failures=failures,
     )
 
-    ys = np.geomspace(CLOSED_FORM_MIN_Y, closed_grid_top, 41)
+    ys = np.geomspace(CLOSED_FORM_MIN_Y, CLOSED_GRID_TOP, 41)
     factors = [closed_form_factor(float(y), ctx) for y in ys]
     coefs = [final_large_y_bound(float(y), ctx) for y in ys]
     decreasing = all(a > b for a, b in zip(factors, factors[1:]))
@@ -476,28 +471,21 @@ def small_u_grid_max(ctx: AnalyticContext = DEFAULT_CONTEXT, *,
     return best, rows
 
 
-def verify_small_u(table: PrimeTable | None = None, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
-                   target: float = DEFAULT_TARGET, y_exhaustive_cap: int = 500,
+def verify_small_u(table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
+                   target: float = DEFAULT_TARGET, y_exhaustive_cap: int = SMALL_U_CAP,
                    parallelism: int = 1) -> RegionCertificate:
     """The 2 <= u < 3 region: exhaustive scans for 241 <= y <= cap, assembled
     analytic bound on a grid for y >= 1100.
 
     The default cap keeps the exhaustive branch at desk scale; raising it to
-    1100 (paper_scale) closes the gap to the analytic branch and is an
+    PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch and is an
     hours-scale run.  Scans cover x < q^3 per interval [p, q), with the
     two-dimensional supremum convention for the multiplier.
     """
-    if table is None:
-        table = build_prime_table(max(2 * y_exhaustive_cap, 1300))
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
-    tasks = []
-    meta = []
-    for p in ps:
-        q = table.next_prime(p)
-        tasks.append((table, p, q, q ** 3 - 1, target))
-        meta.append((p, q))
+    meta = [(p, table.next_prime(p)) for p in ps]
 
-    scans = _map_tasks(_scan_task, tasks, parallelism)
+    scans = _scan_intervals(table, [(p, q, q ** 3 - 1) for p, q in meta], target, parallelism)
 
     rows = []
     failures = []
@@ -576,7 +564,7 @@ def iteration_tail_epsilon(q0: float, ctx: AnalyticContext = DEFAULT_CONTEXT) ->
 ITERATION_TAIL_PROBES = (1009, 10007, 100003, 1000003, 10**8 + 7, 10**10 + 19, 10**14 + 31)
 
 
-def verify_iteration(table: PrimeTable | None = None, *, target: float = DEFAULT_TARGET,
+def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET,
                      c3: float = C3_SMALL_U,
                      ctx: AnalyticContext = DEFAULT_CONTEXT) -> RegionCertificate:
     """Bootstrap c_3 -> c_8 via c_3 (1 + eps_3(q0) log q0)^5 < target.
@@ -585,8 +573,6 @@ def verify_iteration(table: PrimeTable | None = None, *, target: float = DEFAULT
     the tail bound 1.95/(sqrt(q0) (log q0)^2) applies, and the resulting chain
     value is decreasing in q0, so probe evaluations certify the whole tail.
     """
-    if table is None:
-        table = build_prime_table(10_100)
     failures = []
     rows = []
     margin = math.inf
@@ -654,17 +640,16 @@ def covering_regions(x: float, y: float) -> set[str]:
 def _required_limit(config: PipelineConfig) -> int:
     limit = 300
     if SMALL_U in config.regions:
-        limit = max(limit, 2 * config.small_u_cap_effective + 100)
+        limit = max(limit, 2 * config.small_u_cap + 100)
     if ITERATION in config.regions:
         limit = max(limit, 10_100)
     if SELBERG_FINITE in config.regions or SELBERG_CLOSED in config.regions:
-        limit = max(limit, config.selberg_hi + 1000)
+        limit = max(limit, CLOSED_FORM_MIN_Y + 1000)
     return limit
 
 
 def run_full_pipeline(config: PipelineConfig | None = None, *,
-                      table: PrimeTable | None = None,
-                      ctx: AnalyticContext | None = None) -> BoundReport:
+                      table: PrimeTable | None = None) -> BoundReport:
     """Run the selected region verifiers and aggregate their certificates.
 
     The overall verdict is the conjunction of the per-region verdicts; output
@@ -674,10 +659,9 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
     for r in config.regions:
         if r not in REGION_ORDER:
             raise DomainError(f"unknown region {r!r}")
-    if ctx is None:
-        ctx = AnalyticContext(quadrature_tol=config.quadrature_tol)
+    _check_parallelism(config.parallelism)
     if table is None:
-        table = build_prime_table(config.sieve_limit or _required_limit(config))
+        table = build_prime_table(_required_limit(config))
 
     certs: list[RegionCertificate] = []
     if SMALL_Y in config.regions:
@@ -687,18 +671,17 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
         certs.append(verify_mid_y(config.target, table, cap=config.exhaustive_cap,
                                   parallelism=config.parallelism))
     if SELBERG_FINITE in config.regions or SELBERG_CLOSED in config.regions:
-        finite, closed = verify_selberg(config.target, table, ctx, hi=config.selberg_hi,
-                                        closed_grid_top=config.closed_grid_top)
+        finite, closed = verify_selberg(config.target, table)
         if SELBERG_FINITE in config.regions:
             certs.append(finite)
         if SELBERG_CLOSED in config.regions:
             certs.append(closed)
     if SMALL_U in config.regions:
-        certs.append(verify_small_u(table, ctx, target=config.target,
-                                    y_exhaustive_cap=config.small_u_cap_effective,
+        certs.append(verify_small_u(table, target=config.target,
+                                    y_exhaustive_cap=config.small_u_cap,
                                     parallelism=config.parallelism))
     if ITERATION in config.regions:
-        certs.append(verify_iteration(table, target=config.target, ctx=ctx))
+        certs.append(verify_iteration(table, target=config.target))
 
     certs.sort(key=lambda c: REGION_ORDER.index(c.region))
     table1 = []

@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import AnalyticContext, DEFAULT_CONTEXT, li
 from .errors import DomainError, InfeasibleError
 from .gss import golden_section_min
-from .primes import PrimeTable
+from .primes import PrimeTable, mertens_product
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +31,8 @@ PRESIEVE_EXCLUDED_FACTOR = 3.0 / 14.0   # product of (1 + 2/p)^-1 over p = 2, 3,
 SELBERG_D_COEFF = 0.03
 SELBERG_MIN_Y = 241
 CLOSED_FORM_MIN_Y = 500_000
+EPSILON_BRACKET = (1e-3, 0.5)
+EPSILON_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -48,36 +50,38 @@ def elementary_bound(x: float, y: float, table: PrimeTable) -> float:
     k = table.pi(y) if y >= 2 else 0
     if k == 0:
         return float(math.ceil(x))
-    prod = float(np.multiply.reduce(1.0 - 1.0 / table.primes[:k].astype(np.float64)))
     remainder = 2.0 ** (k - 1) if k <= 63 else math.pow(2.0, k - 1)
-    return x * prod + remainder
+    return x * mertens_product(table, y) + remainder
 
 
-def elementary_x_bound(y: float, target: float, table: PrimeTable) -> int:
-    """Least integer X0 such that the elementary bound beats target*x/log(q)
-    for every x >= X0, where q is the first prime above y (the worst log in
-    the interval [y, q))."""
-    k = table.pi(y)
-    if k == 0:
-        raise DomainError(f"x-bound needs at least one prime <= y, got y={y}")
+def _least_crossover(y: float, density: float, const: float, target: float,
+                     table: PrimeTable) -> int:
+    """Least integer X0 with density*x + const < target*x/log(q) for every
+    x >= X0, where q is the first prime above y (the worst log in [y, q))."""
     q = table.next_prime(y)
-    prod = float(np.multiply.reduce(1.0 - 1.0 / table.primes[:k].astype(np.float64)))
-    remainder = 2.0 ** (k - 1) if k <= 63 else math.pow(2.0, k - 1)
-    slope = target / math.log(q) - prod
+    slope = target / math.log(q) - density
     if slope <= 0:
-        raise InfeasibleError(
-            f"target {target} never beats the Mertens product {prod} at y={y}"
-        )
+        raise InfeasibleError(f"target {target} never beats the density {density} at y={y}")
 
     def beats(x: float) -> bool:
-        return prod * x + remainder < target * x / math.log(q)
+        return density * x + const < target * x / math.log(q)
 
-    x0 = max(1, int(remainder / slope))
+    x0 = max(1, int(const / slope))
     while not beats(x0):
         x0 += 1
     while x0 > 1 and beats(x0 - 1):
         x0 -= 1
     return x0
+
+
+def elementary_x_bound(y: float, target: float, table: PrimeTable) -> int:
+    """Least integer X0 such that the elementary bound beats target*x/log(q)
+    for every x >= X0, q the first prime above y."""
+    k = table.pi(y)
+    if k == 0:
+        raise DomainError(f"x-bound needs at least one prime <= y, got y={y}")
+    remainder = 2.0 ** (k - 1) if k <= 63 else math.pow(2.0, k - 1)
+    return _least_crossover(y, mertens_product(table, y), remainder, target, table)
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +124,15 @@ def bonferroni_bound(x: float, y: float, table: PrimeTable):
     return x * s_y + b_y, data
 
 
-def bonferroni_x_bound(y: float, target: float, table: PrimeTable, *,
-                       remainder_scale: float = PRESIEVE_REMAINDER) -> int:
-    """Least integer X0 with x*s(y) + scale*b(y) < target*x/log(q) for x >= X0.
+def bonferroni_x_bound(y: float, target: float, table: PrimeTable) -> int:
+    """Least integer X0 with x*s(y) + (14/15)*b(y) < target*x/log(q) for x >= X0.
 
     Each pre-sieved remainder is at most 14/15 in absolute value, so the
     constant term b(y) may be scaled by 14/15; that refinement is what keeps
     every bound below 3e7 on the mid-y range.
     """
     _, data = bonferroni_bound(1.0, y, table)
-    q = table.next_prime(y)
-    slope = target / math.log(q) - data.s_y
-    if slope <= 0:
-        raise InfeasibleError(f"target {target} never beats s(y)={data.s_y} at y={y}")
-    const = remainder_scale * data.b_y
-
-    def beats(x: float) -> bool:
-        return data.s_y * x + const < target * x / math.log(q)
-
-    x0 = max(1, int(const / slope))
-    while not beats(x0):
-        x0 += 1
-    while x0 > 1 and beats(x0 - 1):
-        x0 -= 1
-    return x0
+    return _least_crossover(y, data.s_y, PRESIEVE_REMAINDER * data.b_y, target, table)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +160,6 @@ class SieveConfig:
     excluded_factor: float
     V: float
     f_value: float
-    presieve_modulus: int = 30
 
 
 def default_sieve_level(x: float, y: float) -> float:
@@ -179,23 +167,21 @@ def default_sieve_level(x: float, y: float) -> float:
     return SELBERG_D_COEFF * x / math.log(y) ** 3
 
 
-def make_sieve_config(x: float, y: float, table: PrimeTable, epsilon: float, *,
-                      D: float | None = None, presieve: bool = True) -> SieveConfig:
+def _rankin_log_sum(ps: np.ndarray, epsilon: float) -> float:
+    """Sum of log(1 + (p^(2 epsilon) - 1) / p) over the sieving primes ps."""
+    return float(np.sum(np.log1p((ps ** (2.0 * epsilon) - 1.0) / ps)))
+
+
+def make_sieve_config(x: float, y: float, table: PrimeTable, epsilon: float) -> SieveConfig:
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if D is None:
-        D = default_sieve_level(x, y)
-    if presieve:
-        lo, X, r, excl, modulus = 5.0, PRESIEVE_DENSITY * x, PRESIEVE_REMAINDER, PRESIEVE_EXCLUDED_FACTOR, 30
-    else:
-        lo, X, r, excl, modulus = 1.0, float(x), 1.0, 1.0, 1
-    ps = table.primes_between(lo, y).astype(np.float64)
+    D = default_sieve_level(x, y)
+    ps = table.primes_between(5.0, y).astype(np.float64)
     V = float(np.exp(np.sum(np.log1p(-1.0 / ps))))
-    s = float(np.sum(np.log1p((ps ** (2.0 * epsilon) - 1.0) / ps)))
-    f = math.exp(s - epsilon * math.log(D))
+    f = math.exp(_rankin_log_sum(ps, epsilon) - epsilon * math.log(D))
     return SieveConfig(x=float(x), y=float(y), epsilon=float(epsilon), D=float(D),
-                       X=X, r=r, excluded_factor=excl, V=V, f_value=f,
-                       presieve_modulus=modulus)
+                       X=PRESIEVE_DENSITY * x, r=PRESIEVE_REMAINDER,
+                       excluded_factor=PRESIEVE_EXCLUDED_FACTOR, V=V, f_value=f)
 
 
 def lemma2_remainder(y: float, D: float, r: float, excluded_factor: float) -> float:
@@ -222,8 +208,7 @@ def selberg_upper(x: float, y: float, cfg: SieveConfig, table: PrimeTable) -> fl
     return main + lemma2_remainder(y, cfg.D, cfg.r, cfg.excluded_factor)
 
 
-def optimize_epsilon(x: float, y: float, table: PrimeTable, *,
-                     bracket: tuple[float, float] = (1e-3, 0.5), tol: float = 1e-6) -> float:
+def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
     """Exponent minimizing the Rankin factor f(D, epsilon) at D = .03x/(log y)^3.
 
     Deterministic golden-section search; f is log-convex in epsilon, so the
@@ -236,11 +221,11 @@ def optimize_epsilon(x: float, y: float, table: PrimeTable, *,
     ps = table.primes_between(5, y).astype(np.float64)
 
     def f(eps: float) -> float:
-        s = float(np.sum(np.log1p((ps ** (2.0 * eps) - 1.0) / ps)))
-        return s - eps * log_d  # log f; same minimizer
+        return _rankin_log_sum(ps, eps) - eps * log_d  # log f; same minimizer
 
-    eps, _ = golden_section_min(f, bracket[0], bracket[1], tol=tol)
-    if eps - bracket[0] < 2 * tol or bracket[1] - eps < 2 * tol:
+    lo, hi = EPSILON_BRACKET
+    eps, _ = golden_section_min(f, lo, hi, tol=EPSILON_TOL)
+    if eps - lo < 2 * EPSILON_TOL or hi - eps < 2 * EPSILON_TOL:
         log.warning("epsilon optimizer pinned to bracket boundary at (x=%.3g, y=%s)", x, y)
     return eps
 
@@ -306,7 +291,7 @@ class SweepRow:
 
 
 def selberg_sweep(table: PrimeTable, *, lo: int = SELBERG_MIN_Y, hi: int = CLOSED_FORM_MIN_Y,
-                  target: float = 0.6, eps_grid: np.ndarray | None = None) -> list[SweepRow]:
+                  target: float = 0.6) -> list[SweepRow]:
     """Evaluate the sieve bound at x = p^7.5 for every consecutive-prime pair
     p < q with lo <= p <= hi, against target * x / log q.
 
@@ -316,9 +301,7 @@ def selberg_sweep(table: PrimeTable, *, lo: int = SELBERG_MIN_Y, hi: int = CLOSE
     grid (any grid point yields a valid bound).  The sieve level uses log q,
     the worst y in the interval.
     """
-    if eps_grid is None:
-        eps_grid = np.linspace(0.04, 0.26, 111)
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
+    eps_grid = np.linspace(0.04, 0.26, 111)
 
     last = table.next_prime(hi)
     ps = table.primes_between(5, last).astype(np.float64)   # sieving primes 7..last

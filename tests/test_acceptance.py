@@ -11,17 +11,21 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from roughbound.analytic import DEFAULT_CONTEXT as CTX, EULER_GAMMA
+from roughbound.analytic import EULER_GAMMA
 from roughbound.buchstab import build_omega, locate_extremum
 from roughbound.phi import phi_direct, phi_legendre, phi_two_prime
 from roughbound.pipeline import (
     C3_SMALL_U,
+    MID_Y,
+    SELBERG_CLOSED,
+    SELBERG_FINITE,
+    SMALL_U,
     SMALL_U_EXHAUSTIVE_MAX,
+    SMALL_Y,
+    BoundReport,
+    PipelineConfig,
+    run_full_pipeline,
     verify_iteration,
-    verify_mid_y,
-    verify_selberg,
-    verify_small_u,
-    verify_small_y,
 )
 from roughbound.primes import build_prime_table
 from roughbound.sieve_bounds import (
@@ -49,23 +53,34 @@ def table():
 
 
 @pytest.fixture(scope="module")
-def small_y_cert(table):
-    return verify_small_y(0.6, table)
+def full_report(table):
+    # one default run (target .6, cap 3e7, small-u cap 500, default context)
+    # supplies every region certificate below
+    return run_full_pipeline(PipelineConfig(), table=table)
+
+
+def _cert(report_obj, region):
+    return next(c for c in report_obj.certificates if c.region == region)
 
 
 @pytest.fixture(scope="module")
-def mid_y_cert(table):
-    return verify_mid_y(0.6, table)
+def small_y_cert(full_report):
+    return _cert(full_report, SMALL_Y)
 
 
 @pytest.fixture(scope="module")
-def selberg_certs(table):
-    return verify_selberg(0.6, table, CTX)
+def mid_y_cert(full_report):
+    return _cert(full_report, MID_Y)
 
 
 @pytest.fixture(scope="module")
-def small_u_cert(table):
-    return verify_small_u(table, CTX, y_exhaustive_cap=500)
+def selberg_certs(full_report):
+    return _cert(full_report, SELBERG_FINITE), _cert(full_report, SELBERG_CLOSED)
+
+
+@pytest.fixture(scope="module")
+def small_u_cert(full_report):
+    return _cert(full_report, SMALL_U)
 
 
 def test_criterion_1_reference_table_reproduction(small_y_cert):
@@ -213,14 +228,12 @@ def test_criterion_8_property_suites(table):
            f"newton={newton_ok}, divisor identity={lattice_ok}, tau3 bound={tau_ok}")
 
 
-def test_full_report_default_config(table):
+def test_full_report_default_config(full_report):
     # the default configuration produces all six certificates, verified
-    from roughbound.pipeline import BoundReport, PipelineConfig, run_full_pipeline
-    report_obj = run_full_pipeline(PipelineConfig(), table=table)
-    assert len(report_obj.certificates) == REGION_COUNT
-    assert report_obj.verdict
-    assert all(c.verified for c in report_obj.certificates)
-    assert len(report_obj.table1) == 19
-    assert BoundReport.from_json(report_obj.to_json()) == report_obj
+    assert len(full_report.certificates) == REGION_COUNT
+    assert full_report.verdict
+    assert all(c.verified for c in full_report.certificates)
+    assert len(full_report.table1) == 19
+    assert BoundReport.from_json(full_report.to_json()) == full_report
     print(f"[full pipeline] PASS - all {REGION_COUNT} certificates verified; "
-          f"margins {[round(c.margin, 6) for c in report_obj.certificates]}")
+          f"margins {[round(c.margin, 6) for c in full_report.certificates]}")

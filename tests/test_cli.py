@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from roughbound.cli import main
+from roughbound.cli import build_parser, main
 
 
 def test_phi_direct(capsys):
@@ -18,6 +18,11 @@ def test_phi_degenerate(capsys):
 def test_phi_all_methods_agree(capsys):
     assert main(["phi", "--x", "613", "--y", "11", "--method", "all"]) == 0
     assert capsys.readouterr().out.strip() == "128"
+
+
+def test_phi_negative_x_is_domain_error(capsys):
+    assert main(["phi", "--x", "-5", "--y", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: x must be >= 0")
 
 
 def test_phi_resource_exit(capsys):
@@ -90,6 +95,16 @@ def test_verify_iteration_json(capsys):
     cert = data["certificates"][0]
     assert cert["region"] == "iteration"
     assert cert["margin"] > 0
+
+
+def test_verify_paper_scale_sets_small_u_cap():
+    assert build_parser().parse_args(["verify", "--paper-scale"]).small_u_cap == 1100
+    assert build_parser().parse_args(["verify"]).small_u_cap == 500
+
+
+def test_verify_nonpositive_parallelism_exit(capsys):
+    assert main(["verify", "--region", "iteration", "--parallelism", "0"]) == 2
+    assert "parallelism" in capsys.readouterr().err
 
 
 def test_verify_failure_exit(capsys):

@@ -56,6 +56,11 @@ def test_legendre_single_prime(x, y):
     assert phi_legendre(x, y, _T) == x - x // 2
 
 
+def test_legendre_many_primes():
+    # pi(10^4) = 1229 primes: deeper than the interpreter's default recursion limit
+    assert phi_legendre(10**6, 10**4, _T) == phi_direct(10**6, 10**4, _T) == 77270
+
+
 def test_legendre_budget():
     with pytest.raises(ResourceError):
         phi_legendre(10_000, 50, _T, budget=10)

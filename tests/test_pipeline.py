@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -146,7 +147,7 @@ def test_covering_regions_no_gap_on_boundaries():
 
 
 def test_report_roundtrip_and_filter():
-    config = PipelineConfig(regions=(ITERATION,), sieve_limit=10_100)
+    config = PipelineConfig(regions=(ITERATION,))
     report = run_full_pipeline(config)
     assert len(report.certificates) == 1
     assert report.certificates[0].region == ITERATION
@@ -162,6 +163,45 @@ def test_report_roundtrip_and_filter():
 def test_unknown_region_rejected():
     with pytest.raises(DomainError):
         run_full_pipeline(PipelineConfig(regions=("nowhere",)))
+
+
+def test_config_has_only_the_set_knobs():
+    assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+        "target", "exhaustive_cap", "small_u_cap", "parallelism", "regions"]
+
+
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_nonpositive_parallelism_rejected(parallelism):
+    with pytest.raises(DomainError, match="parallelism"):
+        run_full_pipeline(PipelineConfig(regions=(ITERATION,), parallelism=parallelism))
+    with pytest.raises(DomainError, match="parallelism"):
+        verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=parallelism)
+
+
+def test_pool_clamped_to_task_count(monkeypatch):
+    # a fake executor records the requested pool size and starts no process
+    import roughbound.pipeline as pl
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", RecordingPool)
+    serial = verify_small_y(0.6, _T, rows=_FAST_ROWS)
+    assert verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=5000) == serial
+    assert sizes == [len(_FAST_ROWS)]
+    verify_small_y(0.6, _T, rows=_FAST_ROWS[:1], parallelism=5000)
+    assert sizes == [len(_FAST_ROWS)]  # a single task runs in this process
 
 
 def test_small_u_reduced_deterministic_parallel():
