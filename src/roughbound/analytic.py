@@ -63,8 +63,12 @@ DEFAULT_CONTEXT = AnalyticContext()
 def li(x: float) -> float:
     """Principal-value logarithmic integral of x.
 
-    Computed as Ei(log x), whose implementation handles the principal value
-    at t = 1; li(0) = 0 and li is strictly increasing on (1, inf).
+    Computed as Ei(L) with L = log x, whose implementation handles the
+    principal value at t = 1, plus d x / L for the rounding residual
+    d = log(x / e^L) of L: near 1e15 neighbouring integers share one double
+    L, and without the residual they would share one value of li.  li(0) = 0
+    and li is strictly increasing on (1, inf) up to the rounding of Ei (a
+    few units in the last place, about 0.004 near 1e15).
     """
     if x < 0:
         raise DomainError(f"li needs x >= 0, got {x}")
@@ -72,7 +76,9 @@ def li(x: float) -> float:
         return 0.0
     if x == 1:
         raise SingularityError("li has a non-integrable singularity at x = 1")
-    return float(_special.expi(math.log(x)))
+    big_l = math.log(x)
+    residual = math.log1p(x / math.exp(big_l) - 1.0)
+    return float(_special.expi(big_l)) + residual * x / big_l
 
 
 def pnt_upper(x: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:

@@ -3,9 +3,9 @@
 Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
 (1 is always counted).  `phi_direct` strikes a segmented bitmask, or the
 count can be reproduced by full inclusion-exclusion (`phi_legendre`) and,
-for y^2 <= x < y^3, by the prime-pair identity (`phi_two_prime`).  The same
-bitmask engine streams rough numbers with their running index to compute the
-interval max statistics used by the verification pipeline.
+for y^2 <= x < y^3, by the prime-pair identity (`phi_two_prime`).  A
+segmented mod-30 wheel sieve streams rough numbers with their running index
+to compute the interval max statistics used by the verification pipeline.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 from .primes import PrimeTable
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
-ROUGH_SEGMENT = 1 << 22
+ROUGH_SEGMENT = 1 << 20
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
 
 
@@ -187,20 +187,61 @@ class IntervalScan:
     violation_count: int
 
 
+_WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _wheel(strike, x_cap: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The wheel of the struck primes among 2, 3, 5: its modulus w, the
+    residues coprime to w, -r^-1 mod w indexed by residue r, and the int32
+    offsets i*w + r of a (rows, residues) mask in row-major order, for as
+    many rows as a scan to x_cap uses.  Cached per wheel; a longer scan
+    grows the offsets up to one ROUGH_SEGMENT."""
+    w = math.prod(int(p) for p in strike[:3])
+    rows = min(ROUGH_SEGMENT // w, x_cap // w + 1)
+    cached = _WHEELS.get(w)
+    if cached is None or cached[3].size < rows * cached[1].size:
+        residues = np.array([r for r in range(w) if math.gcd(r, w) == 1], dtype=np.int64)
+        neg_inv = np.zeros(w, dtype=np.int64)
+        for r in residues.tolist():
+            neg_inv[r] = -pow(r, -1, w) % w
+        offsets = (np.arange(rows, dtype=np.int32)[:, None] * w
+                   + residues.astype(np.int32)).ravel()
+        cached = _WHEELS[w] = (w, residues, neg_inv, offsets)
+    return cached
+
+
+def _better(best, ratios, ns, js):
+    """`best`, or the first maximum of `ratios` with its (n, j) if larger."""
+    i = int(np.argmax(ratios))
+    return (float(ratios[i]), int(ns[i]), int(js[i])) if ratios[i] > best[0] else best
+
+
 def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                         target: float | None = None,
                         cap: int | None = None) -> IntervalScan:
     """Stream y_lo-rough integers n <= x_cap with their 1-based index j.
 
     The sup statistic covers n >= y_lo^2; the first KEPT_VIOLATIONS
-    violations are kept as witnesses and all of them are counted.
+    violations are kept as witnesses and all of them are counted.  Each
+    witness is the first n attaining its maximum.
+
+    A segment is a (rows, k) mask over the k residues coprime to the wheel
+    of the struck primes among 2, 3, 5; every larger prime strikes one slice
+    per residue class.  From max(y_hi^2, y_lo^2) on, both statistics are
+    j log(y_hi) / n, so a segment there locates its maximum on j / n and
+    evaluates the exact ratio only on near-ties of it.
     """
     x_cap = int(x_cap)
     if x_cap < 1:
         raise DomainError(f"x_cap must be >= 1, got {x_cap}")
+    if y_hi < 2:  # log(y_hi) > 0 keeps the argmax of j/n that of j log(y_hi)/n
+        raise DomainError(f"y_hi must be >= 2, got {y_hi}")
     if cap is not None and x_cap > cap:
         raise ResourceError(f"scan to {x_cap} exceeds the exhaustive cap {cap}")
     strike = _strike_primes(table, y_lo)
+    w, residues, neg_inv, offsets = _wheel(strike, x_cap)
+    ps = strike[3:, None]                      # the struck primes above the wheel
+    inv = (1 + ps * neg_inv[ps % w]) // w      # w^-1 mod p
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
     lo_bound = int(y_lo) * int(y_lo)
@@ -211,37 +252,52 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     violations: list[tuple[int, int, float]] = []
     violation_count = 0
 
-    for lo in range(0, x_cap + 1, ROUGH_SEGMENT):
-        hi = min(lo + ROUGH_SEGMENT, x_cap + 1)
-        mask = _rough_mask(lo, hi, strike)
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            continue
-        ns = idx.astype(np.int64) + lo
-        js = j_offset + np.arange(1, idx.size + 1, dtype=np.int64)
-        j_offset += idx.size
+    def note_violations(ratios, ns, js):
+        nonlocal violation_count
+        bad = np.flatnonzero(ratios >= target)
+        violation_count += int(bad.size)
+        for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
+            violations.append((int(ns[b]), int(js[b]), float(ratios[b])))
 
-        sel = ns >= q2
-        if np.any(sel):
-            ratios = js[sel] * log_q / ns[sel]
-            k = int(np.argmax(ratios))
-            if ratios[k] > best_table[0]:
-                best_table = (float(ratios[k]), int(ns[sel][k]), int(js[sel][k]))
+    span = (ROUGH_SEGMENT // w) * w
+    for base in range(0, x_cap + 1, span):
+        width = min(span, x_cap + 1 - base)
+        mask = np.ones((-(-width // w), residues.size), dtype=bool)
+        starts = (-(base + residues) % ps) * inv % ps
+        for p, row in zip(ps[:, 0].tolist(), starts.tolist()):
+            for c, s in enumerate(row):
+                mask[s::p, c] = False
+        flat = mask.ravel()[: width // w * residues.size
+                            + int(np.searchsorted(residues, width % w))]
+        if base == 0 and w == 1:
+            flat[0] = False  # 0 is not counted; 1 survives every strike
+        ns = np.add(offsets.take(np.flatnonzero(flat)), base, dtype=np.int64)
+        j0 = j_offset + 1                      # the index j of ns[0]
+        j_offset += ns.size
 
-        sel2 = ns >= lo_bound
-        if np.any(sel2):
-            nv = ns[sel2]
-            jv = js[sel2]
-            mult = np.where(nv >= q2, log_q, 0.5 * np.log(nv))
-            ratios2 = jv * mult / nv
-            k = int(np.argmax(ratios2))
-            if ratios2[k] > best_sup[0]:
-                best_sup = (float(ratios2[k]), int(nv[k]), int(jv[k]))
+        i_q2, i_lo = np.searchsorted(ns, (q2, lo_bound)).tolist()
+        if i_q2 < i_lo:                        # y_hi < y_lo: table only below y_lo^2
+            nv, jv = ns[i_q2:i_lo], np.arange(j0 + i_q2, j0 + i_lo, dtype=np.int64)
+            best_table = _better(best_table, jv * log_q / nv, nv, jv)
+        elif i_lo < i_q2:                      # sup only below y_hi^2, multiplier log sqrt(n)
+            nv, jv = ns[i_lo:i_q2], np.arange(j0 + i_lo, j0 + i_q2, dtype=np.int64)
+            ratios = jv * (0.5 * np.log(nv)) / nv
+            best_sup = _better(best_sup, ratios, nv, jv)
             if target is not None:
-                bad = np.flatnonzero(ratios2 >= target)
-                violation_count += int(bad.size)
-                for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
-                    violations.append((int(nv[b]), int(jv[b]), float(ratios2[b])))
+                note_violations(ratios, nv, jv)
+        split = max(i_q2, i_lo)
+        ns, j0 = ns[split:], j0 + split
+        if ns.size:
+            r = np.arange(j0, j0 + ns.size, dtype=np.float64)
+            r /= ns
+            near = np.flatnonzero(r >= r.max() * (1 - 1e-13))
+            nn, jn = ns[near], near + j0
+            ratios = jn * log_q / nn
+            best_table = _better(best_table, ratios, nn, jn)
+            best_sup = _better(best_sup, ratios, nn, jn)
+            if target is not None and ratios.max() >= target:
+                js = np.arange(j0, j0 + ns.size, dtype=np.int64)
+                note_violations(js * log_q / ns, ns, js)
 
     return IntervalScan(
         y_lo=int(y_lo), y_hi=int(y_hi), x_cap=x_cap, rough_count=j_offset,

@@ -52,7 +52,8 @@ REGION_ORDER = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATI
 
 DEFAULT_TARGET = 0.6
 # Exhaustive small-u scans run to y <= SMALL_U_CAP by default; the paper
-# scale runs them to 1100, where the analytic grid takes over (hours-scale).
+# scale runs them to 1100, where the analytic grid takes over (132 scans,
+# about two minutes on one core).
 SMALL_U_CAP = 500
 PAPER_SCALE_SMALL_U_CAP = 1100
 CLOSED_GRID_TOP = 1e12
@@ -478,8 +479,8 @@ def verify_small_u(table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
     analytic bound on a grid for y >= 1100.
 
     The default cap keeps the exhaustive branch at desk scale; raising it to
-    PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch and is an
-    hours-scale run.  Scans cover x < q^3 per interval [p, q), with the
+    PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch in about
+    two minutes on one core.  Scans cover x < q^3 per interval [p, q), with the
     two-dimensional supremum convention for the multiplier.
     """
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]

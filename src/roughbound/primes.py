@@ -42,7 +42,7 @@ class PrimeTable:
         logs = np.log(primes.astype(np.float64))
         # Prefix sums are plain left-to-right float64 accumulation (ascending
         # primes).  Worst-case drift is ~n*eps*S ~ 1e-8 at limit 3e7, far below
-        # the >= 1e-2 margins consumed anywhere downstream.
+        # the smallest margin consumed downstream (9.2e-4, selberg-closed).
         self._theta = np.cumsum(logs)
         self._recip = np.cumsum(1.0 / primes)
         self._plogp = np.cumsum(1.0 / (primes * logs))

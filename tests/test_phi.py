@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roughbound.errors import DomainError, ResourceError
 from roughbound.phi import (
+    KEPT_VIOLATIONS,
+    IntervalScan,
+    _rough_mask,
+    _strike_primes,
     canonicalize,
     max_statistic,
     phi_direct,
@@ -124,6 +128,84 @@ def test_max_statistic_falls_below_target_after_9():
     assert scan.violations[0][0] == 9
     # every rough x >= 10 is below the target in this interval
     assert all(n < 10 for n, _, _ in scan.violations)
+
+
+def reference_scan(table, y_lo, y_hi, x_cap, target=None):
+    """The plain interval scan the wheel kernel replaced: strike every prime
+    <= y_lo from consecutive integer segments and evaluate both statistics on
+    every rough n.  Oracle for scan_rough_interval."""
+    segment = 1 << 22
+    strike = _strike_primes(table, y_lo)
+    log_q = math.log(y_hi)
+    q2 = int(y_hi) * int(y_hi)
+    lo_bound = int(y_lo) * int(y_lo)
+
+    j_offset = 0
+    best_table = (-1.0, 0, 0)
+    best_sup = (-1.0, 0, 0)
+    violations = []
+    violation_count = 0
+
+    for lo in range(0, x_cap + 1, segment):
+        hi = min(lo + segment, x_cap + 1)
+        idx = np.flatnonzero(_rough_mask(lo, hi, strike))
+        if idx.size == 0:
+            continue
+        ns = idx.astype(np.int64) + lo
+        js = j_offset + np.arange(1, idx.size + 1, dtype=np.int64)
+        j_offset += idx.size
+
+        sel = ns >= q2
+        if np.any(sel):
+            ratios = js[sel] * log_q / ns[sel]
+            k = int(np.argmax(ratios))
+            if ratios[k] > best_table[0]:
+                best_table = (float(ratios[k]), int(ns[sel][k]), int(js[sel][k]))
+
+        sel2 = ns >= lo_bound
+        if np.any(sel2):
+            nv = ns[sel2]
+            jv = js[sel2]
+            mult = np.where(nv >= q2, log_q, 0.5 * np.log(nv))
+            ratios2 = jv * mult / nv
+            k = int(np.argmax(ratios2))
+            if ratios2[k] > best_sup[0]:
+                best_sup = (float(ratios2[k]), int(nv[k]), int(jv[k]))
+            if target is not None:
+                bad = np.flatnonzero(ratios2 >= target)
+                violation_count += int(bad.size)
+                for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
+                    violations.append((int(nv[b]), int(jv[b]), float(ratios2[b])))
+
+    return IntervalScan(
+        y_lo=int(y_lo), y_hi=int(y_hi), x_cap=x_cap, rough_count=j_offset,
+        table_max=best_table[0], table_witness=(best_table[1], best_table[2]),
+        sup_max=best_sup[0], sup_witness=(best_sup[1], best_sup[2]),
+        violations=tuple(violations), violation_count=violation_count,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([1, 2, 3, 4, 5]), st.integers(min_value=1, max_value=120)),
+       st.integers(min_value=2, max_value=180),
+       st.one_of(st.integers(min_value=1, max_value=20_000),
+                 st.integers(min_value=(1 << 20) - 100, max_value=(1 << 20) + 100),
+                 st.integers(min_value=1, max_value=2_300_000)),
+       st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
+@example(1, 2, 1000, 0.5)                  # no struck prime: wheel of 1
+@example(2, 3, (1 << 21) + 7, 0.3)         # wheel of 2, three segments, > KEPT_VIOLATIONS
+@example(3, 5, (1 << 20) + 29, 0.5)        # wheel of 6 across a segment boundary
+@example(5, 7, 2_000_003, 0.55)            # wheel of 30, x_cap not a multiple of 30
+@example(97, 101, 1_500_001, None)         # y_lo^2 and y_hi^2 in the first segment
+@example(31, 5, 60_000, 0.5)               # y_hi < y_lo: the table region starts first
+def test_scan_matches_reference(y_lo, y_hi, x_cap, target):
+    got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
+    assert got == reference_scan(_T, y_lo, y_hi, x_cap, target=target)
+
+
+def test_scan_rejects_y_hi_below_2():
+    with pytest.raises(DomainError):
+        scan_rough_interval(_T, 1, 1, 100)
 
 
 def test_scan_witness_reproduces_max():
