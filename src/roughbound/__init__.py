@@ -22,8 +22,6 @@ from .errors import (
 )
 from .phi import (
     MaxStatRow,
-    PhiQuery,
-    canonicalize,
     max_statistic,
     phi_direct,
     phi_legendre,

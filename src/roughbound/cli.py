@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paper-scale", action="store_const", dest="small_u_cap",
                     const=PAPER_SCALE_SMALL_U_CAP,
                     help=f"same as --small-u-cap {PAPER_SCALE_SMALL_U_CAP} "
-                         "(about two minutes on one core)")
+                         "(about 40 s on one core)")
     sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--out", default=None)
 

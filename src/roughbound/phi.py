@@ -4,8 +4,9 @@ Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
 (1 is always counted).  `phi_direct` strikes a segmented bitmask, or the
 count can be reproduced by full inclusion-exclusion (`phi_legendre`) and,
 for y^2 <= x < y^3, by the prime-pair identity (`phi_two_prime`).  A
-segmented mod-30 wheel sieve streams rough numbers with their running index
-to compute the interval max statistics used by the verification pipeline.
+segmented mod-30 wheel sieve counts rough numbers row by row and expands to
+(n, index) pairs only the rows that can hold the interval max statistics
+used by the verification pipeline.
 """
 
 from __future__ import annotations
@@ -21,26 +22,8 @@ from .primes import PrimeTable
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 ROUGH_SEGMENT = 1 << 20
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
-
-
-@dataclass(frozen=True)
-class PhiQuery:
-    """Canonical form of a (x, y) query: the count depends only on canonical_y."""
-
-    x: int
-    y: float
-    canonical_y: int | None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.canonical_y is None
-
-
-def canonicalize(x: int, y: float, table: PrimeTable) -> PhiQuery:
-    """Replace y by the largest prime <= y (None when y < 2)."""
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    return PhiQuery(x=int(x), y=float(y), canonical_y=table.prev_prime(y))
+PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
+STREAMED = 1 << 15       # a scan's first integers, where row bounds are too loose to prune
 
 
 def _strike_primes(table: PrimeTable, y) -> np.ndarray:
@@ -187,27 +170,39 @@ class IntervalScan:
     violation_count: int
 
 
-_WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+_WHEELS: dict[int, tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]] = {}
 
 
-def _wheel(strike, x_cap: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The wheel of the struck primes among 2, 3, 5: its modulus w, the
-    residues coprime to w, -r^-1 mod w indexed by residue r, and the int32
-    offsets i*w + r of a (rows, residues) mask in row-major order, for as
-    many rows as a scan to x_cap uses.  Cached per wheel; a longer scan
-    grows the offsets up to one ROUGH_SEGMENT."""
-    w = math.prod(int(p) for p in strike[:3])
-    rows = min(ROUGH_SEGMENT // w, x_cap // w + 1)
-    cached = _WHEELS.get(w)
-    if cached is None or cached[3].size < rows * cached[1].size:
-        residues = np.array([r for r in range(w) if math.gcd(r, w) == 1], dtype=np.int64)
-        neg_inv = np.zeros(w, dtype=np.int64)
-        for r in residues.tolist():
-            neg_inv[r] = -pow(r, -1, w) % w
-        offsets = (np.arange(rows, dtype=np.int32)[:, None] * w
-                   + residues.astype(np.int32)).ravel()
-        cached = _WHEELS[w] = (w, residues, neg_inv, offsets)
-    return cached
+def _wheel(strike, x_cap: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The wheel of the struck primes among 2, 3, 5, in turns of 8 residues.
+
+    Returns the wheel modulus w; the turn width W (8, 16, 24 or 30 integers);
+    the first 32 residues coprime to w, which span four turns; -r^-1 mod W
+    indexed by r; and a (turns, 8) bool pattern with the next PRESIEVED
+    struck primes already struck, periodic with `period` turns (their
+    product).  Turn i, column c of a segment starting at base stands for
+    base + i*W + residues[c].  Cached per wheel; a longer scan grows the
+    pattern to the period plus the turns of one ROUGH_SEGMENT.
+    """
+    key = min(len(strike), 3 + PRESIEVED)      # the wheel and the presieved primes
+    if key not in _WHEELS:
+        wheel = [int(p) for p in strike[:3]]
+        w = math.prod(wheel)
+        width = 8 * w // math.prod(p - 1 for p in wheel)
+        residues = np.array([r for r in range(4 * width) if math.gcd(r, w) == 1], dtype=np.int64)
+        neg_inv = np.array([-pow(r, -1, width) % width if math.gcd(r, width) == 1 else 0
+                            for r in range(width)], dtype=np.int64)
+        _WHEELS[key] = (w, width, residues, neg_inv, np.empty((0, 8), dtype=bool),
+                        math.prod(int(p) for p in strike[3:key]))
+    w, width, residues, neg_inv, pattern, period = _WHEELS[key]
+    turns = period + min(ROUGH_SEGMENT // 8, x_cap // width + 4)
+    if len(pattern) < turns:
+        pattern = np.ones((turns, 8), dtype=bool)
+        for p in strike[3:key].tolist():
+            for c, r in enumerate(residues[:8].tolist()):
+                pattern[-r * pow(width, -1, p) % p::p, c] = False
+        _WHEELS[key] = (w, width, residues, neg_inv, pattern, period)
+    return _WHEELS[key]
 
 
 def _better(best, ratios, ns, js):
@@ -225,26 +220,41 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     violations are kept as witnesses and all of them are counted.  Each
     witness is the first n attaining its maximum.
 
-    A segment is a (rows, k) mask over the k residues coprime to the wheel
-    of the struck primes among 2, 3, 5; every larger prime strikes one slice
-    per residue class.  From max(y_hi^2, y_lo^2) on, both statistics are
-    j log(y_hi) / n, so a segment there locates its maximum on j / n and
-    evaluates the exact ratio only on near-ties of it.
+    A segment is a ROUGH_SEGMENT-byte mask over the residues coprime to the
+    wheel of the struck primes among 2, 3, 5 (see `_wheel`).  It starts as a
+    copy of the presieved pattern, and every further prime strikes one slice
+    per residue class.  The mask is then read in rows of 32 residues.  Rows
+    holding an n below max(y_hi^2, y_lo^2), or among the scan's first
+    STREAMED integers, are expanded to every (n, j).  Above that split both
+    statistics are j log(y_hi) / n, and a row's survivor count gives the j of
+    its last survivor, j_end.  Each survivor of a row then has
+    j / n <= j_end / (the row's smallest n), so only the rows whose bound
+    reaches the largest j / n known so far (less 1e-13) are expanded, and
+    the exact ratio is evaluated on their survivors alone.  From earlier
+    segments that floor counts only up to the j / n of the target, so every
+    violation is still found.
     """
     x_cap = int(x_cap)
     if x_cap < 1:
         raise DomainError(f"x_cap must be >= 1, got {x_cap}")
-    if y_hi < 2:  # log(y_hi) > 0 keeps the argmax of j/n that of j log(y_hi)/n
+    if y_hi < 2:  # log(y_hi) > 0 keeps the order of j/n that of j log(y_hi)/n
         raise DomainError(f"y_hi must be >= 2, got {y_hi}")
     if cap is not None and x_cap > cap:
         raise ResourceError(f"scan to {x_cap} exceeds the exhaustive cap {cap}")
     strike = _strike_primes(table, y_lo)
-    w, residues, neg_inv, offsets = _wheel(strike, x_cap)
-    ps = strike[3:, None]                      # the struck primes above the wheel
-    inv = (1 + ps * neg_inv[ps % w]) // w      # w^-1 mod p
+    w, width, residues, neg_inv, pattern, period = _wheel(strike, x_cap)
+    ps = strike[3 + PRESIEVED:, None]          # the struck primes left to strike
+    inv = (1 + ps * neg_inv[ps % width]) // width   # width^-1 mod p
+    first_turn = -residues[:8] * inv % ps      # turn of the first multiple of p per column
+    step = 4 * width                           # integers per row of 32 residues
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
     lo_bound = int(y_lo) * int(y_lo)
+    split = max(q2, lo_bound)
+    streamed = max(split, STREAMED)
+    reach = 0.0                                # largest j / n seen above the split
+    # a survivor whose j / n is below this (less 1e-13) is no violation
+    reach_cap = math.inf if target is None else target / log_q
 
     j_offset = 0
     best_table = (-1.0, 0, 0)
@@ -259,45 +269,82 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
             violations.append((int(ns[b]), int(js[b]), float(ratios[b])))
 
-    span = (ROUGH_SEGMENT // w) * w
-    for base in range(0, x_cap + 1, span):
-        width = min(span, x_cap + 1 - base)
-        mask = np.ones((-(-width // w), residues.size), dtype=bool)
-        starts = (-(base + residues) % ps) * inv % ps
-        for p, row in zip(ps[:, 0].tolist(), starts.tolist()):
-            for c, s in enumerate(row):
-                mask[s::p, c] = False
-        flat = mask.ravel()[: width // w * residues.size
-                            + int(np.searchsorted(residues, width % w))]
-        if base == 0 and w == 1:
-            flat[0] = False  # 0 is not counted; 1 survives every strike
-        ns = np.add(offsets.take(np.flatnonzero(flat)), base, dtype=np.int64)
-        j0 = j_offset + 1                      # the index j of ns[0]
-        j_offset += ns.size
-
+    def offer(ns, js) -> float:
+        """Fold survivors, ascending in n, into both statistics; the largest
+        ratio among those above the split, or -1."""
+        nonlocal best_table, best_sup, reach
         i_q2, i_lo = np.searchsorted(ns, (q2, lo_bound)).tolist()
         if i_q2 < i_lo:                        # y_hi < y_lo: table only below y_lo^2
-            nv, jv = ns[i_q2:i_lo], np.arange(j0 + i_q2, j0 + i_lo, dtype=np.int64)
+            nv, jv = ns[i_q2:i_lo], js[i_q2:i_lo]
             best_table = _better(best_table, jv * log_q / nv, nv, jv)
         elif i_lo < i_q2:                      # sup only below y_hi^2, multiplier log sqrt(n)
-            nv, jv = ns[i_lo:i_q2], np.arange(j0 + i_lo, j0 + i_q2, dtype=np.int64)
+            nv, jv = ns[i_lo:i_q2], js[i_lo:i_q2]
             ratios = jv * (0.5 * np.log(nv)) / nv
             best_sup = _better(best_sup, ratios, nv, jv)
             if target is not None:
                 note_violations(ratios, nv, jv)
-        split = max(i_q2, i_lo)
-        ns, j0 = ns[split:], j0 + split
-        if ns.size:
-            r = np.arange(j0, j0 + ns.size, dtype=np.float64)
-            r /= ns
-            near = np.flatnonzero(r >= r.max() * (1 - 1e-13))
-            nn, jn = ns[near], near + j0
-            ratios = jn * log_q / nn
-            best_table = _better(best_table, ratios, nn, jn)
-            best_sup = _better(best_sup, ratios, nn, jn)
-            if target is not None and ratios.max() >= target:
-                js = np.arange(j0, j0 + ns.size, dtype=np.int64)
-                note_violations(js * log_q / ns, ns, js)
+        above = max(i_q2, i_lo)
+        if above == ns.size:
+            return -1.0
+        ns, js = ns[above:], js[above:]
+        ratios = js * log_q / ns
+        i = int(np.argmax(ratios))
+        reach = max(reach, js[i] / ns[i])
+        best_table = _better(best_table, ratios, ns, js)
+        best_sup = _better(best_sup, ratios, ns, js)
+        return float(ratios[i])
+
+    span = ROUGH_SEGMENT // 8 * width
+    for base in range(0, x_cap + 1, span):
+        size = min(span, x_cap + 1 - base)
+        turns = pattern[base // width % period:][:-(-size // step) * 4].copy()
+        for p, row in zip(ps[:, 0].tolist(), ((first_turn - base // width) % ps).tolist()):
+            for c, s in enumerate(row):
+                turns[s::p, c] = False
+        mask = turns.reshape(-1, 32)
+        mask.ravel()[size // step * 32 + int(np.searchsorted(residues, size % step)):] = False
+        if base == 0 and w == 1:
+            mask[0, 0] = False  # 0 is not counted; 1 survives every strike
+
+        # rows holding an n below `streamed` are expanded in full
+        head = min(len(mask), max(0, -(-(streamed - base - int(residues[0])) // step)))
+        cells = np.flatnonzero(mask[:head])
+        top = offer(base + step * (cells >> 5) + residues[cells & 31],
+                    np.arange(j_offset + 1, j_offset + cells.size + 1))
+        j_offset += cells.size
+        if head < len(mask):
+            # survivors per row: its four 8-byte popcounts summed by one multiply
+            count = (np.bitwise_count(mask[head:].view(np.uint64)).view(np.uint32)
+                     * 0x01010101 >> 24)[:, 0]
+            j_end = np.cumsum(count, dtype=np.int64)
+            j_end += j_offset
+            n_min = np.arange(base + head * step + residues[0], base + (len(mask) + 1) * step,
+                              step, dtype=np.float64)
+            # Some survivor above the split reaches the floor: an earlier one,
+            # or the last survivor of a row, whose n is below the next row's
+            # n_min.  The `lead` rows before the first survivor here carry the
+            # j of an earlier one, which may lie below the split.  Every
+            # survivor whose j / n is within 1e-13 of the largest so far is
+            # in a kept row, so the first maximum of the exact ratio is too,
+            # and so is every violation.
+            lead = int(np.searchsorted(j_end, j_offset, "right"))
+            floor = max(min(reach, reach_cap),
+                        (j_end[lead:] / n_min[lead + 1:]).max(initial=0.0))
+            idx = np.flatnonzero(j_end / n_min[:-1] >= floor * (1 - 1e-13))
+            cells = np.flatnonzero(mask[head + idx])
+            rr = cells >> 5                    # the survivor's row, as an index into idx
+            top = max(top, offer((base + step * (head + idx))[rr] + residues[cells & 31],
+                                 (j_end[idx] - np.cumsum(count[idx]))[rr]
+                                 + np.arange(1, rr.size + 1)))
+            j_offset = int(j_end[-1])
+
+        if target is not None and top >= target:
+            cells = np.flatnonzero(mask)       # every survivor of the segment
+            ns = base + step * (cells >> 5) + residues[cells & 31]
+            js = np.arange(j_offset - cells.size + 1, j_offset + 1)
+            above = int(np.searchsorted(ns, split))
+            ns, js = ns[above:], js[above:]
+            note_violations(js * log_q / ns, ns, js)
 
     return IntervalScan(
         y_lo=int(y_lo), y_hi=int(y_hi), x_cap=x_cap, rough_count=j_offset,

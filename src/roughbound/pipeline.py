@@ -53,7 +53,7 @@ REGION_ORDER = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATI
 DEFAULT_TARGET = 0.6
 # Exhaustive small-u scans run to y <= SMALL_U_CAP by default; the paper
 # scale runs them to 1100, where the analytic grid takes over (132 scans,
-# about two minutes on one core).
+# about 40 s on one core).
 SMALL_U_CAP = 500
 PAPER_SCALE_SMALL_U_CAP = 1100
 CLOSED_GRID_TOP = 1e12
@@ -109,15 +109,6 @@ class RegionCertificate:
     params: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class IterationState:
-    k: int
-    c_k: float
-    q0: int
-    q1: int
-    eps_k: float
 
 
 @dataclass
@@ -480,7 +471,7 @@ def verify_small_u(table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
 
     The default cap keeps the exhaustive branch at desk scale; raising it to
     PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch in about
-    two minutes on one core.  Scans cover x < q^3 per interval [p, q), with the
+    40 s on one core.  Scans cover x < q^3 per interval [p, q), with the
     two-dimensional supremum convention for the multiplier.
     """
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
@@ -586,7 +577,7 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET,
         rows.append({"q0": q0, "eps3": eps, "q1": q1, "chain": chain})
         if m < margin:
             margin = m
-            worst = IterationState(k=3, c_k=c3, q0=q0, q1=q1, eps_k=eps)
+            worst = {"k": 3, "c_k": c3, "q0": q0, "q1": q1, "eps_k": eps}
         if chain >= target:
             failures.append({"q0": q0, "issue": "chain exceeds target", "chain": chain})
 
@@ -605,7 +596,7 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET,
         margin=margin,
         verified=not failures,
         params={"target": target, "c3": c3, "exact_range": [241, 997],
-                "worst": asdict(worst) if worst else None,
+                "worst": worst,
                 "tail_rule": "eps3 < 1.95 / (sqrt(q0) (log q0)^2), decreasing in q0",
                 "tail_probes": list(ITERATION_TAIL_PROBES)},
         failures=failures,

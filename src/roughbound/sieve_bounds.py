@@ -290,8 +290,8 @@ class SweepRow:
     margin: float
 
 
-def selberg_sweep(table: PrimeTable, *, lo: int = SELBERG_MIN_Y, hi: int = CLOSED_FORM_MIN_Y,
-                  target: float = 0.6) -> list[SweepRow]:
+def selberg_sweep(table: PrimeTable, *, target: float, lo: int = SELBERG_MIN_Y,
+                  hi: int = CLOSED_FORM_MIN_Y) -> list[SweepRow]:
     """Evaluate the sieve bound at x = p^7.5 for every consecutive-prime pair
     p < q with lo <= p <= hi, against target * x / log q.
 

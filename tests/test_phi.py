@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from roughbound.errors import DomainError, ResourceError
 from roughbound.phi import (
     KEPT_VIOLATIONS,
+    ROUGH_SEGMENT,
     IntervalScan,
     _rough_mask,
     _strike_primes,
-    canonicalize,
     max_statistic,
     phi_direct,
     phi_legendre,
@@ -185,11 +185,14 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
     )
 
 
+_SEGMENT_30 = ROUGH_SEGMENT // 8 * 30    # integers in one segment of the wheel of 30
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.sampled_from([1, 2, 3, 4, 5]), st.integers(min_value=1, max_value=120)),
        st.integers(min_value=2, max_value=180),
        st.one_of(st.integers(min_value=1, max_value=20_000),
-                 st.integers(min_value=(1 << 20) - 100, max_value=(1 << 20) + 100),
+                 st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 100),
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
 @example(1, 2, 1000, 0.5)                  # no struck prime: wheel of 1
@@ -198,6 +201,12 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
 @example(5, 7, 2_000_003, 0.55)            # wheel of 30, x_cap not a multiple of 30
 @example(97, 101, 1_500_001, None)         # y_lo^2 and y_hi^2 in the first segment
 @example(31, 5, 60_000, 0.5)               # y_hi < y_lo: the table region starts first
+@example(5, 7, 8_000_003, 0.55)            # three segments, violations above the split
+@example(7, 11, 1_000_000, 0.56)           # presieved pattern of 7 alone
+@example(11, 13, 300_007, 0.55)            # presieved pattern of 7 and 11
+@example(13, 17, 5_000_000, None)          # presieved pattern of 7, 11 and 13
+@example(53, 59, 2_999_999, 0.6)           # maximum at small j, where row bounds are loose
+@example(6247, 6254, 39_150_000, 0.3)      # the first bounded row after the split is empty
 def test_scan_matches_reference(y_lo, y_hi, x_cap, target):
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
     assert got == reference_scan(_T, y_lo, y_hi, x_cap, target=target)
@@ -244,24 +253,24 @@ def test_buchstab_identity():
 
 
 def test_canonicalize():
-    q = canonicalize(100, 9.5, _T)
-    assert q.canonical_y == 7
-    assert canonicalize(100, 7.0, _T).canonical_y == 7
-    assert canonicalize(100, 1.2, _T).degenerate
+    # Phi(x, y) depends on y only through the largest prime <= y
+    assert _T.prev_prime(9.5) == 7
+    assert _T.prev_prime(7.0) == 7
+    assert _T.prev_prime(1.2) is None      # no prime <= y: every integer is counted
+    assert phi_direct(100, 1.2, _T) == 100
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = int(rng.integers(1, 5000))
         y = float(rng.uniform(2, 60))
         if _T.is_prime(int(y)) and y == int(y):
             continue
-        c = canonicalize(x, y, _T)
-        assert phi_direct(x, y, _T) == phi_direct(x, c.canonical_y, _T)
+        assert phi_direct(x, y, _T) == phi_direct(x, _T.prev_prime(y), _T)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0, max_value=100))
 def test_canonicalize_idempotent(x, y):
-    c = canonicalize(x, y, _T)
-    if c.canonical_y is not None:
-        again = canonicalize(x, float(c.canonical_y), _T)
-        assert again.canonical_y == c.canonical_y
+    q = _T.prev_prime(y)
+    if q is not None:
+        assert _T.prev_prime(float(q)) == q
+        assert phi_direct(x, y, _T) == phi_direct(x, q, _T)

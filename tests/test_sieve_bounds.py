@@ -8,6 +8,7 @@ import pytest
 from roughbound.analytic import DEFAULT_CONTEXT as CTX, EULER_GAMMA
 from roughbound.errors import DomainError, InfeasibleError
 from roughbound.phi import phi_direct, phi_legendre
+from roughbound.pipeline import DEFAULT_TARGET
 from roughbound.primes import build_prime_table
 from roughbound.sieve_bounds import (
     bonferroni_bound,
@@ -253,7 +254,7 @@ def test_optimizer_ladder_in_x(table_sel):
 
 
 def test_sweep_small_slice(table_sel):
-    rows = selberg_sweep(table_sel, lo=241, hi=1000)
+    rows = selberg_sweep(table_sel, lo=241, hi=1000, target=DEFAULT_TARGET)
     assert rows[0].y == 241
     assert all(r.margin > 0 for r in rows)
     assert all(r.f_value < 1 for r in rows)
