@@ -14,15 +14,22 @@ witnesses of failure.  The default target is .6.
   iteration       y >= 241, 3 <= u < 8, geometric bootstrap from the small-u
                   constant
 
-All region work is pure and deterministic; interval scans may be distributed
-over worker processes without changing any reported number.
+All region work is pure and deterministic.  A run opens one task pool
+(`_task_pool`): each interval scan, the Selberg sweep, the small-u grid and
+the iteration is a task on it, and the calling process only submits tasks
+and assembles certificates.  The pool's workers receive the prime table once,
+and below two workers the pool is inline (no processes).  The report does
+not depend on the parallelism setting.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -160,26 +167,69 @@ def _ceil_two_sig(n: int) -> int:
     return int(math.ceil(n / unit)) * unit
 
 
-def _check_parallelism(parallelism: int) -> None:
+# The prime table of the pool a task runs in: set once in each worker process
+# by the pool's initializer, and in the calling thread around an inline pool.
+_POOL_TABLE: ContextVar[PrimeTable] = ContextVar("roughbound_pool_table")
+
+
+def _serve(table: PrimeTable) -> None:
+    _POOL_TABLE.set(table)
+
+
+class _InlinePool:
+    """The executor interface without processes: a task runs in the calling
+    thread as it is submitted."""
+
+    def __init__(self, table: PrimeTable):
+        self._table = table
+
+    def __enter__(self):
+        self._token = _POOL_TABLE.set(self._table)
+        return self
+
+    def __exit__(self, *exc):
+        _POOL_TABLE.reset(self._token)
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, iterable):
+        return [fn(item) for item in iterable]
+
+
+def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
+    """A pool for `tasks` tasks on min(parallelism, tasks, usable CPUs) worker
+    processes, each handed `table` once by the initializer; inline below two."""
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(parallelism, tasks, cpus or 1)
+    if workers < 2:
+        return _InlinePool(table)
+    return ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(table,))
 
 
-def _scan_task(args):
-    table, y_lo, y_hi, x_cap, target = args
-    return scan_rough_interval(table, y_lo, y_hi, x_cap, target=target, cap=None)
+# Tasks look up the function they run as a module global when they run, so a
+# wrapper installed on this module before the pool starts reaches its workers.
+
+def _scan_task(task):
+    y_lo, y_hi, x_cap, target = task
+    return scan_rough_interval(_POOL_TABLE.get(), y_lo, y_hi, x_cap, target=target, cap=None)
 
 
-def _scan_intervals(table: PrimeTable, intervals, target: float, parallelism: int) -> list:
-    """Scan each (y_lo, y_hi, x_cap) interval for violations of the target,
-    on up to `parallelism` worker processes; scans come back in input order."""
-    _check_parallelism(parallelism)
-    tasks = [(table, y_lo, y_hi, x_cap, target) for y_lo, y_hi, x_cap in intervals]
-    workers = min(parallelism, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_scan_task, tasks))
-    return [_scan_task(t) for t in tasks]
+def _selberg_task(target):
+    return verify_selberg(target, _POOL_TABLE.get())
+
+
+def _grid_task(ctx):
+    return small_u_grid_max(ctx)
+
+
+def _iteration_task(target):
+    return verify_iteration(_POOL_TABLE.get(), target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +237,7 @@ def _scan_intervals(table: PrimeTable, intervals, target: float, parallelism: in
 # ---------------------------------------------------------------------------
 
 def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
-                   rows=None, parallelism: int = 1) -> RegionCertificate:
+                   rows=None, parallelism: int = 1, pool=None) -> RegionCertificate:
     """Reproduce the reference small-y table and scan every interval for
     violations of the target.
 
@@ -196,6 +246,9 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
     rough numbers are streamed directly.  The interval [2, 3) is special: its
     statistic exceeds .6 at x = 9, and the certificate instead asserts that
     every violation there has x < 10.
+
+    The scans run on `pool`, a run's task pool, or else on a pool of up to
+    `parallelism` workers opened for them.
     """
     rows = REFERENCE_SMALL_Y_ROWS if rows is None else rows
     needed = max(r[2] for r in rows)
@@ -211,8 +264,9 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
             xb = None  # elementary bound can never reach this target
         meta.append((p, q, printed, is_rounded, printed_max, xb))
 
-    scans = _scan_intervals(table, [(p, q, printed - 1) for p, q, printed, *_ in meta],
-                            target, parallelism)
+    with nullcontext(pool) if pool else _task_pool(table, parallelism, len(meta)) as pool:
+        scans = list(pool.map(_scan_task, [(p, q, printed - 1, target)
+                                           for p, q, printed, *_ in meta]))
 
     out_rows = []
     failures = []
@@ -271,12 +325,13 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
 # ---------------------------------------------------------------------------
 
 def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
-                 parallelism: int = 1) -> RegionCertificate:
+                 parallelism: int = 1, pool=None) -> RegionCertificate:
     """Exhaustively check 71 <= y < 241 below the pre-sieved truncation bounds.
 
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
     14/15 remainder refinement) takes over at an x-bound verified to stay
-    below the 3e7 cap; one streaming pass covers all smaller x.
+    below the 3e7 cap; one streaming pass covers all smaller x.  The scans
+    run as in `verify_small_y`.
     """
     ps = [int(p) for p in table.primes_between(70, 240)]
     meta = []
@@ -294,7 +349,8 @@ def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUST
             xb = cap
         meta.append((p, q, xb))
 
-    scans = _scan_intervals(table, [(p, q, xb - 1) for p, q, xb in meta], target, parallelism)
+    with nullcontext(pool) if pool else _task_pool(table, parallelism, len(meta)) as pool:
+        scans = list(pool.map(_scan_task, [(p, q, xb - 1, target) for p, q, xb in meta]))
 
     rows = []
     failures = list(bound_failures)
@@ -465,19 +521,24 @@ def small_u_grid_max(ctx: AnalyticContext = DEFAULT_CONTEXT, *,
 
 def verify_small_u(table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
                    target: float = DEFAULT_TARGET, y_exhaustive_cap: int = SMALL_U_CAP,
-                   parallelism: int = 1) -> RegionCertificate:
+                   parallelism: int = 1, pool=None) -> RegionCertificate:
     """The 2 <= u < 3 region: exhaustive scans for 241 <= y <= cap, assembled
     analytic bound on a grid for y >= 1100.
 
     The default cap keeps the exhaustive branch at desk scale; raising it to
     PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch in about
     40 s on one core.  Scans cover x < q^3 per interval [p, q), with the
-    two-dimensional supremum convention for the multiplier.
+    two-dimensional supremum convention for the multiplier.  The grid is a
+    task submitted before the scans, and all of them run as in
+    `verify_small_y`.
     """
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
     meta = [(p, table.next_prime(p)) for p in ps]
 
-    scans = _scan_intervals(table, [(p, q, q ** 3 - 1) for p, q in meta], target, parallelism)
+    with nullcontext(pool) if pool else _task_pool(table, parallelism, len(meta) + 1) as pool:
+        grid = pool.submit(_grid_task, ctx)
+        scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target) for p, q in meta]))
+        (analytic_max, at_y, at_u), grid_rows = grid.result()
 
     rows = []
     failures = []
@@ -496,7 +557,6 @@ def verify_small_u(table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
                          "max_ratio": exhaustive_max,
                          "milestone": SMALL_U_EXHAUSTIVE_MAX})
 
-    (analytic_max, at_y, at_u), grid_rows = small_u_grid_max(ctx)
     if analytic_max >= min(C3_SMALL_U, target):
         failures.append({"issue": "analytic milestone exceeded",
                          "max_coefficient": analytic_max, "at_y": at_y, "at_u": at_u,
@@ -645,35 +705,46 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
     """Run the selected region verifiers and aggregate their certificates.
 
     The overall verdict is the conjunction of the per-region verdicts; output
-    is independent of the parallelism setting.
+    is independent of the parallelism setting.  Every region works on the
+    run's one task pool: small-y's scans, the Selberg sweep and the
+    iteration go first, then mid-y's and small-u's scans (small-u's grid
+    just before them); each exhaustive verifier assembles its certificate as
+    its scans' results arrive.
     """
     config = config or PipelineConfig()
-    for r in config.regions:
+    regions = config.regions
+    for r in regions:
         if r not in REGION_ORDER:
             raise DomainError(f"unknown region {r!r}")
-    _check_parallelism(config.parallelism)
     if table is None:
         table = build_prime_table(_required_limit(config))
+    selberg = SELBERG_FINITE in regions or SELBERG_CLOSED in regions
+    # one task per analytic computation and per scan of the verifiers below
+    tasks = (selberg + (ITERATION in regions)
+             + (SMALL_Y in regions) * len(REFERENCE_SMALL_Y_ROWS)
+             + (MID_Y in regions) * len(table.primes_between(70, 240))
+             + (SMALL_U in regions) * (len(table.primes_between(240, config.small_u_cap)) + 1))
 
     certs: list[RegionCertificate] = []
-    if SMALL_Y in config.regions:
-        certs.append(verify_small_y(config.target, table, cap=config.exhaustive_cap,
-                                    parallelism=config.parallelism))
-    if MID_Y in config.regions:
-        certs.append(verify_mid_y(config.target, table, cap=config.exhaustive_cap,
-                                  parallelism=config.parallelism))
-    if SELBERG_FINITE in config.regions or SELBERG_CLOSED in config.regions:
-        finite, closed = verify_selberg(config.target, table)
-        if SELBERG_FINITE in config.regions:
-            certs.append(finite)
-        if SELBERG_CLOSED in config.regions:
-            certs.append(closed)
-    if SMALL_U in config.regions:
-        certs.append(verify_small_u(table, target=config.target,
-                                    y_exhaustive_cap=config.small_u_cap,
-                                    parallelism=config.parallelism))
-    if ITERATION in config.regions:
-        certs.append(verify_iteration(table, target=config.target))
+    with _task_pool(table, config.parallelism, tasks) as pool:
+        # small-y first, so that its cap check fails before any work starts
+        if SMALL_Y in regions:
+            certs.append(verify_small_y(config.target, table, cap=config.exhaustive_cap,
+                                        pool=pool))
+        if selberg:
+            selberg_certs = pool.submit(_selberg_task, config.target)
+        if ITERATION in regions:
+            iteration = pool.submit(_iteration_task, config.target)
+        if MID_Y in regions:
+            certs.append(verify_mid_y(config.target, table, cap=config.exhaustive_cap,
+                                      pool=pool))
+        if SMALL_U in regions:
+            certs.append(verify_small_u(table, target=config.target,
+                                        y_exhaustive_cap=config.small_u_cap, pool=pool))
+        if selberg:
+            certs += [c for c in selberg_certs.result() if c.region in regions]
+        if ITERATION in regions:
+            certs.append(iteration.result())
 
     certs.sort(key=lambda c: REGION_ORDER.index(c.region))
     table1 = []

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
+from divisor_oracles import selberg_divisor_sums, tau3_divisor_sum
 from roughbound.analytic import EULER_GAMMA
 from roughbound.buchstab import build_omega, locate_extremum
 from roughbound.phi import phi_direct, phi_legendre, phi_two_prime
@@ -34,8 +35,6 @@ from roughbound.sieve_bounds import (
     elementary_bound,
     lemma2_remainder,
     newton_elementary,
-    selberg_divisor_sums,
-    tau3_divisor_sum,
 )
 
 FULL_PRECISION_BOUNDS = {22, 51, 96, 370, 613, 1603, 2753, 6296, 17539, 30519, 76932}

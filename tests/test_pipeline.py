@@ -1,6 +1,9 @@
+import contextvars
 import dataclasses
 import json
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from roughbound.pipeline import (
     verify_small_u,
     verify_small_y,
 )
-from roughbound.primes import build_prime_table
+from roughbound.primes import PrimeTable, build_prime_table
 
 _T = build_prime_table(10_100)
 _FAST_ROWS = REFERENCE_SMALL_Y_ROWS[:6]  # bounds up to 1603: scans are instant
@@ -178,14 +181,22 @@ def test_nonpositive_parallelism_rejected(parallelism):
         verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=parallelism)
 
 
-def test_pool_clamped_to_task_count(monkeypatch):
-    # a fake executor records the requested pool size and starts no process
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor on a machine with 64 usable CPUs and
+    starts no process: records each pool's size and every task's arguments,
+    and runs the tasks here, in a context where the initializer ran, as a
+    worker would."""
     import roughbound.pipeline as pl
-    sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class FakePool:
+        sizes = []
+        task_args = []
+
+        def __init__(self, max_workers, initializer, initargs):
+            self.sizes.append(max_workers)
+            self.context = contextvars.copy_context()
+            self.context.run(initializer, *initargs)
 
         def __enter__(self):
             return self
@@ -193,15 +204,59 @@ def test_pool_clamped_to_task_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            self.task_args.append(args)
+            future = Future()
+            future.set_result(self.context.run(fn, *args))
+            return future
 
-    monkeypatch.setattr(pl, "ProcessPoolExecutor", RecordingPool)
+        def map(self, fn, tasks):
+            return [self.submit(fn, task).result() for task in tasks]
+
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    return FakePool
+
+
+def test_pool_clamped_to_task_count(fake_pool):
     serial = verify_small_y(0.6, _T, rows=_FAST_ROWS)
     assert verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=5000) == serial
-    assert sizes == [len(_FAST_ROWS)]
+    assert fake_pool.sizes == [len(_FAST_ROWS)]
     verify_small_y(0.6, _T, rows=_FAST_ROWS[:1], parallelism=5000)
-    assert sizes == [len(_FAST_ROWS)]  # a single task runs in this process
+    assert fake_pool.sizes == [len(_FAST_ROWS)]  # a single task runs in this process
+
+
+def test_pool_clamped_to_usable_cpus(fake_pool, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=5000)
+    assert fake_pool.sizes == [3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4}, raising=False)
+    verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=5000)
+    assert fake_pool.sizes == [3]  # one usable CPU: the scans run in this process
+
+
+@pytest.fixture(scope="module")
+def serial_270():
+    return run_full_pipeline(PipelineConfig(small_u_cap=270))
+
+
+def test_run_opens_one_pool_and_sends_no_table(fake_pool, serial_270):
+    report = run_full_pipeline(PipelineConfig(small_u_cap=270, parallelism=2))
+    assert fake_pool.sizes == [2]
+    # 2 analytic tasks, the small-u grid and 19 + 33 + 5 scans
+    assert len(fake_pool.task_args) == 60
+    sent = [a for args in fake_pool.task_args for arg in args
+            for a in (arg if isinstance(arg, tuple) else (arg,))]
+    assert not any(isinstance(a, PrimeTable) for a in sent)
+    assert report.certificates == serial_270.certificates
+
+
+def test_run_parallel_report_equals_serial(serial_270):
+    report = run_full_pipeline(PipelineConfig(small_u_cap=270, parallelism=2))
+    assert report.certificates == serial_270.certificates
+    assert report.table1 == serial_270.table1
+    assert report.verdict is serial_270.verdict is True
+    assert {**report.config, "parallelism": 1} == serial_270.config
 
 
 def test_small_u_reduced_deterministic_parallel():

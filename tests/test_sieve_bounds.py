@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from divisor_oracles import selberg_divisor_sums, tau3_divisor_sum
 from roughbound.analytic import DEFAULT_CONTEXT as CTX, EULER_GAMMA
 from roughbound.errors import DomainError, InfeasibleError
 from roughbound.phi import phi_direct, phi_legendre
@@ -23,10 +24,8 @@ from roughbound.sieve_bounds import (
     newton_elementary,
     optimize_epsilon,
     s_y_closed_form,
-    selberg_divisor_sums,
     selberg_sweep,
     selberg_upper,
-    tau3_divisor_sum,
 )
 
 _T = build_prime_table(10_100)
