@@ -9,8 +9,8 @@ machine-checkable certificates.
 
 __version__ = "0.1.0"
 
-from .analytic import AnalyticContext, DEFAULT_CONTEXT, li, pi_lower_599, pnt_upper, r_ratio
-from .buchstab import BuchstabTable, build_omega, locate_extremum, mu_y, theorem_b_estimate
+from .analytic import AnalyticContext, DEFAULT_CONTEXT, li, pi_lower_599, r_ratio
+from .buchstab import BuchstabTable, build_omega, locate_extremum, mu_y
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -41,7 +41,7 @@ from .pipeline import (
     verify_small_u,
     verify_small_y,
 )
-from .primes import PrimeTable, build_prime_table, mertens_product, mertens_sum
+from .primes import PrimeTable, build_prime_table, mertens_product
 from .sieve_bounds import (
     BonferroniData,
     SieveConfig,

@@ -81,26 +81,6 @@ def li(x: float) -> float:
     return float(_special.expi(big_l)) + residual * x / big_l
 
 
-def pnt_upper(x: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
-    """(1 + beta0) li(x), an upper bound for pi(x) valid for all x >= 2."""
-    if x < 2:
-        raise DomainError(f"pnt_upper needs x >= 2, got {x}")
-    return (1.0 + ctx.beta0) * li(x)
-
-
-def pnt_upper_shifted(x: float, k: int, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
-    """(1 + beta0)(li(x) - k), an upper bound for pi(x) - k.
-
-    Asserted for 2 <= k <= min(pi(x), 1e7); the pi(x) side of the condition is
-    the caller's responsibility since no sieve is available here.
-    """
-    if x < 2:
-        raise DomainError(f"pnt_upper_shifted needs x >= 2, got {x}")
-    if not 2 <= k <= 10**7:
-        raise DomainError(f"shift k must satisfy 2 <= k <= 1e7, got {k}")
-    return (1.0 + ctx.beta0) * (li(x) - k)
-
-
 def r_ratio(t: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
     """(1 + beta0) li(t) log(t) / t; tends to 1 + beta0 as t grows."""
     if t <= 1:

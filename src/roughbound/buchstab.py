@@ -147,18 +147,6 @@ def locate_extremum(table: BuchstabTable):
     return u_star, m0
 
 
-def theorem_b_estimate(x: float, y: float, table: BuchstabTable) -> float:
-    """Leading-term estimate (x / log y) * omega(log x / log y)."""
-    if y < 2:
-        raise DomainError(f"estimate needs y >= 2, got {y}")
-    if x < y * y:
-        raise DomainError(f"estimate needs x >= y^2, got x={x}, y={y}")
-    u = math.log(x) / math.log(y)
-    if u > table.u_max:
-        raise DomainError(f"u={u:.3f} beyond table range {table.u_max}")
-    return x / math.log(y) * table.omega(u)
-
-
 def mu_y(u: float, y: float, table: BuchstabTable, tol: float | None = None) -> float:
     """Integral of omega(u - v) * y^-v over v in [0, u-1].
 

@@ -64,6 +64,21 @@ def _open_out(path):
     return open(path, "w"), True
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float option: a number other than nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    return [_finite(v) for v in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="roughbound",
@@ -74,16 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phi", help="compute the exact count of y-rough integers up to x")
     sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--y", type=float, required=True)
+    sp.add_argument("--y", type=_finite, required=True)
     sp.add_argument("--method", choices=["direct", "legendre", "two-prime", "all"],
                     default="direct")
     sp.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                     help="exhaustive cap for the direct method")
 
     sp = sub.add_parser("omega", help="evaluate the rough-number density function")
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--u-max", type=float, default=16.0)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--u", type=_finite, required=True)
+    sp.add_argument("--u-max", type=_finite, default=16.0)
+    sp.add_argument("--tol", type=_finite, default=1e-10)
     sp.add_argument("--extremum", action="store_true",
                     help="also print the maximum on [2, u_max] and its location")
 
@@ -96,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bound", help="evaluate one upper bound at (x, y)")
     sp.add_argument("--kind", choices=["elementary", "bonferroni", "selberg",
                                        "large-y", "selberg-sweep"], required=True)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--y", type=float)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--target", type=float, default=DEFAULT_TARGET)
+    sp.add_argument("--x", type=_finite)
+    sp.add_argument("--y", type=_finite)
+    sp.add_argument("--epsilon", type=_finite, default=None)
+    sp.add_argument("--target", type=_finite, default=DEFAULT_TARGET)
     sp.add_argument("--y-lo", type=int, default=SELBERG_MIN_Y, help="sweep start (selberg-sweep)")
     sp.add_argument("--y-hi", type=int, default=CLOSED_FORM_MIN_Y, help="sweep end (selberg-sweep)")
     sp.add_argument("--out", default=None)
@@ -107,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run region verifiers and emit a certificate report")
     sp.add_argument("--region", choices=["small-y", "mid-y", "selberg", "small-u",
                                          "iteration", "all"], default="all")
-    sp.add_argument("--target", type=float, default=DEFAULT_TARGET)
+    sp.add_argument("--target", type=_finite, default=DEFAULT_TARGET)
     sp.add_argument("--format", choices=["json", "text", "csv"], default="text")
     sp.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
     sp.add_argument("--small-u-cap", type=int, default=SMALL_U_CAP)
@@ -120,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("plot-data", help="emit CSV sample data")
     sp.add_argument("--kind", choices=["omega", "ratio-map"], default="omega")
-    sp.add_argument("--u-lo", type=float, default=1.0)
-    sp.add_argument("--u-hi", type=float, default=8.0)
-    sp.add_argument("--step", type=float, default=1e-3)
-    sp.add_argument("--y-set", default="3,5,11,29,101",
+    sp.add_argument("--u-lo", type=_finite, default=1.0)
+    sp.add_argument("--u-hi", type=_finite, default=8.0)
+    sp.add_argument("--step", type=_finite, default=1e-3)
+    sp.add_argument("--y-set", type=_finite_list, default="3,5,11,29,101",
                     help="comma-separated y values (ratio-map)")
-    sp.add_argument("--u-step", type=float, default=0.25, help="u grid step (ratio-map)")
+    sp.add_argument("--u-step", type=_finite, default=0.25, help="u grid step (ratio-map)")
     sp.add_argument("--out", default=None)
     return p
 
@@ -277,7 +292,7 @@ def _cmd_plot_data(args) -> int:
             for u, w in omega_samples(table, args.u_lo, args.u_hi, args.step):
                 out.write(f"{u:.6f},{w:.12f}\n")
         else:
-            ys = [float(v) for v in args.y_set.split(",")]
+            ys = args.y_set
             table = build_prime_table(max(300, int(max(ys)) + 10))
             out.write("y,u,ratio\n")
             for y in ys:

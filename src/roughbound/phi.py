@@ -1,12 +1,13 @@
 """Exact rough-number counting by three independent methods, plus interval scans.
 
 Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
-(1 is always counted).  `phi_direct` strikes a segmented bitmask, or the
-count can be reproduced by full inclusion-exclusion (`phi_legendre`) and,
-for y^2 <= x < y^3, by the prime-pair identity (`phi_two_prime`).  A
-segmented mod-30 wheel sieve counts rough numbers row by row and expands to
-(n, index) pairs only the rows that can hold the interval max statistics
-used by the verification pipeline.
+(1 is always counted).  `phi_direct` counts the survivors of the library's
+one sieve, the segmented mod-30 wheel `primes.rough_segments` (segments of
+`primes.ROUGH_SEGMENT` bytes), or the count can be reproduced by full
+inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
+prime-pair identity (`phi_two_prime`).  The interval scans read the same
+sieve row by row and expand to (n, index) pairs only the rows that can hold
+the interval max statistics used by the verification pipeline.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceError
-from .primes import PrimeTable
+from .primes import PrimeTable, rough_segments, wheel_row
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
-ROUGH_SEGMENT = 1 << 20
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
-PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
 STREAMED = 1 << 15       # a scan's first integers, where row bounds are too loose to prune
 
 
@@ -32,23 +31,11 @@ def _strike_primes(table: PrimeTable, y) -> np.ndarray:
     return table.primes[: table._count_upto(y)]
 
 
-def _rough_mask(lo: int, hi: int, strike) -> np.ndarray:
-    """Boolean mask over [lo, hi) marking integers free of the given primes."""
-    mask = np.ones(hi - lo, dtype=bool)
-    if lo == 0:
-        mask[0] = False  # 0 is not counted; 1 survives every strike
-    for p in strike:
-        p = int(p)
-        start = ((lo + p - 1) // p) * p
-        if start < hi:
-            mask[start - lo :: p] = False
-    return mask
-
-
 def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
-    """Exact Phi(x, y) by a segmented sieve strike.  Degenerate cases:
-    Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
+    """Exact Phi(x, y): the survivors of the wheel sieve `rough_segments`,
+    counted.  Degenerate cases: Phi(x, y) = floor(x) for y < 2 and
+    Phi(0, y) = 0."""
     x = int(x)
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
@@ -59,11 +46,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
     if y < 2:
         return x
     strike = _strike_primes(table, min(y, x))
-    count = 0
-    for lo in range(0, x + 1, ROUGH_SEGMENT):
-        hi = min(lo + ROUGH_SEGMENT, x + 1)
-        count += int(np.count_nonzero(_rough_mask(lo, hi, strike)))
-    return count
+    return sum(int(np.count_nonzero(mask)) for _, mask in rough_segments(strike, x))
 
 
 def phi_legendre(x: int, y: float, table: PrimeTable, *, budget: int = 4_000_000) -> int:
@@ -170,41 +153,6 @@ class IntervalScan:
     violation_count: int
 
 
-_WHEELS: dict[int, tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]] = {}
-
-
-def _wheel(strike, x_cap: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]:
-    """The wheel of the struck primes among 2, 3, 5, in turns of 8 residues.
-
-    Returns the wheel modulus w; the turn width W (8, 16, 24 or 30 integers);
-    the first 32 residues coprime to w, which span four turns; -r^-1 mod W
-    indexed by r; and a (turns, 8) bool pattern with the next PRESIEVED
-    struck primes already struck, periodic with `period` turns (their
-    product).  Turn i, column c of a segment starting at base stands for
-    base + i*W + residues[c].  Cached per wheel; a longer scan grows the
-    pattern to the period plus the turns of one ROUGH_SEGMENT.
-    """
-    key = min(len(strike), 3 + PRESIEVED)      # the wheel and the presieved primes
-    if key not in _WHEELS:
-        wheel = [int(p) for p in strike[:3]]
-        w = math.prod(wheel)
-        width = 8 * w // math.prod(p - 1 for p in wheel)
-        residues = np.array([r for r in range(4 * width) if math.gcd(r, w) == 1], dtype=np.int64)
-        neg_inv = np.array([-pow(r, -1, width) % width if math.gcd(r, width) == 1 else 0
-                            for r in range(width)], dtype=np.int64)
-        _WHEELS[key] = (w, width, residues, neg_inv, np.empty((0, 8), dtype=bool),
-                        math.prod(int(p) for p in strike[3:key]))
-    w, width, residues, neg_inv, pattern, period = _WHEELS[key]
-    turns = period + min(ROUGH_SEGMENT // 8, x_cap // width + 4)
-    if len(pattern) < turns:
-        pattern = np.ones((turns, 8), dtype=bool)
-        for p in strike[3:key].tolist():
-            for c, r in enumerate(residues[:8].tolist()):
-                pattern[-r * pow(width, -1, p) % p::p, c] = False
-        _WHEELS[key] = (w, width, residues, neg_inv, pattern, period)
-    return _WHEELS[key]
-
-
 def _better(best, ratios, ns, js):
     """`best`, or the first maximum of `ratios` with its (n, j) if larger."""
     i = int(np.argmax(ratios))
@@ -220,12 +168,10 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     violations are kept as witnesses and all of them are counted.  Each
     witness is the first n attaining its maximum.
 
-    A segment is a ROUGH_SEGMENT-byte mask over the residues coprime to the
-    wheel of the struck primes among 2, 3, 5 (see `_wheel`).  It starts as a
-    copy of the presieved pattern, and every further prime strikes one slice
-    per residue class.  The mask is then read in rows of 32 residues.  Rows
-    holding an n below max(y_hi^2, y_lo^2), or among the scan's first
-    STREAMED integers, are expanded to every (n, j).  Above that split both
+    The segments come from the wheel sieve `rough_segments`, whose masks are
+    read in rows of 32 residues.  Rows holding an n below max(y_hi^2,
+    y_lo^2), or among the scan's first STREAMED integers, are expanded to
+    every (n, j).  Above that split both
     statistics are j log(y_hi) / n, and a row's survivor count gives the j of
     its last survivor, j_end.  Each survivor of a row then has
     j / n <= j_end / (the row's smallest n), so only the rows whose bound
@@ -242,11 +188,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     if cap is not None and x_cap > cap:
         raise ResourceError(f"scan to {x_cap} exceeds the exhaustive cap {cap}")
     strike = _strike_primes(table, y_lo)
-    w, width, residues, neg_inv, pattern, period = _wheel(strike, x_cap)
-    ps = strike[3 + PRESIEVED:, None]          # the struck primes left to strike
-    inv = (1 + ps * neg_inv[ps % width]) // width   # width^-1 mod p
-    first_turn = -residues[:8] * inv % ps      # turn of the first multiple of p per column
-    step = 4 * width                           # integers per row of 32 residues
+    step, residues = wheel_row(strike)         # integers per row, and its residues
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
     lo_bound = int(y_lo) * int(y_lo)
@@ -294,18 +236,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         best_sup = _better(best_sup, ratios, ns, js)
         return float(ratios[i])
 
-    span = ROUGH_SEGMENT // 8 * width
-    for base in range(0, x_cap + 1, span):
-        size = min(span, x_cap + 1 - base)
-        turns = pattern[base // width % period:][:-(-size // step) * 4].copy()
-        for p, row in zip(ps[:, 0].tolist(), ((first_turn - base // width) % ps).tolist()):
-            for c, s in enumerate(row):
-                turns[s::p, c] = False
-        mask = turns.reshape(-1, 32)
-        mask.ravel()[size // step * 32 + int(np.searchsorted(residues, size % step)):] = False
-        if base == 0 and w == 1:
-            mask[0, 0] = False  # 0 is not counted; 1 survives every strike
-
+    for base, mask in rough_segments(strike, x_cap):
         # rows holding an n below `streamed` are expanded in full
         head = min(len(mask), max(0, -(-(streamed - base - int(residues[0])) // step)))
         cells = np.flatnonzero(mask[:head])

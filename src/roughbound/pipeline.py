@@ -716,6 +716,8 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
     for r in regions:
         if r not in REGION_ORDER:
             raise DomainError(f"unknown region {r!r}")
+    if not math.isfinite(config.target):
+        raise DomainError(f"target must be finite, got {config.target}")
     if table is None:
         table = build_prime_table(_required_limit(config))
     selberg = SELBERG_FINITE in regions or SELBERG_CLOSED in regions

@@ -1,4 +1,10 @@
-"""Segmented sieve of Eratosthenes and prime-indexed prefix aggregates.
+"""The library's one sieve, and prime-indexed prefix aggregates.
+
+`rough_segments` is a segmented mod-30 wheel sieve: it marks the integers up
+to a cap that are free of a given set of small primes, one ROUGH_SEGMENT-byte
+mask at a time, and is the only sieve over segments.  `build_prime_table`
+reads the primes above sqrt(limit) off it, `phi.phi_direct` counts its
+survivors and `phi.scan_rough_interval` streams them.
 
 A :class:`PrimeTable` stores every prime up to a limit together with prefix
 arrays for theta(t) = sum of log p, sum of 1/p and sum of 1/(p log p).  All
@@ -8,16 +14,16 @@ built table is immutable and safe to share between concurrent readers.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceError
 
-DEFAULT_SEGMENT = 1 << 20
-# Guard against accidentally sieving into tens of gigabytes of masks.
+# Guard against accidentally sieving into tens of gigabytes of primes.
 DEFAULT_LIMIT_CAP = 1 << 31
+ROUGH_SEGMENT = 1 << 20  # bytes of mask per segment of `rough_segments`
+PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -30,6 +36,81 @@ def _simple_sieve(n: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.flatnonzero(mask).astype(np.int64)
+
+
+_WHEELS: dict[int, tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]] = {}
+
+
+def _wheel(strike, x_cap: int = 0) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The wheel of the struck primes among 2, 3, 5, in turns of 8 residues.
+
+    Returns the wheel modulus w; the turn width W (8, 16, 24 or 30 integers);
+    the first 32 residues coprime to w, which span four turns; -r^-1 mod W
+    indexed by r; and a (turns, 8) bool pattern with the next PRESIEVED
+    struck primes already struck, periodic with `period` turns (their
+    product).  Turn i, column c of a segment starting at base stands for
+    base + i*W + residues[c].  Cached per wheel; a longer sieve grows the
+    pattern to the period plus the turns of one ROUGH_SEGMENT.
+    """
+    key = min(len(strike), 3 + PRESIEVED)      # the wheel and the presieved primes
+    if key not in _WHEELS:
+        wheel = [int(p) for p in strike[:3]]
+        w = math.prod(wheel)
+        width = 8 * w // math.prod(p - 1 for p in wheel)
+        residues = np.array([r for r in range(4 * width) if math.gcd(r, w) == 1], dtype=np.int64)
+        neg_inv = np.array([-pow(r, -1, width) % width if math.gcd(r, width) == 1 else 0
+                            for r in range(width)], dtype=np.int64)
+        _WHEELS[key] = (w, width, residues, neg_inv, np.empty((0, 8), dtype=bool),
+                        math.prod(int(p) for p in strike[3:key]))
+    w, width, residues, neg_inv, pattern, period = _WHEELS[key]
+    turns = period + min(ROUGH_SEGMENT // 8, x_cap // width + 4)
+    if len(pattern) < turns:
+        pattern = np.ones((turns, 8), dtype=bool)
+        for p in strike[3:key].tolist():
+            for c, r in enumerate(residues[:8].tolist()):
+                pattern[-r * pow(width, -1, p) % p::p, c] = False
+        _WHEELS[key] = (w, width, residues, neg_inv, pattern, period)
+    return _WHEELS[key]
+
+
+def wheel_row(strike) -> tuple[int, np.ndarray]:
+    """The layout of a `rough_segments` mask: the integers one row spans, and
+    the 32 residues of its columns."""
+    width, residues = _wheel(strike)[1:3]
+    return 4 * width, residues
+
+
+def rough_segments(strike: np.ndarray, x_cap: int):
+    """Sieve [0, x_cap] by the primes `strike`, a segment at a time.
+
+    `strike` must be the primes up to some bound, ascending.  Yields, for
+    each segment in ascending order, its base and a fresh (rows, 32) bool
+    mask: row i, column c stands for base + i*step + residues[c] (see
+    `wheel_row`) and is True if that integer is at most x_cap and has no
+    factor in `strike`.  0 is never marked; 1 always is.
+
+    The mask holds at most ROUGH_SEGMENT bytes, one per residue coprime to
+    the wheel of the struck primes among 2, 3, 5 (see `_wheel`).  It starts
+    as a copy of the presieved pattern, and every further prime strikes one
+    slice per residue class.
+    """
+    w, width, residues, neg_inv, pattern, period = _wheel(strike, x_cap)
+    ps = strike[3 + PRESIEVED:, None]          # the struck primes left to strike
+    inv = (1 + ps * neg_inv[ps % width]) // width   # width^-1 mod p
+    first_turn = -residues[:8] * inv % ps      # turn of the first multiple of p per column
+    step = 4 * width                           # integers per row of 32 residues
+    span = ROUGH_SEGMENT // 8 * width
+    for base in range(0, x_cap + 1, span):
+        size = min(span, x_cap + 1 - base)
+        turns = pattern[base // width % period:][:-(-size // step) * 4].copy()
+        for p, row in zip(ps[:, 0].tolist(), ((first_turn - base // width) % ps).tolist()):
+            for c, s in enumerate(row):
+                turns[s::p, c] = False
+        mask = turns.reshape(-1, 32)
+        mask.ravel()[size // step * 32 + int(np.searchsorted(residues, size % step)):] = False
+        if base == 0 and w == 1:
+            mask[0, 0] = False  # 0 is not counted; 1 survives every strike
+        yield base, mask
 
 
 class PrimeTable:
@@ -105,60 +186,28 @@ class PrimeTable:
             raise OutOfRangeError(f"no prime above {t} within limit {self.limit}")
         return int(self.primes[i])
 
-    def prev_prime(self, t):
-        """Largest prime <= t, or None if t < 2."""
-        i = self._count_upto(min(t, self.limit))
-        return int(self.primes[i - 1]) if i else None
 
-    def is_prime(self, n: int) -> bool:
-        self._check_range(n)
-        i = np.searchsorted(self.primes, n)
-        return i < len(self.primes) and int(self.primes[i]) == n
-
-
-def build_prime_table(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT,
-    limit_cap: int = DEFAULT_LIMIT_CAP,
-) -> PrimeTable:
-    """Sieve all primes <= limit in fixed-size segments.
-
-    The segmentation is purely an implementation detail: any segment size
-    produces the identical prime sequence and table.
-    """
+def build_prime_table(limit: int) -> PrimeTable:
+    """All primes <= limit: the primes <= sqrt(limit) by a plain sieve, then
+    the survivors of `rough_segments` above them."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > limit_cap:
-        raise ResourceError(
-            f"sieve limit {limit} exceeds the configured cap {limit_cap}; "
-            f"pass limit_cap >= {limit} to allow it"
-        )
-    if segment_size < 2:
-        raise DomainError("segment_size must be >= 2")
+    if limit > DEFAULT_LIMIT_CAP:
+        raise ResourceError(f"sieve limit {limit} exceeds the cap {DEFAULT_LIMIT_CAP}")
+    small = _simple_sieve(math.isqrt(limit))
+    step, residues = wheel_row(small)
 
-    base = _simple_sieve(math.isqrt(limit))
-    chunks = []
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        mask = np.ones(hi - lo, dtype=bool)
-        if lo == 0:
-            mask[:2] = False
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mask[start - lo :: p] = False
-        chunks.append(np.flatnonzero(mask).astype(np.int64) + lo)
-    primes = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    return PrimeTable(limit, primes)
+    def survivors():
+        for base, mask in rough_segments(small, limit):
+            cells = np.flatnonzero(mask)
+            ns = cells >> 5
+            ns *= step
+            ns += residues[cells & 31]
+            ns += base
+            yield ns[1:] if base == 0 else ns  # 1 survives but is no prime
 
-
-def mertens_sum(table: PrimeTable, y) -> float:
-    """Sum of 1/p over primes p <= y, accumulated in ascending order."""
-    if y < 2:
-        raise DomainError(f"mertens_sum needs y >= 2, got {y}")
-    return table.recip_sum(y)
+    # the segments' arrays are freed before the table's prefix sums are built
+    return PrimeTable(limit, np.concatenate([small, *survivors()]))
 
 
 def mertens_product(table: PrimeTable, y, excluded=frozenset()) -> float:
@@ -179,21 +228,3 @@ def mertens_product(table: PrimeTable, y, excluded=frozenset()) -> float:
         return 1.0
     # multiply.reduce walks the array left to right: ascending primes.
     return float(np.multiply.reduce(1.0 - 1.0 / ps.astype(np.float64)))
-
-
-def write_checkpoints(table: PrimeTable, path, thresholds) -> None:
-    """Record (t, pi(t), theta(t)) rows as a plain CSV regression fixture."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "pi", "theta"])
-        for t in thresholds:
-            writer.writerow([int(t), table.pi(t), repr(table.theta(t))])
-
-
-def read_checkpoints(path):
-    """Load rows written by :func:`write_checkpoints`."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((int(rec["t"]), int(rec["pi"]), float(rec["theta"])))
-    return rows

@@ -9,8 +9,6 @@ from roughbound.analytic import (
     EULER_GAMMA,
     li,
     pi_lower_599,
-    pnt_upper,
-    pnt_upper_shifted,
     r_ratio,
 )
 from roughbound.errors import DomainError, SingularityError
@@ -69,29 +67,6 @@ def test_partial_summation_constant(table_small, ctx):
     c = total + (1 + ctx.beta0) * (10 / math.log(10) - li(10))
     assert c < -0.144
     assert c > -0.15
-
-
-def test_pnt_upper(table_1m, ctx):
-    assert pnt_upper(2, ctx) > 1
-    assert pnt_upper(1e6, ctx) > table_1m.pi(1e6)
-    with pytest.raises(DomainError):
-        pnt_upper(1.5, ctx)
-
-
-def test_pnt_upper_shifted(ctx):
-    # independent one-shot sieve for pi(1e7)
-    n = 10_000_000
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    pi_1e7 = int(mask.sum())
-    assert pi_1e7 - 4 < pnt_upper_shifted(1e7, 4, ctx)
-    with pytest.raises(DomainError):
-        pnt_upper_shifted(1e7, 1, ctx)
-    with pytest.raises(DomainError):
-        pnt_upper_shifted(1e7, 10**7 + 1, ctx)
 
 
 def test_r_ratio(ctx):

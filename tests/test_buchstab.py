@@ -11,10 +11,8 @@ from roughbound.buchstab import (
     locate_extremum,
     mu_y,
     omega_samples,
-    theorem_b_estimate,
 )
 from roughbound.errors import DomainError, ResolutionError
-from roughbound.phi import phi_direct
 
 E_GAMMA_INV = math.exp(-EULER_GAMMA)
 
@@ -97,25 +95,6 @@ def test_build_errors():
         t.omega(0.9)
     with pytest.raises(DomainError):
         t.omega(8.1)
-
-
-def test_theorem_b(omega_table, table_1m):
-    y = 37.0
-    assert theorem_b_estimate(y * y, y, omega_table) == pytest.approx(
-        (y * y / math.log(y)) * 0.5, rel=1e-12)
-    est = theorem_b_estimate(1e6, 100, omega_table)
-    assert est == pytest.approx((1e6 / math.log(100)) * omega_table.omega(3.0), rel=1e-12)
-    exact = phi_direct(10**6, 100, table_1m)
-    scale = 1e6 / math.log(100)
-    assert abs(est - exact) / scale < 2 / math.log(100)
-    u_star, m0 = locate_extremum(omega_table)
-    x = 100.0 ** u_star
-    assert theorem_b_estimate(x, 100.0, omega_table) == pytest.approx(
-        (x / math.log(100)) * m0, rel=1e-12)
-    with pytest.raises(DomainError):
-        theorem_b_estimate(50.0, 10.0, omega_table)  # x < y^2
-    with pytest.raises(DomainError):
-        theorem_b_estimate(2.0 ** 40, 2.0, omega_table)  # u beyond table
 
 
 def test_mu_y(omega_table):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -40,6 +41,31 @@ def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["phi", "--x", "10", "--y", "2", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--x", "100", "--y", "nan"],
+    ["phi", "--x", "100", "--y", "inf"],
+    ["omega", "--u", "nan"],
+    ["omega", "--u", "2", "--u-max=-inf"],
+    ["bound", "--kind", "large-y", "--y", "nan"],
+    ["bound", "--kind", "selberg", "--x", "1e30", "--y", "300", "--epsilon", "inf"],
+    ["verify", "--region", "iteration", "--target", "nan"],
+    ["plot-data", "--kind", "ratio-map", "--y-set", "3,inf"],
+])
+def test_non_finite_number_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+def test_pipeline_rejects_non_finite_target():
+    from roughbound.errors import DomainError
+    from roughbound.pipeline import ITERATION, PipelineConfig, run_full_pipeline
+    for target in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="target must be finite"):
+            run_full_pipeline(PipelineConfig(target=target, regions=(ITERATION,)))
 
 
 def test_omega_value(capsys):

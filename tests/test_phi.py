@@ -7,9 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from roughbound.errors import DomainError, ResourceError
 from roughbound.phi import (
     KEPT_VIOLATIONS,
-    ROUGH_SEGMENT,
     IntervalScan,
-    _rough_mask,
     _strike_primes,
     max_statistic,
     phi_direct,
@@ -17,7 +15,7 @@ from roughbound.phi import (
     phi_two_prime,
     scan_rough_interval,
 )
-from roughbound.primes import build_prime_table
+from roughbound.primes import ROUGH_SEGMENT, build_prime_table
 
 _T = build_prime_table(10_100)
 
@@ -47,6 +45,30 @@ def test_direct_cap():
 @given(st.integers(min_value=0, max_value=2000), st.floats(min_value=0, max_value=50))
 def test_direct_vs_bruteforce(x, y):
     assert phi_direct(x, y, _T) == brute_phi(x, y)
+
+
+# integers in one segment of the wheels of 1, 2, 6 and 30
+_SPANS = [ROUGH_SEGMENT // 8 * width for width in (8, 16, 24, 30)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(min_value=0, max_value=5000),
+                 st.sampled_from(_SPANS).flatmap(
+                     lambda span: st.integers(min_value=span - 1000, max_value=span + 1000))),
+       st.one_of(st.sampled_from([1.5, 2, 2.5, 3, 4.9, 5, 7, 11, 13, 17, 19, 23]),
+                 st.floats(min_value=2, max_value=40)))
+@example(1, 3)                             # only 1: no struck prime, wheel of 1
+@example(_SPANS[0], 2)                     # first integer past a segment of the wheel of 2
+@example(_SPANS[1] - 1, 2)                 # a segment of the wheel of 2, exactly
+@example(_SPANS[2] + 1, 3)                 # wheel of 6 across a segment boundary
+@example(_SPANS[3], 5)                     # wheel of 30 across a segment boundary
+@example(_SPANS[3] + 29, 7)                # presieved pattern of 7 alone
+@example(_SPANS[3] - 7, 11)                # presieved pattern of 7 and 11
+@example(_SPANS[3] + 1, 13)                # presieved pattern of 7, 11 and 13
+@example(_SPANS[3] - 1, 17)                # the full presieved pattern
+@example(_SPANS[3] + 1000, 23)             # struck primes in a second segment
+def test_direct_vs_legendre_across_wheels(x, y):
+    assert phi_direct(x, y, _T) == phi_legendre(x, y, _T)
 
 
 def test_legendre_examples():
@@ -128,6 +150,19 @@ def test_max_statistic_falls_below_target_after_9():
     assert scan.violations[0][0] == 9
     # every rough x >= 10 is below the target in this interval
     assert all(n < 10 for n, _, _ in scan.violations)
+
+
+def _rough_mask(lo, hi, strike):
+    """Boolean mask over [lo, hi) marking integers free of the given primes."""
+    mask = np.ones(hi - lo, dtype=bool)
+    if lo == 0:
+        mask[0] = False  # 0 is not counted; 1 survives every strike
+    for p in strike:
+        p = int(p)
+        start = ((lo + p - 1) // p) * p
+        if start < hi:
+            mask[start - lo :: p] = False
+    return mask
 
 
 def reference_scan(table, y_lo, y_hi, x_cap, target=None):
@@ -252,25 +287,31 @@ def test_buchstab_identity():
         assert phi_direct(x, y, _T) == rhs
 
 
+def prev_prime(y):
+    """Largest prime <= y, or None if y < 2."""
+    i = int(np.searchsorted(_T.primes, y, side="right"))
+    return int(_T.primes[i - 1]) if i else None
+
+
 def test_canonicalize():
     # Phi(x, y) depends on y only through the largest prime <= y
-    assert _T.prev_prime(9.5) == 7
-    assert _T.prev_prime(7.0) == 7
-    assert _T.prev_prime(1.2) is None      # no prime <= y: every integer is counted
+    assert prev_prime(9.5) == 7
+    assert prev_prime(7.0) == 7
+    assert prev_prime(1.2) is None      # no prime <= y: every integer is counted
     assert phi_direct(100, 1.2, _T) == 100
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = int(rng.integers(1, 5000))
         y = float(rng.uniform(2, 60))
-        if _T.is_prime(int(y)) and y == int(y):
+        if prev_prime(y) == y:
             continue
-        assert phi_direct(x, y, _T) == phi_direct(x, _T.prev_prime(y), _T)
+        assert phi_direct(x, y, _T) == phi_direct(x, prev_prime(y), _T)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0, max_value=100))
 def test_canonicalize_idempotent(x, y):
-    q = _T.prev_prime(y)
+    q = prev_prime(y)
     if q is not None:
-        assert _T.prev_prime(float(q)) == q
+        assert prev_prime(float(q)) == q
         assert phi_direct(x, y, _T) == phi_direct(x, q, _T)

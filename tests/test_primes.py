@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -5,17 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughbound.analytic import EULER_GAMMA, li
+from roughbound.analytic import EULER_GAMMA, r_ratio
 from roughbound.errors import DomainError, OutOfRangeError, ResourceError
 from roughbound.primes import (
+    DEFAULT_LIMIT_CAP,
+    ROUGH_SEGMENT,
     build_prime_table,
     mertens_product,
-    mertens_sum,
-    read_checkpoints,
-    write_checkpoints,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def read_checkpoints(path):
+    """(t, pi(t), theta(t)) rows of the fixture written by
+    scripts/make_prime_checkpoints.py."""
+    with open(path, newline="") as fh:
+        return [(int(rec["t"]), int(rec["pi"]), float(rec["theta"]))
+                for rec in csv.DictReader(fh)]
 
 
 def trial_division_primes(n):
@@ -53,8 +61,8 @@ def test_checkpoint_fixture(table_30m):
 def test_build_errors():
     with pytest.raises(DomainError):
         build_prime_table(1)
-    with pytest.raises(ResourceError, match="limit_cap >= 4000"):
-        build_prime_table(4000, limit_cap=1000)
+    with pytest.raises(ResourceError, match="exceeds the cap"):
+        build_prime_table(DEFAULT_LIMIT_CAP + 1)  # raises before it allocates
 
 
 def test_theta_examples(table_small):
@@ -82,11 +90,30 @@ def test_theta_matches_direct_iteration(table_1m):
         assert abs(table_1m.theta(t) - direct) < 1e-9 * max(1.0, direct)
 
 
-def test_segmented_equals_unsegmented():
-    full = build_prime_table(1_000_000, segment_size=1_000_001)
-    seg = build_prime_table(1_000_000, segment_size=1 << 14)
-    assert np.array_equal(full.primes, seg.primes)
-    assert full.theta(1_000_000) == seg.theta(1_000_000)
+def test_build_matches_trial_division_small_limits():
+    # every wheel (1, 2, 6, 30) and every count of presieved primes
+    oracle = trial_division_primes(300)
+    for limit in range(2, 301):
+        want = [p for p in oracle if p <= limit]
+        assert build_prime_table(limit).primes.tolist() == want, limit
+
+
+def bytearray_primes(n):
+    """Primes <= n by a plain bytearray sieve, independent of the library."""
+    mask = bytearray([1]) * (n + 1)
+    mask[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return np.flatnonzero(np.frombuffer(mask, dtype=np.uint8))
+
+
+def test_build_matches_bytearray_sieve_at_segment_boundary():
+    span = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
+    oracle = bytearray_primes(span + 31)
+    for k in (-31, -30, -2, -1, 0, 1, 2, 30, 31):
+        limit = span + k
+        assert np.array_equal(build_prime_table(limit).primes, oracle[oracle <= limit]), k
 
 
 def test_prime_sequence_invariants(table_small):
@@ -110,21 +137,20 @@ def test_monotone_aggregates(a, b):
     assert _SMALL.recip_plogp_sum(lo) <= _SMALL.recip_plogp_sum(hi)
 
 
-def test_pnt_upper_dominates_pi_on_grid(table_1m, ctx):
+def test_pi_below_li_bound_on_grid(table_1m, ctx):
+    # pi(t) < (1 + beta0) li(t), the bound r_ratio carries
     ts = np.linspace(2, 1_000_000, 10_000)
     for t in ts:
-        assert table_1m.pi(t) < (1 + ctx.beta0) * li(float(t))
+        assert table_1m.pi(t) < r_ratio(float(t), ctx) * t / math.log(t)
 
 
 def test_mertens_sum_examples(table_1m, ctx):
-    assert mertens_sum(table_1m, 2) == 0.5
+    assert table_1m.recip_sum(2) == 0.5
     b = ctx.meissel_mertens_b
-    v4 = mertens_sum(table_1m, 1e4) - math.log(math.log(1e4)) - b
+    v4 = table_1m.recip_sum(1e4) - math.log(math.log(1e4)) - b
     assert 0 < v4 < 0.00624
-    v6 = mertens_sum(table_1m, 1e6) - math.log(math.log(1e6)) - b
+    v6 = table_1m.recip_sum(1e6) - math.log(math.log(1e6)) - b
     assert 0 < v6 < 0.00161
-    with pytest.raises(DomainError):
-        mertens_sum(table_1m, 1.5)
 
 
 def test_mertens_product_examples(table_1m):
@@ -159,18 +185,8 @@ def test_theta_pi_relation(table_small):
     assert table_small.theta(2) == pytest.approx(math.log(2))
 
 
-def test_next_prev_prime(table_small):
+def test_next_prime(table_small):
     assert table_small.next_prime(70) == 71
-    assert table_small.prev_prime(70) == 67
-    assert table_small.prev_prime(1.5) is None
     with pytest.raises(OutOfRangeError):
         table_small.next_prime(10_099)
 
-
-def test_checkpoints_roundtrip(tmp_path, table_small):
-    path = tmp_path / "cp.csv"
-    write_checkpoints(table_small, path, [10, 100, 9973])
-    rows = read_checkpoints(path)
-    assert rows == [(10, 4, table_small.theta(10)),
-                    (100, 25, table_small.theta(100)),
-                    (9973, 1229, table_small.theta(9973))]
