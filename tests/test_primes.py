@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from roughbound.primes import (
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
 def read_checkpoints(path):
@@ -108,6 +111,12 @@ def bytearray_primes(n):
     return np.flatnonzero(np.frombuffer(mask, dtype=np.uint8))
 
 
+def test_segmented_equals_unsegmented():
+    # three wheel segments against one unsegmented bytearray sieve
+    limit = 3 * (ROUGH_SEGMENT // 8 * 30) - 7
+    assert np.array_equal(build_prime_table(limit).primes, bytearray_primes(limit))
+
+
 def test_build_matches_bytearray_sieve_at_segment_boundary():
     span = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
     oracle = bytearray_primes(span + 31)
@@ -137,7 +146,7 @@ def test_monotone_aggregates(a, b):
     assert _SMALL.recip_plogp_sum(lo) <= _SMALL.recip_plogp_sum(hi)
 
 
-def test_pi_below_li_bound_on_grid(table_1m, ctx):
+def test_pnt_upper_dominates_pi_on_grid(table_1m, ctx):
     # pi(t) < (1 + beta0) li(t), the bound r_ratio carries
     ts = np.linspace(2, 1_000_000, 10_000)
     for t in ts:
@@ -185,8 +194,28 @@ def test_theta_pi_relation(table_small):
     assert table_small.theta(2) == pytest.approx(math.log(2))
 
 
-def test_next_prime(table_small):
+def test_next_prev_prime(table_small):
     assert table_small.next_prime(70) == 71
+    # the prime below t is primes[pi(t) - 1]; none below 2
+    assert table_small.primes[table_small.pi(70) - 1] == 67
+    assert table_small.pi(1.5) == 0
     with pytest.raises(OutOfRangeError):
         table_small.next_prime(10_099)
+
+
+def test_checkpoints_roundtrip(tmp_path, monkeypatch, table_small):
+    # the fixture script writes checkpoints that read_checkpoints reads back
+    spec = importlib.util.spec_from_file_location(
+        "make_prime_checkpoints", os.path.join(SCRIPTS, "make_prime_checkpoints.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    path = tmp_path / "cp.csv"
+    monkeypatch.setattr(script, "CHECKPOINTS", (10, 100, 9973))
+    monkeypatch.setattr(sys, "argv", ["make_prime_checkpoints.py", str(path)])
+    script.main()
+    rows = read_checkpoints(path)
+    ps = table_small.primes.tolist()
+    assert rows == [(t, table_small.pi(t), math.fsum(math.log(p) for p in ps if p <= t))
+                    for t in (10, 100, 9973)]
+    assert [r[:2] for r in rows] == [(10, 4), (100, 25), (9973, 1229)]
 
