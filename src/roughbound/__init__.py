@@ -9,7 +9,7 @@ machine-checkable certificates.
 
 __version__ = "0.1.0"
 
-from .analytic import AnalyticContext, DEFAULT_CONTEXT, li, pi_lower_599, r_ratio
+from .analytic import li, pi_lower_599, r_ratio
 from .buchstab import BuchstabTable, build_omega, locate_extremum, mu_y
 from .errors import (
     DomainError,

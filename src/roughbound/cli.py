@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analytic import AnalyticContext
 from .buchstab import build_omega, locate_extremum, omega_samples
 from .errors import DomainError, ResourceError
 from .phi import DEFAULT_EXHAUSTIVE_CAP, phi_direct, phi_legendre, phi_two_prime
@@ -27,6 +26,7 @@ from .pipeline import (
     SELBERG_CLOSED,
     SELBERG_FINITE,
     SMALL_U_CAP,
+    SMALL_Y,
     run_full_pipeline,
 )
 from .primes import build_prime_table
@@ -186,27 +186,26 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    from .pipeline import verify_small_y
-    table = build_prime_table(300)
-    cert = verify_small_y(DEFAULT_TARGET, table, cap=args.cap, parallelism=args.parallelism)
+    report = run_full_pipeline(PipelineConfig(regions=(SMALL_Y,), exhaustive_cap=args.cap,
+                                              parallelism=args.parallelism))
     out, close = _open_out(args.out)
     try:
         if args.format == "json":
             import json
-            json.dump(cert.rows, out, indent=2)
+            json.dump(report.table1, out, indent=2)
             out.write("\n")
         elif args.format == "text":
             out.write(f"{'interval':<12} {'x bound':>10} {'max':>9}\n")
-            for r in cert.rows:
+            for r in report.table1:
                 out.write(f"[{r['y_lo']},{r['y_hi']}){'':<4} {r['x_bound']:>10} {r['max_stat']:>9.5f}\n")
         else:
             out.write("y_lo,y_hi,x_bound,max\n")
-            for r in cert.rows:
+            for r in report.table1:
                 out.write(f"{r['y_lo']},{r['y_hi']},{r['x_bound']},{r['max_stat']:.5f}\n")
     finally:
         if close:
             out.close()
-    return EXIT_OK if cert.verified else EXIT_VERIFICATION
+    return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
 def _cmd_bound(args) -> int:
@@ -226,9 +225,8 @@ def _cmd_bound(args) -> int:
     if args.kind == "large-y":
         if args.y is None:
             raise DomainError("--y is required for --kind large-y")
-        ctx = AnalyticContext()
-        print(f"factor {closed_form_factor(args.y, ctx)!r}")
-        print(f"coefficient {final_large_y_bound(args.y, ctx)!r}")
+        print(f"factor {closed_form_factor(args.y)!r}")
+        print(f"coefficient {final_large_y_bound(args.y)!r}")
         return EXIT_OK
     if args.x is None or args.y is None:
         raise DomainError(f"--x and --y are required for --kind {args.kind}")

@@ -18,8 +18,9 @@ All region work is pure and deterministic.  A run opens one task pool
 (`_task_pool`): each interval scan, the Selberg sweep, the small-u grid and
 the iteration is a task on it, and the calling process only submits tasks
 and assembles certificates.  The pool's workers receive the prime table once,
-and below two workers the pool is inline (no processes).  The report does
-not depend on the parallelism setting.
+and below two workers the pool is inline (no processes), as it is for a
+verifier called without a pool.  The report does not depend on the
+parallelism setting, `PipelineConfig.parallelism`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .analytic import AnalyticContext, DEFAULT_CONTEXT, li, pi_lower_599, r_ratio
+from .analytic import (
+    BETA0,
+    QUADRATURE_TOL,
+    THETA_DEFECT_SMALL,
+    li,
+    mertens_err_window,
+    pi_lower_599,
+    r_ratio,
+)
 from .errors import DomainError, InfeasibleError, NumericError, ResourceError
 from .phi import DEFAULT_EXHAUSTIVE_CAP, KEPT_VIOLATIONS, scan_rough_interval
 from .primes import PrimeTable, build_prime_table
@@ -224,8 +233,8 @@ def _selberg_task(target):
     return verify_selberg(target, _POOL_TABLE.get())
 
 
-def _grid_task(ctx):
-    return small_u_grid_max(ctx)
+def _grid_task():
+    return small_u_grid_max()
 
 
 def _iteration_task(target):
@@ -237,7 +246,7 @@ def _iteration_task(target):
 # ---------------------------------------------------------------------------
 
 def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
-                   rows=None, parallelism: int = 1, pool=None) -> RegionCertificate:
+                   pool=None) -> RegionCertificate:
     """Reproduce the reference small-y table and scan every interval for
     violations of the target.
 
@@ -247,24 +256,22 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
     statistic exceeds .6 at x = 9, and the certificate instead asserts that
     every violation there has x < 10.
 
-    The scans run on `pool`, a run's task pool, or else on a pool of up to
-    `parallelism` workers opened for them.
+    The scans run on `pool`, a run's task pool, or else in this process.
     """
-    rows = REFERENCE_SMALL_Y_ROWS if rows is None else rows
-    needed = max(r[2] for r in rows)
+    needed = max(r[2] for r in REFERENCE_SMALL_Y_ROWS)
     if cap < needed:
         raise ResourceError(f"small-y scan needs exhaustive cap >= {needed}, got {cap}")
 
     reproduce = abs(target - DEFAULT_TARGET) < 1e-15
     meta = []
-    for (p, q, printed, is_rounded, printed_max) in rows:
+    for (p, q, printed, is_rounded, printed_max) in REFERENCE_SMALL_Y_ROWS:
         try:
             xb = elementary_x_bound(p, target, table)
         except InfeasibleError:
             xb = None  # elementary bound can never reach this target
         meta.append((p, q, printed, is_rounded, printed_max, xb))
 
-    with nullcontext(pool) if pool else _task_pool(table, parallelism, len(meta)) as pool:
+    with nullcontext(pool) if pool else _InlinePool(table) as pool:
         scans = list(pool.map(_scan_task, [(p, q, printed - 1, target)
                                            for p, q, printed, *_ in meta]))
 
@@ -325,7 +332,7 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
 # ---------------------------------------------------------------------------
 
 def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
-                 parallelism: int = 1, pool=None) -> RegionCertificate:
+                 pool=None) -> RegionCertificate:
     """Exhaustively check 71 <= y < 241 below the pre-sieved truncation bounds.
 
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
@@ -349,7 +356,7 @@ def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUST
             xb = cap
         meta.append((p, q, xb))
 
-    with nullcontext(pool) if pool else _task_pool(table, parallelism, len(meta)) as pool:
+    with nullcontext(pool) if pool else _InlinePool(table) as pool:
         scans = list(pool.map(_scan_task, [(p, q, xb - 1, target) for p, q, xb in meta]))
 
     rows = []
@@ -381,7 +388,7 @@ def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUST
 # Selberg regions (u >= 7.5)
 # ---------------------------------------------------------------------------
 
-def verify_selberg(target: float, table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT):
+def verify_selberg(target: float, table: PrimeTable):
     """Both sieve branches; returns (finite certificate, closed certificate)."""
     rows = selberg_sweep(table, lo=SELBERG_MIN_Y, hi=CLOSED_FORM_MIN_Y, target=target)
     failures = [
@@ -403,8 +410,8 @@ def verify_selberg(target: float, table: PrimeTable, ctx: AnalyticContext = DEFA
     )
 
     ys = np.geomspace(CLOSED_FORM_MIN_Y, CLOSED_GRID_TOP, 41)
-    factors = [closed_form_factor(float(y), ctx) for y in ys]
-    coefs = [final_large_y_bound(float(y), ctx) for y in ys]
+    factors = [closed_form_factor(float(y)) for y in ys]
+    coefs = [final_large_y_bound(float(y)) for y in ys]
     decreasing = all(a > b for a, b in zip(factors, factors[1:]))
     closed_failures = []
     if factors[0] >= CLOSED_FACTOR_LIMIT:
@@ -436,7 +443,7 @@ def verify_selberg(target: float, table: PrimeTable, ctx: AnalyticContext = DEFA
 # small-u region (2 <= u < 3)
 # ---------------------------------------------------------------------------
 
-def small_u_coefficient(y: float, u: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
+def small_u_coefficient(y: float, u: float) -> float:
     """Coefficient of x / log y bounding Phi(x, y) for y >= 1100, 2 <= u <= 3.
 
     Assembled from the prime-count bound applied to the two-prime-factor
@@ -450,18 +457,18 @@ def small_u_coefficient(y: float, u: float, ctx: AnalyticContext = DEFAULT_CONTE
     log_y = math.log(y)
     x = y ** u
     rx = y ** (u / 2.0)
-    lo_y, hi_y = ctx.mertens_err_window(y)
-    _, hi_rx = ctx.mertens_err_window(rx)
+    lo_y, hi_y = mertens_err_window(y)
+    _, hi_rx = mertens_err_window(rx)
 
-    main = r_ratio(x, ctx) / u
-    second = r_ratio(rx, ctx) * (2.0 / u) * (math.log(u / 2.0) + hi_rx - lo_y)
+    main = r_ratio(x) / u
+    second = r_ratio(rx) * (2.0 / u) * (math.log(u / 2.0) + hi_rx - lo_y)
 
     credit_int = 0.0
     if u > 2.0:
         def integrand(s):
             z = y ** (u - s)
             t = y ** s
-            lo_t, _ = ctx.mertens_err_window(t)
+            lo_t, _ = mertens_err_window(t)
             f_lower = math.log(s) + lo_t - hi_y
             return (li(z) - z / ((u - s) * log_y)) * f_lower * t * log_y
 
@@ -471,37 +478,40 @@ def small_u_coefficient(y: float, u: float, ctx: AnalyticContext = DEFAULT_CONTE
             s for s in (math.log(1e4) / log_y, math.log(1e6) / log_y, math.exp(hi_y))
             if 1.0 < s < u / 2.0
         )
-        val, err = quad(integrand, 1.0, u / 2.0, epsabs=ctx.quadrature_tol * x,
+        val, err = quad(integrand, 1.0, u / 2.0, epsabs=QUADRATURE_TOL * x,
                         epsrel=1e-10, limit=200, points=pts or None)
         if not math.isfinite(val):
             raise NumericError(f"small-u quadrature failed at y={y}, u={u}")
-        credit_int = (1.0 + ctx.beta0) * val * log_y / x
+        credit_int = (1.0 + BETA0) * val * log_y / x
 
     big_l = pi_lower_599(math.sqrt(x))
     a_low = 0.5 * big_l * (big_l - 1.0)
-    big_w = r_ratio(y, ctx) * y / log_y
+    big_w = r_ratio(y) * y / log_y
     b_up = 0.5 * (big_w - 1.0) * (big_w - 2.0)
     credit_m = (a_low - b_up) * log_y / x
 
     return main + second - credit_int - credit_m
 
 
-def small_u_grid_max(ctx: AnalyticContext = DEFAULT_CONTEXT, *,
-                     y_values=None, u_points: int = 101):
-    """Maximize the assembled small-u coefficient over a (y, u) grid.
+# The y values of the small-u grid: 1100, the error-window switch points, and
+# a spread up to 1e12.
+SMALL_U_GRID_YS = (1100, 1150, 1200, 1300, 1500, 1750, 2000, 2500, 3000, 4000,
+                   5000, 7000, 9000, 9999.99, 10000, 12000, 15000, 20000, 30000,
+                   50000, 1e5, 2e5, 5e5, 999999, 1e6, 3e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)
 
-    The grid pins y = 1100 and the error-window switch points, and for each y
-    adds the u values where y^(u/2) crosses a window edge (the coefficient
-    jumps down there, so the supremum sits just below the crossing).
+
+def small_u_grid_max():
+    """Maximize the assembled small-u coefficient over the (y, u) grid.
+
+    For each y of SMALL_U_GRID_YS, u takes 101 evenly spaced values in
+    [2, 3] and the values where y^(u/2) crosses a window edge (the
+    coefficient jumps down there, so the supremum sits just below the
+    crossing).
     """
-    if y_values is None:
-        y_values = [1100, 1150, 1200, 1300, 1500, 1750, 2000, 2500, 3000, 4000,
-                    5000, 7000, 9000, 9999.99, 10000, 12000, 15000, 20000, 30000,
-                    50000, 1e5, 2e5, 5e5, 999999, 1e6, 3e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12]
-    base_us = np.linspace(2.0, 3.0, u_points)
+    base_us = np.linspace(2.0, 3.0, 101)
     best = (-math.inf, None, None)
     rows = []
-    for y in y_values:
+    for y in SMALL_U_GRID_YS:
         log_y = math.log(y)
         crossings = [2.0 * math.log(1e4) / log_y, 2.0 * math.log(1e6) / log_y]
         us = list(base_us)
@@ -510,7 +520,7 @@ def small_u_grid_max(ctx: AnalyticContext = DEFAULT_CONTEXT, *,
                 us.extend([c - 1e-9, c])
         y_best = (-math.inf, None)
         for u in sorted(us):
-            val = small_u_coefficient(float(y), float(u), ctx)
+            val = small_u_coefficient(float(y), float(u))
             if val > y_best[0]:
                 y_best = (val, u)
             if val > best[0]:
@@ -519,9 +529,8 @@ def small_u_grid_max(ctx: AnalyticContext = DEFAULT_CONTEXT, *,
     return best, rows
 
 
-def verify_small_u(table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
-                   target: float = DEFAULT_TARGET, y_exhaustive_cap: int = SMALL_U_CAP,
-                   parallelism: int = 1, pool=None) -> RegionCertificate:
+def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
+                   y_exhaustive_cap: int = SMALL_U_CAP, pool=None) -> RegionCertificate:
     """The 2 <= u < 3 region: exhaustive scans for 241 <= y <= cap, assembled
     analytic bound on a grid for y >= 1100.
 
@@ -535,8 +544,8 @@ def verify_small_u(table: PrimeTable, ctx: AnalyticContext = DEFAULT_CONTEXT, *,
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
     meta = [(p, table.next_prime(p)) for p in ps]
 
-    with nullcontext(pool) if pool else _task_pool(table, parallelism, len(meta) + 1) as pool:
-        grid = pool.submit(_grid_task, ctx)
+    with nullcontext(pool) if pool else _InlinePool(table) as pool:
+        grid = pool.submit(_grid_task)
         scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target) for p, q in meta]))
         (analytic_max, at_y, at_u), grid_rows = grid.result()
 
@@ -589,36 +598,31 @@ def epsilon_k(table: PrimeTable, q0: int, k: int):
 
     Returns (eps, q1 at the max).
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    cap = q0 ** (1.0 + 1.0 / k)
-    q1s = table.primes_between(q0, cap + 1e-9)
-    if len(q1s) == 0:
+    if k < 1 or q0 < 2:
+        raise DomainError(f"epsilon_k needs k >= 1 and q0 >= 2, got k={k}, q0={q0}")
+    ps = table.primes_between(0, q0 ** (1.0 + 1.0 / k) + 1e-9)  # raises past the limit
+    i = int(np.searchsorted(ps, q0, side="right"))              # q1 runs over ps[i:]
+    if i == len(ps):
         raise DomainError(f"no prime in (q0, q0^(1+1/k)] for q0={q0}, k={k}")
-    base = table.recip_plogp_sum(q0) - 1.0 / (q0 * math.log(q0))  # prefix below q0
-    best = (-math.inf, 0)
-    for q1 in q1s:
-        q1 = int(q1)
-        val = (-1.0 / math.log(q0) + 1.0 / math.log(q1)
-               + table.recip_plogp_sum(q1) - base)
-        if val > best[0]:
-            best = (val, q1)
-    return best
+    # sums of 1/(p log p) accumulated from p = 2 upward: float rounding depends on the order
+    prefix = np.cumsum(1.0 / (ps * np.log(ps.astype(np.float64))))
+    base = prefix[i - 1] - 1.0 / (q0 * math.log(q0))             # prefix below q0
+    vals = -1.0 / math.log(q0) + 1.0 / np.log(ps[i:].astype(np.float64)) + prefix[i:] - base
+    best = int(np.argmax(vals))
+    return float(vals[best]), int(ps[i + best])
 
 
-def iteration_tail_epsilon(q0: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
+def iteration_tail_epsilon(q0: float) -> float:
     """Upper bound 1.95 / (sqrt(q0) (log q0)^2) for eps_3(q0), valid q0 > 1000."""
     if q0 <= 1000:
         raise DomainError(f"tail bound used only for q0 > 1000, got {q0}")
-    return ctx.theta_defect_small / (math.sqrt(q0) * math.log(q0) ** 2)
+    return THETA_DEFECT_SMALL / (math.sqrt(q0) * math.log(q0) ** 2)
 
 
 ITERATION_TAIL_PROBES = (1009, 10007, 100003, 1000003, 10**8 + 7, 10**10 + 19, 10**14 + 31)
 
 
-def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET,
-                     c3: float = C3_SMALL_U,
-                     ctx: AnalyticContext = DEFAULT_CONTEXT) -> RegionCertificate:
+def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> RegionCertificate:
     """Bootstrap c_3 -> c_8 via c_3 (1 + eps_3(q0) log q0)^5 < target.
 
     eps_3 is computed exactly for every prime 241 <= q0 < 1000; beyond 1000
@@ -632,19 +636,19 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     for q0 in table.primes_between(240, 999):
         q0 = int(q0)
         eps, q1 = epsilon_k(table, q0, 3)
-        chain = c3 * (1.0 + eps * math.log(q0)) ** 5
+        chain = C3_SMALL_U * (1.0 + eps * math.log(q0)) ** 5
         m = target - chain
         rows.append({"q0": q0, "eps3": eps, "q1": q1, "chain": chain})
         if m < margin:
             margin = m
-            worst = {"k": 3, "c_k": c3, "q0": q0, "q1": q1, "eps_k": eps}
+            worst = {"k": 3, "c_k": C3_SMALL_U, "q0": q0, "q1": q1, "eps_k": eps}
         if chain >= target:
             failures.append({"q0": q0, "issue": "chain exceeds target", "chain": chain})
 
     tail_rows = []
     for q0 in ITERATION_TAIL_PROBES:
-        eps = iteration_tail_epsilon(q0, ctx)
-        chain = c3 * (1.0 + eps * math.log(q0)) ** 5
+        eps = iteration_tail_epsilon(q0)
+        chain = C3_SMALL_U * (1.0 + eps * math.log(q0)) ** 5
         tail_rows.append({"q0": q0, "eps3_tail": eps, "chain": chain})
         margin = min(margin, target - chain)
         if chain >= target:
@@ -655,7 +659,7 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET,
         method="geometric chain c3 -> c8 with exact eps_3 below 1000, theta-defect tail above",
         margin=margin,
         verified=not failures,
-        params={"target": target, "c3": c3, "exact_range": [241, 997],
+        params={"target": target, "c3": C3_SMALL_U, "exact_range": [241, 997],
                 "worst": worst,
                 "tail_rule": "eps3 < 1.95 / (sqrt(q0) (log q0)^2), decreasing in q0",
                 "tail_probes": list(ITERATION_TAIL_PROBES)},
@@ -723,9 +727,9 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
     selberg = SELBERG_FINITE in regions or SELBERG_CLOSED in regions
     # one task per analytic computation and per scan of the verifiers below
     tasks = (selberg + (ITERATION in regions)
-             + (SMALL_Y in regions) * len(REFERENCE_SMALL_Y_ROWS)
-             + (MID_Y in regions) * len(table.primes_between(70, 240))
-             + (SMALL_U in regions) * (len(table.primes_between(240, config.small_u_cap)) + 1))
+             + (len(REFERENCE_SMALL_Y_ROWS) if SMALL_Y in regions else 0)
+             + (len(table.primes_between(70, 240)) if MID_Y in regions else 0)
+             + (len(table.primes_between(240, config.small_u_cap)) + 1 if SMALL_U in regions else 0))
 
     certs: list[RegionCertificate] = []
     with _task_pool(table, config.parallelism, tasks) as pool:

@@ -1,4 +1,4 @@
-"""The library's one sieve, and prime-indexed prefix aggregates.
+"""The library's one sieve, and the table of primes it builds.
 
 `rough_segments` is a segmented mod-30 wheel sieve: it marks the integers up
 to a cap that are free of a given set of small primes, one ROUGH_SEGMENT-byte
@@ -6,10 +6,10 @@ mask at a time, and is the only sieve over segments.  `build_prime_table`
 reads the primes above sqrt(limit) off it, `phi.phi_direct` counts its
 survivors and `phi.scan_rough_interval` streams them.
 
-A :class:`PrimeTable` stores every prime up to a limit together with prefix
-arrays for theta(t) = sum of log p, sum of 1/p and sum of 1/(p log p).  All
-queries are a binary search into the prime list plus an array lookup, so a
-built table is immutable and safe to share between concurrent readers.
+A :class:`PrimeTable` stores every prime up to a limit and nothing else: it
+keeps no prefix sums, and a sum over primes is taken over a slice of the
+list.  A built table is immutable and safe to share between concurrent
+readers.
 """
 
 from __future__ import annotations
@@ -114,19 +114,12 @@ def rough_segments(strike: np.ndarray, x_cap: int):
 
 
 class PrimeTable:
-    """Immutable store of primes <= limit with prefix aggregates."""
+    """Immutable store of the primes <= limit."""
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
         self.primes = primes
         self.primes.setflags(write=False)
-        logs = np.log(primes.astype(np.float64))
-        # Prefix sums are plain left-to-right float64 accumulation (ascending
-        # primes).  Worst-case drift is ~n*eps*S ~ 1e-8 at limit 3e7, far below
-        # the smallest margin consumed downstream (9.2e-4, selberg-closed).
-        self._theta = np.cumsum(logs)
-        self._recip = np.cumsum(1.0 / primes)
-        self._plogp = np.cumsum(1.0 / (primes * logs))
 
     # -- queries ---------------------------------------------------------
 
@@ -141,26 +134,6 @@ class PrimeTable:
         """Number of primes <= t."""
         self._check_range(t)
         return self._count_upto(t)
-
-    def theta(self, t) -> float:
-        """Chebyshev theta: sum of log p over primes p <= t (0 for t < 2)."""
-        if t <= 0:
-            raise DomainError(f"theta needs t > 0, got {t}")
-        self._check_range(t)
-        i = self._count_upto(t)
-        return float(self._theta[i - 1]) if i else 0.0
-
-    def recip_sum(self, t) -> float:
-        """Sum of 1/p over primes p <= t."""
-        self._check_range(t)
-        i = self._count_upto(t)
-        return float(self._recip[i - 1]) if i else 0.0
-
-    def recip_plogp_sum(self, t) -> float:
-        """Sum of 1/(p log p) over primes p <= t."""
-        self._check_range(t)
-        i = self._count_upto(t)
-        return float(self._plogp[i - 1]) if i else 0.0
 
     def power_sum(self, k: int, lo, t) -> float:
         """Sum of (1/p)^k over primes lo < p <= t, for k in 1..4."""
@@ -206,12 +179,11 @@ def build_prime_table(limit: int) -> PrimeTable:
             ns += base
             yield ns[1:] if base == 0 else ns  # 1 survives but is no prime
 
-    # the segments' arrays are freed before the table's prefix sums are built
     return PrimeTable(limit, np.concatenate([small, *survivors()]))
 
 
-def mertens_product(table: PrimeTable, y, excluded=frozenset()) -> float:
-    """Product of (1 - 1/p) over primes p <= y not in ``excluded``.
+def mertens_product(table: PrimeTable, y) -> float:
+    """Product of (1 - 1/p) over primes p <= y.
 
     Factors are multiplied in ascending-prime order for determinism.
     """
@@ -219,12 +191,5 @@ def mertens_product(table: PrimeTable, y, excluded=frozenset()) -> float:
         raise DomainError(f"mertens_product needs y >= 2, got {y}")
     table._check_range(y)
     ps = table.primes[: table._count_upto(y)]
-    if excluded:
-        excl = np.asarray(sorted(excluded), dtype=np.int64)
-        if not np.all(np.isin(excl, ps)):
-            raise DomainError("excluded set must consist of primes <= y")
-        ps = ps[~np.isin(ps, excl)]
-    if len(ps) == 0:
-        return 1.0
     # multiply.reduce walks the array left to right: ascending primes.
     return float(np.multiply.reduce(1.0 - 1.0 / ps.astype(np.float64)))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import AnalyticContext, DEFAULT_CONTEXT, li
+from .analytic import BETA0, EULER_GAMMA, MERTENS_SLACK, li
 from .errors import DomainError, InfeasibleError
 from .gss import golden_section_min
 from .primes import PrimeTable, mertens_product
@@ -234,7 +234,7 @@ def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
 # closed-form branch for large y (x = y^7.5, epsilon = 1/log y)
 # ---------------------------------------------------------------------------
 
-def s_y_closed_form(y: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
+def s_y_closed_form(y: float) -> float:
     """Closed-form exponent S(y) bounding the Rankin sum for y >= 500000.
 
     S(y) combines the explicit Mertens bound
@@ -251,27 +251,27 @@ def s_y_closed_form(y: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
     a = 2.0 * eps - 1.0
     recip_part = -math.log(math.log(y)) - 0.26 + float(_PRESIEVE_RECIP)
     power_part = (7.0 ** a) + (li(11.0) - 4.0) * 11.0 ** a + li(math.exp(2.0)) - li(11.0 ** (2.0 * eps))
-    return recip_part + (1.0 + ctx.beta0) * power_part
+    return recip_part + (1.0 + BETA0) * power_part
 
 
-def closed_form_factor(y: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
+def closed_form_factor(y: float) -> float:
     """(1 - D^-eps e^S(y))^-1 at x = y^7.5, eps = 1/log y."""
     eps = 1.0 / math.log(y)
     log_d = math.log(SELBERG_D_COEFF) + 7.5 * math.log(y) - 3.0 * math.log(math.log(y))
-    f_upper = math.exp(s_y_closed_form(y, ctx) - eps * log_d)
+    f_upper = math.exp(s_y_closed_form(y) - eps * log_d)
     if f_upper >= 1.0:
         raise InfeasibleError(f"closed-form Rankin bound {f_upper:.4f} >= 1 at y={y}")
     return 1.0 / (1.0 - f_upper)
 
 
-def final_large_y_bound(y: float, ctx: AnalyticContext = DEFAULT_CONTEXT) -> float:
+def final_large_y_bound(y: float) -> float:
     """Coefficient of x / log y in the closed-form sieve bound at x = y^7.5.
 
     (1 + 2.1e-5) e^-gamma (1 - D^-eps e^S)^-1 + .006; below .6 proves the
     target on this branch.
     """
-    factor = closed_form_factor(y, ctx)
-    return (1.0 + ctx.mertens_slack) * math.exp(-ctx.euler_gamma) * factor + 0.006
+    factor = closed_form_factor(y)
+    return (1.0 + MERTENS_SLACK) * math.exp(-EULER_GAMMA) * factor + 0.006
 
 
 # ---------------------------------------------------------------------------

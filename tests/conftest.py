@@ -1,6 +1,5 @@
 import pytest
 
-from roughbound.analytic import AnalyticContext
 from roughbound.buchstab import build_omega
 from roughbound.primes import build_prime_table
 
@@ -18,8 +17,3 @@ def table_1m():
 @pytest.fixture(scope="session")
 def omega_table():
     return build_omega(16.0, 1e-10)
-
-
-@pytest.fixture(scope="session")
-def ctx():
-    return AnalyticContext()

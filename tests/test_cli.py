@@ -123,6 +123,13 @@ def test_verify_iteration_json(capsys):
     assert cert["margin"] > 0
 
 
+@pytest.mark.parametrize("region", ["small-y", "mid-y"])
+def test_verify_scan_region_alone(capsys, region):
+    # the run's table stops at 300 when no region needs the small-u primes
+    assert main(["verify", "--region", region, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{region},True,")
+
+
 def test_verify_paper_scale_sets_small_u_cap():
     assert build_parser().parse_args(["verify", "--paper-scale"]).small_u_cap == 1100
     assert build_parser().parse_args(["verify"]).small_u_cap == 500

@@ -252,6 +252,17 @@ def test_scan_rejects_y_hi_below_2():
         scan_rough_interval(_T, 1, 1, 100)
 
 
+@pytest.mark.parametrize("count", [
+    lambda: phi_direct(100, math.nan, _T),
+    lambda: phi_legendre(100, math.nan, _T),
+    lambda: scan_rough_interval(_T, math.nan, 3, 100),
+])
+def test_nan_y_rejected(count):
+    # nan compares false with everything, so no range check would catch it
+    with pytest.raises(DomainError, match="nan"):
+        count()
+
+
 def test_scan_witness_reproduces_max():
     scan = scan_rough_interval(_T, 7, 11, 369)
     n, j = scan.table_witness

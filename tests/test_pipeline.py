@@ -8,7 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from roughbound.errors import DomainError
+from roughbound.errors import DomainError, OutOfRangeError
 from roughbound.pipeline import (
     BoundReport,
     C3_SMALL_U,
@@ -27,13 +27,11 @@ from roughbound.pipeline import (
     run_full_pipeline,
     small_u_coefficient,
     verify_iteration,
-    verify_small_u,
     verify_small_y,
 )
 from roughbound.primes import PrimeTable, build_prime_table
 
 _T = build_prime_table(10_100)
-_FAST_ROWS = REFERENCE_SMALL_Y_ROWS[:6]  # bounds up to 1603: scans are instant
 
 
 def test_epsilon_k_brute():
@@ -58,6 +56,14 @@ def test_epsilon_k_nonincreasing_in_k():
     for q0 in rng.choice(qs, size=20, replace=False):
         values = [epsilon_k(_T, int(q0), k)[0] for k in (3, 4, 5, 6)]
         assert all(a >= b - 1e-18 for a, b in zip(values, values[1:]))
+
+
+def test_epsilon_k_out_of_range():
+    assert epsilon_k(_T, 467, 2)[1] <= 467 ** 1.5 < 10_100
+    with pytest.raises(OutOfRangeError):
+        epsilon_k(_T, 479, 2)  # 479^1.5 is about 10,483
+    with pytest.raises(OutOfRangeError):
+        epsilon_k(_T, 101, 1)
 
 
 def test_chain_bracket_consistency():
@@ -85,7 +91,8 @@ def test_iteration_certificate():
 
 
 def test_small_y_fast_rows():
-    cert = verify_small_y(0.6, _T, rows=_FAST_ROWS)
+    cert = verify_small_y(0.6, _T)
+    assert len(cert.rows) == len(REFERENCE_SMALL_Y_ROWS)
     assert cert.verified
     assert cert.margin == pytest.approx(0.6 - 0.579398, abs=1e-4)
     by_interval = {r["y_lo"]: r for r in cert.rows}
@@ -95,7 +102,7 @@ def test_small_y_fast_rows():
 
 
 def test_small_y_lowered_target_fails_with_witnesses():
-    cert = verify_small_y(0.55, _T, rows=_FAST_ROWS)
+    cert = verify_small_y(0.55, _T)
     assert not cert.verified
     issues = {f["issue"] for f in cert.failures}
     assert "target violated" in issues
@@ -106,23 +113,23 @@ def test_small_y_lowered_target_fails_with_witnesses():
 def test_small_y_cap_guard():
     from roughbound.errors import ResourceError
     with pytest.raises(ResourceError, match="cap"):
-        verify_small_y(0.6, _T, cap=100, rows=_FAST_ROWS)
+        verify_small_y(0.6, _T, cap=100)
 
 
-def test_small_u_coefficient_domain(ctx):
+def test_small_u_coefficient_domain():
     with pytest.raises(DomainError):
-        small_u_coefficient(2000.0, 3.2, ctx)
+        small_u_coefficient(2000.0, 3.2)
     with pytest.raises(DomainError):
-        small_u_coefficient(500.0, 2.5, ctx)  # below the window validity
+        small_u_coefficient(500.0, 2.5)  # below the window validity
 
 
-def test_small_u_coefficient_spot(ctx):
+def test_small_u_coefficient_spot():
     # at u=3 and huge y the coefficient must still dominate the limiting
     # density at u=3, which is (1 + log 2)/3 = .56438
-    val = small_u_coefficient(1e12, 3.0, ctx)
+    val = small_u_coefficient(1e12, 3.0)
     assert (1 + math.log(2)) / 3 < val < C3_SMALL_U
     assert val == pytest.approx(0.565185, abs=1e-5)  # regression pin
-    assert small_u_coefficient(1100.0, 2.9, ctx) < C3_SMALL_U
+    assert small_u_coefficient(1100.0, 2.9) < C3_SMALL_U
 
 
 def test_covering_regions_segments():
@@ -177,8 +184,6 @@ def test_config_has_only_the_set_knobs():
 def test_nonpositive_parallelism_rejected(parallelism):
     with pytest.raises(DomainError, match="parallelism"):
         run_full_pipeline(PipelineConfig(regions=(ITERATION,), parallelism=parallelism))
-    with pytest.raises(DomainError, match="parallelism"):
-        verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=parallelism)
 
 
 @pytest.fixture
@@ -218,20 +223,24 @@ def fake_pool(monkeypatch):
     return FakePool
 
 
+def _region_run(region, parallelism, **config):
+    return run_full_pipeline(PipelineConfig(regions=(region,), parallelism=parallelism, **config))
+
+
 def test_pool_clamped_to_task_count(fake_pool):
-    serial = verify_small_y(0.6, _T, rows=_FAST_ROWS)
-    assert verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=5000) == serial
-    assert fake_pool.sizes == [len(_FAST_ROWS)]
-    verify_small_y(0.6, _T, rows=_FAST_ROWS[:1], parallelism=5000)
-    assert fake_pool.sizes == [len(_FAST_ROWS)]  # a single task runs in this process
+    serial = _region_run(SMALL_Y, 1)
+    assert _region_run(SMALL_Y, 5000).certificates == serial.certificates
+    assert fake_pool.sizes == [len(REFERENCE_SMALL_Y_ROWS)]
+    _region_run(ITERATION, 5000)
+    assert fake_pool.sizes == [len(REFERENCE_SMALL_Y_ROWS)]  # one task runs in this process
 
 
 def test_pool_clamped_to_usable_cpus(fake_pool, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=5000)
+    _region_run(SMALL_Y, 5000)
     assert fake_pool.sizes == [3]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4}, raising=False)
-    verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=5000)
+    _region_run(SMALL_Y, 5000)
     assert fake_pool.sizes == [3]  # one usable CPU: the scans run in this process
 
 
@@ -260,14 +269,14 @@ def test_run_parallel_report_equals_serial(serial_270):
 
 
 def test_small_u_reduced_deterministic_parallel():
-    table = build_prime_table(700)
-    serial = verify_small_u(table, y_exhaustive_cap=270, parallelism=1)
-    twice = verify_small_u(table, y_exhaustive_cap=270, parallelism=2)
-    assert serial == twice
-    assert serial.params["exhaustive_max"] < 0.56404
+    serial = _region_run(SMALL_U, 1, small_u_cap=270)
+    twice = _region_run(SMALL_U, 2, small_u_cap=270)
+    assert serial.certificates == twice.certificates
+    assert serial.certificates[0].params["exhaustive_max"] < 0.56404
 
 
 def test_small_y_parallel_deterministic():
-    serial = verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=1)
-    par = verify_small_y(0.6, _T, rows=_FAST_ROWS, parallelism=3)
-    assert serial == par
+    serial = _region_run(SMALL_Y, 1)
+    par = _region_run(SMALL_Y, 3)
+    assert serial.certificates == par.certificates
+    assert serial.table1 == par.table1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughbound.analytic import EULER_GAMMA, r_ratio
+from roughbound.analytic import EULER_GAMMA, MEISSEL_MERTENS_B, r_ratio
 from roughbound.errors import DomainError, OutOfRangeError, ResourceError
 from roughbound.primes import (
     DEFAULT_LIMIT_CAP,
@@ -56,9 +56,10 @@ def test_checkpoint_fixture(table_30m):
     # fixture generated once by an independent odd-only bytearray sieve
     rows = read_checkpoints(os.path.join(DATA, "pi_theta_checkpoints.csv"))
     assert rows, "fixture file missing"
+    theta = np.cumsum(np.log(table_30m.primes.astype(np.float64)))
     for t, pi_t, theta_t in rows:
         assert table_30m.pi(t) == pi_t
-        assert abs(table_30m.theta(t) - theta_t) < 1e-9 * max(1.0, theta_t)
+        assert abs(theta[pi_t - 1] - theta_t) < 1e-9 * max(1.0, theta_t)
 
 
 def test_build_errors():
@@ -68,31 +69,12 @@ def test_build_errors():
         build_prime_table(DEFAULT_LIMIT_CAP + 1)  # raises before it allocates
 
 
-def test_theta_examples(table_small):
-    assert table_small.theta(1.5) == 0.0
-    direct = math.fsum(math.log(p) for p in (2, 3, 5, 7))
-    assert table_small.theta(10) == pytest.approx(direct, abs=1e-12)
-    with pytest.raises(OutOfRangeError):
-        table_small.theta(20_000)
-    with pytest.raises(DomainError):
-        table_small.theta(0)
-
-
 def test_theta_below_x_up_to_1426(table_small):
     # theta stays below the identity line before 1427
-    for p in table_small.primes_between(1, 1426):
-        assert table_small.theta(int(p)) < int(p)
-    assert table_small.theta(1426) < 1426
-
-
-def test_theta_matches_direct_iteration(table_1m):
-    primes = table_1m.primes
-    for t in (10, 97, 1000, 31337, 999_983):
-        k = int(np.searchsorted(primes, t, side="right"))
-        direct = math.fsum(math.log(int(p)) for p in primes[:k])
-        assert abs(table_1m.theta(t) - direct) < 1e-9 * max(1.0, direct)
-
-
+    ps = table_small.primes_between(0, 1426)
+    theta = np.cumsum(np.log(ps.astype(np.float64)))
+    assert np.all(theta < ps)
+    assert theta[-1] < 1426
 def test_build_matches_trial_division_small_limits():
     # every wheel (1, 2, 6, 30) and every count of presieved primes
     oracle = trial_division_primes(300)
@@ -142,41 +124,30 @@ _SMALL = build_prime_table(10_100)
 def test_monotone_aggregates(a, b):
     lo, hi = sorted((a, b))
     assert _SMALL.pi(lo) <= _SMALL.pi(hi)
-    assert _SMALL.recip_sum(lo) <= _SMALL.recip_sum(hi)
-    assert _SMALL.recip_plogp_sum(lo) <= _SMALL.recip_plogp_sum(hi)
 
 
-def test_pnt_upper_dominates_pi_on_grid(table_1m, ctx):
+def test_pnt_upper_dominates_pi_on_grid(table_1m):
     # pi(t) < (1 + beta0) li(t), the bound r_ratio carries
     ts = np.linspace(2, 1_000_000, 10_000)
     for t in ts:
-        assert table_1m.pi(t) < r_ratio(float(t), ctx) * t / math.log(t)
+        assert table_1m.pi(t) < r_ratio(float(t)) * t / math.log(t)
 
 
-def test_mertens_sum_examples(table_1m, ctx):
-    assert table_1m.recip_sum(2) == 0.5
-    b = ctx.meissel_mertens_b
-    v4 = table_1m.recip_sum(1e4) - math.log(math.log(1e4)) - b
+def test_mertens_sum_examples(table_1m):
+    recip = np.cumsum(1.0 / table_1m.primes)
+    assert recip[0] == 0.5
+    v4 = recip[table_1m.pi(1e4) - 1] - math.log(math.log(1e4)) - MEISSEL_MERTENS_B
     assert 0 < v4 < 0.00624
-    v6 = table_1m.recip_sum(1e6) - math.log(math.log(1e6)) - b
+    v6 = recip[table_1m.pi(1e6) - 1] - math.log(math.log(1e6)) - MEISSEL_MERTENS_B
     assert 0 < v6 < 0.00161
 
 
 def test_mertens_product_examples(table_1m):
     assert mertens_product(table_1m, 12) == pytest.approx(16 / 77, rel=1e-12)
-    assert mertens_product(table_1m, 2, excluded={2}) == 1.0
     y = 500_000
     assert mertens_product(table_1m, y) < math.exp(-EULER_GAMMA) / math.log(y)
     with pytest.raises(DomainError):
-        mertens_product(table_1m, 100, excluded={4})
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=6, max_value=10_000))
-def test_mertens_product_complement_identity(y):
-    full = mertens_product(_SMALL, y)
-    tail = mertens_product(_SMALL, y, excluded={2, 3, 5})
-    assert full == pytest.approx((1 / 2) * (2 / 3) * (4 / 5) * tail, rel=1e-12)
+        mertens_product(table_1m, 1.5)
 
 
 def test_power_sum_direct(table_small):
@@ -186,12 +157,6 @@ def test_power_sum_direct(table_small):
         assert table_small.power_sum(k, 5, 50) == pytest.approx(direct, rel=1e-14)
     with pytest.raises(DomainError):
         table_small.power_sum(5, 5, 50)
-
-
-def test_theta_pi_relation(table_small):
-    for t in (10, 100, 5000):
-        assert table_small.theta(t) <= table_small.pi(t) * math.log(t)
-    assert table_small.theta(2) == pytest.approx(math.log(2))
 
 
 def test_next_prev_prime(table_small):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from divisor_oracles import selberg_divisor_sums, tau3_divisor_sum
-from roughbound.analytic import DEFAULT_CONTEXT as CTX, EULER_GAMMA
+from roughbound.analytic import EULER_GAMMA
 from roughbound.errors import DomainError, InfeasibleError
 from roughbound.phi import phi_direct, phi_legendre
 from roughbound.pipeline import DEFAULT_TARGET
@@ -268,22 +268,22 @@ def test_sweep_small_slice(table_sel):
 # -- closed-form branch -------------------------------------------------------
 
 def test_closed_form_values():
-    assert closed_form_factor(500_000.0, CTX) < 1.057
-    assert final_large_y_bound(500_000.0, CTX) < 0.5995
-    assert final_large_y_bound(10**7, CTX) < final_large_y_bound(500_000.0, CTX)
-    assert final_large_y_bound(10**9, CTX) < 0.5995
+    assert closed_form_factor(500_000.0) < 1.057
+    assert final_large_y_bound(500_000.0) < 0.5995
+    assert final_large_y_bound(10**7) < final_large_y_bound(500_000.0)
+    assert final_large_y_bound(10**9) < 0.5995
 
 
 def test_closed_form_rankin_below_one():
     for y in np.geomspace(500_000, 1e12, 25):
         eps = 1 / math.log(y)
         log_d = math.log(0.03) + 7.5 * math.log(y) - 3 * math.log(math.log(y))
-        assert math.exp(s_y_closed_form(float(y), CTX)) * math.exp(-eps * log_d) < 1
+        assert math.exp(s_y_closed_form(float(y))) * math.exp(-eps * log_d) < 1
 
 
 def test_closed_form_domain():
     with pytest.raises(DomainError):
-        s_y_closed_form(499_999.0, CTX)
+        s_y_closed_form(499_999.0)
 
 
 def test_e_gamma_constant():
