@@ -215,9 +215,8 @@ def _cmd_bound(args) -> int:
         out, close = _open_out(args.out)
         try:
             out.write("y,epsilon,f_value,coefficient,margin\n")
-            for r in rows:
-                out.write(f"{r.y},{r.epsilon:.6f},{r.f_value:.8f},"
-                          f"{r.coefficient:.8f},{r.margin:.8f}\n")
+            for y, _, eps, f, coefficient, margin in rows.tolist():
+                out.write(f"{y},{eps:.6f},{f:.8f},{coefficient:.8f},{margin:.8f}\n")
         finally:
             if close:
                 out.close()

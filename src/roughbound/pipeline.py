@@ -51,6 +51,7 @@ from .primes import PrimeTable, build_prime_table
 from .sieve_bounds import (
     CLOSED_FORM_MIN_Y,
     SELBERG_MIN_Y,
+    SELBERG_REMAINDER_COEFF,
     bonferroni_x_bound,
     closed_form_factor,
     elementary_x_bound,
@@ -390,22 +391,24 @@ def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUST
 
 def verify_selberg(target: float, table: PrimeTable):
     """Both sieve branches; returns (finite certificate, closed certificate)."""
-    rows = selberg_sweep(table, lo=SELBERG_MIN_Y, hi=CLOSED_FORM_MIN_Y, target=target)
+    sweep = selberg_sweep(table, lo=SELBERG_MIN_Y, hi=CLOSED_FORM_MIN_Y, target=target)
+    bad = sweep[~((sweep.margin > 0) & (sweep.f_value < 1))]
     failures = [
-        {"y": r.y, "q": r.q, "issue": "nonpositive margin", "coefficient": r.coefficient}
-        for r in rows if not (r.margin > 0 and r.f_value < 1)
+        {"y": y, "q": q, "issue": "nonpositive margin", "coefficient": coefficient}
+        for y, q, _, _, coefficient, _ in bad.tolist()
     ]
-    worst = min(rows, key=lambda r: r.margin)
+    worst = sweep[int(np.argmin(sweep.margin))]
     finite = RegionCertificate(
         region=SELBERG_FINITE,
         method="explicit sieve at x = p^7.5 per consecutive-prime pair, grid-optimized epsilon",
-        margin=worst.margin,
+        margin=float(worst.margin),
         verified=not failures,
-        params={"target": target, "pairs": len(rows), "y_range": [rows[0].y, rows[-1].y],
-                "worst_y": worst.y, "worst_epsilon": worst.epsilon,
-                "worst_f": worst.f_value,
+        params={"target": target, "pairs": len(sweep),
+                "y_range": [int(sweep.y[0]), int(sweep.y[-1])],
+                "worst_y": int(worst.y), "worst_epsilon": float(worst.epsilon),
+                "worst_f": float(worst.f_value),
                 "sieve_level_rule": "D = .03 x / (log y)^3",
-                "remainder_coefficient": 0.006},
+                "remainder_coefficient": SELBERG_REMAINDER_COEFF},
         failures=failures,
     )
 

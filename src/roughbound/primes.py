@@ -127,6 +127,8 @@ class PrimeTable:
         return int(np.searchsorted(self.primes, t, side="right"))
 
     def _check_range(self, t) -> None:
+        if t != t:  # nan passes the limit test and searchsorts past the end
+            raise DomainError("query at nan")
         if t > self.limit:
             raise OutOfRangeError(f"query at {t} exceeds sieve limit {self.limit}")
 
@@ -187,7 +189,7 @@ def mertens_product(table: PrimeTable, y) -> float:
 
     Factors are multiplied in ascending-prime order for determinism.
     """
-    if y < 2:
+    if not y >= 2:
         raise DomainError(f"mertens_product needs y >= 2, got {y}")
     table._check_range(y)
     ps = table.primes[: table._count_upto(y)]

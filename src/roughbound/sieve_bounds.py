@@ -29,6 +29,7 @@ PRESIEVE_DENSITY = 4.0 / 15.0
 PRESIEVE_REMAINDER = 14.0 / 15.0
 PRESIEVE_EXCLUDED_FACTOR = 3.0 / 14.0   # product of (1 + 2/p)^-1 over p = 2, 3, 5
 SELBERG_D_COEFF = 0.03
+SELBERG_REMAINDER_COEFF = 0.006   # the remainder over x / log y at D = .03 x / (log y)^3
 SELBERG_MIN_Y = 241
 CLOSED_FORM_MIN_Y = 500_000
 EPSILON_BRACKET = (1e-3, 0.5)
@@ -45,8 +46,10 @@ def elementary_bound(x: float, y: float, table: PrimeTable) -> float:
     For y < 2 the empty-product convention would give x + 1/2; the bound is
     clamped to ceil(x), which the exact count floor(x) never exceeds.
     """
-    if x < 1:
+    if not x >= 1:
         raise DomainError(f"elementary bound needs x >= 1, got {x}")
+    if y != y:  # nan would take the empty-product branch below
+        raise DomainError("elementary bound needs a number y, got nan")
     k = table.pi(y) if y >= 2 else 0
     if k == 0:
         return float(math.ceil(x))
@@ -143,21 +146,16 @@ def bonferroni_x_bound(y: float, target: float, table: PrimeTable) -> int:
 class SieveConfig:
     """Parameters of one Selberg-sieve evaluation.
 
-    With the mod-30 pre-sieve the sifted set has X = 4x/15 members up to a
-    remainder of at most r = 14/15 per divisor, the sieving primes are those
-    in (5, y], and the excluded primes 2, 3, 5 contribute the exact factor
-    3/14 to the remainder estimate.  V is the product of (1 - 1/p) over the
-    sieving primes and f_value is the Rankin bound for IV; the main term is
-    X*V / (1 - f_value) whenever f_value < 1.
+    With the mod-30 pre-sieve the sifted set has X = 4x/15 members and the
+    sieving primes are those in (5, y].  V is the product of (1 - 1/p) over
+    the sieving primes and f_value is the Rankin bound for IV; the main term
+    is X*V / (1 - f_value) whenever f_value < 1.
     """
 
     x: float
     y: float
     epsilon: float
     D: float
-    X: float
-    r: float
-    excluded_factor: float
     V: float
     f_value: float
 
@@ -180,20 +178,21 @@ def make_sieve_config(x: float, y: float, table: PrimeTable, epsilon: float) -> 
     V = float(np.exp(np.sum(np.log1p(-1.0 / ps))))
     f = math.exp(_rankin_log_sum(ps, epsilon) - epsilon * math.log(D))
     return SieveConfig(x=float(x), y=float(y), epsilon=float(epsilon), D=float(D),
-                       X=PRESIEVE_DENSITY * x, r=PRESIEVE_REMAINDER,
-                       excluded_factor=PRESIEVE_EXCLUDED_FACTOR, V=V, f_value=f)
+                       V=V, f_value=f)
 
 
-def lemma2_remainder(y: float, D: float, r: float, excluded_factor: float) -> float:
-    """r * D * (log y)^2 * excluded_factor, the divisor-count remainder bound.
+def lemma2_remainder(y: float, D: float) -> float:
+    """(14/15) * D * (log y)^2 * (3/14), the divisor-count remainder bound.
 
-    The (log y)^2 estimate for the divisor sum holds for y >= 53.
+    Each pre-sieved remainder is at most 14/15 per divisor, and the excluded
+    primes 2, 3, 5 contribute the exact factor 3/14.  The (log y)^2 estimate
+    for the divisor sum holds for y >= 53.
     """
     if y < 53:
         raise DomainError(f"the (log y)^2 divisor bound needs y >= 53, got {y}")
     if D <= 0:
         raise DomainError(f"sieve level D must be positive, got {D}")
-    return r * D * math.log(y) ** 2 * excluded_factor
+    return PRESIEVE_REMAINDER * D * math.log(y) ** 2 * PRESIEVE_EXCLUDED_FACTOR
 
 
 def selberg_upper(x: float, y: float, cfg: SieveConfig, table: PrimeTable) -> float:
@@ -204,8 +203,8 @@ def selberg_upper(x: float, y: float, cfg: SieveConfig, table: PrimeTable) -> fl
         raise InfeasibleError(
             f"Rankin factor f={cfg.f_value:.6f} >= 1 at epsilon={cfg.epsilon}; re-choose epsilon"
         )
-    main = cfg.X * cfg.V / (1.0 - cfg.f_value)
-    return main + lemma2_remainder(y, cfg.D, cfg.r, cfg.excluded_factor)
+    main = PRESIEVE_DENSITY * cfg.x * cfg.V / (1.0 - cfg.f_value)
+    return main + lemma2_remainder(y, cfg.D)
 
 
 def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
@@ -271,63 +270,52 @@ def final_large_y_bound(y: float) -> float:
     target on this branch.
     """
     factor = closed_form_factor(y)
-    return (1.0 + MERTENS_SLACK) * math.exp(-EULER_GAMMA) * factor + 0.006
+    return (1.0 + MERTENS_SLACK) * math.exp(-EULER_GAMMA) * factor + SELBERG_REMAINDER_COEFF
 
 
 # ---------------------------------------------------------------------------
 # verified sweep over consecutive primes (finite-product branch)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Audit record for one prime pair (y, q): coefficient of x/log q at x=y^7.5."""
-
-    y: int
-    q: int
-    epsilon: float
-    f_value: float
-    coefficient: float
-    margin: float
-
-
 def selberg_sweep(table: PrimeTable, *, target: float, lo: int = SELBERG_MIN_Y,
-                  hi: int = CLOSED_FORM_MIN_Y) -> list[SweepRow]:
+                  hi: int = CLOSED_FORM_MIN_Y) -> np.recarray:
     """Evaluate the sieve bound at x = p^7.5 for every consecutive-prime pair
     p < q with lo <= p <= hi, against target * x / log q.
 
-    Because the sieving primes only change at primes, each pair needs a single
-    product over primes <= p; products are accumulated incrementally via
-    prefix sums, and epsilon is chosen per pair as the best point of a fixed
-    grid (any grid point yields a valid bound).  The sieve level uses log q,
-    the worst y in the interval.
+    Returns one record per pair, ascending in p, with the fields y (= p), q,
+    epsilon, f_value, coefficient (of x / log q) and margin (target minus
+    coefficient); a pair whose best Rankin factor is >= 1 gets coefficient
+    inf and margin -inf.  The sieving primes only change at primes, so each
+    pair's sums over the primes <= p are entries of one ascending cumsum over
+    all sieving primes.  Epsilon is the best point of a fixed grid (any grid
+    point yields a valid bound), found as a running minimum over the grid,
+    one cumsum per grid point; ties keep the first point, as np.argmin does.
+    The sieve level uses log q, the worst y in the interval.
     """
+    if lo < SELBERG_MIN_Y:
+        raise DomainError(f"the explicit sieve bound needs y >= {SELBERG_MIN_Y}, got {lo}")
     eps_grid = np.linspace(0.04, 0.26, 111)
 
-    last = table.next_prime(hi)
-    ps = table.primes_between(5, last).astype(np.float64)   # sieving primes 7..last
-    # prefix of log(1 + (p^2e - 1)/p) per epsilon, and of log(1 - 1/p)
-    with np.errstate(over="raise"):
-        mat = np.log1p((ps[:, None] ** (2.0 * eps_grid[None, :]) - 1.0) / ps[:, None])
-    cum_eps = np.cumsum(mat, axis=0)
-    cum_v = np.cumsum(np.log1p(-1.0 / ps))
+    ps = table.primes_between(5, table.next_prime(hi))     # sieving primes 7..q of the last pair
+    start = len(ps) - 1 - len(table.primes_between(lo - 1, hi))
+    y, q = ps[start:-1], ps[start + 1:]                      # the pairs: a run of consecutive primes
+    ps = ps.astype(np.float64)
+    log_q = np.log(q)
+    log_d = np.log(SELBERG_D_COEFF) + 7.5 * np.log(y) - 3.0 * np.log(log_q)
 
-    pairs_p = table.primes_between(lo - 1, hi)               # primes in [lo, hi]
-    rows: list[SweepRow] = []
-    for p in pairs_p:
-        p = int(p)
-        q = table.next_prime(p)
-        i = int(np.searchsorted(ps, p, side="right")) - 1
-        log_q = math.log(q)
-        log_d = math.log(SELBERG_D_COEFF) + 7.5 * math.log(p) - 3.0 * math.log(log_q)
-        f_vec = np.exp(cum_eps[i] - eps_grid * log_d)
-        k = int(np.argmin(f_vec))
-        f_best = float(f_vec[k])
-        v_full = PRESIEVE_DENSITY * math.exp(cum_v[i])       # product over all p' <= p
-        if f_best >= 1.0:
-            rows.append(SweepRow(p, q, float(eps_grid[k]), f_best, math.inf, -math.inf))
-            continue
-        coefficient = v_full * log_q / (1.0 - f_best) + 0.006
-        rows.append(SweepRow(p, q, float(eps_grid[k]), f_best, coefficient,
-                             target - coefficient))
-    return rows
+    f_best = np.full(len(y), np.inf)
+    eps_best = np.full(len(y), eps_grid[0])
+    for eps in eps_grid:
+        with np.errstate(over="raise"):
+            rankin = np.cumsum(np.log1p((ps ** (2.0 * eps) - 1.0) / ps))[start:-1]
+        f = np.exp(rankin - eps * log_d)
+        better = f < f_best
+        f_best[better] = f[better]
+        eps_best[better] = eps
 
+    v_full = PRESIEVE_DENSITY * np.exp(np.cumsum(np.log1p(-1.0 / ps))[start:-1])  # all p' <= p
+    coefficient = np.full(len(y), np.inf)
+    ok = f_best < 1.0
+    coefficient[ok] = v_full[ok] * log_q[ok] / (1.0 - f_best[ok]) + SELBERG_REMAINDER_COEFF
+    return np.rec.fromarrays([y, q, eps_best, f_best, coefficient, target - coefficient],
+                             names="y,q,epsilon,f_value,coefficient,margin")

@@ -131,7 +131,7 @@ def test_criterion_4_selberg_finite_branch(selberg_certs, table):
     ident_ok = True
     for y in (241.0, 4001.0, 499_979.0):
         x = y ** 7.5
-        rem = lemma2_remainder(y, default_sieve_level(x, y), 14 / 15, 3 / 14)
+        rem = lemma2_remainder(y, default_sieve_level(x, y))
         ident_ok &= math.isclose(rem, 0.006 * x / math.log(y), rel_tol=1e-12)
     ok = finite.verified and finite.margin > 0 and ident_ok
     report(4, ok,

@@ -114,6 +114,16 @@ def test_bound_sweep_csv(capsys):
     assert lines[1].startswith("241,")
 
 
+def test_bound_sweep_below_method_range_exit(capsys):
+    # the explicit sieve bound holds only from y = 241; an empty range is not an error
+    assert main(["bound", "--kind", "selberg-sweep", "--y-lo", "2", "--y-hi", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs y >= 241" in captured.err
+    assert main(["bound", "--kind", "selberg-sweep", "--y-lo", "300", "--y-hi", "250"]) == 0
+    assert capsys.readouterr().out == "y,epsilon,f_value,coefficient,margin\n"
+
+
 def test_verify_iteration_json(capsys):
     assert main(["verify", "--region", "iteration", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

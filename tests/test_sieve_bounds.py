@@ -10,8 +10,11 @@ from roughbound.analytic import EULER_GAMMA
 from roughbound.errors import DomainError, InfeasibleError
 from roughbound.phi import phi_direct, phi_legendre
 from roughbound.pipeline import DEFAULT_TARGET
-from roughbound.primes import build_prime_table
+from roughbound.primes import build_prime_table, mertens_product
 from roughbound.sieve_bounds import (
+    PRESIEVE_DENSITY,
+    SELBERG_D_COEFF,
+    SELBERG_REMAINDER_COEFF,
     bonferroni_bound,
     bonferroni_x_bound,
     closed_form_factor,
@@ -136,12 +139,13 @@ def test_lemma2_remainder_values():
     y, x = 241.0, 241.0 ** 7.5
     d = default_sieve_level(x, y)
     # pre-sieved constants collapse to exactly (1/5) D (log y)^2 = .006 x / log y
-    rem = lemma2_remainder(y, d, 14 / 15, 3 / 14)
+    rem = lemma2_remainder(y, d)
     assert rem == pytest.approx((1 / 5) * d * math.log(y) ** 2, rel=1e-15)
     assert rem == pytest.approx(0.006 * x / math.log(y), rel=1e-12)
-    assert lemma2_remainder(100.0, 7.0, 1.0, 1.0) == pytest.approx(7 * math.log(100) ** 2)
+    assert SELBERG_REMAINDER_COEFF == 0.006
+    assert lemma2_remainder(100.0, 7.0) == pytest.approx(0.2 * 7 * math.log(100) ** 2)
     with pytest.raises(DomainError):
-        lemma2_remainder(50.0, 7.0, 1.0, 1.0)
+        lemma2_remainder(50.0, 7.0)
 
 
 def test_excluded_factor_exact():
@@ -265,6 +269,49 @@ def test_sweep_small_slice(table_sel):
     assert coef == pytest.approx(r.coefficient, rel=1e-9)
 
 
+def reference_sweep(table, *, target, lo, hi):
+    """The per-pair sweep the vector pass replaced: (pairs x epsilons) prefix
+    matrices and an argmin per pair, one (y, q, epsilon, f_value,
+    coefficient, margin) tuple per pair.  Oracle for selberg_sweep."""
+    eps_grid = np.linspace(0.04, 0.26, 111)
+
+    last = table.next_prime(hi)
+    ps = table.primes_between(5, last).astype(np.float64)   # sieving primes 7..last
+    # prefix of log(1 + (p^2e - 1)/p) per epsilon, and of log(1 - 1/p)
+    mat = np.log1p((ps[:, None] ** (2.0 * eps_grid[None, :]) - 1.0) / ps[:, None])
+    cum_eps = np.cumsum(mat, axis=0)
+    cum_v = np.cumsum(np.log1p(-1.0 / ps))
+
+    rows = []
+    for p in table.primes_between(lo - 1, hi):              # primes in [lo, hi]
+        p = int(p)
+        q = table.next_prime(p)
+        i = int(np.searchsorted(ps, p, side="right")) - 1
+        log_q = math.log(q)
+        log_d = math.log(SELBERG_D_COEFF) + 7.5 * math.log(p) - 3.0 * math.log(log_q)
+        f_vec = np.exp(cum_eps[i] - eps_grid * log_d)
+        k = int(np.argmin(f_vec))
+        f_best = float(f_vec[k])
+        v_full = PRESIEVE_DENSITY * math.exp(cum_v[i])       # product over all p' <= p
+        if f_best >= 1.0:
+            rows.append((p, q, float(eps_grid[k]), f_best, math.inf, -math.inf))
+            continue
+        coefficient = v_full * log_q / (1.0 - f_best) + 0.006
+        rows.append((p, q, float(eps_grid[k]), f_best, coefficient, target - coefficient))
+    return rows
+
+
+def test_sweep_matches_reference(table_sel):
+    sweep = selberg_sweep(table_sel, lo=241, hi=30_000, target=DEFAULT_TARGET)
+    ref = reference_sweep(table_sel, lo=241, hi=30_000, target=DEFAULT_TARGET)
+    assert len(sweep) == len(ref) == table_sel.pi(30_000) - table_sel.pi(240)
+    assert sweep.dtype.names == ("y", "q", "epsilon", "f_value", "coefficient", "margin")
+    got = sweep.tolist()
+    assert [r[:3] for r in got] == [r[:3] for r in ref]     # y, q and the grid point
+    np.testing.assert_allclose(np.array([r[3:] for r in got]), np.array([r[3:] for r in ref]),
+                               rtol=0, atol=1e-15)
+
+
 # -- closed-form branch -------------------------------------------------------
 
 def test_closed_form_values():
@@ -288,6 +335,23 @@ def test_closed_form_domain():
 
 def test_e_gamma_constant():
     assert math.exp(-EULER_GAMMA) == pytest.approx(0.561459483566885, abs=1e-12)
+
+
+# -- nan inputs ---------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: _T.pi(math.nan), id="pi"),
+    pytest.param(lambda: _T.primes_between(0, math.nan), id="primes_between"),
+    pytest.param(lambda: _T.power_sum(1, 5, math.nan), id="power_sum"),
+    pytest.param(lambda: mertens_product(_T, math.nan), id="mertens_product"),
+    pytest.param(lambda: elementary_bound(100, math.nan, _T), id="elementary_bound"),
+    pytest.param(lambda: elementary_bound(math.nan, 100, _T), id="elementary_bound_x"),
+    pytest.param(lambda: bonferroni_bound(100, math.nan, _T), id="bonferroni_bound"),
+])
+def test_nan_is_domain_error(call):
+    # nan compares false with every bound, so each check must reject it by name
+    with pytest.raises(DomainError):
+        call()
 
 
 # -- dominance across bounds --------------------------------------------------
