@@ -165,9 +165,9 @@ def default_sieve_level(x: float, y: float) -> float:
     return SELBERG_D_COEFF * x / math.log(y) ** 3
 
 
-def _rankin_log_sum(ps: np.ndarray, epsilon: float) -> float:
-    """Sum of log(1 + (p^(2 epsilon) - 1) / p) over the sieving primes ps."""
-    return float(np.sum(np.log1p((ps ** (2.0 * epsilon) - 1.0) / ps)))
+def _rankin_terms(ps: np.ndarray, epsilon: float) -> np.ndarray:
+    """log(1 + (p^(2 epsilon) - 1) / p) for each sieving prime p in ps."""
+    return np.log1p((ps ** (2.0 * epsilon) - 1.0) / ps)
 
 
 def make_sieve_config(x: float, y: float, table: PrimeTable, epsilon: float) -> SieveConfig:
@@ -176,7 +176,7 @@ def make_sieve_config(x: float, y: float, table: PrimeTable, epsilon: float) -> 
     D = default_sieve_level(x, y)
     ps = table.primes_between(5.0, y).astype(np.float64)
     V = float(np.exp(np.sum(np.log1p(-1.0 / ps))))
-    f = math.exp(_rankin_log_sum(ps, epsilon) - epsilon * math.log(D))
+    f = math.exp(float(np.sum(_rankin_terms(ps, epsilon))) - epsilon * math.log(D))
     return SieveConfig(x=float(x), y=float(y), epsilon=float(epsilon), D=float(D),
                        V=V, f_value=f)
 
@@ -220,7 +220,7 @@ def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
     ps = table.primes_between(5, y).astype(np.float64)
 
     def f(eps: float) -> float:
-        return _rankin_log_sum(ps, eps) - eps * log_d  # log f; same minimizer
+        return float(np.sum(_rankin_terms(ps, eps))) - eps * log_d  # log f; same minimizer
 
     lo, hi = EPSILON_BRACKET
     eps, _ = golden_section_min(f, lo, hi, tol=EPSILON_TOL)
@@ -307,7 +307,7 @@ def selberg_sweep(table: PrimeTable, *, target: float, lo: int = SELBERG_MIN_Y,
     eps_best = np.full(len(y), eps_grid[0])
     for eps in eps_grid:
         with np.errstate(over="raise"):
-            rankin = np.cumsum(np.log1p((ps ** (2.0 * eps) - 1.0) / ps))[start:-1]
+            rankin = np.cumsum(_rankin_terms(ps, eps))[start:-1]
         f = np.exp(rankin - eps * log_d)
         better = f < f_best
         f_best[better] = f[better]
