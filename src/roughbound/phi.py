@@ -26,8 +26,6 @@ STREAMED = 1 << 15       # a scan's first integers, where row bounds are too loo
 
 
 def _strike_primes(table: PrimeTable, y) -> np.ndarray:
-    if math.isnan(y):  # every comparison below is false for nan
-        raise DomainError("y must be a number, got nan")
     if y > table.limit:
         raise OutOfRangeError(f"need primes up to {y} but table stops at {table.limit}")
     return table.primes[: table._count_upto(y)]

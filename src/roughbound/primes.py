@@ -114,7 +114,13 @@ def rough_segments(strike: np.ndarray, x_cap: int):
 
 
 class PrimeTable:
-    """Immutable store of the primes <= limit."""
+    """Immutable store of the primes <= limit.
+
+    Every lookup (`pi`, `power_sum`, `primes_between`, `next_prime`) counts
+    the primes <= t as the primes <= floor(t), searched with an int key: a
+    float key would make numpy cast the whole table to float64 on each call.
+    A nan key raises DomainError.
+    """
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
@@ -124,11 +130,15 @@ class PrimeTable:
     # -- queries ---------------------------------------------------------
 
     def _count_upto(self, t) -> int:
-        return int(np.searchsorted(self.primes, t, side="right"))
+        if t != t:  # nan compares false with every bound below
+            raise DomainError("query at nan")
+        if t >= self.limit:  # also +inf and ints beyond int64
+            return len(self.primes)
+        if t < 2:
+            return 0
+        return int(np.searchsorted(self.primes, math.floor(t), side="right"))
 
     def _check_range(self, t) -> None:
-        if t != t:  # nan passes the limit test and searchsorts past the end
-            raise DomainError("query at nan")
         if t > self.limit:
             raise OutOfRangeError(f"query at {t} exceeds sieve limit {self.limit}")
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .analytic import BETA0, EULER_GAMMA, MERTENS_SLACK, li
 from .errors import DomainError, InfeasibleError
-from .gss import golden_section_min
 from .primes import PrimeTable, mertens_product
 
 log = logging.getLogger(__name__)
@@ -33,7 +32,9 @@ SELBERG_REMAINDER_COEFF = 0.006   # the remainder over x / log y at D = .03 x / 
 SELBERG_MIN_Y = 241
 CLOSED_FORM_MIN_Y = 500_000
 EPSILON_BRACKET = (1e-3, 0.5)
-EPSILON_TOL = 1e-6
+EPSILON_TOL = 1e-6         # an optimum this close to a bracket end is reported as pinned
+_NEWTON_TOL = 1e-12        # the epsilon search stops at a step or bracket this small
+_NEWTON_MAX_STEPS = 100    # more than the bisections that take the bracket below _NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +211,46 @@ def selberg_upper(x: float, y: float, cfg: SieveConfig, table: PrimeTable) -> fl
 def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
     """Exponent minimizing the Rankin factor f(D, epsilon) at D = .03x/(log y)^3.
 
-    Deterministic golden-section search; f is log-convex in epsilon, so the
-    minimum is unique.  If the minimum pins to a bracket end, that end is
-    returned and a warning is logged.
+    log f is convex in epsilon, so its minimizer is the root of the slope
+    g(eps) = sum 2 log p * w_p - log D, w_p = p^(2 eps) / (p - 1 + p^(2 eps)),
+    which increases with derivative sum (2 log p)^2 w_p (1 - w_p).  A
+    safeguarded Newton iteration finds it: the bracket in EPSILON_BRACKET is
+    narrowed by the sign of g, a step that leaves it is replaced by a
+    bisection, and the search stops when the step or the bracket is below
+    1e-12.  Each step is one pass over the sieving primes; log p is taken
+    once.  If the minimum pins to a bracket end, the search converges to
+    that end and a warning is logged.
     """
     if y < SELBERG_MIN_Y:
         raise DomainError(f"epsilon optimization targets y >= {SELBERG_MIN_Y}, got {y}")
     log_d = math.log(default_sieve_level(x, y))
     ps = table.primes_between(5, y).astype(np.float64)
-
-    def f(eps: float) -> float:
-        return float(np.sum(_rankin_terms(ps, eps))) - eps * log_d  # log f; same minimizer
+    log_p2 = 2.0 * np.log(ps)
+    p_minus_1 = np.subtract(ps, 1.0, out=ps)
+    power, terms = np.empty_like(ps), np.empty_like(ps)   # reused: no fresh pages per pass
 
     lo, hi = EPSILON_BRACKET
-    eps, _ = golden_section_min(f, lo, hi, tol=EPSILON_TOL)
+    a, b = lo, hi
+    # The prime number theorem puts the root near c / log y with e^(2c) / c = u,
+    # c = 1.0 to 1.4 for u in [7.5, 12].
+    eps = 1.2 / math.log(y)
+    for _ in range(_NEWTON_MAX_STEPS):
+        np.exp(np.multiply(log_p2, eps, out=power), out=power)             # p^(2 eps)
+        np.divide(power, np.add(p_minus_1, power, out=terms), out=terms)   # w_p
+        terms *= log_p2                                                    # 2 log p * w_p
+        slope = float(np.sum(terms)) - log_d
+        np.subtract(log_p2, terms, out=power)
+        power *= terms                                   # (2 log p)^2 * w_p * (1 - w_p)
+        curvature = float(np.sum(power))
+        if slope > 0:
+            b = eps
+        else:
+            a = eps
+        newton = eps - slope / curvature
+        converged = abs(newton - eps) < _NEWTON_TOL
+        eps = newton if converged or a < newton < b else 0.5 * (a + b)
+        if converged or b - a < _NEWTON_TOL:
+            break
     if eps - lo < 2 * EPSILON_TOL or hi - eps < 2 * EPSILON_TOL:
         log.warning("epsilon optimizer pinned to bracket boundary at (x=%.3g, y=%s)", x, y)
     return eps

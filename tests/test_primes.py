@@ -3,10 +3,11 @@ import importlib.util
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roughbound.analytic import EULER_GAMMA, MEISSEL_MERTENS_B, r_ratio
 from roughbound.errors import DomainError, OutOfRangeError, ResourceError
@@ -60,6 +61,20 @@ def test_checkpoint_fixture(table_30m):
     for t, pi_t, theta_t in rows:
         assert table_30m.pi(t) == pi_t
         assert abs(theta[pi_t - 1] - theta_t) < 1e-9 * max(1.0, theta_t)
+
+
+def test_float_lookups_allocate_no_table_copy(table_30m):
+    # a float key once made numpy cast all 1.86 M primes to float64, 14.9 MB a call
+    tracemalloc.start()
+    try:
+        for k in range(100):
+            t = 241.5 + 299_999.25 * k
+            table_30m.pi(t)
+            table_30m.primes_between(5.0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_build_errors():
@@ -124,6 +139,40 @@ _SMALL = build_prime_table(10_100)
 def test_monotone_aggregates(a, b):
     lo, hi = sorted((a, b))
     assert _SMALL.pi(lo) <= _SMALL.pi(hi)
+
+
+_FLOAT_PRIMES = _SMALL.primes.astype(np.float64)
+_KEYS = st.one_of(
+    st.floats(min_value=-20, max_value=_SMALL.limit + 20),                  # non-integers
+    st.integers(-20, _SMALL.limit + 20).map(float),                         # integer-valued
+    st.builds(lambda p, d: p + d, st.sampled_from(_SMALL.primes.tolist()),  # just off a prime
+              st.sampled_from((-1e-9, 1e-9))),
+    st.sampled_from((-math.inf, -1.0, 0.0, 1.0, 2.0, float(_SMALL.limit),
+                     _SMALL.limit + 1e-9, _SMALL.limit + 1.0, math.inf)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KEYS, _KEYS)
+@example(math.inf, -math.inf)
+@example(_SMALL.limit + 1e-9, 2.0)
+@example(float(_SMALL.limit), 1.0)
+@example(-1.0, 0.0)
+def test_int_key_lookups_match_float_search(t, lo):
+    # the int key floor(t) counts what a float64 search over the primes counts
+    count = int(np.searchsorted(_FLOAT_PRIMES, t, side="right"))
+    if t <= _SMALL.limit:
+        assert _SMALL.pi(t) == count
+        start = int(np.searchsorted(_FLOAT_PRIMES, lo, side="right"))
+        assert _SMALL.primes_between(lo, t).tolist() == _SMALL.primes[start:count].tolist()
+    else:
+        with pytest.raises(OutOfRangeError):
+            _SMALL.pi(t)
+    if count < len(_FLOAT_PRIMES):
+        assert _SMALL.next_prime(t) == _SMALL.primes[count]
+    else:
+        with pytest.raises(OutOfRangeError):
+            _SMALL.next_prime(t)
 
 
 def test_pnt_upper_dominates_pi_on_grid(table_1m):

@@ -1,9 +1,11 @@
+import logging
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from divisor_oracles import selberg_divisor_sums, tau3_divisor_sum
 from roughbound.analytic import EULER_GAMMA
@@ -12,6 +14,7 @@ from roughbound.phi import phi_direct, phi_legendre
 from roughbound.pipeline import DEFAULT_TARGET
 from roughbound.primes import build_prime_table, mertens_product
 from roughbound.sieve_bounds import (
+    EPSILON_BRACKET,
     PRESIEVE_DENSITY,
     SELBERG_D_COEFF,
     SELBERG_REMAINDER_COEFF,
@@ -256,6 +259,28 @@ def test_optimizer_ladder_in_x(table_sel):
     assert f_ladder[0] > f_ladder[1] > f_ladder[2]
 
 
+def test_optimizer_matches_bounded_search(table_sel):
+    # Newton's minimum of log f against scipy's bounded search over u in [7.5, 12]
+    rng = np.random.default_rng(11)
+    for y in np.geomspace(241, 5e5, 24):
+        x = float(y ** rng.uniform(7.5, 12))
+
+        def log_f(e):
+            return math.log(make_sieve_config(x, y, table_sel, e).f_value)
+
+        ref = minimize_scalar(log_f, bounds=EPSILON_BRACKET, method="bounded",
+                              options={"xatol": 1e-10}).x
+        assert log_f(optimize_epsilon(x, y, table_sel)) == pytest.approx(log_f(ref), rel=1e-12)
+
+
+def test_optimizer_pins_to_lower_end(table_sel, caplog):
+    # at u = 2 the slope of log f is positive already at the lower bracket end
+    with caplog.at_level(logging.WARNING, logger="roughbound.sieve_bounds"):
+        eps = optimize_epsilon(241.0 ** 2, 241.0, table_sel)
+    assert eps == pytest.approx(EPSILON_BRACKET[0], abs=1e-9)
+    assert "pinned to bracket boundary" in caplog.text
+
+
 def test_sweep_small_slice(table_sel):
     rows = selberg_sweep(table_sel, lo=241, hi=1000, target=DEFAULT_TARGET)
     assert rows[0].y == 241
@@ -342,7 +367,10 @@ def test_e_gamma_constant():
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: _T.pi(math.nan), id="pi"),
     pytest.param(lambda: _T.primes_between(0, math.nan), id="primes_between"),
+    pytest.param(lambda: _T.primes_between(math.nan, 100), id="primes_between_lo"),
     pytest.param(lambda: _T.power_sum(1, 5, math.nan), id="power_sum"),
+    pytest.param(lambda: _T.power_sum(1, math.nan, 100), id="power_sum_lo"),
+    pytest.param(lambda: _T.next_prime(math.nan), id="next_prime"),
     pytest.param(lambda: mertens_product(_T, math.nan), id="mertens_product"),
     pytest.param(lambda: elementary_bound(100, math.nan, _T), id="elementary_bound"),
     pytest.param(lambda: elementary_bound(math.nan, 100, _T), id="elementary_bound_x"),
@@ -350,8 +378,9 @@ def test_e_gamma_constant():
 ])
 def test_nan_is_domain_error(call):
     # nan compares false with every bound, so each check must reject it by name
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as excinfo:
         call()
+    assert excinfo.type is DomainError  # not OutOfRangeError: nan is no place in the table
 
 
 # -- dominance across bounds --------------------------------------------------
