@@ -4,7 +4,16 @@ omega(u) satisfies u*omega(u) = 1 on [1, 2] and (u*omega(u))' = omega(u - 1)
 beyond, so it is built segment by segment: [1, 2] and [2, 3] have closed
 forms, and each later unit segment integrates the previous one.  Nodes are
 pinned at the integers, where omega loses a derivative, so no interpolant or
-quadrature ever straddles a kink.
+quadrature ever straddles a kink.  Above 3 the table is one piecewise cubic
+whose breakpoints include every integer.
+
+mu_y(u) = integral of omega(t) y^-(u - t) over t in [1, u] is a fixed rule.
+The range stops at u - V, where the dropped tail, at most e^(-V log y)/log y
+since omega <= 1, is a hundredth of MU_Y_TOL relative to the value; the rest
+is split at the integers and into equal sub-pieces with h log y <= 8.  Each
+sub-piece takes a 32-point Gauss-Legendre rule, which gives the value, and a
+16-point one; the error estimate is the rules' summed distance plus the tail
+bound.  omega and the exponential are evaluated at all nodes in one pass.
 """
 
 from __future__ import annotations
@@ -13,16 +22,27 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .analytic import EULER_GAMMA
 from .errors import DomainError, NumericError, ResolutionError
-from .gss import golden_section_max
 
 DEFAULT_U_MAX = 16.0
-DEFAULT_TOL = 1e-10
+MU_Y_TOL = 1e-11        # mu_y's error estimate must stay below this share of its value
+_TAIL_SHARE = 0.01      # of MU_Y_TOL: the most of it that mu_y's dropped tail may take
 _GRID_N = 2048
+_MAX_LH = 8.0           # a Gauss-Legendre sub-piece spans at most this many e-foldings of y^-v
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_X32, _W32 = _gauss_legendre(32)
+_X16, _W16 = _gauss_legendre(16)
+_NODES = np.concatenate([_X32, _X16])
 
 
 def _omega_12(u):
@@ -35,95 +55,99 @@ def _omega_23(u):
 
 @dataclass
 class BuchstabTable:
-    """Piecewise representation of omega(u) on [1, u_max]."""
+    """Piecewise representation of omega(u) on [1, u_max]: closed forms on
+    [1, 3] and one piecewise cubic (None when u_max <= 3) above."""
 
     u_max: float
-    tol: float
-    m0: float
-    u_star: float
     limit_value: float = field(default=math.exp(-EULER_GAMMA))
-    _splines: dict = field(default_factory=dict, repr=False)
+    _poly: PPoly | None = field(default=None, repr=False)
 
     def omega(self, u) -> float:
         u = float(u)
-        if u < 1.0 or u > self.u_max:
+        if not 1.0 <= u <= self.u_max:
             raise DomainError(f"omega is tabulated on [1, {self.u_max}], got {u}")
         if u <= 2.0:
             return float(_omega_12(u))
         if u <= 3.0:
             return float(_omega_23(u))
-        k = min(int(math.floor(u)), max(self._splines))
-        return float(self._splines[k](u))
+        return float(self._poly(u))
 
     def omega_many(self, us) -> np.ndarray:
-        return np.array([self.omega(u) for u in np.asarray(us, dtype=float)])
+        """omega at every point of `us` (any shape), equal to `omega` point by point."""
+        us = np.asarray(us, dtype=float)
+        inside = (us >= 1.0) & (us <= self.u_max)
+        if not inside.all():
+            raise DomainError(f"omega is tabulated on [1, {self.u_max}], got {us[~inside][0]}")
+        out = np.empty_like(us)
+        low, high = us <= 2.0, us > 3.0
+        mid = ~(low | high)
+        out[low] = _omega_12(us[low])
+        out[mid] = _omega_23(us[mid])
+        if high.any():
+            out[high] = self._poly(us[high])
+        return out
 
 
-def build_omega(u_max: float = DEFAULT_U_MAX, tol: float = DEFAULT_TOL, *, grid_n: int = _GRID_N) -> BuchstabTable:
+def build_omega(u_max: float = DEFAULT_U_MAX, *, grid_n: int = _GRID_N) -> BuchstabTable:
     """Build the omega table by the method of steps.
 
     On [k, k+1] the values come from u*omega(u) = k*omega(k) + integral of
     omega(t-1) over [k, u], where the previous segment is represented by a
     cubic spline with exact endpoint derivatives; the spline's antiderivative
-    supplies the integral.  Interpolation error is O(grid_n^-4), far below the
-    default tolerance.
+    supplies the integral.  Interpolation error is O(grid_n^-4).  The
+    segments above 3 are kept as one PPoly with their coefficients unchanged.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if u_max < 1:
+    if not u_max >= 1:
         raise DomainError(f"u_max must be >= 1, got {u_max}")
-
-    splines: dict[int, CubicSpline] = {}
+    if u_max <= 3.0:
+        return BuchstabTable(u_max=float(u_max))
 
     def deriv(u, om_u, om_um1):
         # u*omega' + omega = omega(u-1)
         return (om_um1 - om_u) / u
 
-    if u_max > 2.0:
-        # Machine-accurate spline copy of the closed form on [2, 3]; only used
-        # as the integrand source for the first numeric segment.
-        hi = min(3.0, u_max)
-        xs = np.linspace(2.0, hi, grid_n + 1)
-        ys = _omega_23(xs)
-        d_lo = deriv(2.0, 0.5, 1.0)          # omega(1) = 1
-        d_hi = deriv(hi, ys[-1], _omega_12(hi - 1.0))
+    # Machine-accurate spline copy of the closed form on [2, 3]; only used
+    # as the integrand source for the first numeric segment.
+    xs = np.linspace(2.0, 3.0, grid_n + 1)
+    ys = _omega_23(xs)
+    prev = CubicSpline(xs, ys, bc_type=((1, deriv(2.0, 0.5, 1.0)),          # omega(1) = 1
+                                        (1, deriv(3.0, ys[-1], _omega_12(2.0)))))
+    breaks, coeffs = [np.array([3.0])], []
+    k = 3.0
+    while k < u_max:
+        hi = min(k + 1.0, u_max)
+        xs = np.linspace(k, hi, grid_n + 1)
+        antiderivative = prev.antiderivative()
+        ys = (k * float(prev(k)) + (antiderivative(xs - 1.0) - antiderivative(k - 1.0))) / xs
+        d_lo = deriv(k, ys[0], float(prev(k - 1.0)))
+        d_hi = deriv(hi, ys[-1], float(prev(hi - 1.0)))
         prev = CubicSpline(xs, ys, bc_type=((1, d_lo), (1, d_hi)))
-        splines[2] = prev
-
-        k = 3
-        while k < u_max:
-            hi = min(k + 1.0, u_max)
-            xs = np.linspace(float(k), hi, grid_n + 1)
-            anchor = k * float(prev(float(k)))
-            integral = prev.antiderivative()(xs - 1.0) - prev.antiderivative()(float(k) - 1.0)
-            ys = (anchor + integral) / xs
-            d_lo = deriv(float(k), ys[0], float(prev(float(k) - 1.0)) if k > 3 else _omega_23(float(k) - 1.0))
-            om_hi_m1 = float(prev(hi - 1.0))
-            d_hi = deriv(hi, ys[-1], om_hi_m1)
-            spline = CubicSpline(xs, ys, bc_type=((1, d_lo), (1, d_hi)))
-            splines[k] = spline
-            prev = spline
-            k += 1
-
-    if u_max >= 3.0:
-        u_star, m0 = _extremum_23()
-    else:
-        u_star, m0 = 2.0, 0.5
-
-    return BuchstabTable(u_max=float(u_max), tol=float(tol), m0=m0, u_star=u_star, _splines=splines)
+        breaks.append(xs[1:])
+        coeffs.append(prev.c)
+        k += 1.0
+    return BuchstabTable(u_max=float(u_max),
+                         _poly=PPoly(np.concatenate(coeffs, axis=1), np.concatenate(breaks)))
 
 
 def _extremum_23():
-    # Golden-section only brackets the flat maximum to ~sqrt(eps); polish the
-    # argmax by Newton on the stationarity equation u/(u-1) = 1 + log(u-1),
-    # whose root is well-conditioned.
-    u, _ = golden_section_max(lambda t: (1.0 + math.log(t - 1.0)) / t, 2.0, 3.0, tol=1e-8)
-    for _ in range(6):
+    """Argmax and maximum of the closed form (1 + log(u-1))/u on [2, 3].
+
+    The argmax is the root of h(u) = u/(u-1) - 1 - log(u-1), which falls
+    from 1 at u = 2 to -0.19 at u = 3; safeguarded Newton keeps a sign
+    bracket and bisects whenever a step leaves it.
+    """
+    a, b = 2.0, 3.0
+    u = 2.5
+    for _ in range(100):
         h = u / (u - 1.0) - 1.0 - math.log(u - 1.0)
-        dh = -1.0 / (u - 1.0) ** 2 - 1.0 / (u - 1.0)
-        step = h / dh
-        u -= step
-        if abs(step) < 1e-14:
+        if h > 0:
+            a = u
+        else:
+            b = u
+        newton = u - h / (-1.0 / (u - 1.0) ** 2 - 1.0 / (u - 1.0))
+        converged = abs(newton - u) < 1e-14
+        u = newton if converged or a < newton < b else 0.5 * (a + b)
+        if converged or b - a < 1e-14:
             break
     return u, (1.0 + math.log(u - 1.0)) / u
 
@@ -131,48 +155,67 @@ def _extremum_23():
 def locate_extremum(table: BuchstabTable):
     """Global maximum of omega on [2, u_max] and its location.
 
-    The maximum lies in the closed-form segment [2, 3]; segments beyond are
-    scanned at their grid nodes to confirm nothing exceeds it.
+    The maximum lies in the closed-form segment [2, 3]; the piecewise cubic
+    beyond is scanned at its breakpoints to confirm nothing exceeds it.
     """
     if table.u_max < 3.0:
         raise ResolutionError("locate_extremum needs u_max >= 3 to bracket the maximum")
     u_star, m0 = _extremum_23()
-    for k, spline in table._splines.items():
-        if k == 2:
-            continue
-        peak = float(np.max(spline(spline.x)))
-        if peak > m0:  # never expected: omega swings stay below the [2,3] peak
-            u_star = float(spline.x[int(np.argmax(spline(spline.x)))])
-            m0 = peak
+    if table._poly is not None:
+        values = table._poly(table._poly.x)
+        i = int(np.argmax(values))
+        if values[i] > m0:  # never expected: omega swings stay below the [2,3] peak
+            u_star, m0 = float(table._poly.x[i]), float(values[i])
     return u_star, m0
 
 
-def mu_y(u: float, y: float, table: BuchstabTable, tol: float | None = None) -> float:
+def _mu_y_rule(u: float, log_y: float, table: BuchstabTable):
+    """(value, error estimate) of mu_y for u > 1, as set out in mu_y."""
+    lo = max(1.0, u - math.log(2.0 / (_TAIL_SHARE * MU_Y_TOL)) / log_y)
+    tail = math.exp(-(u - lo) * log_y) / log_y if lo > 1.0 else 0.0
+    ends = [lo, *range(math.floor(lo) + 1, math.ceil(u)), u]   # split at the integers inside
+    starts, widths = [], []
+    for a, b in zip(ends, ends[1:]):
+        n = max(1, math.ceil((b - a) * log_y / _MAX_LH))
+        h = (b - a) / n
+        starts += [a + j * h for j in range(n)]
+        widths += [h] * n
+    h = np.array(widths)
+    t = np.array(starts)[:, None] + h[:, None] * _NODES
+    f = table.omega_many(t) * np.exp((t - u) * log_y)
+    i32 = h * np.sum(f[:, :_W32.size] * _W32, axis=1)
+    i16 = h * np.sum(f[:, _W32.size:] * _W16, axis=1)
+    return float(np.sum(i32)), float(np.sum(np.abs(i32 - i16))) + tail
+
+
+def mu_y(u: float, y: float, table: BuchstabTable) -> float:
     """Integral of omega(u - v) * y^-v over v in [0, u-1].
 
-    This is the main term of the sharper product-form approximation; the
-    integrand is split at every point where u - v crosses an integer so the
-    quadrature only ever sees smooth pieces.
+    This is the main term of the sharper product-form approximation.  With
+    t = u - v it is the integral of omega(t) y^-(u - t) over [1, u], taken
+    over [max(1, u - V), u] with e^(-V log y) = _TAIL_SHARE * MU_Y_TOL / 2:
+    the dropped tail is at most e^(-V log y) / log y since omega <= 1, and
+    the kept part at least (1 - e^(-V log y)) / (2 log y) since omega >= 1/2,
+    so the tail takes about a hundredth of the tolerance.  The kept range is
+    split at the integers, where omega loses a derivative, and into equal
+    sub-pieces with h log y <= 8; each takes a 32-point Gauss-Legendre rule
+    (the value) and a 16-point one.  The error estimate, the sum of the two
+    rules' distances plus the tail bound, must stay below MU_Y_TOL times the
+    value, else NumericError.
     """
-    if u < 1:
+    u, y = float(u), float(y)
+    if not u >= 1.0:
         raise DomainError(f"mu_y needs u >= 1, got {u}")
-    if y < 2:
-        raise DomainError(f"mu_y needs y >= 2, got {y}")
+    if not 2.0 <= y < math.inf:
+        raise DomainError(f"mu_y needs finite y >= 2, got {y}")
     if u > table.u_max:
         raise DomainError(f"u={u} exceeds table coverage {table.u_max}")
     if u == 1.0:
         return 0.0
-    tol = table.tol if tol is None else tol
-    log_y = math.log(y)
-
-    def integrand(v):
-        return table.omega(u - v) * math.exp(-v * log_y)
-
-    breaks = sorted({u - k for k in range(2, int(math.floor(u)) + 1) if 0.0 < u - k < u - 1.0})
-    val, err = quad(integrand, 0.0, u - 1.0, points=breaks or None, epsabs=tol, epsrel=tol, limit=200)
-    if err > max(tol, 1e-13) * 10 + 1e-15:
-        raise NumericError(f"mu_y quadrature error estimate {err} exceeds tolerance {tol}")
-    return float(val)
+    value, err = _mu_y_rule(u, math.log(y), table)
+    if err > MU_Y_TOL * value:
+        raise NumericError(f"mu_y error estimate {err} exceeds {MU_Y_TOL} of its value {value}")
+    return value
 
 
 def omega_samples(table: BuchstabTable, lo: float = 1.0, hi: float = 8.0, step: float = 1e-3) -> np.ndarray:

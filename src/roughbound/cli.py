@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("omega", help="evaluate the rough-number density function")
     sp.add_argument("--u", type=_finite, required=True)
     sp.add_argument("--u-max", type=_finite, default=16.0)
-    sp.add_argument("--tol", type=_finite, default=1e-10)
     sp.add_argument("--extremum", action="store_true",
                     help="also print the maximum on [2, u_max] and its location")
 
@@ -177,7 +176,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    table = build_omega(args.u_max, args.tol)
+    table = build_omega(args.u_max)
     print(repr(table.omega(args.u)))
     if args.extremum:
         u_star, m0 = locate_extremum(table)
@@ -284,7 +283,7 @@ def _cmd_plot_data(args) -> int:
     out, close = _open_out(args.out)
     try:
         if args.kind == "omega":
-            table = build_omega(max(16.0, args.u_hi), 1e-10)
+            table = build_omega(max(16.0, args.u_hi))
             out.write("u,omega\n")
             for u, w in omega_samples(table, args.u_lo, args.u_hi, args.step):
                 out.write(f"{u:.6f},{w:.12f}\n")

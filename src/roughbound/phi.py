@@ -83,7 +83,10 @@ def phi_legendre(x: int, y: float, table: PrimeTable, *, budget: int = 4_000_000
         memo[key] = val
         return val
 
-    return rec(x, len(ps))
+    try:
+        return rec(x, len(ps))
+    finally:
+        del rec   # rec holds itself through its closure: free memo now, not at the next gc
 
 
 def phi_two_prime(x: int, y: float, table: PrimeTable) -> int:

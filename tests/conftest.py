@@ -16,4 +16,4 @@ def table_1m():
 
 @pytest.fixture(scope="session")
 def omega_table():
-    return build_omega(16.0, 1e-10)
+    return build_omega(16.0)

@@ -110,7 +110,7 @@ def test_criterion_2_exhaustive_below_241(small_y_cert, mid_y_cert):
 
 
 def test_criterion_3_density_extremum():
-    t = build_omega(16.0, 1e-10)
+    t = build_omega(16.0)
     u_star, m0 = locate_extremum(t)
     w = float(lambertw(1.0).real)
     tail = abs(t.omega(8.0) - math.exp(-EULER_GAMMA))

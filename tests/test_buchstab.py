@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import lambertw, spence
 
+from roughbound import buchstab
 from roughbound.analytic import EULER_GAMMA
 from roughbound.buchstab import (
+    _mu_y_rule,
     build_omega,
     locate_extremum,
     mu_y,
     omega_samples,
 )
-from roughbound.errors import DomainError, ResolutionError
+from roughbound.errors import DomainError, NumericError, ResolutionError
 
 E_GAMMA_INV = math.exp(-EULER_GAMMA)
 
@@ -48,7 +51,7 @@ def test_extremum(omega_table):
 
 
 def test_extremum_needs_range():
-    small = build_omega(2.5, 1e-10)
+    small = build_omega(2.5)
     with pytest.raises(ResolutionError):
         locate_extremum(small)
 
@@ -79,7 +82,7 @@ def test_integral_form_consistency(omega_table):
 
 
 def test_grid_refinement(omega_table):
-    coarse = build_omega(16.0, 1e-10, grid_n=1024)
+    coarse = build_omega(16.0, grid_n=1024)
     probes = np.linspace(1.0, 16.0, 1000)
     diffs = [abs(coarse.omega(u) - omega_table.omega(u)) for u in probes]
     assert max(diffs) < 1e-10
@@ -88,8 +91,6 @@ def test_grid_refinement(omega_table):
 def test_build_errors():
     with pytest.raises(DomainError):
         build_omega(0.5)
-    with pytest.raises(DomainError):
-        build_omega(8.0, tol=-1)
     t = build_omega(8.0)
     with pytest.raises(DomainError):
         t.omega(0.9)
@@ -109,6 +110,89 @@ def test_mu_y(omega_table):
         mu_y(17.0, 10.0, omega_table)
     with pytest.raises(DomainError):
         mu_y(0.5, 10.0, omega_table)
+
+
+def reference_mu_y(u, y, table):
+    """The adaptive quadrature the fixed rule replaced: scipy quad of
+    omega(u - v) y^-v over v in [0, u-1], split where u - v crosses an
+    integer.  Oracle for mu_y, at 1e-14 where mu_y asked 1e-10: at that
+    tolerance quad is off by a relative 5e-10 at u = 2.0390625, y = e^436."""
+    if u == 1.0:
+        return 0.0
+    log_y = math.log(y)
+
+    def integrand(v):
+        return table.omega(u - v) * math.exp(-v * log_y)
+
+    breaks = sorted({u - k for k in range(2, int(math.floor(u)) + 1) if 0.0 < u - k < u - 1.0})
+    val, _ = quad(integrand, 0.0, u - 1.0, points=breaks or None, epsabs=1e-14, epsrel=1e-14,
+                  limit=200)
+    return val
+
+
+def closed_form_mu_y(u, y):
+    """mu_y for u <= 3 from omega's closed forms, by quad at 1e-14: independent
+    of the table and of the rule."""
+    log_y = math.log(y)
+    pieces = ((1.0, min(u, 2.0), lambda t: 1.0 / t), (2.0, u, lambda t: (1.0 + math.log(t - 1.0)) / t))
+    return sum(quad(lambda t: w(t) * math.exp((t - u) * log_y), a, b, epsabs=1e-14, epsrel=1e-14,
+                    limit=200)[0] for a, b, w in pieces if a < b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1.0, max_value=16.0), st.floats(min_value=math.log(2.0), max_value=690.0))
+def test_mu_y_matches_quadrature(omega_table, u, log_y):
+    y = max(2.0, math.exp(log_y))
+    ref = reference_mu_y(u, y, omega_table)
+    assert abs(mu_y(u, y, omega_table) - ref) <= 1e-11 * ref + 1e-15
+
+
+_EDGE_U = [1.0 + 1e-9] + sorted({k + d for k in range(1, 17) for d in (-1e-12, 0.0, 1e-12)
+                                 if 1.0 < k + d <= 16.0})
+
+
+@pytest.mark.parametrize("y", [2.0, 1e300])
+@pytest.mark.parametrize("u", _EDGE_U)
+def test_mu_y_edges(omega_table, u, y):
+    # u next to every integer, where the rule's pieces split, and the ends
+    # of the table and of the y range
+    ref = reference_mu_y(u, y, omega_table)
+    assert abs(mu_y(u, y, omega_table) - ref) <= 1e-11 * ref + 1e-15
+
+
+@pytest.mark.parametrize("u, y", [(2.0, 1e30), (2.2, 1e20), (2.5, 1e15), (3.0, 1e12)])
+def test_mu_y_estimate_covers_dropped_tail(omega_table, u, y):
+    # at these (u, y) the rule leaves out the start of [1, u]; its error
+    # estimate must still bound the distance to the whole integral.  Near
+    # log y = 690, rounding t - u alone moves the integrand by a relative
+    # 3e-13, more than the tail, so these points keep log y below 70.
+    value, err = _mu_y_rule(u, math.log(y), omega_table)
+    assert abs(value - closed_form_mu_y(u, y)) <= err
+
+
+def test_mu_y_refuses_estimate_above_tolerance(omega_table, monkeypatch):
+    monkeypatch.setattr(buchstab, "MU_Y_TOL", 1e-20)
+    with pytest.raises(NumericError):
+        mu_y(8.5, 1e6, omega_table)
+
+
+def test_omega_many_equals_omega(omega_table):
+    rng = np.random.default_rng(0)
+    us = np.concatenate([rng.uniform(1.0, 16.0, 10_000 - 16), np.arange(1.0, 17.0)])
+    got = omega_table.omega_many(us.reshape(100, 100))
+    assert got.ravel().tolist() == [omega_table.omega(u) for u in us]
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: t.omega(math.nan),
+    lambda t: t.omega_many([2.0, math.nan]),
+    lambda t: mu_y(math.nan, 10.0, t),
+    lambda t: mu_y(5.0, math.nan, t),
+    lambda t: mu_y(5.0, math.inf, t),
+], ids=["omega_nan", "omega_many_nan", "mu_y_u_nan", "mu_y_y_nan", "mu_y_y_inf"])
+def test_non_finite_is_domain_error(omega_table, call):
+    with pytest.raises(DomainError):
+        call(omega_table)
 
 
 def test_omega_samples(omega_table):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -85,6 +86,18 @@ def test_legendre_single_prime(x, y):
 def test_legendre_many_primes():
     # pi(10^4) = 1229 primes: deeper than the interpreter's default recursion limit
     assert phi_legendre(10**6, 10**4, _T) == phi_direct(10**6, 10**4, _T) == 77270
+
+
+def test_legendre_leaves_no_cyclic_garbage():
+    # the memo is freed when the call returns, not at the next cyclic
+    # collection: left to the collector, query-mix peak RSS was 9.5 MB higher
+    gc.collect()
+    gc.disable()
+    try:
+        assert phi_legendre(10**6, 50, _T) == phi_direct(10**6, 50, _T)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_legendre_budget():
