@@ -32,7 +32,6 @@ from .pipeline import (
     BoundReport,
     PipelineConfig,
     RegionCertificate,
-    covering_regions,
     run_full_pipeline,
     small_u_coefficient,
     verify_iteration,

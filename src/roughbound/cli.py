@@ -75,6 +75,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """argparse type of a grid step: a finite number above 0."""
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number above 0, got {text!r}")
+    return value
+
+
 def _finite_list(text: str) -> list[float]:
     return [_finite(v) for v in text.split(",")]
 
@@ -136,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["omega", "ratio-map"], default="omega")
     sp.add_argument("--u-lo", type=_finite, default=1.0)
     sp.add_argument("--u-hi", type=_finite, default=8.0)
-    sp.add_argument("--step", type=_finite, default=1e-3)
+    sp.add_argument("--step", type=_positive, default=1e-3)
     sp.add_argument("--y-set", type=_finite_list, default="3,5,11,29,101",
                     help="comma-separated y values (ratio-map)")
-    sp.add_argument("--u-step", type=_finite, default=0.25, help="u grid step (ratio-map)")
+    sp.add_argument("--u-step", type=_positive, default=0.25, help="u grid step (ratio-map)")
     sp.add_argument("--out", default=None)
     return p
 
@@ -147,17 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_phi(args) -> int:
     if args.x < 0:
         raise DomainError(f"x must be >= 0, got {args.x}")
-    limit = max(2, int(args.y) + 1, math.isqrt(args.x) + 1)
+    limit = max(2, int(min(args.y, args.x)) + 1, math.isqrt(args.x) + 1)
     if args.method in ("two-prime", "all"):
         limit = max(limit, args.x)
     table = build_prime_table(limit)
     if args.method == "all":
-        q = table.next_prime(args.y) if args.y >= 2 else 2
         results = {
             "direct": phi_direct(args.x, args.y, table, cap=args.cap),
             "legendre": phi_legendre(args.x, args.y, table),
         }
-        if args.y >= 2 and args.y * args.y <= args.x < q ** 3:
+        if args.y >= 2 and args.y * args.y <= args.x < table.next_prime(args.y) ** 3:
             results["two-prime"] = phi_two_prime(args.x, args.y, table)
         if len(set(results.values())) != 1:
             print("method disagreement (this is a bug):", file=sys.stderr)

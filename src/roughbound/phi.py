@@ -6,8 +6,9 @@ one sieve, the segmented mod-30 wheel `primes.rough_segments` (segments of
 `primes.ROUGH_SEGMENT` bytes), or the count can be reproduced by full
 inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
 prime-pair identity (`phi_two_prime`).  The interval scans read the same
-sieve row by row and expand to (n, index) pairs only the rows that can hold
-the interval max statistics used by the verification pipeline.
+sieve row by row and expand each segment once, to the (n, index) pairs of
+only the rows that can hold the interval max statistics used by the
+verification pipeline or a violation of its target.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .primes import PrimeTable, rough_segments, wheel_row
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
-STREAMED = 1 << 15       # a scan's first integers, where row bounds are too loose to prune
 
 
 def _strike_primes(table: PrimeTable, y) -> np.ndarray:
@@ -163,8 +163,7 @@ def _better(best, ratios, ns, js):
 
 
 def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
-                        target: float | None = None,
-                        cap: int | None = None) -> IntervalScan:
+                        target: float | None = None) -> IntervalScan:
     """Stream y_lo-rough integers n <= x_cap with their 1-based index j.
 
     The sup statistic covers n >= y_lo^2; the first KEPT_VIOLATIONS
@@ -172,118 +171,90 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     witness is the first n attaining its maximum.
 
     The segments come from the wheel sieve `rough_segments`, whose masks are
-    read in rows of 32 residues.  Rows holding an n below max(y_hi^2,
-    y_lo^2), or among the scan's first STREAMED integers, are expanded to
-    every (n, j).  Above that split both
-    statistics are j log(y_hi) / n, and a row's survivor count gives the j of
-    its last survivor, j_end.  Each survivor of a row then has
-    j / n <= j_end / (the row's smallest n), so only the rows whose bound
-    reaches the largest j / n known so far (less 1e-13) are expanded, and
-    the exact ratio is evaluated on their survivors alone.  From earlier
-    segments that floor counts only up to the j / n of the target, so every
-    violation is still found.
+    read in rows of 32 residues, and each segment is expanded to (n, j)
+    pairs once.  A row's survivor count gives the j of its last survivor,
+    j_end, so each survivor of a row has j / n <= j_end / (the row's
+    smallest n), its bound.  The rows holding an n below the split
+    max(y_hi^2, y_lo^2) are expanded whole.  Above the split both
+    statistics are j log(y_hi) / n, and a row is expanded only if its bound
+    reaches the floor: the largest j / n known so far (less 1e-13), capped
+    at the target's j / n, so that every violation lies in an expanded row.
+    Two running first maxima, over the band between the two squares and over
+    the n above the split, give both statistics at the end.
     """
     x_cap = int(x_cap)
     if x_cap < 1:
         raise DomainError(f"x_cap must be >= 1, got {x_cap}")
     if y_hi < 2:  # log(y_hi) > 0 keeps the order of j/n that of j log(y_hi)/n
         raise DomainError(f"y_hi must be >= 2, got {y_hi}")
-    if cap is not None and x_cap > cap:
-        raise ResourceError(f"scan to {x_cap} exceeds the exhaustive cap {cap}")
     strike = _strike_primes(table, y_lo)
     step, residues = wheel_row(strike)         # integers per row, and its residues
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
     lo_bound = int(y_lo) * int(y_lo)
     split = max(q2, lo_bound)
-    streamed = max(split, STREAMED)
-    reach = 0.0                                # largest j / n seen above the split
+    sup_band = lo_bound < q2                   # the band is sup's, else table's
     # a survivor whose j / n is below this (less 1e-13) is no violation
-    reach_cap = math.inf if target is None else target / log_q
+    floor_cap = math.inf if target is None else target / log_q
 
     j_offset = 0
-    best_table = (-1.0, 0, 0)
-    best_sup = (-1.0, 0, 0)
+    band = above = (-1.0, 0, 0)                # first maxima: between the squares, above the split
     violations: list[tuple[int, int, float]] = []
     violation_count = 0
 
-    def note_violations(ratios, ns, js):
+    def fold(best, ratios, ns, js, violating):
+        """`best` with the survivors (ns, js) and their ratios folded in;
+        their violations noted if `violating`."""
         nonlocal violation_count
-        bad = np.flatnonzero(ratios >= target)
-        violation_count += int(bad.size)
-        for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
-            violations.append((int(ns[b]), int(js[b]), float(ratios[b])))
-
-    def offer(ns, js) -> float:
-        """Fold survivors, ascending in n, into both statistics; the largest
-        ratio among those above the split, or -1."""
-        nonlocal best_table, best_sup, reach
-        i_q2, i_lo = np.searchsorted(ns, (q2, lo_bound)).tolist()
-        if i_q2 < i_lo:                        # y_hi < y_lo: table only below y_lo^2
-            nv, jv = ns[i_q2:i_lo], js[i_q2:i_lo]
-            best_table = _better(best_table, jv * log_q / nv, nv, jv)
-        elif i_lo < i_q2:                      # sup only below y_hi^2, multiplier log sqrt(n)
-            nv, jv = ns[i_lo:i_q2], js[i_lo:i_q2]
-            ratios = jv * (0.5 * np.log(nv)) / nv
-            best_sup = _better(best_sup, ratios, nv, jv)
-            if target is not None:
-                note_violations(ratios, nv, jv)
-        above = max(i_q2, i_lo)
-        if above == ns.size:
-            return -1.0
-        ns, js = ns[above:], js[above:]
-        ratios = js * log_q / ns
-        i = int(np.argmax(ratios))
-        reach = max(reach, js[i] / ns[i])
-        best_table = _better(best_table, ratios, ns, js)
-        best_sup = _better(best_sup, ratios, ns, js)
-        return float(ratios[i])
+        if not ns.size:
+            return best
+        if violating and target is not None:
+            bad = np.flatnonzero(ratios >= target)
+            violation_count += int(bad.size)
+            for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
+                violations.append((int(ns[b]), int(js[b]), float(ratios[b])))
+        return _better(best, ratios, ns, js)
 
     for base, mask in rough_segments(strike, x_cap):
-        # rows holding an n below `streamed` are expanded in full
-        head = min(len(mask), max(0, -(-(streamed - base - int(residues[0])) // step)))
-        cells = np.flatnonzero(mask[:head])
-        top = offer(base + step * (cells >> 5) + residues[cells & 31],
-                    np.arange(j_offset + 1, j_offset + cells.size + 1))
-        j_offset += cells.size
-        if head < len(mask):
-            # survivors per row: its four 8-byte popcounts summed by one multiply
-            count = (np.bitwise_count(mask[head:].view(np.uint64)).view(np.uint32)
-                     * 0x01010101 >> 24)[:, 0]
-            j_end = np.cumsum(count, dtype=np.int64)
-            j_end += j_offset
-            n_min = np.arange(base + head * step + residues[0], base + (len(mask) + 1) * step,
-                              step, dtype=np.float64)
-            # Some survivor above the split reaches the floor: an earlier one,
-            # or the last survivor of a row, whose n is below the next row's
-            # n_min.  The `lead` rows before the first survivor here carry the
-            # j of an earlier one, which may lie below the split.  Every
-            # survivor whose j / n is within 1e-13 of the largest so far is
-            # in a kept row, so the first maximum of the exact ratio is too,
-            # and so is every violation.
-            lead = int(np.searchsorted(j_end, j_offset, "right"))
-            floor = max(min(reach, reach_cap),
-                        (j_end[lead:] / n_min[lead + 1:]).max(initial=0.0))
-            idx = np.flatnonzero(j_end / n_min[:-1] >= floor * (1 - 1e-13))
-            cells = np.flatnonzero(mask[head + idx])
-            rr = cells >> 5                    # the survivor's row, as an index into idx
-            top = max(top, offer((base + step * (head + idx))[rr] + residues[cells & 31],
-                                 (j_end[idx] - np.cumsum(count[idx]))[rr]
-                                 + np.arange(1, rr.size + 1)))
-            j_offset = int(j_end[-1])
+        # survivors per row: its four 8-byte popcounts summed by one multiply
+        count = (np.bitwise_count(mask.view(np.uint64)).view(np.uint32) * 0x01010101 >> 24)[:, 0]
+        j_end = np.cumsum(count, dtype=np.int64)
+        j_end += j_offset
+        n_min = np.arange(base + residues[0], base + (len(mask) + 1) * step, step,
+                          dtype=np.float64)
+        # rows [0, head) hold an n below the split
+        head = min(len(mask), max(0, -(-(split - base - int(residues[0])) // step)))
+        # The last survivor of a row, at j_end, lies below the next row's
+        # n_min, so some survivor above the split reaches j_end / (that
+        # n_min) from row `lead` on; before it, j_end may be the j of a
+        # survivor below the split.
+        lead = head + int(np.searchsorted(j_end[head:], j_end[head - 1] if head else j_offset,
+                                          "right"))
+        floor = min(max(above[0] / log_q, (j_end[lead:] / n_min[lead + 1:]).max(initial=0.0)),
+                    floor_cap)
+        # kept: the rows below the split, and those whose bound reaches the floor
+        keep = j_end >= n_min[:-1] * (floor * (1 - 1e-13))
+        keep[:head] = True
+        idx = np.flatnonzero(keep)
+        cells = np.flatnonzero(mask[idx])
+        rr = cells >> 5                        # the survivor's row, as an index into idx
+        ns = (base + step * idx)[rr] + residues[cells & 31]
+        js = (j_end[idx] - np.cumsum(count[idx]))[rr] + np.arange(1, rr.size + 1)
+        j_offset = int(j_end[-1])
 
-        if target is not None and top >= target:
-            cells = np.flatnonzero(mask)       # every survivor of the segment
-            ns = base + step * (cells >> 5) + residues[cells & 31]
-            js = np.arange(j_offset - cells.size + 1, j_offset + 1)
-            above = int(np.searchsorted(ns, split))
-            ns, js = ns[above:], js[above:]
-            note_violations(js * log_q / ns, ns, js)
+        lo, hi = np.searchsorted(ns, (min(q2, lo_bound), split)).tolist()
+        nv, jv = ns[lo:hi], js[lo:hi]
+        band = fold(band, jv * (0.5 * np.log(nv) if sup_band else log_q) / nv, nv, jv, sup_band)
+        nv, jv = ns[hi:], js[hi:]
+        above = fold(above, jv * log_q / nv, nv, jv, True)
 
+    # band precedes the n above the split: it holds the first maximum of both on a tie
+    both = band if band[0] >= above[0] else above
+    table_best, sup_best = (above, both) if sup_band else (both, above)
     return IntervalScan(
         y_lo=int(y_lo), y_hi=int(y_hi), x_cap=x_cap, rough_count=j_offset,
-        table_max=best_table[0], table_witness=(best_table[1], best_table[2]),
-        sup_max=best_sup[0], sup_witness=(best_sup[1], best_sup[2]),
+        table_max=table_best[0], table_witness=table_best[1:],
+        sup_max=sup_best[0], sup_witness=sup_best[1:],
         violations=tuple(violations), violation_count=violation_count,
     )
 
@@ -294,7 +265,9 @@ def max_statistic(y_lo: int, y_hi: int, x_bound: int, table: PrimeTable, *,
     j log(y_hi) / n over rough n with y_hi^2 <= n < x_bound."""
     if x_bound < y_lo * y_lo:
         raise DomainError(f"x_bound {x_bound} below y_lo^2 = {y_lo * y_lo}")
-    scan = scan_rough_interval(table, y_lo, y_hi, x_bound - 1, cap=cap)
+    if x_bound - 1 > cap:
+        raise ResourceError(f"scan to {x_bound - 1} exceeds the exhaustive cap {cap}")
+    scan = scan_rough_interval(table, y_lo, y_hi, x_bound - 1)
     return MaxStatRow(
         y_lo=int(y_lo), y_hi=int(y_hi), x_bound=int(x_bound),
         max_stat=scan.table_max, witness_n=scan.table_witness[0],

@@ -227,7 +227,7 @@ def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
 
 def _scan_task(task):
     y_lo, y_hi, x_cap, target = task
-    return scan_rough_interval(_POOL_TABLE.get(), y_lo, y_hi, x_cap, target=target, cap=None)
+    return scan_rough_interval(_POOL_TABLE.get(), y_lo, y_hi, x_cap, target=target)
 
 
 def _selberg_task(target):
@@ -672,29 +672,8 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> Re
 
 
 # ---------------------------------------------------------------------------
-# coverage predicate and the full pipeline
+# the full pipeline
 # ---------------------------------------------------------------------------
-
-def covering_regions(x: float, y: float) -> set[str]:
-    """Which region certificates cover the pair (x, y); empty if none must."""
-    out = set()
-    if y < 3 or x < y * y:
-        return out
-    if y < 71:
-        out.add(SMALL_Y)
-        return out
-    if y < SELBERG_MIN_Y:
-        out.add(MID_Y)
-        return out
-    u = math.log(x) / math.log(y)
-    if 2 <= u < 3:
-        out.add(SMALL_U)
-    if 3 <= u < 8:
-        out.add(ITERATION)
-    if u >= 7.5:
-        out.add(SELBERG_FINITE if y <= CLOSED_FORM_MIN_Y else SELBERG_CLOSED)
-    return out
-
 
 def _required_limit(config: PipelineConfig) -> int:
     limit = 300

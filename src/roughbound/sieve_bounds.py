@@ -54,8 +54,14 @@ def elementary_bound(x: float, y: float, table: PrimeTable) -> float:
     k = table.pi(y) if y >= 2 else 0
     if k == 0:
         return float(math.ceil(x))
-    remainder = 2.0 ** (k - 1) if k <= 63 else math.pow(2.0, k - 1)
-    return x * mertens_product(table, y) + remainder
+    return x * mertens_product(table, y) + _elementary_remainder(k, y)
+
+
+def _elementary_remainder(k: int, y: float) -> float:
+    """2^(k-1), the elementary bound's remainder over the k primes <= y."""
+    if k > 1024:
+        raise InfeasibleError(f"the remainder 2^{k - 1} at y={y} overflows a float")
+    return 2.0 ** (k - 1)
 
 
 def _least_crossover(y: float, density: float, const: float, target: float,
@@ -70,6 +76,8 @@ def _least_crossover(y: float, density: float, const: float, target: float,
     def beats(x: float) -> bool:
         return density * x + const < target * x / math.log(q)
 
+    if const / slope >= 2.0 ** 53:  # past 2^53, x0 - 1 rounds back to x0 in the float tests
+        raise InfeasibleError(f"the crossover near {const / slope:.3g} at y={y} is past 2^53")
     x0 = max(1, int(const / slope))
     while not beats(x0):
         x0 += 1
@@ -84,8 +92,8 @@ def elementary_x_bound(y: float, target: float, table: PrimeTable) -> int:
     k = table.pi(y)
     if k == 0:
         raise DomainError(f"x-bound needs at least one prime <= y, got y={y}")
-    remainder = 2.0 ** (k - 1) if k <= 63 else math.pow(2.0, k - 1)
-    return _least_crossover(y, mertens_product(table, y), remainder, target, table)
+    return _least_crossover(y, mertens_product(table, y), _elementary_remainder(k, y),
+                            target, table)
 
 
 # ---------------------------------------------------------------------------

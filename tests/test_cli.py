@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import roughbound
 from roughbound.cli import build_parser, main
 
 
@@ -29,6 +33,16 @@ def test_phi_negative_x_is_domain_error(capsys):
 def test_phi_resource_exit(capsys):
     assert main(["phi", "--x", "10000", "--y", "3", "--cap", "100"]) == 3
     assert "resource" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--x", "100", "--y", "1e10"],
+    ["phi", "--x", "100", "--y", "5000000", "--method", "all"],
+])
+def test_phi_table_sized_by_x_when_y_above_x(argv, capsys):
+    # every prime above x strikes nothing, so the table stops at x, not y
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_usage_error_exit():
@@ -99,6 +113,29 @@ def test_bound_elementary(capsys):
     assert main(["bound", "--kind", "elementary", "--x", "613", "--y", "11"]) == 0
     out = capsys.readouterr().out
     assert "x_bound 613" in out
+
+
+def test_bound_elementary_past_2_53_exit():
+    # the crossover lies near 3e30; a search stepping by 1 there never ends: run it apart
+    src = os.path.dirname(os.path.dirname(roughbound.__file__))
+    run = subprocess.run([sys.executable, "-m", "roughbound.cli", "bound", "--kind", "elementary",
+                          "--x", "1e6", "--y", "500"], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 2
+    assert "past 2^53" in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot-data", "--kind", "ratio-map", "--u-step", "0"],
+    ["plot-data", "--kind", "ratio-map", "--u-step", "-0.25"],
+    ["plot-data", "--kind", "omega", "--step", "0"],
+    ["plot-data", "--kind", "omega", "--step", "-1"],
+])
+def test_plot_data_nonpositive_step_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a number above 0" in capsys.readouterr().err
 
 
 def test_bound_large_y(capsys):

@@ -155,6 +155,8 @@ def test_max_statistic_rows():
     r = max_statistic(2, 3, 22, _T)
     assert r.max_stat == pytest.approx(0.61035, abs=1e-5)
     assert (r.witness_n, r.witness_j) == (9, 5)
+    with pytest.raises(ResourceError, match="exhaustive cap 100"):
+        max_statistic(2, 3, 102, _T, cap=100)
 
 
 def test_max_statistic_falls_below_target_after_9():

@@ -13,15 +13,11 @@ from roughbound.pipeline import (
     BoundReport,
     C3_SMALL_U,
     ITERATION,
-    MID_Y,
     PipelineConfig,
     REFERENCE_SMALL_Y_ROWS,
     REGION_ORDER,
-    SELBERG_CLOSED,
-    SELBERG_FINITE,
     SMALL_U,
     SMALL_Y,
-    covering_regions,
     epsilon_k,
     iteration_tail_epsilon,
     run_full_pipeline,
@@ -130,30 +126,6 @@ def test_small_u_coefficient_spot():
     assert (1 + math.log(2)) / 3 < val < C3_SMALL_U
     assert val == pytest.approx(0.565185, abs=1e-5)  # regression pin
     assert small_u_coefficient(1100.0, 2.9) < C3_SMALL_U
-
-
-def test_covering_regions_segments():
-    assert covering_regions(10**6, 50) == {SMALL_Y}
-    assert covering_regions(10**6, 100) == {MID_Y}
-    assert covering_regions(241.0 ** 2.5, 241) == {SMALL_U}
-    assert covering_regions(241.0 ** 5, 241) == {ITERATION}
-    assert covering_regions(241.0 ** 7.7, 241) == {ITERATION, SELBERG_FINITE}
-    assert covering_regions(600_000.0 ** 9, 600_000) == {SELBERG_CLOSED}
-    assert covering_regions(100, 50) == set()  # y > sqrt(x): outside the theorem
-
-
-def test_covering_regions_no_gap_on_boundaries():
-    rng = np.random.default_rng(2)
-    ys = [3, 70.999, 71, 240.999, 241, 499_999, 500_000, 500_001, 1100]
-    us = [2, 2.999, 3, 7.49, 7.5, 7.51, 7.999, 8, 12]
-    pairs = [(y, u) for y in ys for u in us]
-    rng.shuffle(pairs)
-    checked = 0
-    for y, u in pairs[:80]:
-        x = float(y) ** u
-        assert covering_regions(x, y), f"gap at y={y}, u={u}"
-        checked += 1
-    assert checked >= 50
 
 
 def test_report_roundtrip_and_filter():

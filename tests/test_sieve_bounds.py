@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import roughbound
 from divisor_oracles import selberg_divisor_sums, tau3_divisor_sum
 from roughbound.analytic import EULER_GAMMA
 from roughbound.errors import DomainError, InfeasibleError
@@ -61,6 +65,33 @@ def test_elementary_x_bounds():
     assert elementary_x_bound(2, 0.6, _T) == 22
     with pytest.raises(InfeasibleError):
         elementary_x_bound(67, 0.55, _T)  # product exceeds .55 / log 71
+
+
+def test_elementary_beyond_float_range():
+    # the least crossover at y = 300 lies past 2^53, where x0 - 1 rounds to x0
+    with pytest.raises(InfeasibleError, match="past 2"):
+        elementary_x_bound(300, 0.6, _T)
+    # pi(8167) = 1025: the remainder 2^1024 overflows a float
+    with pytest.raises(InfeasibleError, match="overflows"):
+        elementary_x_bound(8167, 0.6, _T)
+    with pytest.raises(InfeasibleError, match="overflows"):
+        elementary_bound(1e6, 8167, _T)
+    assert elementary_bound(1e6, 8161, _T) > 2.0 ** 1022   # pi(8161) = 1024: still finite
+
+
+def test_elementary_x_bound_past_2_53_returns():
+    # at y = 500 a crossover search stepping by 1 never ends: run it apart
+    code = ("from roughbound.errors import InfeasibleError\n"
+            "from roughbound.primes import build_prime_table\n"
+            "from roughbound.sieve_bounds import elementary_x_bound\n"
+            "try:\n"
+            "    elementary_x_bound(500, 0.6, build_prime_table(1000))\n"
+            "except InfeasibleError:\n"
+            "    raise SystemExit(7)\n")
+    src = os.path.dirname(os.path.dirname(roughbound.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 7, run.stderr
 
 
 # -- Newton identities / Bonferroni ------------------------------------------
