@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paper-scale", action="store_const", dest="small_u_cap",
                     const=PAPER_SCALE_SMALL_U_CAP,
                     help=f"same as --small-u-cap {PAPER_SCALE_SMALL_U_CAP} "
-                         "(about 40 s on one core)")
+                         "(about 30 s on one core)")
     sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--out", default=None)
 
@@ -236,15 +236,20 @@ def _cmd_bound(args) -> int:
     if args.x is None or args.y is None:
         raise DomainError(f"--x and --y are required for --kind {args.kind}")
     table = build_prime_table(max(300, int(args.y) + 1000))
+    # every value is computed before the first line is printed, so that a
+    # refused one leaves stdout empty
     if args.kind == "elementary":
-        print(f"bound {elementary_bound(args.x, args.y, table)!r}")
-        print(f"x_bound {elementary_x_bound(args.y, args.target, table)}")
+        val = elementary_bound(args.x, args.y, table)
+        x_bound = elementary_x_bound(args.y, args.target, table)
+        print(f"bound {val!r}")
+        print(f"x_bound {x_bound}")
     elif args.kind == "bonferroni":
         val, data = bonferroni_bound(args.x, args.y, table)
+        x_bound = bonferroni_x_bound(args.y, args.target, table)
         print(f"bound {val!r}")
         print(f"s_y {data.s_y!r}")
         print(f"b_y {data.b_y}")
-        print(f"x_bound {bonferroni_x_bound(args.y, args.target, table)}")
+        print(f"x_bound {x_bound}")
     else:  # selberg
         eps = args.epsilon if args.epsilon is not None else optimize_epsilon(args.x, args.y, table)
         cfg = make_sieve_config(args.x, args.y, table, eps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceError
-from .primes import PrimeTable, rough_segments, wheel_row
+from .primes import Presieve, PrimeTable, rough_segments, wheel_row
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
@@ -98,8 +98,10 @@ def phi_two_prime(x: int, y: float, table: PrimeTable) -> int:
     with M = pi(rx)(pi(rx)-1)/2 - (pi(y)-1)(pi(y)-2)/2, rx = sqrt(x).
     """
     x = int(x)
+    if not y * y <= x:  # before next_prime, which may find no prime above a huge y
+        raise DomainError(f"prime-pair identity needs y^2 <= x < q^3, got x={x}, y={y}")
     q = table.next_prime(y)
-    if not (y * y <= x < q * q * q):
+    if not x < q * q * q:
         raise DomainError(
             f"prime-pair identity needs y^2 <= x < q^3 (q={q} first prime above y), "
             f"got x={x}, y={y}"
@@ -163,18 +165,20 @@ def _better(best, ratios, ns, js):
 
 
 def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
-                        target: float | None = None) -> IntervalScan:
+                        target: float | None = None,
+                        presieve: Presieve | None = None) -> IntervalScan:
     """Stream y_lo-rough integers n <= x_cap with their 1-based index j.
 
     The sup statistic covers n >= y_lo^2; the first KEPT_VIOLATIONS
     violations are kept as witnesses and all of them are counted.  Each
     witness is the first n attaining its maximum.
 
-    The segments come from the wheel sieve `rough_segments`, whose masks are
-    read in rows of 32 residues, and each segment is expanded to (n, j)
-    pairs once.  A row's survivor count gives the j of its last survivor,
-    j_end, so each survivor of a row has j / n <= j_end / (the row's
-    smallest n), its bound.  The rows holding an n below the split
+    The segments come from the wheel sieve `rough_segments`, started from
+    `presieve` if given (see there).  Their masks are read in rows of 32
+    residues, and each segment is expanded to (n, j) pairs once.  A row's
+    survivor count gives the j of its last survivor, j_end, so each
+    survivor of a row has j / n <= j_end / (the row's smallest n), its
+    bound.  The rows holding an n below the split
     max(y_hi^2, y_lo^2) are expanded whole.  Above the split both
     statistics are j log(y_hi) / n, and a row is expanded only if its bound
     reaches the floor: the largest j / n known so far (less 1e-13), capped
@@ -215,7 +219,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                 violations.append((int(ns[b]), int(js[b]), float(ratios[b])))
         return _better(best, ratios, ns, js)
 
-    for base, mask in rough_segments(strike, x_cap):
+    for base, mask in rough_segments(strike, x_cap, presieve):
         # survivors per row: its four 8-byte popcounts summed by one multiply
         count = (np.bitwise_count(mask.view(np.uint64)).view(np.uint32) * 0x01010101 >> 24)[:, 0]
         j_end = np.cumsum(count, dtype=np.int64)

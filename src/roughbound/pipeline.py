@@ -19,7 +19,9 @@ All region work is pure and deterministic.  A run opens one task pool
 the iteration is a task on it, and the calling process only submits tasks
 and assembles certificates.  The pool's workers receive the prime table once,
 and below two workers the pool is inline (no processes), as it is for a
-verifier called without a pool.  The report does not depend on the
+verifier called without a pool.  A scan task names its presieve, if any, and
+each process builds a named presieve on first use and keeps it until its
+pool closes.  The report does not depend on the
 parallelism setting, `PipelineConfig.parallelism`.
 """
 
@@ -47,7 +49,7 @@ from .analytic import (
 )
 from .errors import DomainError, InfeasibleError, NumericError, ResourceError
 from .phi import DEFAULT_EXHAUSTIVE_CAP, KEPT_VIOLATIONS, scan_rough_interval
-from .primes import PrimeTable, build_prime_table
+from .primes import Presieve, PrimeTable, build_prime_table
 from .sieve_bounds import (
     CLOSED_FORM_MIN_Y,
     SELBERG_MIN_Y,
@@ -70,7 +72,7 @@ REGION_ORDER = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATI
 DEFAULT_TARGET = 0.6
 # Exhaustive small-u scans run to y <= SMALL_U_CAP by default; the paper
 # scale runs them to 1100, where the analytic grid takes over (132 scans,
-# about 40 s on one core).
+# about 30 s on one core).
 SMALL_U_CAP = 500
 PAPER_SCALE_SMALL_U_CAP = 1100
 CLOSED_GRID_TOP = 1e12
@@ -177,13 +179,32 @@ def _ceil_two_sig(n: int) -> int:
     return int(math.ceil(n / unit)) * unit
 
 
-# The prime table of the pool a task runs in: set once in each worker process
-# by the pool's initializer, and in the calling thread around an inline pool.
-_POOL_TABLE: ContextVar[PrimeTable] = ContextVar("roughbound_pool_table")
+class _PoolState:
+    """What the tasks of one pool share in one process: the prime table, and
+    the last presieve a scan task named, built on first use."""
+
+    def __init__(self, table: PrimeTable):
+        self.table = table
+        self._presieve: tuple[tuple[int, int], Presieve] | None = None
+
+    def presieve(self, name: tuple[int, int] | None) -> Presieve | None:
+        """The presieve of the primes <= y over [0, x_cap], for name (y, x_cap)."""
+        if name is None:
+            return None
+        if self._presieve is None or self._presieve[0] != name:
+            self._presieve = None              # free the old one before building its successor
+            y, x_cap = name
+            self._presieve = (name, Presieve(self.table.primes[:self.table.pi(y)], x_cap))
+        return self._presieve[1]
+
+
+# The state of the pool a task runs in: set once in each worker process by
+# the pool's initializer, and in the calling thread around an inline pool.
+_POOL: ContextVar[_PoolState] = ContextVar("roughbound_pool")
 
 
 def _serve(table: PrimeTable) -> None:
-    _POOL_TABLE.set(table)
+    _POOL.set(_PoolState(table))
 
 
 class _InlinePool:
@@ -194,11 +215,11 @@ class _InlinePool:
         self._table = table
 
     def __enter__(self):
-        self._token = _POOL_TABLE.set(self._table)
+        self._token = _POOL.set(_PoolState(self._table))
         return self
 
     def __exit__(self, *exc):
-        _POOL_TABLE.reset(self._token)
+        _POOL.reset(self._token)
         return False
 
     def submit(self, fn, *args):
@@ -226,12 +247,14 @@ def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
 # wrapper installed on this module before the pool starts reaches its workers.
 
 def _scan_task(task):
-    y_lo, y_hi, x_cap, target = task
-    return scan_rough_interval(_POOL_TABLE.get(), y_lo, y_hi, x_cap, target=target)
+    y_lo, y_hi, x_cap, target, presieve = task
+    state = _POOL.get()
+    return scan_rough_interval(state.table, y_lo, y_hi, x_cap, target=target,
+                               presieve=state.presieve(presieve))
 
 
 def _selberg_task(target):
-    return verify_selberg(target, _POOL_TABLE.get())
+    return verify_selberg(target, _POOL.get().table)
 
 
 def _grid_task():
@@ -239,7 +262,7 @@ def _grid_task():
 
 
 def _iteration_task(target):
-    return verify_iteration(_POOL_TABLE.get(), target=target)
+    return verify_iteration(_POOL.get().table, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +296,7 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
         meta.append((p, q, printed, is_rounded, printed_max, xb))
 
     with nullcontext(pool) if pool else _InlinePool(table) as pool:
-        scans = list(pool.map(_scan_task, [(p, q, printed - 1, target)
+        scans = list(pool.map(_scan_task, [(p, q, printed - 1, target, None)
                                            for p, q, printed, *_ in meta]))
 
     out_rows = []
@@ -358,7 +381,7 @@ def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUST
         meta.append((p, q, xb))
 
     with nullcontext(pool) if pool else _InlinePool(table) as pool:
-        scans = list(pool.map(_scan_task, [(p, q, xb - 1, target) for p, q, xb in meta]))
+        scans = list(pool.map(_scan_task, [(p, q, xb - 1, target, None) for p, q, xb in meta]))
 
     rows = []
     failures = list(bound_failures)
@@ -539,17 +562,22 @@ def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
 
     The default cap keeps the exhaustive branch at desk scale; raising it to
     PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch in about
-    40 s on one core.  Scans cover x < q^3 per interval [p, q), with the
-    two-dimensional supremum convention for the multiplier.  The grid is a
-    task submitted before the scans, and all of them run as in
-    `verify_small_y`.
+    30 s on one core.  Scans cover x < q^3 per interval [p, q), with the
+    two-dimensional supremum convention for the multiplier.  Every scan
+    starts its segments from one presieve of the primes <= 241 over the
+    largest range, which each process of the pool builds on first use
+    (4.2 MB at the default cap, 45 MB at the paper's).  The grid is a task
+    submitted before the scans, and all of them run as in `verify_small_y`.
     """
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
     meta = [(p, table.next_prime(p)) for p in ps]
+    # every scan strikes the primes <= 241 first: each process sieves them once
+    presieve = (ps[0], meta[-1][1] ** 3 - 1) if ps else None
 
     with nullcontext(pool) if pool else _InlinePool(table) as pool:
         grid = pool.submit(_grid_task)
-        scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target) for p, q in meta]))
+        scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target, presieve)
+                                           for p, q in meta]))
         (analytic_max, at_y, at_u), grid_rows = grid.result()
 
     rows = []
@@ -615,20 +643,28 @@ def epsilon_k(table: PrimeTable, q0: int, k: int):
     return float(vals[best]), int(ps[i + best])
 
 
+# The iteration's tail bound rests on q - theta(q-) < 1.95 sqrt(q), which is
+# false at q = 1423 and 1427 (ratios 2.053 and 1.964): every prime q0 below
+# ITERATION_TAIL_FROM gets its exact eps_3, and the tail applies from there.
+ITERATION_TAIL_FROM = 1500
+
+
 def iteration_tail_epsilon(q0: float) -> float:
-    """Upper bound 1.95 / (sqrt(q0) (log q0)^2) for eps_3(q0), valid q0 > 1000."""
-    if q0 <= 1000:
-        raise DomainError(f"tail bound used only for q0 > 1000, got {q0}")
+    """Upper bound 1.95 / (sqrt(q0) (log q0)^2) for eps_3(q0), valid for
+    q0 >= ITERATION_TAIL_FROM."""
+    if q0 < ITERATION_TAIL_FROM:
+        raise DomainError(f"tail bound used only for q0 >= {ITERATION_TAIL_FROM}, got {q0}")
     return THETA_DEFECT_SMALL / (math.sqrt(q0) * math.log(q0) ** 2)
 
 
-ITERATION_TAIL_PROBES = (1009, 10007, 100003, 1000003, 10**8 + 7, 10**10 + 19, 10**14 + 31)
+ITERATION_TAIL_PROBES = (1511, 10007, 100003, 1000003, 10**8 + 7, 10**10 + 19, 10**14 + 31)
 
 
 def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> RegionCertificate:
     """Bootstrap c_3 -> c_8 via c_3 (1 + eps_3(q0) log q0)^5 < target.
 
-    eps_3 is computed exactly for every prime 241 <= q0 < 1000; beyond 1000
+    eps_3 is computed exactly for every prime 241 <= q0 < ITERATION_TAIL_FROM
+    (1500), which takes the primes to 1499^(4/3), about 17,200; from there
     the tail bound 1.95/(sqrt(q0) (log q0)^2) applies, and the resulting chain
     value is decreasing in q0, so probe evaluations certify the whole tail.
     """
@@ -636,7 +672,7 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> Re
     rows = []
     margin = math.inf
     worst = None
-    for q0 in table.primes_between(240, 999):
+    for q0 in table.primes_between(240, ITERATION_TAIL_FROM - 1):
         q0 = int(q0)
         eps, q1 = epsilon_k(table, q0, 3)
         chain = C3_SMALL_U * (1.0 + eps * math.log(q0)) ** 5
@@ -659,10 +695,11 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> Re
 
     return RegionCertificate(
         region=ITERATION,
-        method="geometric chain c3 -> c8 with exact eps_3 below 1000, theta-defect tail above",
+        method=f"geometric chain c3 -> c8 with exact eps_3 below {ITERATION_TAIL_FROM}, "
+               "theta-defect tail above",
         margin=margin,
         verified=not failures,
-        params={"target": target, "c3": C3_SMALL_U, "exact_range": [241, 997],
+        params={"target": target, "c3": C3_SMALL_U, "exact_range": [241, rows[-1]["q0"]],
                 "worst": worst,
                 "tail_rule": "eps3 < 1.95 / (sqrt(q0) (log q0)^2), decreasing in q0",
                 "tail_probes": list(ITERATION_TAIL_PROBES)},
@@ -680,7 +717,8 @@ def _required_limit(config: PipelineConfig) -> int:
     if SMALL_U in config.regions:
         limit = max(limit, 2 * config.small_u_cap + 100)
     if ITERATION in config.regions:
-        limit = max(limit, 10_100)
+        # epsilon_k(q0, 3) reads the primes to q0^(4/3)
+        limit = max(limit, math.ceil((ITERATION_TAIL_FROM - 1) ** (4 / 3)) + 100)
     if SELBERG_FINITE in config.regions or SELBERG_CLOSED in config.regions:
         limit = max(limit, CLOSED_FORM_MIN_Y + 1000)
     return limit

@@ -2,7 +2,10 @@
 
 `rough_segments` is a segmented mod-30 wheel sieve: it marks the integers up
 to a cap that are free of a given set of small primes, one ROUGH_SEGMENT-byte
-mask at a time, and is the only sieve over segments.  `build_prime_table`
+mask at a time, and is the only sieve over segments.  Each mask starts from a
+packed source, one bit per wheel residue: the wheel's cached periodic pattern,
+or a `Presieve`, a range the sieve itself struck once by the first primes of
+the set, which many scans by longer sets can share.  `build_prime_table`
 reads the primes above sqrt(limit) off it, `phi.phi_direct` counts its
 survivors and `phi.scan_rough_interval` streams them.
 
@@ -46,10 +49,10 @@ def _wheel(strike, x_cap: int = 0) -> tuple[int, int, np.ndarray, np.ndarray, np
 
     Returns the wheel modulus w; the turn width W (8, 16, 24 or 30 integers);
     the first 32 residues coprime to w, which span four turns; -r^-1 mod W
-    indexed by r; and a (turns, 8) bool pattern with the next PRESIEVED
-    struck primes already struck, periodic with `period` turns (their
-    product).  Turn i, column c of a segment starting at base stands for
-    base + i*W + residues[c].  Cached per wheel; a longer sieve grows the
+    indexed by r; and the packed pattern (see `Presieve`) of turns with the
+    next PRESIEVED struck primes already struck, periodic with `period` turns
+    (their product).  Turn i, column c of a segment starting at base stands
+    for base + i*W + residues[c].  Cached per wheel; a longer sieve grows the
     pattern to the period plus the turns of one ROUGH_SEGMENT.
     """
     key = min(len(strike), 3 + PRESIEVED)      # the wheel and the presieved primes
@@ -60,16 +63,16 @@ def _wheel(strike, x_cap: int = 0) -> tuple[int, int, np.ndarray, np.ndarray, np
         residues = np.array([r for r in range(4 * width) if math.gcd(r, w) == 1], dtype=np.int64)
         neg_inv = np.array([-pow(r, -1, width) % width if math.gcd(r, width) == 1 else 0
                             for r in range(width)], dtype=np.int64)
-        _WHEELS[key] = (w, width, residues, neg_inv, np.empty((0, 8), dtype=bool),
+        _WHEELS[key] = (w, width, residues, neg_inv, np.empty(0, dtype=np.uint8),
                         math.prod(int(p) for p in strike[3:key]))
     w, width, residues, neg_inv, pattern, period = _WHEELS[key]
     turns = period + min(ROUGH_SEGMENT // 8, x_cap // width + 4)
     if len(pattern) < turns:
-        pattern = np.ones((turns, 8), dtype=bool)
+        unpacked = np.ones((turns, 8), dtype=bool)
         for p in strike[3:key].tolist():
             for c, r in enumerate(residues[:8].tolist()):
-                pattern[-r * pow(width, -1, p) % p::p, c] = False
-        _WHEELS[key] = (w, width, residues, neg_inv, pattern, period)
+                unpacked[-r * pow(width, -1, p) % p::p, c] = False
+        _WHEELS[key] = (w, width, residues, neg_inv, np.packbits(unpacked), period)
     return _WHEELS[key]
 
 
@@ -80,7 +83,29 @@ def wheel_row(strike) -> tuple[int, np.ndarray]:
     return 4 * width, residues
 
 
-def rough_segments(strike: np.ndarray, x_cap: int):
+class Presieve:
+    """[0, x_cap] sieved once by the primes `strike`, for `rough_segments`
+    to start segments of a sieve by more primes from.
+
+    The survivors are kept packed, one bit per residue of the wheel of 30:
+    byte i of `turns` is turn i (the integers 30i + residues[c]), column c
+    in bit 7 - c, the byte order of `np.packbits` on a C-order mask.  That
+    is x_cap / 30 bytes, filled in place one segment at a time.
+    """
+
+    def __init__(self, strike: np.ndarray, x_cap: int):
+        if len(strike) < 3 + PRESIEVED:
+            raise DomainError(f"a presieve strikes at least the {3 + PRESIEVED} primes up to 17, "
+                              f"got {len(strike)}")
+        self.strike = strike
+        self.x_cap = int(x_cap)
+        step = wheel_row(strike)[0]            # a segment holds whole rows of `step` integers
+        self.turns = np.empty(-(-(self.x_cap + 1) // step) * 4, dtype=np.uint8)
+        for base, mask in rough_segments(strike, self.x_cap):
+            self.turns[base // step * 4:][:mask.size // 8] = np.packbits(mask)
+
+
+def rough_segments(strike: np.ndarray, x_cap: int, presieve: Presieve | None = None):
     """Sieve [0, x_cap] by the primes `strike`, a segment at a time.
 
     `strike` must be the primes up to some bound, ascending.  Yields, for
@@ -91,18 +116,30 @@ def rough_segments(strike: np.ndarray, x_cap: int):
 
     The mask holds at most ROUGH_SEGMENT bytes, one per residue coprime to
     the wheel of the struck primes among 2, 3, 5 (see `_wheel`).  It starts
-    as a copy of the presieved pattern, and every further prime strikes one
-    slice per residue class.
+    as the unpacked bits of a packed source, and every prime the source has
+    not struck strikes one slice per residue class.  The source is the
+    wheel's periodic pattern, or `presieve` if given: its primes must be the
+    first of `strike`, and its range must reach x_cap.
     """
-    w, width, residues, neg_inv, pattern, period = _wheel(strike, x_cap)
-    ps = strike[3 + PRESIEVED:, None]          # the struck primes left to strike
+    w, width, residues, neg_inv, source, period = _wheel(strike, x_cap)
+    struck = min(len(strike), 3 + PRESIEVED)   # the primes the source has struck
+    if presieve is not None:
+        struck = len(presieve.strike)
+        if not (struck <= len(strike) and np.array_equal(presieve.strike, strike[:struck])):
+            raise DomainError("the presieve's primes are not the first of the struck primes")
+        if presieve.x_cap < x_cap:
+            raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
+        # every segment starts within the presieve, so `% period` leaves its turn as is
+        source, period = presieve.turns, len(presieve.turns)
+    ps = strike[struck:, None]                 # the struck primes left to strike
     inv = (1 + ps * neg_inv[ps % width]) // width   # width^-1 mod p
     first_turn = -residues[:8] * inv % ps      # turn of the first multiple of p per column
     step = 4 * width                           # integers per row of 32 residues
     span = ROUGH_SEGMENT // 8 * width
     for base in range(0, x_cap + 1, span):
         size = min(span, x_cap + 1 - base)
-        turns = pattern[base // width % period:][:-(-size // step) * 4].copy()
+        start = base // width % period
+        turns = np.unpackbits(source[start:start + -(-size // step) * 4]).view(bool).reshape(-1, 8)
         for p, row in zip(ps[:, 0].tolist(), ((first_turn - base // width) % ps).tolist()):
             for c, s in enumerate(row):
                 turns[s::p, c] = False

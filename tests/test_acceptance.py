@@ -161,7 +161,7 @@ def test_criterion_6_small_u(small_u_cert):
            f"analytic grid max {p['analytic_max']:.6f} < {C3_SMALL_U} at "
            f"(y,u)={tuple(p['analytic_at'])}; exhaustive max to cap "
            f"{p['exhaustive_cap_y']} is {p['exhaustive_max']:.6f} < {SMALL_U_EXHAUSTIVE_MAX} "
-           f"(cap 1100 available via --paper-scale, about 40 s on one core)")
+           f"(cap 1100 available via --paper-scale, about 30 s on one core)")
 
 
 def test_criterion_7_iteration(table):
@@ -169,7 +169,7 @@ def test_criterion_7_iteration(table):
     ok = cert.verified and cert.margin > 0
     worst = cert.params["worst"]
     report(7, ok,
-           f"chain c3(1+eps3 log q0)^5 < .6 for all primes 241 <= q0 < 1000 and "
+           f"chain c3(1+eps3 log q0)^5 < .6 for all primes 241 <= q0 < 1500 and "
            f"tail probes {cert.params['tail_probes'][:3]}...; min margin "
            f"{cert.margin:.6f} (worst q0={worst['q0']})")
 

@@ -170,6 +170,24 @@ def test_mu_y_estimate_covers_dropped_tail(omega_table, u, y):
     assert abs(value - closed_form_mu_y(u, y)) <= err
 
 
+def test_mu_y_value_is_the_32_point_rule():
+    # Both rules agree to about 1e-14 on the real omega, so only an integrand
+    # that tells them apart shows which one gives the value: with this omega
+    # the integrand is the Legendre polynomial P_40 on [1, u], whose integral
+    # is 0.  The 32-point rule is exact to degree 63; the 16-point one, which
+    # only serves the error estimate, misses by about 0.005.
+    u, log_y = 1.75, math.log(2.0)        # log y this small keeps [1, u] one piece
+    p40 = np.polynomial.Legendre.basis(40, domain=[1.0, u])
+
+    class PolynomialOmega:
+        def omega_many(self, t):
+            return p40(t) * np.exp(-(t - u) * log_y)
+
+    value, err = _mu_y_rule(u, log_y, PolynomialOmega())
+    assert abs(value) < 1e-14
+    assert err > 1e-3
+
+
 def test_mu_y_refuses_estimate_above_tolerance(omega_table, monkeypatch):
     monkeypatch.setattr(buchstab, "MU_Y_TOL", 1e-20)
     with pytest.raises(NumericError):

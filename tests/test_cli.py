@@ -123,6 +123,20 @@ def test_bound_elementary_past_2_53_exit():
                          timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 2
     assert "past 2^53" in run.stderr
+    assert run.stdout == ""  # the bound is not printed without its x-bound
+
+
+def test_bound_bonferroni_infeasible_prints_nothing(capsys):
+    assert main(["bound", "--kind", "bonferroni", "--x", "1e6", "--y", "5000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "never beats the density" in captured.err
+
+
+def test_phi_two_prime_huge_y_is_domain_error(capsys):
+    # y^2 > x is refused before looking for a prime above y past the table
+    assert main(["phi", "--method", "two-prime", "--x", "100", "--y", "1e10"]) == 2
+    assert "needs y^2 <= x" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,7 @@ from roughbound.phi import (
     phi_two_prime,
     scan_rough_interval,
 )
-from roughbound.primes import ROUGH_SEGMENT, build_prime_table
+from roughbound.primes import ROUGH_SEGMENT, Presieve, build_prime_table
 
 _T = build_prime_table(10_100)
 
@@ -141,6 +141,8 @@ def test_two_prime_domain(table_1m):
         phi_two_prime(10_000, 13, table_1m)
     with pytest.raises(DomainError):
         phi_two_prime(100, 11, table_1m)  # x < y^2
+    with pytest.raises(DomainError, match="needs y\\^2 <= x"):
+        phi_two_prime(100, 1e10, _T)  # x < y^2, and no prime above y in the table
     with pytest.raises(ResourceError):
         phi_two_prime(500_000, 79, _T)  # pi(x) beyond this table
 
@@ -260,6 +262,36 @@ _SEGMENT_30 = ROUGH_SEGMENT // 8 * 30    # integers in one segment of the wheel 
 def test_scan_matches_reference(y_lo, y_hi, x_cap, target):
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
     assert got == reference_scan(_T, y_lo, y_hi, x_cap, target=target)
+
+
+# the primes <= 17 and <= 53, sieved past the first segment boundary
+_PRESIEVES = {y: Presieve(_strike_primes(_T, y), _SEGMENT_30 + 200) for y in (17, 53)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=17, max_value=180),
+       st.integers(min_value=2, max_value=200),
+       st.one_of(st.integers(min_value=1, max_value=20_000),
+                 st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 200),
+                 st.integers(min_value=1, max_value=2_300_000)),
+       st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
+@example(17, 19, _SEGMENT_30 + 200, 0.55)   # nothing left to strike, to the presieve's end
+@example(53, 59, 2_999_999, 0.6)
+@example(179, 181, _SEGMENT_30, None)
+def test_scan_from_a_presieve_equals_scan_without(y_lo, y_hi, x_cap, target):
+    presieve = _PRESIEVES[53 if y_lo >= 53 else 17]
+    got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target, presieve=presieve)
+    assert got == scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
+
+
+@pytest.mark.parametrize("y_lo, x_cap, presieve, match", [
+    (13, 1000, _PRESIEVES[17], "not the first"),               # more primes than the scan's
+    (19, 1000, Presieve(np.array([2, 3, 5, 7, 11, 13, 19]), 1000), "not the first"),  # 17 missing
+    (17, _SEGMENT_30 + 201, _PRESIEVES[17], "stops at"),       # range ends below x_cap
+])
+def test_scan_refuses_a_presieve_that_does_not_fit(y_lo, x_cap, presieve, match):
+    with pytest.raises(DomainError, match=match):
+        scan_rough_interval(_T, y_lo, y_lo + 2, x_cap, presieve=presieve)
 
 
 def test_scan_rejects_y_hi_below_2():

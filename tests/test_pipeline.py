@@ -3,11 +3,13 @@ import dataclasses
 import json
 import math
 import os
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from roughbound.analytic import THETA_DEFECT_SMALL
 from roughbound.errors import DomainError, OutOfRangeError
 from roughbound.pipeline import (
     BoundReport,
@@ -25,7 +27,7 @@ from roughbound.pipeline import (
     verify_iteration,
     verify_small_y,
 )
-from roughbound.primes import PrimeTable, build_prime_table
+from roughbound.primes import Presieve, PrimeTable, build_prime_table
 
 _T = build_prime_table(10_100)
 
@@ -75,15 +77,32 @@ def test_chain_bracket_consistency():
 
 
 def test_iteration_certificate():
-    cert = verify_iteration(_T)
+    cert = verify_iteration(build_prime_table(17_300))  # 1499^(4/3) is about 17,155
     assert cert.verified
     assert cert.margin > 0
     assert cert.params["c3"] == C3_SMALL_U
+    assert cert.params["exact_range"] == [241, 1499]
     # the tail value at the first probe already sits below the target
-    eps = iteration_tail_epsilon(1009)
-    assert C3_SMALL_U * (1 + eps * math.log(1009)) ** 5 < 0.6
+    eps = iteration_tail_epsilon(1511)
+    assert C3_SMALL_U * (1 + eps * math.log(1511)) ** 5 < 0.6
     with pytest.raises(DomainError):
-        iteration_tail_epsilon(997)
+        iteration_tail_epsilon(1499)
+    with pytest.raises(OutOfRangeError):
+        verify_iteration(_T)  # the exact range needs primes past 10,100
+
+
+def test_theta_defect_holds_where_the_tail_applies():
+    # the tail's q - theta(q-) < 1.95 sqrt(q) on every prime in (1500, 3e6];
+    # it fails at 1423 and 1427, below the tail.  theta(q-) is a float64
+    # cumsum of at most 216,816 logs, off by less than 1e-4 absolute, and the
+    # largest ratio, 1.9372 at q = 19373, is 0.0128 sqrt(q) >= 0.49 below 1.95.
+    ps = build_prime_table(3_000_000).primes.astype(np.float64)
+    theta_before = np.cumsum(np.log(ps)) - np.log(ps)
+    ratio = (ps - theta_before) / np.sqrt(ps)
+    tail = ps > 1500
+    assert ratio[tail].max() < THETA_DEFECT_SMALL
+    assert ps[tail][np.argmax(ratio[tail])] == 19373
+    assert ratio[ps == 1423][0] > 2.05 and ratio[ps == 1427][0] > THETA_DEFECT_SMALL
 
 
 def test_small_y_fast_rows():
@@ -228,7 +247,7 @@ def test_run_opens_one_pool_and_sends_no_table(fake_pool, serial_270):
     assert len(fake_pool.task_args) == 60
     sent = [a for args in fake_pool.task_args for arg in args
             for a in (arg if isinstance(arg, tuple) else (arg,))]
-    assert not any(isinstance(a, PrimeTable) for a in sent)
+    assert not any(isinstance(a, (PrimeTable, Presieve)) for a in sent)
     assert report.certificates == serial_270.certificates
 
 
@@ -245,6 +264,23 @@ def test_small_u_reduced_deterministic_parallel():
     twice = _region_run(SMALL_U, 2, small_u_cap=270)
     assert serial.certificates == twice.certificates
     assert serial.certificates[0].params["exhaustive_max"] < 0.56404
+
+
+def test_small_u_presieve_built_once_per_pool_and_dropped_with_it(monkeypatch):
+    import roughbound.pipeline as pl
+
+    built = []
+
+    class Recorded(Presieve):
+        def __init__(self, strike, x_cap):
+            super().__init__(strike, x_cap)
+            built.append((int(strike[-1]), x_cap, weakref.ref(self)))
+
+    monkeypatch.setattr(pl, "Presieve", Recorded)
+    _region_run(SMALL_U, 1, small_u_cap=270)
+    # the primes <= 241 up to the largest x cap, 271^3 - 1, for all five scans
+    assert [(y, x_cap) for y, x_cap, _ in built] == [(241, 271 ** 3 - 1)]
+    assert built[0][2]() is None
 
 
 def test_small_y_parallel_deterministic():

@@ -14,8 +14,10 @@ from roughbound.errors import DomainError, OutOfRangeError, ResourceError
 from roughbound.primes import (
     DEFAULT_LIMIT_CAP,
     ROUGH_SEGMENT,
+    Presieve,
     build_prime_table,
     mertens_product,
+    rough_segments,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -120,6 +122,28 @@ def test_build_matches_bytearray_sieve_at_segment_boundary():
     for k in (-31, -30, -2, -1, 0, 1, 2, 30, 31):
         limit = span + k
         assert np.array_equal(build_prime_table(limit).primes, oracle[oracle <= limit]), k
+
+
+def test_segments_from_a_presieve_equal_segments_from_the_pattern(table_small):
+    span = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
+    primes = table_small.primes
+    presieve = Presieve(primes[:10], 2 * span + 1000)   # the primes <= 29
+    for y in (29, 31, 101):               # nothing, one prime, 16 primes left to strike
+        strike = primes[:int(np.searchsorted(primes, y, side="right"))]
+        # tail trims inside a turn, a row and a segment, at its edges, and at
+        # the presieve's own end
+        for x_cap in (1, 2, 29, 30, 31, 119, 120, 121, 1_000_003, span - 1, span, span + 1,
+                      2 * span + 999, 2 * span + 1000):
+            plain = list(rough_segments(strike, x_cap))
+            started = list(rough_segments(strike, x_cap, presieve))
+            assert [b for b, _ in started] == [b for b, _ in plain], (y, x_cap)
+            for (_, got), (_, want) in zip(started, plain):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (y, x_cap)
+
+
+def test_presieve_refuses_fewer_primes_than_the_wheel_pattern(table_small):
+    with pytest.raises(DomainError, match="at least the 7 primes"):
+        Presieve(table_small.primes[:6], 1000)
 
 
 def test_prime_sequence_invariants(table_small):
