@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
-from .analytic import EULER_GAMMA
-from .errors import DomainError, NumericError, ResolutionError
+from .errors import DomainError, NumericError, ResolutionError, ResourceError
 
 DEFAULT_U_MAX = 16.0
+# build_omega takes about 0.8 ms and 80 KB per unit of u_max.  omega is within
+# 3e-11 of e^-gamma at u = 8, and the gap shrinks faster than exponentially.
+OMEGA_U_LIMIT = 100.0
 MU_Y_TOL = 1e-11        # mu_y's error estimate must stay below this share of its value
 _TAIL_SHARE = 0.01      # of MU_Y_TOL: the most of it that mu_y's dropped tail may take
 _GRID_N = 2048
@@ -59,7 +61,6 @@ class BuchstabTable:
     [1, 3] and one piecewise cubic (None when u_max <= 3) above."""
 
     u_max: float
-    limit_value: float = field(default=math.exp(-EULER_GAMMA))
     _poly: PPoly | None = field(default=None, repr=False)
 
     def omega(self, u) -> float:
@@ -88,17 +89,20 @@ class BuchstabTable:
         return out
 
 
-def build_omega(u_max: float = DEFAULT_U_MAX, *, grid_n: int = _GRID_N) -> BuchstabTable:
+def build_omega(u_max: float = DEFAULT_U_MAX) -> BuchstabTable:
     """Build the omega table by the method of steps.
 
     On [k, k+1] the values come from u*omega(u) = k*omega(k) + integral of
     omega(t-1) over [k, u], where the previous segment is represented by a
     cubic spline with exact endpoint derivatives; the spline's antiderivative
-    supplies the integral.  Interpolation error is O(grid_n^-4).  The
+    supplies the integral.  Interpolation error is O(_GRID_N^-4).  The
     segments above 3 are kept as one PPoly with their coefficients unchanged.
+    u_max above OMEGA_U_LIMIT is refused.
     """
     if not u_max >= 1:
         raise DomainError(f"u_max must be >= 1, got {u_max}")
+    if u_max > OMEGA_U_LIMIT:
+        raise ResourceError(f"an omega table to u_max={u_max} exceeds the limit {OMEGA_U_LIMIT}")
     if u_max <= 3.0:
         return BuchstabTable(u_max=float(u_max))
 
@@ -108,7 +112,7 @@ def build_omega(u_max: float = DEFAULT_U_MAX, *, grid_n: int = _GRID_N) -> Buchs
 
     # Machine-accurate spline copy of the closed form on [2, 3]; only used
     # as the integrand source for the first numeric segment.
-    xs = np.linspace(2.0, 3.0, grid_n + 1)
+    xs = np.linspace(2.0, 3.0, _GRID_N + 1)
     ys = _omega_23(xs)
     prev = CubicSpline(xs, ys, bc_type=((1, deriv(2.0, 0.5, 1.0)),          # omega(1) = 1
                                         (1, deriv(3.0, ys[-1], _omega_12(2.0)))))
@@ -116,7 +120,7 @@ def build_omega(u_max: float = DEFAULT_U_MAX, *, grid_n: int = _GRID_N) -> Buchs
     k = 3.0
     while k < u_max:
         hi = min(k + 1.0, u_max)
-        xs = np.linspace(k, hi, grid_n + 1)
+        xs = np.linspace(k, hi, _GRID_N + 1)
         antiderivative = prev.antiderivative()
         ys = (k * float(prev(k)) + (antiderivative(xs - 1.0) - antiderivative(k - 1.0))) / xs
         d_lo = deriv(k, ys[0], float(prev(k - 1.0)))

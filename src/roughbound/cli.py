@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+PLOT_ROW_LIMIT = 1_000_000   # rows one plot-data run may write
 
 
 def _data_dir() -> str | None:
@@ -111,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table1", help="reproduce the small-y reference table")
     sp.add_argument("--format", choices=["csv", "text", "json"], default="csv")
-    sp.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
     sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--out", default=None)
 
@@ -131,11 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
                                          "iteration", "all"], default="all")
     sp.add_argument("--target", type=_finite, default=DEFAULT_TARGET)
     sp.add_argument("--format", choices=["json", "text", "csv"], default="text")
-    sp.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
-    sp.add_argument("--small-u-cap", type=int, default=SMALL_U_CAP)
     sp.add_argument("--paper-scale", action="store_const", dest="small_u_cap",
-                    const=PAPER_SCALE_SMALL_U_CAP,
-                    help=f"same as --small-u-cap {PAPER_SCALE_SMALL_U_CAP} "
+                    const=PAPER_SCALE_SMALL_U_CAP, default=SMALL_U_CAP,
+                    help=f"run the exhaustive small-u scans to y <= {PAPER_SCALE_SMALL_U_CAP}, "
+                         f"where the analytic grid starts, instead of {SMALL_U_CAP} "
                          "(about 30 s on one core)")
     sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--out", default=None)
@@ -192,8 +191,7 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    report = run_full_pipeline(PipelineConfig(regions=(SMALL_Y,), exhaustive_cap=args.cap,
-                                              parallelism=args.parallelism))
+    report = run_full_pipeline(PipelineConfig(regions=(SMALL_Y,), parallelism=args.parallelism))
     out, close = _open_out(args.out)
     try:
         if args.format == "json":
@@ -271,7 +269,6 @@ def _cmd_verify(args) -> int:
         regions = (args.region,)
     config = PipelineConfig(
         target=args.target,
-        exhaustive_cap=args.exhaustive_cap,
         small_u_cap=args.small_u_cap,
         parallelism=args.parallelism,
         regions=regions,
@@ -291,25 +288,46 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
+def _check_rows(rows: float) -> None:
+    """Refuse a plot-data grid of more than PLOT_ROW_LIMIT rows."""
+    if rows > PLOT_ROW_LIMIT:
+        raise ResourceError(f"the grid has more than {PLOT_ROW_LIMIT} rows; use a larger step")
+
+
+def _ratio_us(step: float, rows_per_u: int) -> list[float]:
+    """The u grid of the ratio map: 2, then `step` added until u passes 3."""
+    us = []
+    u = 2.0
+    while u <= 3.0 + 1e-12:
+        us.append(u)
+        _check_rows(rows_per_u * len(us))
+        u += step
+    return us
+
+
 def _cmd_plot_data(args) -> int:
+    # every grid is counted, and built if it is omega's, before the output opens
+    if args.kind == "omega":
+        table = build_omega(max(16.0, args.u_hi))
+        _check_rows((args.u_hi + 0.5 * args.step - args.u_lo) / args.step)   # omega_samples' arange
+        samples = omega_samples(table, args.u_lo, args.u_hi, args.step)
+    else:
+        ys = args.y_set
+        us = _ratio_us(args.u_step, len(ys))
+        table = build_prime_table(max(300, int(max(ys)) + 10))
     out, close = _open_out(args.out)
     try:
         if args.kind == "omega":
-            table = build_omega(max(16.0, args.u_hi))
             out.write("u,omega\n")
-            for u, w in omega_samples(table, args.u_lo, args.u_hi, args.step):
+            for u, w in samples:
                 out.write(f"{u:.6f},{w:.12f}\n")
         else:
-            ys = args.y_set
-            table = build_prime_table(max(300, int(max(ys)) + 10))
             out.write("y,u,ratio\n")
             for y in ys:
-                u = 2.0
-                while u <= 3.0 + 1e-12:
+                for u in us:
                     x = int(y ** u)
                     val = phi_direct(x, y, table) * math.log(y) / x
                     out.write(f"{y:g},{u:.4f},{val:.8f}\n")
-                    u += args.u_step
     finally:
         if close:
             out.close()

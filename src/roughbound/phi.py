@@ -22,6 +22,7 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 from .primes import Presieve, PrimeTable, rough_segments, wheel_row
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
+LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
 
 
@@ -49,7 +50,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
     return sum(int(np.count_nonzero(mask)) for _, mask in rough_segments(strike, x))
 
 
-def phi_legendre(x: int, y: float, table: PrimeTable, *, budget: int = 4_000_000) -> int:
+def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
     """Exact Phi(x, y) by the memoized inclusion-exclusion recursion
     phi(n, a) = n - sum_{i <= a} phi(n // p_i, i-1), whose call depth is at
     most log2(x) rather than pi(y)."""
@@ -75,8 +76,8 @@ def phi_legendre(x: int, y: float, table: PrimeTable, *, budget: int = 4_000_000
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if len(memo) >= budget:
-            raise ResourceError(f"inclusion-exclusion memo exceeded budget {budget}")
+        if len(memo) >= LEGENDRE_BUDGET:
+            raise ResourceError(f"inclusion-exclusion memo exceeded budget {LEGENDRE_BUDGET}")
         val = n
         for i in range(a):
             val -= rec(n // ps[i], i)
@@ -167,7 +168,8 @@ def _better(best, ratios, ns, js):
 def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                         target: float | None = None,
                         presieve: Presieve | None = None) -> IntervalScan:
-    """Stream y_lo-rough integers n <= x_cap with their 1-based index j.
+    """Stream y_lo-rough integers n <= x_cap with their 1-based index j,
+    for y_lo < y_hi.
 
     The sup statistic covers n >= y_lo^2; the first KEPT_VIOLATIONS
     violations are kept as witnesses and all of them are counted.  Each
@@ -178,13 +180,13 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     residues, and each segment is expanded to (n, j) pairs once.  A row's
     survivor count gives the j of its last survivor, j_end, so each
     survivor of a row has j / n <= j_end / (the row's smallest n), its
-    bound.  The rows holding an n below the split
-    max(y_hi^2, y_lo^2) are expanded whole.  Above the split both
-    statistics are j log(y_hi) / n, and a row is expanded only if its bound
-    reaches the floor: the largest j / n known so far (less 1e-13), capped
-    at the target's j / n, so that every violation lies in an expanded row.
-    Two running first maxima, over the band between the two squares and over
-    the n above the split, give both statistics at the end.
+    bound.  The rows holding an n below y_hi^2 are expanded whole.  From
+    y_hi^2 on both statistics are j log(y_hi) / n, and a row is expanded
+    only if its bound reaches the floor: the largest j / n known so far
+    (less 1e-13), capped at the target's j / n, so that every violation lies
+    in an expanded row.  Two running first maxima, over the band
+    [y_lo^2, y_hi^2) and over the n >= y_hi^2, give both statistics at the
+    end.
     """
     x_cap = int(x_cap)
     if x_cap < 1:
@@ -192,27 +194,27 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     if y_hi < 2:  # log(y_hi) > 0 keeps the order of j/n that of j log(y_hi)/n
         raise DomainError(f"y_hi must be >= 2, got {y_hi}")
     strike = _strike_primes(table, y_lo)
+    if not y_hi > y_lo:
+        raise DomainError(f"need y_hi > y_lo, got y_lo={y_lo}, y_hi={y_hi}")
     step, residues = wheel_row(strike)         # integers per row, and its residues
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
     lo_bound = int(y_lo) * int(y_lo)
-    split = max(q2, lo_bound)
-    sup_band = lo_bound < q2                   # the band is sup's, else table's
     # a survivor whose j / n is below this (less 1e-13) is no violation
     floor_cap = math.inf if target is None else target / log_q
 
     j_offset = 0
-    band = above = (-1.0, 0, 0)                # first maxima: between the squares, above the split
+    band = above = (-1.0, 0, 0)                # first maxima: in [y_lo^2, y_hi^2), from y_hi^2 on
     violations: list[tuple[int, int, float]] = []
     violation_count = 0
 
-    def fold(best, ratios, ns, js, violating):
-        """`best` with the survivors (ns, js) and their ratios folded in;
-        their violations noted if `violating`."""
+    def fold(best, ratios, ns, js):
+        """`best` with the survivors (ns, js) and their ratios folded in,
+        and their violations noted."""
         nonlocal violation_count
         if not ns.size:
             return best
-        if violating and target is not None:
+        if target is not None:
             bad = np.flatnonzero(ratios >= target)
             violation_count += int(bad.size)
             for b in bad[: max(0, KEPT_VIOLATIONS - len(violations))]:
@@ -226,17 +228,17 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         j_end += j_offset
         n_min = np.arange(base + residues[0], base + (len(mask) + 1) * step, step,
                           dtype=np.float64)
-        # rows [0, head) hold an n below the split
-        head = min(len(mask), max(0, -(-(split - base - int(residues[0])) // step)))
+        # rows [0, head) hold an n below y_hi^2
+        head = min(len(mask), max(0, -(-(q2 - base - int(residues[0])) // step)))
         # The last survivor of a row, at j_end, lies below the next row's
-        # n_min, so some survivor above the split reaches j_end / (that
-        # n_min) from row `lead` on; before it, j_end may be the j of a
-        # survivor below the split.
+        # n_min, so some survivor n >= y_hi^2 reaches j_end / (that n_min)
+        # from row `lead` on; before it, j_end may be the j of a survivor
+        # below y_hi^2.
         lead = head + int(np.searchsorted(j_end[head:], j_end[head - 1] if head else j_offset,
                                           "right"))
         floor = min(max(above[0] / log_q, (j_end[lead:] / n_min[lead + 1:]).max(initial=0.0)),
                     floor_cap)
-        # kept: the rows below the split, and those whose bound reaches the floor
+        # kept: the rows below y_hi^2, and those whose bound reaches the floor
         keep = j_end >= n_min[:-1] * (floor * (1 - 1e-13))
         keep[:head] = True
         idx = np.flatnonzero(keep)
@@ -246,31 +248,30 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         js = (j_end[idx] - np.cumsum(count[idx]))[rr] + np.arange(1, rr.size + 1)
         j_offset = int(j_end[-1])
 
-        lo, hi = np.searchsorted(ns, (min(q2, lo_bound), split)).tolist()
+        lo, hi = np.searchsorted(ns, (lo_bound, q2)).tolist()
         nv, jv = ns[lo:hi], js[lo:hi]
-        band = fold(band, jv * (0.5 * np.log(nv) if sup_band else log_q) / nv, nv, jv, sup_band)
+        band = fold(band, jv * (0.5 * np.log(nv)) / nv, nv, jv)
         nv, jv = ns[hi:], js[hi:]
-        above = fold(above, jv * log_q / nv, nv, jv, True)
+        above = fold(above, jv * log_q / nv, nv, jv)
 
-    # band precedes the n above the split: it holds the first maximum of both on a tie
-    both = band if band[0] >= above[0] else above
-    table_best, sup_best = (above, both) if sup_band else (both, above)
+    # band precedes the n >= y_hi^2: it holds the first maximum of both on a tie
+    sup_best = band if band[0] >= above[0] else above
     return IntervalScan(
         y_lo=int(y_lo), y_hi=int(y_hi), x_cap=x_cap, rough_count=j_offset,
-        table_max=table_best[0], table_witness=table_best[1:],
+        table_max=above[0], table_witness=above[1:],
         sup_max=sup_best[0], sup_witness=sup_best[1:],
         violations=tuple(violations), violation_count=violation_count,
     )
 
 
-def max_statistic(y_lo: int, y_hi: int, x_bound: int, table: PrimeTable, *,
-                  cap: int = DEFAULT_EXHAUSTIVE_CAP) -> MaxStatRow:
+def max_statistic(y_lo: int, y_hi: int, x_bound: int, table: PrimeTable) -> MaxStatRow:
     """Tabulated max statistic for the interval [y_lo, y_hi): the supremum of
     j log(y_hi) / n over rough n with y_hi^2 <= n < x_bound."""
     if x_bound < y_lo * y_lo:
         raise DomainError(f"x_bound {x_bound} below y_lo^2 = {y_lo * y_lo}")
-    if x_bound - 1 > cap:
-        raise ResourceError(f"scan to {x_bound - 1} exceeds the exhaustive cap {cap}")
+    if x_bound - 1 > DEFAULT_EXHAUSTIVE_CAP:
+        raise ResourceError(f"scan to {x_bound - 1} exceeds the exhaustive cap "
+                            f"{DEFAULT_EXHAUSTIVE_CAP}")
     scan = scan_rough_interval(table, y_lo, y_hi, x_bound - 1)
     return MaxStatRow(
         y_lo=int(y_lo), y_hi=int(y_hi), x_bound=int(x_bound),

@@ -47,7 +47,7 @@ from .analytic import (
     pi_lower_599,
     r_ratio,
 )
-from .errors import DomainError, InfeasibleError, NumericError, ResourceError
+from .errors import DomainError, InfeasibleError, NumericError
 from .phi import DEFAULT_EXHAUSTIVE_CAP, KEPT_VIOLATIONS, scan_rough_interval
 from .primes import Presieve, PrimeTable, build_prime_table
 from .sieve_bounds import (
@@ -113,7 +113,6 @@ MAX_STAT_TOL = 1e-5
 @dataclass(frozen=True)
 class PipelineConfig:
     target: float = DEFAULT_TARGET
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
     small_u_cap: int = SMALL_U_CAP
     parallelism: int = 1
     regions: tuple[str, ...] = REGION_ORDER
@@ -269,8 +268,7 @@ def _iteration_task(target):
 # small-y region
 # ---------------------------------------------------------------------------
 
-def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
-                   pool=None) -> RegionCertificate:
+def verify_small_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertificate:
     """Reproduce the reference small-y table and scan every interval for
     violations of the target.
 
@@ -282,10 +280,6 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
 
     The scans run on `pool`, a run's task pool, or else in this process.
     """
-    needed = max(r[2] for r in REFERENCE_SMALL_Y_ROWS)
-    if cap < needed:
-        raise ResourceError(f"small-y scan needs exhaustive cap >= {needed}, got {cap}")
-
     reproduce = abs(target - DEFAULT_TARGET) < 1e-15
     meta = []
     for (p, q, printed, is_rounded, printed_max) in REFERENCE_SMALL_Y_ROWS:
@@ -344,7 +338,7 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
         method="interval scans below elementary inclusion-exclusion x-bounds",
         margin=margin,
         verified=not failures,
-        params={"target": target, "cap": cap, "rows": len(out_rows),
+        params={"target": target, "cap": DEFAULT_EXHAUSTIVE_CAP, "rows": len(out_rows),
                 "reproduction": reproduce},
         failures=failures,
         rows=out_rows,
@@ -355,8 +349,7 @@ def verify_small_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAU
 # mid-y region
 # ---------------------------------------------------------------------------
 
-def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
-                 pool=None) -> RegionCertificate:
+def verify_mid_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertificate:
     """Exhaustively check 71 <= y < 241 below the pre-sieved truncation bounds.
 
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
@@ -373,11 +366,11 @@ def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUST
             xb = bonferroni_x_bound(p, target, table)
         except InfeasibleError:
             bound_failures.append({"interval": [p, q], "issue": "truncation bound cannot reach target"})
-            xb = cap
-        if xb > cap:
+            xb = DEFAULT_EXHAUSTIVE_CAP
+        if xb > DEFAULT_EXHAUSTIVE_CAP:
             bound_failures.append({"interval": [p, q], "issue": "x-bound exceeds cap",
-                                   "x_bound": xb, "cap": cap})
-            xb = cap
+                                   "x_bound": xb, "cap": DEFAULT_EXHAUSTIVE_CAP})
+            xb = DEFAULT_EXHAUSTIVE_CAP
         meta.append((p, q, xb))
 
     with nullcontext(pool) if pool else _InlinePool(table) as pool:
@@ -401,7 +394,7 @@ def verify_mid_y(target: float, table: PrimeTable, *, cap: int = DEFAULT_EXHAUST
         method="interval scans below pre-sieved Bonferroni x-bounds (14/15 remainder)",
         margin=margin,
         verified=not failures,
-        params={"target": target, "cap": cap, "intervals": len(rows),
+        params={"target": target, "cap": DEFAULT_EXHAUSTIVE_CAP, "intervals": len(rows),
                 "max_x_bound": max(r["x_bound"] for r in rows)},
         failures=failures,
         rows=rows,
@@ -753,17 +746,15 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
 
     certs: list[RegionCertificate] = []
     with _task_pool(table, config.parallelism, tasks) as pool:
-        # small-y first, so that its cap check fails before any work starts
+        # small-y's short scans finish before the analytic tasks are queued
         if SMALL_Y in regions:
-            certs.append(verify_small_y(config.target, table, cap=config.exhaustive_cap,
-                                        pool=pool))
+            certs.append(verify_small_y(config.target, table, pool=pool))
         if selberg:
             selberg_certs = pool.submit(_selberg_task, config.target)
         if ITERATION in regions:
             iteration = pool.submit(_iteration_task, config.target)
         if MID_Y in regions:
-            certs.append(verify_mid_y(config.target, table, cap=config.exhaustive_cap,
-                                      pool=pool))
+            certs.append(verify_mid_y(config.target, table, pool=pool))
         if SMALL_U in regions:
             certs.append(verify_small_u(table, target=config.target,
                                         y_exhaustive_cap=config.small_u_cap, pool=pool))

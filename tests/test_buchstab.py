@@ -15,7 +15,7 @@ from roughbound.buchstab import (
     mu_y,
     omega_samples,
 )
-from roughbound.errors import DomainError, NumericError, ResolutionError
+from roughbound.errors import DomainError, NumericError, ResolutionError, ResourceError
 
 E_GAMMA_INV = math.exp(-EULER_GAMMA)
 
@@ -61,7 +61,6 @@ def test_limit_tail(omega_table):
     # 1e-9 window is two orders above that oracle value
     assert abs(omega_table.omega(8.0) - E_GAMMA_INV) < 1e-9
     assert abs(omega_table.omega(8.0) - E_GAMMA_INV) < 1e-4
-    assert omega_table.limit_value == pytest.approx(E_GAMMA_INV, abs=1e-15)
 
 
 def test_oscillation(omega_table):
@@ -81,8 +80,9 @@ def test_integral_form_consistency(omega_table):
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_grid_refinement(omega_table):
-    coarse = build_omega(16.0, grid_n=1024)
+def test_grid_refinement(omega_table, monkeypatch):
+    monkeypatch.setattr(buchstab, "_GRID_N", 1024)
+    coarse = build_omega(16.0)
     probes = np.linspace(1.0, 16.0, 1000)
     diffs = [abs(coarse.omega(u) - omega_table.omega(u)) for u in probes]
     assert max(diffs) < 1e-10
@@ -96,6 +96,12 @@ def test_build_errors():
         t.omega(0.9)
     with pytest.raises(DomainError):
         t.omega(8.1)
+
+
+def test_build_refuses_a_table_past_the_limit():
+    assert build_omega(buchstab.OMEGA_U_LIMIT).u_max == buchstab.OMEGA_U_LIMIT
+    with pytest.raises(ResourceError, match="limit 100"):
+        build_omega(100.5)
 
 
 def test_mu_y(omega_table):

@@ -109,6 +109,37 @@ def test_plot_data_ratio_map(capsys):
     assert len(lines) > 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["plot-data", "--kind", "ratio-map", "--u-step", "1e-300"],   # u += step leaves u at 2
+    ["plot-data", "--kind", "ratio-map", "--y-set", "3,5", "--u-step", "2e-6"],
+    ["plot-data", "--kind", "omega", "--step", "1e-9"],
+    ["plot-data", "--kind", "omega", "--step", "1e-320"],
+    ["plot-data", "--kind", "omega", "--u-hi", "101"],
+    ["omega", "--u", "2", "--u-max", "1e6"],
+])
+def test_oversized_grid_or_table_exit_writes_nothing(argv, capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] == "plot-data" else [])) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["plot-data", "--kind", "ratio-map", "--y-set", "3,5", "--u-step", "0.25"], 10),
+    (["plot-data", "--kind", "omega", "--u-lo", "1", "--u-hi", "2", "--step", "0.5"], 3),
+])
+def test_plot_data_row_limit_is_exact(argv, rows, capsys, monkeypatch):
+    import roughbound.cli as cli
+    monkeypatch.setattr(cli, "PLOT_ROW_LIMIT", rows)
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1   # the header
+    monkeypatch.setattr(cli, "PLOT_ROW_LIMIT", rows - 1)
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_bound_elementary(capsys):
     assert main(["bound", "--kind", "elementary", "--x", "613", "--y", "11"]) == 0
     out = capsys.readouterr().out
@@ -194,6 +225,17 @@ def test_verify_scan_region_alone(capsys, region):
 def test_verify_paper_scale_sets_small_u_cap():
     assert build_parser().parse_args(["verify", "--paper-scale"]).small_u_cap == 1100
     assert build_parser().parse_args(["verify"]).small_u_cap == 500
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--exhaustive-cap", "1"],
+    ["verify", "--small-u-cap", "600"],
+    ["table1", "--cap", "1"],
+])
+def test_scan_caps_are_not_options(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_verify_nonpositive_parallelism_exit(capsys):

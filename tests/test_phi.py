@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from roughbound import phi
 from roughbound.errors import DomainError, ResourceError
 from roughbound.phi import (
     KEPT_VIOLATIONS,
@@ -100,9 +101,10 @@ def test_legendre_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_legendre_budget():
-    with pytest.raises(ResourceError):
-        phi_legendre(10_000, 50, _T, budget=10)
+def test_legendre_budget(monkeypatch):
+    monkeypatch.setattr(phi, "LEGENDRE_BUDGET", 10)
+    with pytest.raises(ResourceError, match="budget 10"):
+        phi_legendre(10_000, 50, _T)
 
 
 def test_cross_method_randomized():
@@ -157,8 +159,8 @@ def test_max_statistic_rows():
     r = max_statistic(2, 3, 22, _T)
     assert r.max_stat == pytest.approx(0.61035, abs=1e-5)
     assert (r.witness_n, r.witness_j) == (9, 5)
-    with pytest.raises(ResourceError, match="exhaustive cap 100"):
-        max_statistic(2, 3, 102, _T, cap=100)
+    with pytest.raises(ResourceError, match="exhaustive cap 30000000"):
+        max_statistic(2, 3, 30_000_002, _T)
 
 
 def test_max_statistic_falls_below_target_after_9():
@@ -240,26 +242,32 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
 _SEGMENT_30 = ROUGH_SEGMENT // 8 * 30    # integers in one segment of the wheel of 30
 
 
+def _intervals(y_lo, y_hi_max):
+    """(y_lo, y_hi) with y_lo drawn from `y_lo` and y_lo < y_hi <= y_hi_max."""
+    return y_lo.flatmap(lambda lo: st.tuples(st.just(lo),
+                                             st.integers(min_value=lo + 1, max_value=y_hi_max)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.sampled_from([1, 2, 3, 4, 5]), st.integers(min_value=1, max_value=120)),
-       st.integers(min_value=2, max_value=180),
+@given(_intervals(st.one_of(st.sampled_from([1, 2, 3, 4, 5]),
+                            st.integers(min_value=1, max_value=120)), 180),
        st.one_of(st.integers(min_value=1, max_value=20_000),
                  st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 100),
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
-@example(1, 2, 1000, 0.5)                  # no struck prime: wheel of 1
-@example(2, 3, (1 << 21) + 7, 0.3)         # wheel of 2, three segments, > KEPT_VIOLATIONS
-@example(3, 5, (1 << 20) + 29, 0.5)        # wheel of 6 across a segment boundary
-@example(5, 7, 2_000_003, 0.55)            # wheel of 30, x_cap not a multiple of 30
-@example(97, 101, 1_500_001, None)         # y_lo^2 and y_hi^2 in the first segment
-@example(31, 5, 60_000, 0.5)               # y_hi < y_lo: the table region starts first
-@example(5, 7, 8_000_003, 0.55)            # three segments, violations above the split
-@example(7, 11, 1_000_000, 0.56)           # presieved pattern of 7 alone
-@example(11, 13, 300_007, 0.55)            # presieved pattern of 7 and 11
-@example(13, 17, 5_000_000, None)          # presieved pattern of 7, 11 and 13
-@example(53, 59, 2_999_999, 0.6)           # maximum at small j, where row bounds are loose
-@example(6247, 6254, 39_150_000, 0.3)      # the first bounded row after the split is empty
-def test_scan_matches_reference(y_lo, y_hi, x_cap, target):
+@example((1, 2), 1000, 0.5)                  # no struck prime: wheel of 1
+@example((2, 3), (1 << 21) + 7, 0.3)         # wheel of 2, three segments, > KEPT_VIOLATIONS
+@example((3, 5), (1 << 20) + 29, 0.5)        # wheel of 6 across a segment boundary
+@example((5, 7), 2_000_003, 0.55)            # wheel of 30, x_cap not a multiple of 30
+@example((97, 101), 1_500_001, None)         # y_lo^2 and y_hi^2 in the first segment
+@example((5, 7), 8_000_003, 0.55)            # three segments, violations above y_hi^2
+@example((7, 11), 1_000_000, 0.56)           # presieved pattern of 7 alone
+@example((11, 13), 300_007, 0.55)            # presieved pattern of 7 and 11
+@example((13, 17), 5_000_000, None)          # presieved pattern of 7, 11 and 13
+@example((53, 59), 2_999_999, 0.6)           # maximum at small j, where row bounds are loose
+@example((6247, 6254), 39_150_000, 0.3)      # the first bounded row past y_hi^2 is empty
+def test_scan_matches_reference(interval, x_cap, target):
+    y_lo, y_hi = interval
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
     assert got == reference_scan(_T, y_lo, y_hi, x_cap, target=target)
 
@@ -269,16 +277,16 @@ _PRESIEVES = {y: Presieve(_strike_primes(_T, y), _SEGMENT_30 + 200) for y in (17
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=17, max_value=180),
-       st.integers(min_value=2, max_value=200),
+@given(_intervals(st.integers(min_value=17, max_value=180), 200),
        st.one_of(st.integers(min_value=1, max_value=20_000),
                  st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 200),
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
-@example(17, 19, _SEGMENT_30 + 200, 0.55)   # nothing left to strike, to the presieve's end
-@example(53, 59, 2_999_999, 0.6)
-@example(179, 181, _SEGMENT_30, None)
-def test_scan_from_a_presieve_equals_scan_without(y_lo, y_hi, x_cap, target):
+@example((17, 19), _SEGMENT_30 + 200, 0.55)   # nothing left to strike, to the presieve's end
+@example((53, 59), 2_999_999, 0.6)
+@example((179, 181), _SEGMENT_30, None)
+def test_scan_from_a_presieve_equals_scan_without(interval, x_cap, target):
+    y_lo, y_hi = interval
     presieve = _PRESIEVES[53 if y_lo >= 53 else 17]
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target, presieve=presieve)
     assert got == scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
@@ -297,6 +305,12 @@ def test_scan_refuses_a_presieve_that_does_not_fit(y_lo, x_cap, presieve, match)
 def test_scan_rejects_y_hi_below_2():
     with pytest.raises(DomainError):
         scan_rough_interval(_T, 1, 1, 100)
+
+
+@pytest.mark.parametrize("y_lo, y_hi, x_cap", [(31, 5, 60_000), (7, 7, 100)])
+def test_scan_rejects_an_empty_interval(y_lo, y_hi, x_cap):
+    with pytest.raises(DomainError, match="y_hi > y_lo"):
+        scan_rough_interval(_T, y_lo, y_hi, x_cap)
 
 
 @pytest.mark.parametrize("count", [

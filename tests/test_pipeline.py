@@ -125,12 +125,6 @@ def test_small_y_lowered_target_fails_with_witnesses():
     assert witnessed and witnessed[0]["witnesses"]
 
 
-def test_small_y_cap_guard():
-    from roughbound.errors import ResourceError
-    with pytest.raises(ResourceError, match="cap"):
-        verify_small_y(0.6, _T, cap=100)
-
-
 def test_small_u_coefficient_domain():
     with pytest.raises(DomainError):
         small_u_coefficient(2000.0, 3.2)
@@ -168,7 +162,7 @@ def test_unknown_region_rejected():
 
 def test_config_has_only_the_set_knobs():
     assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
-        "target", "exhaustive_cap", "small_u_cap", "parallelism", "regions"]
+        "target", "small_u_cap", "parallelism", "regions"]
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])
