@@ -305,6 +305,15 @@ def _ratio_us(step: float, rows_per_u: int) -> list[float]:
     return us
 
 
+def _check_ratio_x(y: float, u: float) -> None:
+    """Refuse a ratio map whose largest x = int(y^u) is past the exhaustive
+    cap of its counts, naming the largest y (to two decimals) that fits."""
+    if int(y ** u) > DEFAULT_EXHAUSTIVE_CAP:
+        y_max = math.floor(DEFAULT_EXHAUSTIVE_CAP ** (1.0 / u) * 100) / 100
+        raise ResourceError(f"y={y:g} at u={u:.4f} needs x={int(y ** u)}, past the exhaustive "
+                            f"cap {DEFAULT_EXHAUSTIVE_CAP}; the largest y allowed is {y_max:g}")
+
+
 def _cmd_plot_data(args) -> int:
     # every grid is counted, and built if it is omega's, before the output opens
     if args.kind == "omega":
@@ -313,7 +322,10 @@ def _cmd_plot_data(args) -> int:
         samples = omega_samples(table, args.u_lo, args.u_hi, args.step)
     else:
         ys = args.y_set
+        if min(ys) < 2:
+            raise DomainError(f"ratio-map needs every y >= 2, got {min(ys):g}")
         us = _ratio_us(args.u_step, len(ys))
+        _check_ratio_x(max(ys), us[-1])
         table = build_prime_table(max(300, int(max(ys)) + 10))
     out, close = _open_out(args.out)
     try:

@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 # Sum of 1/p over the pre-sieved primes 2, 3, 5, kept exact until use.
 _PRESIEVE_RECIP = Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5)  # = 31/30
+_LI_11, _LI_E2 = li(11.0), li(math.exp(2.0))   # the y-free li terms of the closed form
 PRESIEVE_DENSITY = 4.0 / 15.0
 PRESIEVE_REMAINDER = 14.0 / 15.0
 PRESIEVE_EXCLUDED_FACTOR = 3.0 / 14.0   # product of (1 + 2/p)^-1 over p = 2, 3, 5
@@ -284,7 +285,7 @@ def s_y_closed_form(y: float) -> float:
     eps = 1.0 / math.log(y)
     a = 2.0 * eps - 1.0
     recip_part = -math.log(math.log(y)) - 0.26 + float(_PRESIEVE_RECIP)
-    power_part = (7.0 ** a) + (li(11.0) - 4.0) * 11.0 ** a + li(math.exp(2.0)) - li(11.0 ** (2.0 * eps))
+    power_part = (7.0 ** a) + (_LI_11 - 4.0) * 11.0 ** a + _LI_E2 - li(11.0 ** (2.0 * eps))
     return recip_part + (1.0 + BETA0) * power_part
 
 

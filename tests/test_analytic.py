@@ -145,3 +145,38 @@ def test_pair_sum_slack_direction(table_1m):
         slack = 0.00624 if y < 1e4 else 0.00322
         assert s < math.log(math.log(rx) / math.log(y)) + slack
         assert s > math.log(math.log(rx) / math.log(y)) - slack
+
+
+@pytest.mark.parametrize("fn, domain", [
+    (li, lambda x: (x >= 0) & (x != 1)),
+    (r_ratio, lambda t: t > 1),
+    (pi_lower_599, lambda t: t >= 599),
+    (mertens_err_window, lambda t: t >= 1100),
+])
+def test_array_forms_match_scalar_calls(fn, domain):
+    # the domain and window edges with one ulp either side, then a log-uniform spread
+    edges = np.array([0.0, 0.5, 2.0, 599.0, 1100.0, 1e4, 1e6, 1e12, 1e15])
+    spread = np.exp(np.random.default_rng(41).uniform(0.0, math.log(1e15), 400))
+    xs = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf), spread])
+    xs = xs[domain(xs)]
+    want = np.array([fn(float(x)) for x in xs]).T
+    assert np.array_equal(np.array(fn(xs)), want)
+    assert np.shape(fn(xs[:, None]))[-2:] == (len(xs), 1)
+
+
+def test_scalar_forms_return_floats():
+    for value in (li(2), li(np.float64(2.0)), li(0.0), r_ratio(10.0), pi_lower_599(599),
+                  *mertens_err_window(2000), *mertens_err_window(1e8)):
+        assert type(value) is float
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: li(np.array([2.0, -1.0, 3.0])), DomainError),
+    (lambda: li(np.array([2.0, 1.0])), SingularityError),
+    (lambda: r_ratio(np.array([[2.0, 3.0], [1.0, 4.0]])), DomainError),
+    (lambda: pi_lower_599(np.array([600.0, np.nextafter(599.0, 0.0)])), DomainError),
+    (lambda: mertens_err_window(np.array([1e8, np.nextafter(1100.0, 0.0)])), DomainError),
+])
+def test_array_forms_refuse_any_bad_element(call, error):
+    with pytest.raises(error):
+        call()

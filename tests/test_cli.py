@@ -126,6 +126,29 @@ def test_oversized_grid_or_table_exit_writes_nothing(argv, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_ratio_map_past_the_cap_exits_before_writing(capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = ["plot-data", "--kind", "ratio-map", "--y-set", "3,1000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the largest y allowed is 310.72" in captured.err
+    assert main(argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+    # the named y fits; the next one up does not
+    assert main(["plot-data", "--kind", "ratio-map", "--y-set", "310.73"]) == 3
+    assert main(["plot-data", "--kind", "ratio-map", "--y-set", "310.72"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("310.72,3.0000,")
+
+
+@pytest.mark.parametrize("y_set", ["3,1", "1.5", "0,5"])
+def test_ratio_map_y_below_2_exits_2(y_set, capsys):
+    assert main(["plot-data", "--kind", "ratio-map", "--y-set", y_set]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs every y >= 2" in captured.err
+
+
 @pytest.mark.parametrize("argv, rows", [
     (["plot-data", "--kind", "ratio-map", "--y-set", "3,5", "--u-step", "0.25"], 10),
     (["plot-data", "--kind", "omega", "--u-lo", "1", "--u-hi", "2", "--step", "0.5"], 3),

@@ -3,13 +3,19 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import weakref
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import special
+from scipy.integrate import quad
 
-from roughbound.analytic import THETA_DEFECT_SMALL
+import roughbound
+from roughbound.analytic import BETA0, BETA1_SMALL, RECIP_SUM_COEFF, THETA_DEFECT_SMALL
 from roughbound.errors import DomainError, OutOfRangeError
 from roughbound.pipeline import (
     BoundReport,
@@ -19,11 +25,13 @@ from roughbound.pipeline import (
     REFERENCE_SMALL_Y_ROWS,
     REGION_ORDER,
     SMALL_U,
+    SMALL_U_GRID_YS,
     SMALL_Y,
     epsilon_k,
     iteration_tail_epsilon,
     run_full_pipeline,
     small_u_coefficient,
+    small_u_grid_max,
     verify_iteration,
     verify_small_y,
 )
@@ -130,6 +138,125 @@ def test_small_u_coefficient_domain():
         small_u_coefficient(2000.0, 3.2)
     with pytest.raises(DomainError):
         small_u_coefficient(500.0, 2.5)  # below the window validity
+    with pytest.raises(DomainError):
+        small_u_coefficient(2000.0, np.array([2.0, 2.5, 3.2]))
+    with pytest.raises(DomainError):
+        small_u_coefficient(np.array([1100.0, 500.0]), 2.5)
+
+
+def _window(t):
+    """The Mertens-sum error window of roughbound.analytic, one float at a time."""
+    if t < 1e4:
+        return 0.0, BETA1_SMALL
+    if t < 1e6:
+        return 0.0, 0.00161
+    w = RECIP_SUM_COEFF / math.log(t) ** 3
+    return -w, w
+
+
+def _li(x):
+    """roughbound.analytic.li's formula with math's log and exp, one float at a time."""
+    big_l = math.log(x)
+    return float(special.expi(big_l)) + math.log1p(x / math.exp(big_l) - 1.0) * x / big_l
+
+
+def _r_ratio(t):
+    return (1.0 + BETA0) * _li(t) * math.log(t) / t
+
+
+def reference_small_u_coefficient(y, u):
+    """The small-u coefficient with its credit integral by adaptive
+    quadrature (scipy quad, absolute tolerance 1e-12 x, split at the same
+    points), one float at a time."""
+    log_y = math.log(y)
+    x = y ** u
+    rx = y ** (u / 2.0)
+    lo_y, hi_y = _window(y)
+    _, hi_rx = _window(rx)
+
+    main = _r_ratio(x) / u
+    second = _r_ratio(rx) * (2.0 / u) * (math.log(u / 2.0) + hi_rx - lo_y)
+
+    credit_int = 0.0
+    if u > 2.0:
+        def integrand(s):
+            z = y ** (u - s)
+            t = y ** s
+            lo_t, _ = _window(t)
+            f_lower = math.log(s) + lo_t - hi_y
+            return (_li(z) - z / ((u - s) * log_y)) * f_lower * t * log_y
+
+        pts = sorted(
+            s for s in (math.log(1e4) / log_y, math.log(1e6) / log_y, math.exp(hi_y))
+            if 1.0 < s < u / 2.0
+        )
+        val, _ = quad(integrand, 1.0, u / 2.0, epsabs=1e-12 * x, epsrel=1e-10, limit=200,
+                      points=pts or None)
+        credit_int = (1.0 + BETA0) * val * log_y / x
+
+    sqrt_x = math.sqrt(x)
+    big_l = sqrt_x / math.log(sqrt_x) + sqrt_x / math.log(sqrt_x) ** 2
+    a_low = 0.5 * big_l * (big_l - 1.0)
+    big_w = _r_ratio(y) * y / log_y
+    b_up = 0.5 * (big_w - 1.0) * (big_w - 2.0)
+    credit_m = (a_low - b_up) * log_y / x
+
+    return main + second - credit_int - credit_m
+
+
+@pytest.fixture(scope="module")
+def small_u_grid():
+    """Each grid y with its u values, as small_u_grid_max builds them, and
+    the reference coefficient at every point."""
+    grid = []
+    for y in map(float, SMALL_U_GRID_YS):
+        crossings = [2.0 * math.log(b) / math.log(y) for b in (1e4, 1e6)]
+        us = sorted([*np.linspace(2.0, 3.0, 101).tolist(),
+                     *(v for c in crossings if 2.0 < c < 3.0 for v in (c - 1e-9, c))])
+        grid.append((y, us, [reference_small_u_coefficient(y, u) for u in us]))
+    return grid
+
+
+def test_small_u_coefficient_matches_quadrature_on_the_grid(small_u_grid):
+    assert sum(len(us) for _, us, _ in small_u_grid) == 3280
+    for y, us, want in small_u_grid:
+        got = small_u_coefficient(y, np.array(us))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_small_u_grid_max_picks_the_reference_maxima(small_u_grid):
+    best, rows = small_u_grid_max()
+    ref_best = (-math.inf, None, None)
+    for (y, us, values), row in zip(small_u_grid, rows):
+        i = max(range(len(us)), key=lambda k: (values[k], -k))   # first maximum
+        assert (row["y"], row["at_u"]) == (y, us[i])
+        assert row["max_coefficient"] == pytest.approx(values[i], abs=1e-13)
+        if values[i] > ref_best[0]:
+            ref_best = (values[i], y, us[i])
+    assert best[1:] == ref_best[1:] == (1100.0, 2.89)
+    assert best[0] == pytest.approx(ref_best[0], abs=1e-13)
+
+
+# quad warns on a credit interval a few ulps wide (u just above 2), where the credit is about 0
+@pytest.mark.filterwarnings("ignore:Extremely bad integrand behavior")
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=1100.0, max_value=1e12), st.floats(min_value=2.0, max_value=3.0))
+@example(1e6, 3.0)
+@example(1100.0, 2.0000000000000004)   # the rounded midpoint of [1, u/2] lies below 1
+@example(999999.0, 2.0 * math.log(1e6) / math.log(999999.0) - 1e-9)
+def test_small_u_coefficient_matches_quadrature(y, u):
+    want = reference_small_u_coefficient(y, u)
+    assert small_u_coefficient(y, u) == pytest.approx(want, abs=1e-13)
+    assert small_u_coefficient(np.array([y, y]), u)[1] == small_u_coefficient(y, u)
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(roughbound.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, roughbound; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"
 
 
 def test_small_u_coefficient_spot():
