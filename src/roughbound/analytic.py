@@ -30,9 +30,22 @@ def _arg(x):
     return np.asarray(x, dtype=float)[()]
 
 
+def _any(bad) -> bool:
+    """Whether `bad`, a numpy bool or a bool array, holds anywhere; a float's
+    test is read directly, not counted."""
+    return bool(np.count_nonzero(bad) if isinstance(bad, np.ndarray) else bad)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b); for a float's test, the chosen value itself."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
 def _refuse(bad, x, error, text: str) -> None:
     """Raise `error` naming the first element of `x` where `bad` holds."""
-    if np.count_nonzero(bad):
+    if _any(bad):
         raise error(f"{text}, got {np.asarray(x)[bad].flat[0]}")
 
 
@@ -52,8 +65,8 @@ def mertens_err_window(t):
     t = _arg(t)
     _refuse(t < 1100, t, DomainError, "error window asserted only for t >= 1100")
     w = RECIP_SUM_COEFF / np.power(np.log(t), 3)
-    lo = np.where(t < 1e6, 0.0, -w)
-    hi = np.where(t < 1e4, BETA1_SMALL, np.where(t < 1e6, 0.00161, w))
+    lo = _where(t < 1e6, 0.0, -w)
+    hi = _where(t < 1e4, BETA1_SMALL, _where(t < 1e6, 0.00161, w))
     return _out(lo), _out(hi)
 
 
@@ -69,13 +82,19 @@ def li(x):
     """
     x = _arg(x)
     _refuse(x < 0, x, DomainError, "li needs x >= 0")
-    if np.count_nonzero(x == 1):
+    if _any(x == 1):
         raise SingularityError("li has a non-integrable singularity at x = 1")
+    if not isinstance(x, np.ndarray):
+        return 0.0 if x == 0 else float(_li_above_0(x))
     with np.errstate(divide="ignore", invalid="ignore"):   # x = 0, set below
-        big_l = np.log(x)
-        residual = np.log1p(x / np.exp(big_l) - 1.0)
-        value = _special.expi(big_l) + residual * x / big_l
-    return _out(np.where(x == 0, 0.0, value))
+        return np.where(x == 0, 0.0, _li_above_0(x))
+
+
+def _li_above_0(x):
+    """li(x) for x > 0, x != 1 (see `li`)."""
+    big_l = np.log(x)
+    residual = np.log1p(x / np.exp(big_l) - 1.0)
+    return _special.expi(big_l) + residual * x / big_l
 
 
 def r_ratio(t):

@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                     const=PAPER_SCALE_SMALL_U_CAP, default=SMALL_U_CAP,
                     help=f"run the exhaustive small-u scans to y <= {PAPER_SCALE_SMALL_U_CAP}, "
                          f"where the analytic grid starts, instead of {SMALL_U_CAP} "
-                         "(about 30 s on one core)")
+                         "(about 10 s on one core)")
     sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--out", default=None)
 

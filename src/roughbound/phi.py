@@ -3,7 +3,7 @@
 Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
 (1 is always counted).  `phi_direct` counts the survivors of the library's
 one sieve, the segmented mod-30 wheel `primes.rough_segments` (segments of
-`primes.ROUGH_SEGMENT` bytes), or the count can be reproduced by full
+`primes.ROUGH_SEGMENT` bits), or the count can be reproduced by full
 inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
 prime-pair identity (`phi_two_prime`).  The interval scans read the same
 sieve row by row and expand each segment once, to the (n, index) pairs of
@@ -35,7 +35,7 @@ def _strike_primes(table: PrimeTable, y) -> np.ndarray:
 def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
     """Exact Phi(x, y): the survivors of the wheel sieve `rough_segments`,
-    counted.  Degenerate cases: Phi(x, y) = floor(x) for y < 2 and
+    counted by popcount.  Degenerate cases: Phi(x, y) = floor(x) for y < 2 and
     Phi(0, y) = 0."""
     x = int(x)
     if x < 0:
@@ -47,7 +47,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
     if y < 2:
         return x
     strike = _strike_primes(table, min(y, x))
-    return sum(int(np.count_nonzero(mask)) for _, mask in rough_segments(strike, x))
+    return sum(int(np.bitwise_count(rows).sum()) for _, rows in rough_segments(strike, x))
 
 
 def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
@@ -176,11 +176,12 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     witness is the first n attaining its maximum.
 
     The segments come from the wheel sieve `rough_segments`, started from
-    `presieve` if given (see there).  Their masks are read in rows of 32
-    residues, and each segment is expanded to (n, j) pairs once.  A row's
-    survivor count gives the j of its last survivor, j_end, so each
-    survivor of a row has j / n <= j_end / (the row's smallest n), its
-    bound.  The rows holding an n below y_hi^2 are expanded whole.  From
+    `presieve` if given (see there), as packed rows of 32 residues.  A row's
+    survivor count, the popcount of its word, gives the j of its last
+    survivor, j_end, so each survivor of a row has
+    j / n <= j_end / (the row's smallest n), its bound.  Only the kept rows
+    are unpacked, and each segment is expanded to (n, j) pairs once.  The
+    rows holding an n below y_hi^2 are kept whole.  From
     y_hi^2 on both statistics are j log(y_hi) / n, and a row is expanded
     only if its bound reaches the floor: the largest j / n known so far
     (less 1e-13), capped at the target's j / n, so that every violation lies
@@ -221,15 +222,14 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                 violations.append((int(ns[b]), int(js[b]), float(ratios[b])))
         return _better(best, ratios, ns, js)
 
-    for base, mask in rough_segments(strike, x_cap, presieve):
-        # survivors per row: its four 8-byte popcounts summed by one multiply
-        count = (np.bitwise_count(mask.view(np.uint64)).view(np.uint32) * 0x01010101 >> 24)[:, 0]
+    for base, rows in rough_segments(strike, x_cap, presieve):
+        count = np.bitwise_count(rows)         # survivors per row
         j_end = np.cumsum(count, dtype=np.int64)
         j_end += j_offset
-        n_min = np.arange(base + residues[0], base + (len(mask) + 1) * step, step,
+        n_min = np.arange(base + residues[0], base + (len(rows) + 1) * step, step,
                           dtype=np.float64)
         # rows [0, head) hold an n below y_hi^2
-        head = min(len(mask), max(0, -(-(q2 - base - int(residues[0])) // step)))
+        head = min(len(rows), max(0, -(-(q2 - base - int(residues[0])) // step)))
         # The last survivor of a row, at j_end, lies below the next row's
         # n_min, so some survivor n >= y_hi^2 reaches j_end / (that n_min)
         # from row `lead` on; before it, j_end may be the j of a survivor
@@ -242,10 +242,10 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         keep = j_end >= n_min[:-1] * (floor * (1 - 1e-13))
         keep[:head] = True
         idx = np.flatnonzero(keep)
-        cells = np.flatnonzero(mask[idx])
+        cells = np.flatnonzero(np.unpackbits(rows[idx].view(np.uint8)).view(bool))
         rr = cells >> 5                        # the survivor's row, as an index into idx
         ns = (base + step * idx)[rr] + residues[cells & 31]
-        js = (j_end[idx] - np.cumsum(count[idx]))[rr] + np.arange(1, rr.size + 1)
+        js = (j_end[idx] - np.cumsum(count[idx], dtype=np.int64))[rr] + np.arange(1, rr.size + 1)
         j_offset = int(j_end[-1])
 
         lo, hi = np.searchsorted(ns, (lo_bound, q2)).tolist()

@@ -19,10 +19,12 @@ All region work is pure and deterministic.  A run opens one task pool
 the iteration is a task on it, and the calling process only submits tasks
 and assembles certificates.  The pool's workers receive the prime table once,
 and below two workers the pool is inline (no processes), as it is for a
-verifier called without a pool.  A scan task names its presieve, if any, and
-each process builds a named presieve on first use and keeps it until its
-pool closes.  The report does not depend on the
-parallelism setting, `PipelineConfig.parallelism`.
+verifier called without a pool.  A mid-y or small-u scan task names the range
+its presieve must cover.  Each process keeps one presieve: it advances it in
+place to each scan's primes, so that scans in ascending y strike each prime
+once per process, and it builds a new one only for a longer range or fewer
+primes.  The presieve is freed with its pool.  The report does not depend on
+the parallelism setting, `PipelineConfig.parallelism`.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ REGION_ORDER = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATI
 
 DEFAULT_TARGET = 0.6
 # Exhaustive small-u scans run to y <= SMALL_U_CAP by default; the paper
-# scale runs them to 1100, where the analytic grid takes over (132 scans,
-# about 30 s on one core).
+# scale runs them to 1100, where the analytic grid takes over (132 scans from
+# a 45 MB presieve, about 9 s on one core).
 SMALL_U_CAP = 500
 PAPER_SCALE_SMALL_U_CAP = 1100
 CLOSED_GRID_TOP = 1e12
@@ -178,21 +180,27 @@ def _ceil_two_sig(n: int) -> int:
 
 class _PoolState:
     """What the tasks of one pool share in one process: the prime table, and
-    the last presieve a scan task named, built on first use."""
+    one presieve that the scans advance."""
 
     def __init__(self, table: PrimeTable):
         self.table = table
-        self._presieve: tuple[tuple[int, int], Presieve] | None = None
+        self._presieve: Presieve | None = None
 
-    def presieve(self, name: tuple[int, int] | None) -> Presieve | None:
-        """The presieve of the primes <= y over [0, x_cap], for name (y, x_cap)."""
-        if name is None:
-            return None
-        if self._presieve is None or self._presieve[0] != name:
-            self._presieve = None              # free the old one before building its successor
-            y, x_cap = name
-            self._presieve = (name, Presieve(self.table.primes[:self.table.pi(y)], x_cap))
-        return self._presieve[1]
+    def presieve(self, y: int, x_cap: int) -> Presieve:
+        """A presieve of exactly the primes <= y over at least [0, x_cap].
+
+        The held one, advanced in place, if it covers that range and has
+        struck no prime above y; else a new one.  Scans in ascending y
+        strike each prime once per process.
+        """
+        strike = self.table.primes[:self.table.pi(y)]
+        held = self._presieve
+        if held is None or held.x_cap < x_cap or len(held.strike) > len(strike):
+            held = self._presieve = None       # free the old one before building its successor
+            held = self._presieve = Presieve(strike, x_cap)
+        else:
+            held.advance(strike)
+        return held
 
 
 # The state of the pool a task runs in: set once in each worker process by
@@ -244,10 +252,12 @@ def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
 # wrapper installed on this module before the pool starts reaches its workers.
 
 def _scan_task(task):
-    y_lo, y_hi, x_cap, target, presieve = task
+    """One interval scan; `cover`, if not None, is the range the process's
+    presieve must cover, and the scan reads its segments from it."""
+    y_lo, y_hi, x_cap, target, cover = task
     state = _POOL.get()
-    return scan_rough_interval(state.table, y_lo, y_hi, x_cap, target=target,
-                               presieve=state.presieve(presieve))
+    presieve = None if cover is None else state.presieve(y_lo, cover)
+    return scan_rough_interval(state.table, y_lo, y_hi, x_cap, target=target, presieve=presieve)
 
 
 def _selberg_task(target):
@@ -353,7 +363,8 @@ def verify_mid_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertif
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
     14/15 remainder refinement) takes over at an x-bound verified to stay
     below the 3e7 cap; one streaming pass covers all smaller x.  The scans
-    run as in `verify_small_y`.
+    run as in `verify_small_y`, each from its process's presieve over the
+    largest x-bound (1 MB), advanced to the scan's primes.
     """
     ps = [int(p) for p in table.primes_between(70, 240)]
     meta = []
@@ -371,8 +382,9 @@ def verify_mid_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertif
             xb = DEFAULT_EXHAUSTIVE_CAP
         meta.append((p, q, xb))
 
+    cover = max(xb for _, _, xb in meta) - 1
     with nullcontext(pool) if pool else _InlinePool(table) as pool:
-        scans = list(pool.map(_scan_task, [(p, q, xb - 1, target, None) for p, q, xb in meta]))
+        scans = list(pool.map(_scan_task, [(p, q, xb - 1, target, cover) for p, q, xb in meta]))
 
     rows = []
     failures = list(bound_failures)
@@ -580,22 +592,20 @@ def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
 
     The default cap keeps the exhaustive branch at desk scale; raising it to
     PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch in about
-    30 s on one core.  Scans cover x < q^3 per interval [p, q), with the
+    9 s on one core.  Scans cover x < q^3 per interval [p, q), with the
     two-dimensional supremum convention for the multiplier.  Every scan
-    starts its segments from one presieve of the primes <= 241 over the
-    largest range, which each process of the pool builds on first use
-    (4.2 MB at the default cap, 45 MB at the paper's).  The grid is a task
+    reads its segments from its process's presieve over the largest range
+    (4.2 MB at the default cap, 45 MB at the paper's), advanced to the
+    scan's primes, so that it strikes none itself.  The grid is a task
     submitted before the scans, and all of them run as in `verify_small_y`.
     """
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
     meta = [(p, table.next_prime(p)) for p in ps]
-    # every scan strikes the primes <= 241 first: each process sieves them once
-    presieve = (ps[0], meta[-1][1] ** 3 - 1) if ps else None
+    cover = meta[-1][1] ** 3 - 1 if meta else None
 
     with nullcontext(pool) if pool else _InlinePool(table) as pool:
         grid = pool.submit(_grid_task)
-        scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target, presieve)
-                                           for p, q in meta]))
+        scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target, cover) for p, q in meta]))
         (analytic_max, at_y, at_u), grid_rows = grid.result()
 
     rows = []

@@ -1,11 +1,13 @@
 """The library's one sieve, and the table of primes it builds.
 
 `rough_segments` is a segmented mod-30 wheel sieve: it marks the integers up
-to a cap that are free of a given set of small primes, one ROUGH_SEGMENT-byte
-mask at a time, and is the only sieve over segments.  Each mask starts from a
-packed source, one bit per wheel residue: the wheel's cached periodic pattern,
-or a `Presieve`, a range the sieve itself struck once by the first primes of
-the set, which many scans by longer sets can share.  `build_prime_table`
+to a cap that are free of a given set of small primes, one segment of
+ROUGH_SEGMENT bits at a time, and is the only sieve over segments.  Every
+array of the sieve is packed, one bit per wheel residue, and `_strike` is its
+one way to strike a prime.  Each segment starts as a copy of a packed
+source: the wheel's cached periodic pattern, or a `Presieve`, a range struck
+once by the first primes of the set, which scans by the same or longer sets
+can share and which `Presieve.advance` extends in place.  `build_prime_table`
 reads the primes above sqrt(limit) off it, `phi.phi_direct` counts its
 survivors and `phi.scan_rough_interval` streams them.
 
@@ -25,7 +27,7 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 
 # Guard against accidentally sieving into tens of gigabytes of primes.
 DEFAULT_LIMIT_CAP = 1 << 31
-ROUGH_SEGMENT = 1 << 20  # bytes of mask per segment of `rough_segments`
+ROUGH_SEGMENT = 1 << 20  # residues (bits) per segment of `rough_segments`
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
 
 
@@ -49,8 +51,8 @@ def _wheel(strike, x_cap: int = 0) -> tuple[int, int, np.ndarray, np.ndarray, np
 
     Returns the wheel modulus w; the turn width W (8, 16, 24 or 30 integers);
     the first 32 residues coprime to w, which span four turns; -r^-1 mod W
-    indexed by r; and the packed pattern (see `Presieve`) of turns with the
-    next PRESIEVED struck primes already struck, periodic with `period` turns
+    indexed by r; and the packed turns (see `Presieve`) with the next
+    PRESIEVED struck primes already struck, periodic with `period` turns
     (their product).  Turn i, column c of a segment starting at base stands
     for base + i*W + residues[c].  Cached per wheel; a longer sieve grows the
     pattern to the period plus the turns of one ROUGH_SEGMENT.
@@ -68,86 +70,129 @@ def _wheel(strike, x_cap: int = 0) -> tuple[int, int, np.ndarray, np.ndarray, np
     w, width, residues, neg_inv, pattern, period = _WHEELS[key]
     turns = period + min(ROUGH_SEGMENT // 8, x_cap // width + 4)
     if len(pattern) < turns:
-        unpacked = np.ones((turns, 8), dtype=bool)
-        for p in strike[3:key].tolist():
-            for c, r in enumerate(residues[:8].tolist()):
-                unpacked[-r * pow(width, -1, p) % p::p, c] = False
-        _WHEELS[key] = (w, width, residues, neg_inv, np.packbits(unpacked), period)
+        pattern = np.full(turns, 0xFF, dtype=np.uint8)
+        _strike(pattern, strike[3:key], _WHEELS[key], 0)
+        _WHEELS[key] = (w, width, residues, neg_inv, pattern, period)
     return _WHEELS[key]
 
 
 def wheel_row(strike) -> tuple[int, np.ndarray]:
-    """The layout of a `rough_segments` mask: the integers one row spans, and
-    the 32 residues of its columns."""
+    """The layout of a `rough_segments` row: the integers one row spans, and
+    the 32 residues of its bits."""
     width, residues = _wheel(strike)[1:3]
     return 4 * width, residues
 
 
+_TILE = 4096  # bytes a strike's periodic pattern is repeated to, at most
+
+
+def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple, first_turn: int) -> None:
+    """Clear the multiples of each prime of `ps` from the packed `turns`,
+    which start at turn `first_turn` of `wheel` (a `_wheel` tuple).
+
+    A prime p is one AND with a periodic pattern: p bytes with the bits of
+    its 8 multiples cleared, repeated to about _TILE bytes so that a short
+    period is not one numpy inner loop every p bytes.
+    """
+    _, width, residues, neg_inv, *_ = wheel
+    col = ps[:, None]
+    inv = (1 + col * neg_inv[col % width]) // width   # width^-1 mod p
+    starts = (-residues[:8] * inv - first_turn) % col  # turn of the first multiple per column
+    n = len(turns)
+    for p, first in zip(ps.tolist(), starts.tolist()):
+        pattern = bytearray(b"\xff") * p
+        for c, s in enumerate(first):
+            pattern[s] &= ~(0x80 >> c)
+        pattern = np.frombuffer(pattern * max(1, min(_TILE, n) // p), dtype=np.uint8)
+        whole = n - n % len(pattern)
+        if whole:
+            rows = turns[:whole].reshape(-1, len(pattern))
+            rows &= pattern
+        tail = turns[whole:]
+        tail &= pattern[:n - whole]
+
+
+def _extends(strike: np.ndarray, struck: np.ndarray) -> bool:
+    """Whether `struck` are the first primes of `strike`."""
+    return len(struck) <= len(strike) and np.array_equal(struck, strike[:len(struck)])
+
+
 class Presieve:
-    """[0, x_cap] sieved once by the primes `strike`, for `rough_segments`
-    to start segments of a sieve by more primes from.
+    """[0, x_cap] sieved by the primes `strike`, for `rough_segments` to start
+    segments of a sieve by more primes from.
 
     The survivors are kept packed, one bit per residue of the wheel of 30:
     byte i of `turns` is turn i (the integers 30i + residues[c]), column c
     in bit 7 - c, the byte order of `np.packbits` on a C-order mask.  That
-    is x_cap / 30 bytes, filled in place one segment at a time.
+    is x_cap / 30 bytes: the wheel's periodic pattern repeated, then struck
+    by the primes above it in place.  `advance` strikes more primes into
+    the same bytes, so one presieve can serve scans by ever longer sets.
+    The bits past x_cap are not trimmed; a segment trims its own tail.
     """
 
     def __init__(self, strike: np.ndarray, x_cap: int):
         if len(strike) < 3 + PRESIEVED:
             raise DomainError(f"a presieve strikes at least the {3 + PRESIEVED} primes up to 17, "
                               f"got {len(strike)}")
-        self.strike = strike
         self.x_cap = int(x_cap)
-        step = wheel_row(strike)[0]            # a segment holds whole rows of `step` integers
-        self.turns = np.empty(-(-(self.x_cap + 1) // step) * 4, dtype=np.uint8)
-        for base, mask in rough_segments(strike, self.x_cap):
-            self.turns[base // step * 4:][:mask.size // 8] = np.packbits(mask)
+        _, width, _, _, pattern, period = _wheel(strike)
+        rows = -(-(self.x_cap + 1) // (4 * width))   # the whole rows `rough_segments` reads
+        self.turns = np.resize(pattern[:period], 4 * rows)
+        self.strike = strike[:3 + PRESIEVED]
+        self.advance(strike)
+
+    def advance(self, strike: np.ndarray) -> None:
+        """Strike, in place, the primes of `strike` beyond this presieve's
+        own, which must be its first primes; refused, the bytes stay as
+        they are."""
+        if not _extends(strike, self.strike):
+            raise DomainError("the presieve's primes are not the first of the struck primes")
+        _strike(self.turns, strike[len(self.strike):], _wheel(strike), 0)
+        self.strike = strike
 
 
 def rough_segments(strike: np.ndarray, x_cap: int, presieve: Presieve | None = None):
     """Sieve [0, x_cap] by the primes `strike`, a segment at a time.
 
     `strike` must be the primes up to some bound, ascending.  Yields, for
-    each segment in ascending order, its base and a fresh (rows, 32) bool
-    mask: row i, column c stands for base + i*step + residues[c] (see
-    `wheel_row`) and is True if that integer is at most x_cap and has no
-    factor in `strike`.  0 is never marked; 1 always is.
+    each segment in ascending order, its base and a fresh uint32 array of
+    packed rows: row i is the four turns (see `Presieve`) 4i to 4i + 3, so
+    `np.unpackbits(rows.view(np.uint8))` gives its 32 cells in the order of
+    the residues of `wheel_row`, and cell c of row i stands for
+    base + i*step + residues[c].  A cell is set if that integer is at most
+    x_cap and has no factor in `strike`.  0 is never set; 1 always is.
 
-    The mask holds at most ROUGH_SEGMENT bytes, one per residue coprime to
-    the wheel of the struck primes among 2, 3, 5 (see `_wheel`).  It starts
-    as the unpacked bits of a packed source, and every prime the source has
-    not struck strikes one slice per residue class.  The source is the
-    wheel's periodic pattern, or `presieve` if given: its primes must be the
-    first of `strike`, and its range must reach x_cap.
+    A segment covers ROUGH_SEGMENT residues coprime to the wheel of the
+    struck primes among 2, 3, 5 (see `_wheel`), one bit each.  It starts as
+    a copy of a packed source, and `_strike` strikes every prime the source
+    has not struck.  The source is the wheel's periodic
+    pattern, or `presieve` if given: its primes must be the first of
+    `strike`, and its range must reach x_cap.
     """
-    w, width, residues, neg_inv, source, period = _wheel(strike, x_cap)
+    wheel = _wheel(strike, x_cap)
+    w, width, residues, _, source, period = wheel
     struck = min(len(strike), 3 + PRESIEVED)   # the primes the source has struck
     if presieve is not None:
         struck = len(presieve.strike)
-        if not (struck <= len(strike) and np.array_equal(presieve.strike, strike[:struck])):
+        if not _extends(strike, presieve.strike):
             raise DomainError("the presieve's primes are not the first of the struck primes")
         if presieve.x_cap < x_cap:
             raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
         # every segment starts within the presieve, so `% period` leaves its turn as is
         source, period = presieve.turns, len(presieve.turns)
-    ps = strike[struck:, None]                 # the struck primes left to strike
-    inv = (1 + ps * neg_inv[ps % width]) // width   # width^-1 mod p
-    first_turn = -residues[:8] * inv % ps      # turn of the first multiple of p per column
     step = 4 * width                           # integers per row of 32 residues
     span = ROUGH_SEGMENT // 8 * width
     for base in range(0, x_cap + 1, span):
         size = min(span, x_cap + 1 - base)
         start = base // width % period
-        turns = np.unpackbits(source[start:start + -(-size // step) * 4]).view(bool).reshape(-1, 8)
-        for p, row in zip(ps[:, 0].tolist(), ((first_turn - base // width) % ps).tolist()):
-            for c, s in enumerate(row):
-                turns[s::p, c] = False
-        mask = turns.reshape(-1, 32)
-        mask.ravel()[size // step * 32 + int(np.searchsorted(residues, size % step)):] = False
+        turns = source[start:start + -(-size // step) * 4].copy()
+        _strike(turns, strike[struck:], wheel, base // width)
+        cut = size // step * 32 + int(np.searchsorted(residues, size % step))  # first cell past x_cap
+        turns[cut >> 3:(cut >> 3) + 1] &= 0xFF00 >> (cut & 7) & 0xFF
+        turns[(cut >> 3) + 1:] = 0
         if base == 0 and w == 1:
-            mask[0, 0] = False  # 0 is not counted; 1 survives every strike
-        yield base, mask
+            turns[0] &= 0x7F  # 0 is not counted; 1 survives every strike
+        yield base, turns.view(np.uint32)
 
 
 class PrimeTable:
@@ -211,17 +256,20 @@ class PrimeTable:
 
 def build_prime_table(limit: int) -> PrimeTable:
     """All primes <= limit: the primes <= sqrt(limit) by a plain sieve, then
-    the survivors of `rough_segments` above them."""
+    the survivors of `rough_segments` above them, read off a `Presieve` of
+    [0, limit] by those primes once there are enough of them."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > DEFAULT_LIMIT_CAP:
         raise ResourceError(f"sieve limit {limit} exceeds the cap {DEFAULT_LIMIT_CAP}")
     small = _simple_sieve(math.isqrt(limit))
     step, residues = wheel_row(small)
+    # strike each prime once over the whole range, not once per segment
+    presieve = Presieve(small, limit) if len(small) >= 3 + PRESIEVED else None
 
     def survivors():
-        for base, mask in rough_segments(small, limit):
-            cells = np.flatnonzero(mask)
+        for base, rows in rough_segments(small, limit, presieve):
+            cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)).view(bool))
             ns = cells >> 5
             ns *= step
             ns += residues[cells & 31]

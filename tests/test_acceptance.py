@@ -161,7 +161,7 @@ def test_criterion_6_small_u(small_u_cert):
            f"analytic grid max {p['analytic_max']:.6f} < {C3_SMALL_U} at "
            f"(y,u)={tuple(p['analytic_at'])}; exhaustive max to cap "
            f"{p['exhaustive_cap_y']} is {p['exhaustive_max']:.6f} < {SMALL_U_EXHAUSTIVE_MAX} "
-           f"(cap 1100 available via --paper-scale, about 30 s on one core)")
+           f"(cap 1100 available via --paper-scale, about 10 s on one core)")
 
 
 def test_criterion_7_iteration(table):

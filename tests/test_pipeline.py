@@ -17,10 +17,12 @@ from scipy.integrate import quad
 import roughbound
 from roughbound.analytic import BETA0, BETA1_SMALL, RECIP_SUM_COEFF, THETA_DEFECT_SMALL
 from roughbound.errors import DomainError, OutOfRangeError
+from roughbound.phi import scan_rough_interval
 from roughbound.pipeline import (
     BoundReport,
     C3_SMALL_U,
     ITERATION,
+    MID_Y,
     PipelineConfig,
     REFERENCE_SMALL_Y_ROWS,
     REGION_ORDER,
@@ -390,18 +392,50 @@ def test_small_u_reduced_deterministic_parallel():
 def test_small_u_presieve_built_once_per_pool_and_dropped_with_it(monkeypatch):
     import roughbound.pipeline as pl
 
-    built = []
+    built, advanced = [], []
 
     class Recorded(Presieve):
         def __init__(self, strike, x_cap):
             super().__init__(strike, x_cap)
             built.append((int(strike[-1]), x_cap, weakref.ref(self)))
 
+        def advance(self, strike):
+            super().advance(strike)
+            advanced.append(int(strike[-1]))
+
     monkeypatch.setattr(pl, "Presieve", Recorded)
-    _region_run(SMALL_U, 1, small_u_cap=270)
-    # the primes <= 241 up to the largest x cap, 271^3 - 1, for all five scans
-    assert [(y, x_cap) for y, x_cap, _ in built] == [(241, 271 ** 3 - 1)]
-    assert built[0][2]() is None
+    # small-u's largest x cap, 311^3 - 1, is beyond mid-y's, 29,264,556 (below a
+    # cap of 308, mid-y's presieve serves both regions)
+    report = run_full_pipeline(PipelineConfig(regions=(MID_Y, SMALL_U), small_u_cap=310))
+    mid_y_cover = report.certificates[0].params["max_x_bound"] - 1
+    # one presieve per region, for its first scan, over the region's largest x cap
+    assert [(y, x_cap) for y, x_cap, _ in built] == [(71, mid_y_cover), (241, 311 ** 3 - 1)]
+    # built to its first scan's primes, then advanced to each later scan's
+    assert advanced == [int(p) for p in _T.primes_between(70, 310)]
+    assert all(ref() is None for *_, ref in built)
+
+
+def test_mid_y_and_small_u_scans_are_the_same_in_any_order():
+    import roughbound.pipeline as pl
+
+    tasks = []
+
+    class Recording(pl._InlinePool):
+        def map(self, fn, items):
+            items = list(items)
+            tasks.extend(items)
+            return super().map(fn, items)
+
+    with Recording(_T) as pool:
+        pl.verify_mid_y(0.6, _T, pool=pool)
+        pl.verify_small_u(_T, y_exhaustive_cap=270, pool=pool)
+    assert len(tasks) == 33 + 5 and all(task[4] for task in tasks)
+    want = [scan_rough_interval(_T, *task[:3], target=task[3]) for task in tasks]
+    ascending = list(range(len(tasks)))
+    for order in (ascending, ascending[::-1], np.random.default_rng(15).permutation(len(tasks))):
+        with pl._InlinePool(_T) as pool:   # one process's presieve across both regions
+            got = pool.map(pl._scan_task, [tasks[i] for i in order])
+        assert got == [want[i] for i in order]
 
 
 def test_small_y_parallel_deterministic():

@@ -18,6 +18,7 @@ from roughbound.primes import (
     build_prime_table,
     mertens_product,
     rough_segments,
+    wheel_row,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -124,12 +125,36 @@ def test_build_matches_bytearray_sieve_at_segment_boundary():
         assert np.array_equal(build_prime_table(limit).primes, oracle[oracle <= limit]), k
 
 
+def primes_upto(primes, y):
+    return primes[:int(np.searchsorted(primes, y, side="right"))]
+
+
+def presieve_cells(presieve):
+    """(n, survives) for every cell of `presieve` with n <= its x_cap."""
+    residues = wheel_row(presieve.strike)[1]
+    cells = np.arange(8 * presieve.turns.size)
+    ns = (cells >> 3) * 30 + residues[cells & 7]
+    keep = ns <= presieve.x_cap
+    return ns[keep], np.unpackbits(presieve.turns).view(bool)[keep]
+
+
+def rough_oracle(primes, x_cap):
+    """mask[n] for 0 <= n <= x_cap: n > 0 has no factor in `primes`."""
+    mask = np.ones(x_cap + 1, dtype=bool)
+    for p in primes.tolist():
+        mask[::p] = False           # 0 and every multiple of p, p itself included
+    return mask
+
+
+_SPAN_30 = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
+
+
 def test_segments_from_a_presieve_equal_segments_from_the_pattern(table_small):
-    span = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
+    span = _SPAN_30
     primes = table_small.primes
-    presieve = Presieve(primes[:10], 2 * span + 1000)   # the primes <= 29
+    presieve = Presieve(primes_upto(primes, 29), 2 * span + 1000)
     for y in (29, 31, 101):               # nothing, one prime, 16 primes left to strike
-        strike = primes[:int(np.searchsorted(primes, y, side="right"))]
+        strike = primes_upto(primes, y)
         # tail trims inside a turn, a row and a segment, at its edges, and at
         # the presieve's own end
         for x_cap in (1, 2, 29, 30, 31, 119, 120, 121, 1_000_003, span - 1, span, span + 1,
@@ -139,6 +164,42 @@ def test_segments_from_a_presieve_equal_segments_from_the_pattern(table_small):
             assert [b for b, _ in started] == [b for b, _ in plain], (y, x_cap)
             for (_, got), (_, want) in zip(started, plain):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (y, x_cap)
+
+
+# ranges ending inside a turn, inside a row, at a segment's edges and past them
+@pytest.mark.parametrize("x_cap", [45, 100, _SPAN_30 - 1, _SPAN_30, _SPAN_30 + 1,
+                                   2 * _SPAN_30 + 1000])
+def test_advancing_a_presieve_equals_building_it(table_small, x_cap):
+    primes = table_small.primes
+    stepped = Presieve(primes_upto(primes, 17), x_cap)
+    for y in (19, 241, 499):
+        strike = primes_upto(primes, y)
+        stepped.advance(strike)
+        one_step = Presieve(primes_upto(primes, 17), x_cap)
+        one_step.advance(strike)
+        fresh = Presieve(strike, x_cap)
+        assert stepped.turns.tobytes() == one_step.turns.tobytes() == fresh.turns.tobytes(), y
+        ns, survives = presieve_cells(fresh)
+        assert np.array_equal(survives, rough_oracle(strike, x_cap)[ns]), y
+    # read to the presieve's own end, with nothing left to strike
+    plain = list(rough_segments(strike, x_cap))
+    started = list(rough_segments(strike, x_cap, stepped))
+    assert [b for b, _ in started] == [b for b, _ in plain]
+    for (_, got), (_, want) in zip(started, plain):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_presieve_refuses_to_advance_by_primes_that_do_not_extend_its_own(table_small):
+    primes = table_small.primes
+    presieve = Presieve(primes_upto(primes, 71), 10_000)
+    before = presieve.turns.tobytes()
+    for strike in (primes_upto(primes, 67),                  # fewer primes
+                   np.delete(primes_upto(primes, 113), 12),  # 41 missing
+                   primes_upto(primes, 113)[1:]):            # 2 missing
+        with pytest.raises(DomainError, match="not the first"):
+            presieve.advance(strike)
+        assert presieve.turns.tobytes() == before
+        assert presieve.strike.tolist() == primes_upto(primes, 71).tolist()
 
 
 def test_presieve_refuses_fewer_primes_than_the_wheel_pattern(table_small):
