@@ -2,9 +2,9 @@
 
 Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
 (1 is always counted).  `phi_direct` counts the survivors of the library's
-one sieve, the segmented mod-30 wheel `primes.rough_segments` (segments of
-`primes.ROUGH_SEGMENT` bits), or the count can be reproduced by full
-inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
+one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_segments`
+(segments of `primes.ROUGH_SEGMENT` bits), or the count can be reproduced by
+full inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
 prime-pair identity (`phi_two_prime`).  The interval scans read the same
 sieve row by row and expand each segment once, to the (n, index) pairs of
 only the rows that can hold the interval max statistics used by the
@@ -34,8 +34,10 @@ def _strike_primes(table: PrimeTable, y) -> np.ndarray:
 
 def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
-    """Exact Phi(x, y): the survivors of the wheel sieve `rough_segments`,
-    counted by popcount.  Degenerate cases: Phi(x, y) = floor(x) for y < 2 and
+    """Exact Phi(x, y): the survivors of a `Presieve` of [0, x] by the primes
+    <= y, each struck once over the whole range, read out by `rough_segments`
+    and counted by popcount.  The presieve takes x / 30 bytes (up to x / 16
+    for y < 5).  Degenerate cases: Phi(x, y) = floor(x) for y < 2 and
     Phi(0, y) = 0."""
     x = int(x)
     if x < 0:
@@ -46,8 +48,8 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
         return 0
     if y < 2:
         return x
-    strike = _strike_primes(table, min(y, x))
-    return sum(int(np.bitwise_count(rows).sum()) for _, rows in rough_segments(strike, x))
+    presieve = Presieve(_strike_primes(table, min(y, x)), x)
+    return sum(int(np.bitwise_count(rows).sum()) for _, rows in rough_segments(presieve, x))
 
 
 def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
@@ -175,8 +177,9 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     violations are kept as witnesses and all of them are counted.  Each
     witness is the first n attaining its maximum.
 
-    The segments come from the wheel sieve `rough_segments`, started from
-    `presieve` if given (see there), as packed rows of 32 residues.  A row's
+    The segments are read by `rough_segments` off `presieve`, which must
+    hold exactly the primes <= y_lo over at least [0, x_cap], or else off a
+    `Presieve` built for the scan, as packed rows of 32 residues.  A row's
     survivor count, the popcount of its word, gives the j of its last
     survivor, j_end, so each survivor of a row has
     j / n <= j_end / (the row's smallest n), its bound.  Only the kept rows
@@ -222,7 +225,12 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                 violations.append((int(ns[b]), int(js[b]), float(ratios[b])))
         return _better(best, ratios, ns, js)
 
-    for base, rows in rough_segments(strike, x_cap, presieve):
+    if presieve is None:
+        presieve = Presieve(strike, x_cap)
+    elif not np.array_equal(presieve.strike, strike):
+        raise DomainError(f"the presieve's primes are not the first {len(strike)}, "
+                          f"the primes <= y_lo = {y_lo}")
+    for base, rows in rough_segments(presieve, x_cap):
         count = np.bitwise_count(rows)         # survivors per row
         j_end = np.cumsum(count, dtype=np.int64)
         j_end += j_offset
@@ -266,9 +274,10 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
 
 def max_statistic(y_lo: int, y_hi: int, x_bound: int, table: PrimeTable) -> MaxStatRow:
     """Tabulated max statistic for the interval [y_lo, y_hi): the supremum of
-    j log(y_hi) / n over rough n with y_hi^2 <= n < x_bound."""
-    if x_bound < y_lo * y_lo:
-        raise DomainError(f"x_bound {x_bound} below y_lo^2 = {y_lo * y_lo}")
+    j log(y_hi) / n over rough n with y_hi^2 <= n < x_bound, which needs
+    x_bound > y_hi^2."""
+    if x_bound <= y_hi * y_hi:
+        raise DomainError(f"x_bound {x_bound} must exceed y_hi^2 = {y_hi * y_hi}")
     if x_bound - 1 > DEFAULT_EXHAUSTIVE_CAP:
         raise ResourceError(f"scan to {x_bound - 1} exceeds the exhaustive cap "
                             f"{DEFAULT_EXHAUSTIVE_CAP}")

@@ -1,15 +1,16 @@
 """The library's one sieve, and the table of primes it builds.
 
-`rough_segments` is a segmented mod-30 wheel sieve: it marks the integers up
-to a cap that are free of a given set of small primes, one segment of
-ROUGH_SEGMENT bits at a time, and is the only sieve over segments.  Every
-array of the sieve is packed, one bit per wheel residue, and `_strike` is its
-one way to strike a prime.  Each segment starts as a copy of a packed
-source: the wheel's cached periodic pattern, or a `Presieve`, a range struck
-once by the first primes of the set, which scans by the same or longer sets
-can share and which `Presieve.advance` extends in place.  `build_prime_table`
-reads the primes above sqrt(limit) off it, `phi.phi_direct` counts its
-survivors and `phi.scan_rough_interval` streams them.
+A `Presieve` is [0, x_cap] sieved by a set of small primes: the integers up
+to x_cap that are free of them, kept packed, one bit per residue of a wheel.
+`_strike` is the sieve's one way to strike a prime, and each caller strikes
+each prime once, over its whole range: a presieve strikes its primes when it
+is built, and `Presieve.advance` strikes more into the same bytes, so one
+presieve can serve scans by ever longer sets.  `rough_segments` strikes
+nothing: it copies a presieve's range out a segment of ROUGH_SEGMENT bits at
+a time, trims the tail past x_cap and yields packed rows.
+`build_prime_table` reads the primes above sqrt(limit) off it,
+`phi.phi_direct` counts its survivors and `phi.scan_rough_interval` streams
+them.
 
 A :class:`PrimeTable` stores every prime up to a limit and nothing else: it
 keeps no prefix sums, and a sum over primes is taken over a slice of the
@@ -25,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceError
 
-# Guard against accidentally sieving into tens of gigabytes of primes.
+# Guard against accidentally sieving into tens of gigabytes of primes, and
+# against a presieve of more than 2^31 / 30 bytes (about 72 MB).
 DEFAULT_LIMIT_CAP = 1 << 31
 ROUGH_SEGMENT = 1 << 20  # residues (bits) per segment of `rough_segments`
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
@@ -43,19 +45,19 @@ def _simple_sieve(n: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-_WHEELS: dict[int, tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]] = {}
+_WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+_TILE = 4096  # bytes a periodic pattern is repeated to: at most for a strike, at least for a wheel
 
 
-def _wheel(strike, x_cap: int = 0) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, int]:
+def _wheel(strike) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The wheel of the struck primes among 2, 3, 5, in turns of 8 residues.
 
-    Returns the wheel modulus w; the turn width W (8, 16, 24 or 30 integers);
-    the first 32 residues coprime to w, which span four turns; -r^-1 mod W
-    indexed by r; and the packed turns (see `Presieve`) with the next
-    PRESIEVED struck primes already struck, periodic with `period` turns
-    (their product).  Turn i, column c of a segment starting at base stands
-    for base + i*W + residues[c].  Cached per wheel; a longer sieve grows the
-    pattern to the period plus the turns of one ROUGH_SEGMENT.
+    Returns the turn width W (8, 16, 24 or 30 integers); the first 32
+    residues coprime to the wheel, which span four turns; -r^-1 mod W
+    indexed by r; and the packed turns (see `Presieve`) with the next PRESIEVED struck primes already
+    struck, in whole periods (their product) of at least _TILE bytes in
+    all, so that repeating the pattern over a range is not one copy per
+    turn.  Cached per wheel and count of presieved primes.
     """
     key = min(len(strike), 3 + PRESIEVED)      # the wheel and the presieved primes
     if key not in _WHEELS:
@@ -65,39 +67,34 @@ def _wheel(strike, x_cap: int = 0) -> tuple[int, int, np.ndarray, np.ndarray, np
         residues = np.array([r for r in range(4 * width) if math.gcd(r, w) == 1], dtype=np.int64)
         neg_inv = np.array([-pow(r, -1, width) % width if math.gcd(r, width) == 1 else 0
                             for r in range(width)], dtype=np.int64)
-        _WHEELS[key] = (w, width, residues, neg_inv, np.empty(0, dtype=np.uint8),
-                        math.prod(int(p) for p in strike[3:key]))
-    w, width, residues, neg_inv, pattern, period = _WHEELS[key]
-    turns = period + min(ROUGH_SEGMENT // 8, x_cap // width + 4)
-    if len(pattern) < turns:
-        pattern = np.full(turns, 0xFF, dtype=np.uint8)
-        _strike(pattern, strike[3:key], _WHEELS[key], 0)
-        _WHEELS[key] = (w, width, residues, neg_inv, pattern, period)
+        period = math.prod(int(p) for p in strike[3:key])
+        pattern = np.full(period * max(1, _TILE // period), 0xFF, dtype=np.uint8)
+        _strike(pattern, strike[3:key], (width, residues, neg_inv))
+        _WHEELS[key] = (width, residues, neg_inv, pattern)
     return _WHEELS[key]
 
 
 def wheel_row(strike) -> tuple[int, np.ndarray]:
     """The layout of a `rough_segments` row: the integers one row spans, and
     the 32 residues of its bits."""
-    width, residues = _wheel(strike)[1:3]
+    width, residues = _wheel(strike)[:2]
     return 4 * width, residues
 
 
-_TILE = 4096  # bytes a strike's periodic pattern is repeated to, at most
-
-
-def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple, first_turn: int) -> None:
+def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple) -> None:
     """Clear the multiples of each prime of `ps` from the packed `turns`,
-    which start at turn `first_turn` of `wheel` (a `_wheel` tuple).
+    which start at 0, on `wheel` (a `_wheel` tuple).
 
     A prime p is one AND with a periodic pattern: p bytes with the bits of
     its 8 multiples cleared, repeated to about _TILE bytes so that a short
     period is not one numpy inner loop every p bytes.
     """
-    _, width, residues, neg_inv, *_ = wheel
+    if not len(ps):
+        return
+    width, residues, neg_inv = wheel[:3]
     col = ps[:, None]
     inv = (1 + col * neg_inv[col % width]) // width   # width^-1 mod p
-    starts = (-residues[:8] * inv - first_turn) % col  # turn of the first multiple per column
+    starts = (-residues[:8] * inv) % col   # turn of the first multiple per column
     n = len(turns)
     for p, first in zip(ps.tolist(), starts.tolist()):
         pattern = bytearray(b"\xff") * p
@@ -112,86 +109,72 @@ def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple, first_turn: int) ->
         tail &= pattern[:n - whole]
 
 
-def _extends(strike: np.ndarray, struck: np.ndarray) -> bool:
-    """Whether `struck` are the first primes of `strike`."""
-    return len(struck) <= len(strike) and np.array_equal(struck, strike[:len(struck)])
-
-
 class Presieve:
-    """[0, x_cap] sieved by the primes `strike`, for `rough_segments` to start
-    segments of a sieve by more primes from.
+    """[0, x_cap] sieved by the primes `strike`, the source of every segment
+    of `rough_segments`.
 
-    The survivors are kept packed, one bit per residue of the wheel of 30:
-    byte i of `turns` is turn i (the integers 30i + residues[c]), column c
-    in bit 7 - c, the byte order of `np.packbits` on a C-order mask.  That
-    is x_cap / 30 bytes: the wheel's periodic pattern repeated, then struck
-    by the primes above it in place.  `advance` strikes more primes into
-    the same bytes, so one presieve can serve scans by ever longer sets.
-    The bits past x_cap are not trimmed; a segment trims its own tail.
+    `strike` must be the primes up to some bound, ascending; it may be empty.
+    The survivors are kept packed, one bit per residue of the wheel of the
+    struck primes among 2, 3, 5 (see `_wheel`): byte i of `turns` is turn i
+    (the integers i*W + residues[c]), column c in bit 7 - c, the byte order
+    of `np.packbits` on a C-order mask.  That is x_cap / 30 bytes on the
+    wheel of 30, and at most x_cap / 8: the wheel's cached pattern repeated,
+    then struck by the rest of `strike` in place.  `advance` strikes more
+    primes into the same bytes.  0 is never set.  The bits past x_cap, up
+    to the end of the last row of 32 residues, are not trimmed; a segment
+    trims its own tail.  x_cap past DEFAULT_LIMIT_CAP raises ResourceError
+    before anything is allocated.
     """
 
     def __init__(self, strike: np.ndarray, x_cap: int):
-        if len(strike) < 3 + PRESIEVED:
-            raise DomainError(f"a presieve strikes at least the {3 + PRESIEVED} primes up to 17, "
-                              f"got {len(strike)}")
+        if x_cap > DEFAULT_LIMIT_CAP:
+            raise ResourceError(f"a presieve of [0, {x_cap}] exceeds the cap {DEFAULT_LIMIT_CAP}")
         self.x_cap = int(x_cap)
-        _, width, _, _, pattern, period = _wheel(strike)
+        width, _, _, pattern = _wheel(strike)
         rows = -(-(self.x_cap + 1) // (4 * width))   # the whole rows `rough_segments` reads
-        self.turns = np.resize(pattern[:period], 4 * rows)
+        self.turns = np.concatenate((pattern,) * -(-4 * rows // len(pattern)))[:4 * rows]
+        if not len(strike):
+            self.turns[0] &= 0x7F  # 0 is not counted; 1 survives every strike
         self.strike = strike[:3 + PRESIEVED]
         self.advance(strike)
 
     def advance(self, strike: np.ndarray) -> None:
         """Strike, in place, the primes of `strike` beyond this presieve's
-        own, which must be its first primes; refused, the bytes stay as
-        they are."""
-        if not _extends(strike, self.strike):
+        own, which must be its first primes, on the same wheel; refused,
+        the bytes stay as they are."""
+        if strike[:len(self.strike)].tolist() != self.strike.tolist():
             raise DomainError("the presieve's primes are not the first of the struck primes")
-        _strike(self.turns, strike[len(self.strike):], _wheel(strike), 0)
+        if min(len(strike), 3) != min(len(self.strike), 3):
+            raise DomainError(f"a presieve on the wheel of {self.strike.tolist()} cannot "
+                              f"advance to the wheel of {strike[:3].tolist()}")
+        _strike(self.turns, strike[len(self.strike):], _wheel(strike))
         self.strike = strike
 
 
-def rough_segments(strike: np.ndarray, x_cap: int, presieve: Presieve | None = None):
-    """Sieve [0, x_cap] by the primes `strike`, a segment at a time.
+def rough_segments(presieve: Presieve, x_cap: int):
+    """[0, x_cap] sieved by the primes of `presieve`, a segment at a time.
 
-    `strike` must be the primes up to some bound, ascending.  Yields, for
-    each segment in ascending order, its base and a fresh uint32 array of
-    packed rows: row i is the four turns (see `Presieve`) 4i to 4i + 3, so
-    `np.unpackbits(rows.view(np.uint8))` gives its 32 cells in the order of
-    the residues of `wheel_row`, and cell c of row i stands for
-    base + i*step + residues[c].  A cell is set if that integer is at most
-    x_cap and has no factor in `strike`.  0 is never set; 1 always is.
-
-    A segment covers ROUGH_SEGMENT residues coprime to the wheel of the
-    struck primes among 2, 3, 5 (see `_wheel`), one bit each.  It starts as
-    a copy of a packed source, and `_strike` strikes every prime the source
-    has not struck.  The source is the wheel's periodic
-    pattern, or `presieve` if given: its primes must be the first of
-    `strike`, and its range must reach x_cap.
+    Yields, for each segment in ascending order, its base and a fresh uint32
+    array of packed rows, copied from the presieve: row i is the four turns
+    (see `Presieve`) 4i to 4i + 3, so `np.unpackbits(rows.view(np.uint8))`
+    gives its 32 cells in the order of the residues of `wheel_row`, and cell
+    c of row i stands for base + i*step + residues[c].  A cell is set if
+    that integer is at most x_cap and has no factor in `presieve.strike`.
+    0 is never set; 1 always is.  A segment covers ROUGH_SEGMENT residues.
+    The presieve's range must reach x_cap.
     """
-    wheel = _wheel(strike, x_cap)
-    w, width, residues, _, source, period = wheel
-    struck = min(len(strike), 3 + PRESIEVED)   # the primes the source has struck
-    if presieve is not None:
-        struck = len(presieve.strike)
-        if not _extends(strike, presieve.strike):
-            raise DomainError("the presieve's primes are not the first of the struck primes")
-        if presieve.x_cap < x_cap:
-            raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
-        # every segment starts within the presieve, so `% period` leaves its turn as is
-        source, period = presieve.turns, len(presieve.turns)
+    if presieve.x_cap < x_cap:
+        raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
+    width, residues = _wheel(presieve.strike)[:2]
     step = 4 * width                           # integers per row of 32 residues
     span = ROUGH_SEGMENT // 8 * width
     for base in range(0, x_cap + 1, span):
         size = min(span, x_cap + 1 - base)
-        start = base // width % period
-        turns = source[start:start + -(-size // step) * 4].copy()
-        _strike(turns, strike[struck:], wheel, base // width)
+        start = base // width
+        turns = presieve.turns[start:start + -(-size // step) * 4].copy()
         cut = size // step * 32 + int(np.searchsorted(residues, size % step))  # first cell past x_cap
         turns[cut >> 3:(cut >> 3) + 1] &= 0xFF00 >> (cut & 7) & 0xFF
         turns[(cut >> 3) + 1:] = 0
-        if base == 0 and w == 1:
-            turns[0] &= 0x7F  # 0 is not counted; 1 survives every strike
         yield base, turns.view(np.uint32)
 
 
@@ -256,19 +239,15 @@ class PrimeTable:
 
 def build_prime_table(limit: int) -> PrimeTable:
     """All primes <= limit: the primes <= sqrt(limit) by a plain sieve, then
-    the survivors of `rough_segments` above them, read off a `Presieve` of
-    [0, limit] by those primes once there are enough of them."""
+    the survivors above them, read off a `Presieve` of [0, limit] by those
+    primes, which refuses a limit past DEFAULT_LIMIT_CAP."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > DEFAULT_LIMIT_CAP:
-        raise ResourceError(f"sieve limit {limit} exceeds the cap {DEFAULT_LIMIT_CAP}")
     small = _simple_sieve(math.isqrt(limit))
     step, residues = wheel_row(small)
-    # strike each prime once over the whole range, not once per segment
-    presieve = Presieve(small, limit) if len(small) >= 3 + PRESIEVED else None
 
     def survivors():
-        for base, rows in rough_segments(small, limit, presieve):
+        for base, rows in rough_segments(Presieve(small, limit), limit):
             cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)).view(bool))
             ns = cells >> 5
             ns *= step

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -33,6 +34,21 @@ def test_phi_negative_x_is_domain_error(capsys):
 def test_phi_resource_exit(capsys):
     assert main(["phi", "--x", "10000", "--y", "3", "--cap", "100"]) == 3
     assert "resource" in capsys.readouterr().err
+
+
+def test_phi_past_the_sieve_ceiling_exits_3_before_allocating(capsys):
+    # a raised --cap does not lift the sieve's own ceiling: [0, 3e9] would
+    # take a 100 MB presieve
+    tracemalloc.start()
+    try:
+        assert main(["phi", "--x", "3000000000", "--y", "100", "--cap", "3000000000"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error:") and "exceeds the cap 2147483648" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

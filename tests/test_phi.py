@@ -163,6 +163,16 @@ def test_max_statistic_rows():
         max_statistic(2, 3, 30_000_002, _T)
 
 
+@pytest.mark.parametrize("y_lo, y_hi, x_bound", [(97, 101, 9500), (3, 5, 20), (3, 5, 25)])
+def test_max_statistic_refuses_a_range_with_no_n_above_y_hi_squared(y_lo, y_hi, x_bound):
+    # the tabulated n run over y_hi^2 <= n < x_bound: none, here
+    with pytest.raises(DomainError, match="must exceed y_hi\\^2"):
+        max_statistic(y_lo, y_hi, x_bound, _T)
+    # one n more, and the maximum is the first rough n from y_hi^2 on
+    r = max_statistic(y_lo, y_hi, y_hi * y_hi + 1, _T)
+    assert r.witness_n >= y_hi * y_hi and r.max_stat > 0
+
+
 def test_max_statistic_falls_below_target_after_9():
     scan = scan_rough_interval(_T, 2, 3, 21, target=0.6)
     assert scan.violation_count == 1
@@ -272,34 +282,35 @@ def test_scan_matches_reference(interval, x_cap, target):
     assert got == reference_scan(_T, y_lo, y_hi, x_cap, target=target)
 
 
-# the primes <= 17 and <= 53, sieved past the first segment boundary
-_PRESIEVES = {y: Presieve(_strike_primes(_T, y), _SEGMENT_30 + 200) for y in (17, 53)}
-
-
 @settings(max_examples=40, deadline=None)
-@given(_intervals(st.integers(min_value=17, max_value=180), 200),
+@given(_intervals(st.integers(min_value=1, max_value=180), 200),
        st.one_of(st.integers(min_value=1, max_value=20_000),
                  st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 200),
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
-@example((17, 19), _SEGMENT_30 + 200, 0.55)   # nothing left to strike, to the presieve's end
+@example((17, 19), _SEGMENT_30 + 200, 0.55)   # to the presieve's end
 @example((53, 59), 2_999_999, 0.6)
 @example((179, 181), _SEGMENT_30, None)
+@example((2, 3), 20_000, 0.5)                 # wheel of 2
 def test_scan_from_a_presieve_equals_scan_without(interval, x_cap, target):
+    # the pipeline's scans read a presieve of exactly their own primes, over
+    # a longer range than their own
     y_lo, y_hi = interval
     want = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
-    # primes left to strike on top, and none: the pipeline's scans read a
-    # presieve of exactly their own primes
-    for presieve in (_PRESIEVES[53 if y_lo >= 53 else 17],
-                     Presieve(_strike_primes(_T, y_lo), _SEGMENT_30 + 200)):
-        got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target, presieve=presieve)
-        assert got == want
+    presieve = Presieve(_strike_primes(_T, y_lo), _SEGMENT_30 + 200)
+    got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target, presieve=presieve)
+    assert got == want
+
+
+# the primes <= 17, sieved past the first segment boundary
+_PRIMES_TO_17 = Presieve(_strike_primes(_T, 17), _SEGMENT_30 + 200)
 
 
 @pytest.mark.parametrize("y_lo, x_cap, presieve, match", [
-    (13, 1000, _PRESIEVES[17], "not the first"),               # more primes than the scan's
+    (13, 1000, _PRIMES_TO_17, "not the first"),                # more primes than the scan's
     (19, 1000, Presieve(np.array([2, 3, 5, 7, 11, 13, 19]), 1000), "not the first"),  # 17 missing
-    (17, _SEGMENT_30 + 201, _PRESIEVES[17], "stops at"),       # range ends below x_cap
+    (17, _SEGMENT_30 + 201, _PRIMES_TO_17, "stops at"),        # range ends below x_cap
+    (19, 1000, _PRIMES_TO_17, "not the first 8, the primes <= y_lo = 19"),  # fewer primes
 ])
 def test_scan_refuses_a_presieve_that_does_not_fit(y_lo, x_cap, presieve, match):
     with pytest.raises(DomainError, match=match):

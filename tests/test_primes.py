@@ -131,39 +131,61 @@ def primes_upto(primes, y):
 
 def presieve_cells(presieve):
     """(n, survives) for every cell of `presieve` with n <= its x_cap."""
-    residues = wheel_row(presieve.strike)[1]
+    step, residues = wheel_row(presieve.strike)
     cells = np.arange(8 * presieve.turns.size)
-    ns = (cells >> 3) * 30 + residues[cells & 7]
+    ns = (cells >> 5) * step + residues[cells & 31]
     keep = ns <= presieve.x_cap
     return ns[keep], np.unpackbits(presieve.turns).view(bool)[keep]
+
+
+def segment_survivors(presieve, x_cap):
+    """The integers set in the segments of `rough_segments(presieve, x_cap)`,
+    checking each segment's base, size and dtype on the way."""
+    step, residues = wheel_row(presieve.strike)
+    span = ROUGH_SEGMENT // 32 * step
+    found = []
+    for k, (base, rows) in enumerate(rough_segments(presieve, x_cap)):
+        assert base == k * span and rows.dtype == np.uint32
+        assert len(rows) == min(ROUGH_SEGMENT // 32, -(-(x_cap + 1 - base) // step))
+        cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)))
+        found.append(base + (cells >> 5) * step + residues[cells & 31])
+    assert k == x_cap // span
+    return np.concatenate(found)
 
 
 def rough_oracle(primes, x_cap):
     """mask[n] for 0 <= n <= x_cap: n > 0 has no factor in `primes`."""
     mask = np.ones(x_cap + 1, dtype=bool)
+    mask[0] = False
     for p in primes.tolist():
-        mask[::p] = False           # 0 and every multiple of p, p itself included
+        mask[p::p] = False          # every multiple of p, p itself included
     return mask
 
 
 _SPAN_30 = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
 
 
-def test_segments_from_a_presieve_equal_segments_from_the_pattern(table_small):
-    span = _SPAN_30
-    primes = table_small.primes
-    presieve = Presieve(primes_upto(primes, 29), 2 * span + 1000)
-    for y in (29, 31, 101):               # nothing, one prime, 16 primes left to strike
-        strike = primes_upto(primes, y)
-        # tail trims inside a turn, a row and a segment, at its edges, and at
-        # the presieve's own end
-        for x_cap in (1, 2, 29, 30, 31, 119, 120, 121, 1_000_003, span - 1, span, span + 1,
-                      2 * span + 999, 2 * span + 1000):
-            plain = list(rough_segments(strike, x_cap))
-            started = list(rough_segments(strike, x_cap, presieve))
-            assert [b for b, _ in started] == [b for b, _ in plain], (y, x_cap)
-            for (_, got), (_, want) in zip(started, plain):
-                assert got.dtype == want.dtype and np.array_equal(got, want), (y, x_cap)
+@pytest.mark.parametrize("count", range(9))
+def test_presieve_and_its_segments_match_a_plain_sieve(table_small, count):
+    # every wheel (1, 2, 6, 30) and every count of presieved primes, and one
+    # prime struck above them
+    strike = table_small.primes[:count]
+    width = wheel_row(strike)[0] // 4
+    span = ROUGH_SEGMENT // 8 * width
+    oracle = rough_oracle(strike, 2 * span + 1000)
+    # x caps at and beside the edges of a turn, a row and a segment, and past
+    # the second segment
+    for x_cap in sorted({1, 2, 3, 29, 30, 31, width - 1, width, width + 1, 4 * width - 1,
+                         4 * width, 4 * width + 1, 1_000_003, span - 1, span, span + 1,
+                         2 * span + 1000}):
+        presieve = Presieve(strike, x_cap)
+        ns, survives = presieve_cells(presieve)
+        assert np.array_equal(survives, oracle[ns]), (count, x_cap)
+        assert np.array_equal(segment_survivors(presieve, x_cap),
+                              np.flatnonzero(oracle[:x_cap + 1])), (count, x_cap)
+    # a presieve read short of its own end
+    assert np.array_equal(segment_survivors(presieve, span + 7),
+                          np.flatnonzero(oracle[:span + 8])), count
 
 
 # ranges ending inside a turn, inside a row, at a segment's edges and past them
@@ -181,12 +203,6 @@ def test_advancing_a_presieve_equals_building_it(table_small, x_cap):
         assert stepped.turns.tobytes() == one_step.turns.tobytes() == fresh.turns.tobytes(), y
         ns, survives = presieve_cells(fresh)
         assert np.array_equal(survives, rough_oracle(strike, x_cap)[ns]), y
-    # read to the presieve's own end, with nothing left to strike
-    plain = list(rough_segments(strike, x_cap))
-    started = list(rough_segments(strike, x_cap, stepped))
-    assert [b for b, _ in started] == [b for b, _ in plain]
-    for (_, got), (_, want) in zip(started, plain):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_presieve_refuses_to_advance_by_primes_that_do_not_extend_its_own(table_small):
@@ -202,9 +218,15 @@ def test_presieve_refuses_to_advance_by_primes_that_do_not_extend_its_own(table_
         assert presieve.strike.tolist() == primes_upto(primes, 71).tolist()
 
 
-def test_presieve_refuses_fewer_primes_than_the_wheel_pattern(table_small):
-    with pytest.raises(DomainError, match="at least the 7 primes"):
-        Presieve(table_small.primes[:6], 1000)
+@pytest.mark.parametrize("own, more", [(0, 1), (1, 2), (2, 3), (1, 3), (0, 8), (2, 5)])
+def test_presieve_refuses_to_advance_across_wheels(table_small, own, more):
+    # a smaller wheel's bits stand for other integers than the larger wheel's
+    presieve = Presieve(table_small.primes[:own], 1000)
+    before = presieve.turns.tobytes()
+    with pytest.raises(DomainError, match="cannot advance to the wheel"):
+        presieve.advance(table_small.primes[:more])
+    assert presieve.turns.tobytes() == before
+    assert len(presieve.strike) == own
 
 
 def test_prime_sequence_invariants(table_small):
