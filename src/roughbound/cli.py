@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["direct", "legendre", "two-prime", "all"],
                     default="direct")
     sp.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
-                    help="exhaustive cap for the direct method")
+                    help="exhaustive cap for the direct method (at most 2^31 counts)")
 
     sp = sub.add_parser("omega", help="evaluate the rough-number density function")
     sp.add_argument("--u", type=_finite, required=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceError
-from .primes import Presieve, PrimeTable, rough_segments, wheel_row
+from .primes import DEFAULT_LIMIT_CAP, Presieve, PrimeTable, rough_segments, wheel_row
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
@@ -36,14 +36,17 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
     """Exact Phi(x, y): the survivors of a `Presieve` of [0, x] by the primes
     <= y, each struck once over the whole range, read out by `rough_segments`
-    and counted by popcount.  The presieve takes x / 30 bytes (up to x / 16
-    for y < 5).  Degenerate cases: Phi(x, y) = floor(x) for y < 2 and
-    Phi(0, y) = 0."""
+    and counted by popcount.  The presieve takes x / 30 bytes, x / 24 for
+    3 <= y < 5 and x / 16 for 2 <= y < 3.  x must be at most `cap`, which
+    counts only up to the sieve's ceiling DEFAULT_LIMIT_CAP.  Degenerate
+    cases: Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
     x = int(x)
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
+    cap = min(cap, DEFAULT_LIMIT_CAP)
     if x > cap:
-        raise ResourceError(f"x={x} exceeds the exhaustive cap {cap}; raise cap to at least {x}")
+        raise ResourceError(f"x={x} exceeds the exhaustive cap {cap}; " + (
+            f"raise cap to at least {x}" if x <= DEFAULT_LIMIT_CAP else "the sieve stops there"))
     if x == 0:
         return 0
     if y < 2:

@@ -27,7 +27,9 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, ResourceError
 
 # Guard against accidentally sieving into tens of gigabytes of primes, and
-# against a presieve of more than 2^31 / 30 bytes (about 72 MB).
+# against a presieve past [0, 2^31]: x_cap / W bytes on the wheel of W
+# integers per turn, at 2^31 about 72 MB on the wheel of 30 (y >= 5), 89 MB on
+# that of 6 (3 <= y < 5) and 134 MB on that of 2 (2 <= y < 3).
 DEFAULT_LIMIT_CAP = 1 << 31
 ROUGH_SEGMENT = 1 << 20  # residues (bits) per segment of `rough_segments`
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
@@ -117,9 +119,9 @@ class Presieve:
     The survivors are kept packed, one bit per residue of the wheel of the
     struck primes among 2, 3, 5 (see `_wheel`): byte i of `turns` is turn i
     (the integers i*W + residues[c]), column c in bit 7 - c, the byte order
-    of `np.packbits` on a C-order mask.  That is x_cap / 30 bytes on the
-    wheel of 30, and at most x_cap / 8: the wheel's cached pattern repeated,
-    then struck by the rest of `strike` in place.  `advance` strikes more
+    of `np.packbits` on a C-order mask.  That is x_cap / W bytes, W = 30,
+    24, 16 or 8 on the wheels of 30, 6, 2 and 1: the wheel's cached pattern
+    repeated, then struck by the rest of `strike` in place.  `advance` strikes more
     primes into the same bytes.  0 is never set.  The bits past x_cap, up
     to the end of the last row of 32 residues, are not trimmed; a segment
     trims its own tail.  x_cap past DEFAULT_LIMIT_CAP raises ResourceError
@@ -240,9 +242,12 @@ class PrimeTable:
 def build_prime_table(limit: int) -> PrimeTable:
     """All primes <= limit: the primes <= sqrt(limit) by a plain sieve, then
     the survivors above them, read off a `Presieve` of [0, limit] by those
-    primes, which refuses a limit past DEFAULT_LIMIT_CAP."""
+    primes.  A limit past DEFAULT_LIMIT_CAP raises ResourceError before
+    anything is allocated."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > DEFAULT_LIMIT_CAP:  # before the plain sieve of sqrt(limit)
+        raise ResourceError(f"sieve limit {limit} exceeds the cap {DEFAULT_LIMIT_CAP}")
     small = _simple_sieve(math.isqrt(limit))
     step, residues = wheel_row(small)
 

@@ -48,7 +48,24 @@ def test_phi_past_the_sieve_ceiling_exits_3_before_allocating(capsys):
     assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("resource error:") and "exceeds the cap 2147483648" in captured.err
+    assert captured.err.startswith("resource error:")
+    assert "exceeds the exhaustive cap 2147483648" in captured.err
+
+
+@pytest.mark.parametrize("method", ["all", "two-prime"])
+def test_phi_table_past_the_ceiling_exits_3_before_allocating(method, capsys):
+    # these methods size the prime table by x itself, whose plain sieve of
+    # sqrt(x) would ask for 1 TB
+    tracemalloc.start()
+    try:
+        assert main(["phi", "--x", str(10**24), "--y", "3", "--method", method]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"sieve limit {10**24} exceeds the cap 2147483648" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from roughbound.phi import (
     phi_two_prime,
     scan_rough_interval,
 )
-from roughbound.primes import ROUGH_SEGMENT, Presieve, build_prime_table
+from roughbound.primes import DEFAULT_LIMIT_CAP, ROUGH_SEGMENT, Presieve, build_prime_table
 
 _T = build_prime_table(10_100)
 
@@ -39,8 +39,11 @@ def test_direct_examples():
 
 
 def test_direct_cap():
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="exhaustive cap 100; raise cap to at least 1000"):
         phi_direct(1000, 3, _T, cap=100)
+    # a cap past the sieve's ceiling counts only up to it
+    with pytest.raises(ResourceError, match="exhaustive cap 2147483648; the sieve stops there"):
+        phi_direct(DEFAULT_LIMIT_CAP + 1, 3, _T, cap=10**30)
 
 
 @settings(max_examples=80, deadline=None)

@@ -87,6 +87,18 @@ def test_build_errors():
         build_prime_table(DEFAULT_LIMIT_CAP + 1)  # raises before it allocates
 
 
+def test_build_refuses_a_limit_past_the_cap_before_allocating():
+    # the plain sieve of sqrt(limit) alone would ask for 1 TB here
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="sieve limit 10{24} exceeds the cap"):
+            build_prime_table(10**24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_theta_below_x_up_to_1426(table_small):
     # theta stays below the identity line before 1427
     ps = table_small.primes_between(0, 1426)
