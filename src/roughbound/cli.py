@@ -154,17 +154,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_phi(args) -> int:
     if args.x < 0:
         raise DomainError(f"x must be >= 0, got {args.x}")
-    limit = max(2, int(min(args.y, args.x)) + 1, math.isqrt(args.x) + 1)
-    if args.method in ("two-prime", "all"):
-        limit = max(limit, args.x)
+    # the primes <= min(y, x), and for the prime-pair identity, when y^2 <= x,
+    # q, the first prime above y, which is at most 2y (Bertrand)
+    pair = args.method in ("two-prime", "all") and args.y * args.y <= args.x
+    limit = max(2, int(min(args.y, args.x)) + 1, 2 * int(args.y) if pair else 0)
     table = build_prime_table(limit)
+    # a table to x is built only where the identity applies, y^2 <= x < q^3
+    pair = pair and args.x < table.next_prime(args.y) ** 3
     if args.method == "all":
         results = {
             "direct": phi_direct(args.x, args.y, table, cap=args.cap),
             "legendre": phi_legendre(args.x, args.y, table),
         }
-        if args.y >= 2 and args.y * args.y <= args.x < table.next_prime(args.y) ** 3:
-            results["two-prime"] = phi_two_prime(args.x, args.y, table)
+        if pair and args.y >= 2:
+            results["two-prime"] = phi_two_prime(args.x, args.y, build_prime_table(args.x))
         if len(set(results.values())) != 1:
             print("method disagreement (this is a bug):", file=sys.stderr)
             for k, v in results.items():
@@ -176,8 +179,8 @@ def _cmd_phi(args) -> int:
         print(phi_direct(args.x, args.y, table, cap=args.cap))
     elif args.method == "legendre":
         print(phi_legendre(args.x, args.y, table))
-    else:
-        print(phi_two_prime(args.x, args.y, table))
+    else:  # off its domain, the small table is enough for its refusal
+        print(phi_two_prime(args.x, args.y, build_prime_table(max(2, args.x)) if pair else table))
     return EXIT_OK
 
 

@@ -18,18 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError, ResourceError
-from .primes import DEFAULT_LIMIT_CAP, Presieve, PrimeTable, rough_segments, wheel_row
+from .errors import DomainError, ResourceError
+from .primes import DEFAULT_LIMIT_CAP, Presieve, PrimeTable, rough_segments
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
-
-
-def _strike_primes(table: PrimeTable, y) -> np.ndarray:
-    if y > table.limit:
-        raise OutOfRangeError(f"need primes up to {y} but table stops at {table.limit}")
-    return table.primes[: table._count_upto(y)]
 
 
 def phi_direct(x: int, y: float, table: PrimeTable, *,
@@ -51,7 +45,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
         return 0
     if y < 2:
         return x
-    presieve = Presieve(_strike_primes(table, min(y, x)), x)
+    presieve = Presieve(table.primes_between(0, min(y, x)), x)
     return sum(int(np.bitwise_count(rows).sum()) for _, rows in rough_segments(presieve, x))
 
 
@@ -66,7 +60,7 @@ def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
         return 0
     if y < 2:
         return x
-    ps = [int(p) for p in _strike_primes(table, min(y, x))]
+    ps = [int(p) for p in table.primes_between(0, min(y, x))]
     memo: dict[tuple[int, int], int] = {}
 
     def rec(n: int, a: int) -> int:
@@ -200,10 +194,9 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         raise DomainError(f"x_cap must be >= 1, got {x_cap}")
     if y_hi < 2:  # log(y_hi) > 0 keeps the order of j/n that of j log(y_hi)/n
         raise DomainError(f"y_hi must be >= 2, got {y_hi}")
-    strike = _strike_primes(table, y_lo)
+    strike = table.primes_between(0, y_lo)
     if not y_hi > y_lo:
         raise DomainError(f"need y_hi > y_lo, got y_lo={y_lo}, y_hi={y_hi}")
-    step, residues = wheel_row(strike)         # integers per row, and its residues
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
     lo_bound = int(y_lo) * int(y_lo)
@@ -233,6 +226,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     elif not np.array_equal(presieve.strike, strike):
         raise DomainError(f"the presieve's primes are not the first {len(strike)}, "
                           f"the primes <= y_lo = {y_lo}")
+    step, residues = presieve.step, presieve.residues
     for base, rows in rough_segments(presieve, x_cap):
         count = np.bitwise_count(rows)         # survivors per row
         j_end = np.cumsum(count, dtype=np.int64)

@@ -193,7 +193,7 @@ class _PoolState:
         struck no prime above y; else a new one.  Scans in ascending y
         strike each prime once per process.
         """
-        strike = self.table.primes[:self.table.pi(y)]
+        strike = self.table.primes_between(0, y)
         held = self._presieve
         if held is None or held.x_cap < x_cap or len(held.strike) > len(strike):
             held = self._presieve = None       # free the old one before building its successor
@@ -248,8 +248,9 @@ def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
     return ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(table,))
 
 
-# Tasks look up the function they run as a module global when they run, so a
-# wrapper installed on this module before the pool starts reaches its workers.
+# The tasks below look up what they run as a module global when they run, and
+# a submitted `small_u_grid_max` is pickled by its name on this module: either
+# way a wrapper installed on this module before the pool starts reaches its workers.
 
 def _scan_task(task):
     """One interval scan; `cover`, if not None, is the range the process's
@@ -262,10 +263,6 @@ def _scan_task(task):
 
 def _selberg_task(target):
     return verify_selberg(target, _POOL.get().table)
-
-
-def _grid_task():
-    return small_u_grid_max()
 
 
 def _iteration_task(target):
@@ -604,7 +601,7 @@ def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     cover = meta[-1][1] ** 3 - 1 if meta else None
 
     with nullcontext(pool) if pool else _InlinePool(table) as pool:
-        grid = pool.submit(_grid_task)
+        grid = pool.submit(small_u_grid_max)
         scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target, cover) for p, q in meta]))
         (analytic_max, at_y, at_u), grid_rows = grid.result()
 

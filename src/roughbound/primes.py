@@ -8,7 +8,9 @@ is built, and `Presieve.advance` strikes more into the same bytes, so one
 presieve can serve scans by ever longer sets.  `rough_segments` strikes
 nothing: it copies a presieve's range out a segment of ROUGH_SEGMENT bits at
 a time, trims the tail past x_cap and yields packed rows.
-`build_prime_table` reads the primes above sqrt(limit) off it,
+`build_prime_table` reads every prime of its table off it: the primes above
+sqrt(limit) off a presieve by the primes below, and those, level by level,
+off smaller presieves, down to one on the wheel of 1 that strikes nothing.
 `phi.phi_direct` counts its survivors and `phi.scan_rough_interval` streams
 them.
 
@@ -33,18 +35,6 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 DEFAULT_LIMIT_CAP = 1 << 31
 ROUGH_SEGMENT = 1 << 20  # residues (bits) per segment of `rough_segments`
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
-
-
-def _simple_sieve(n: int) -> np.ndarray:
-    """All primes <= n by a plain in-memory sieve (used for base primes)."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
 
 
 _WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -74,13 +64,6 @@ def _wheel(strike) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         _strike(pattern, strike[3:key], (width, residues, neg_inv))
         _WHEELS[key] = (width, residues, neg_inv, pattern)
     return _WHEELS[key]
-
-
-def wheel_row(strike) -> tuple[int, np.ndarray]:
-    """The layout of a `rough_segments` row: the integers one row spans, and
-    the 32 residues of its bits."""
-    width, residues = _wheel(strike)[:2]
-    return 4 * width, residues
 
 
 def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple) -> None:
@@ -119,7 +102,9 @@ class Presieve:
     The survivors are kept packed, one bit per residue of the wheel of the
     struck primes among 2, 3, 5 (see `_wheel`): byte i of `turns` is turn i
     (the integers i*W + residues[c]), column c in bit 7 - c, the byte order
-    of `np.packbits` on a C-order mask.  That is x_cap / W bytes, W = 30,
+    of `np.packbits` on a C-order mask.  A row of `rough_segments` is four
+    turns: `step` = 4W integers, and `residues`, the 32 residues of its
+    cells in ascending order.  That is x_cap / W bytes, W = 30,
     24, 16 or 8 on the wheels of 30, 6, 2 and 1: the wheel's cached pattern
     repeated, then struck by the rest of `strike` in place.  `advance` strikes more
     primes into the same bytes.  0 is never set.  The bits past x_cap, up
@@ -132,8 +117,9 @@ class Presieve:
         if x_cap > DEFAULT_LIMIT_CAP:
             raise ResourceError(f"a presieve of [0, {x_cap}] exceeds the cap {DEFAULT_LIMIT_CAP}")
         self.x_cap = int(x_cap)
-        width, _, _, pattern = _wheel(strike)
-        rows = -(-(self.x_cap + 1) // (4 * width))   # the whole rows `rough_segments` reads
+        width, self.residues, _, pattern = _wheel(strike)
+        self.step = 4 * width                  # integers per row of 32 residues
+        rows = -(-(self.x_cap + 1) // self.step)   # the whole rows `rough_segments` reads
         self.turns = np.concatenate((pattern,) * -(-4 * rows // len(pattern)))[:4 * rows]
         if not len(strike):
             self.turns[0] &= 0x7F  # 0 is not counted; 1 survives every strike
@@ -159,20 +145,20 @@ def rough_segments(presieve: Presieve, x_cap: int):
     Yields, for each segment in ascending order, its base and a fresh uint32
     array of packed rows, copied from the presieve: row i is the four turns
     (see `Presieve`) 4i to 4i + 3, so `np.unpackbits(rows.view(np.uint8))`
-    gives its 32 cells in the order of the residues of `wheel_row`, and cell
-    c of row i stands for base + i*step + residues[c].  A cell is set if
-    that integer is at most x_cap and has no factor in `presieve.strike`.
+    gives its 32 cells in the order of `presieve.residues`, and cell c of
+    row i stands for base + i*step + residues[c], step = `presieve.step`.
+    A cell is set if that integer is at most x_cap and has no factor in
+    `presieve.strike`.
     0 is never set; 1 always is.  A segment covers ROUGH_SEGMENT residues.
     The presieve's range must reach x_cap.
     """
     if presieve.x_cap < x_cap:
         raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
-    width, residues = _wheel(presieve.strike)[:2]
-    step = 4 * width                           # integers per row of 32 residues
-    span = ROUGH_SEGMENT // 8 * width
+    step, residues = presieve.step, presieve.residues
+    span = ROUGH_SEGMENT // 32 * step
     for base in range(0, x_cap + 1, span):
         size = min(span, x_cap + 1 - base)
-        start = base // width
+        start = base // step * 4
         turns = presieve.turns[start:start + -(-size // step) * 4].copy()
         cut = size // step * 32 + int(np.searchsorted(residues, size % step))  # first cell past x_cap
         turns[cut >> 3:(cut >> 3) + 1] &= 0xFF00 >> (cut & 7) & 0xFF
@@ -239,28 +225,36 @@ class PrimeTable:
         return int(self.primes[i])
 
 
-def build_prime_table(limit: int) -> PrimeTable:
-    """All primes <= limit: the primes <= sqrt(limit) by a plain sieve, then
+def _primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit: the primes <= sqrt(limit) by this function, then
     the survivors above them, read off a `Presieve` of [0, limit] by those
-    primes.  A limit past DEFAULT_LIMIT_CAP raises ResourceError before
-    anything is allocated."""
-    if limit < 2:
-        raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > DEFAULT_LIMIT_CAP:  # before the plain sieve of sqrt(limit)
-        raise ResourceError(f"sieve limit {limit} exceeds the cap {DEFAULT_LIMIT_CAP}")
-    small = _simple_sieve(math.isqrt(limit))
-    step, residues = wheel_row(small)
+    primes.  Below 4 there are no primes <= sqrt(limit), and the presieve on
+    the wheel of 1 strikes nothing."""
+    root = math.isqrt(limit)
+    small = _primes_upto(root) if root >= 2 else np.zeros(0, dtype=np.int64)
 
-    def survivors():
-        for base, rows in rough_segments(Presieve(small, limit), limit):
+    def survivors(presieve):
+        for base, rows in rough_segments(presieve, limit):
             cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)).view(bool))
             ns = cells >> 5
-            ns *= step
-            ns += residues[cells & 31]
+            ns *= presieve.step
+            ns += presieve.residues[cells & 31]
             ns += base
             yield ns[1:] if base == 0 else ns  # 1 survives but is no prime
 
-    return PrimeTable(limit, np.concatenate([small, *survivors()]))
+    # the spent generator frees the presieve before the concatenation
+    return np.concatenate([small, *survivors(Presieve(small, limit))])
+
+
+def build_prime_table(limit: int) -> PrimeTable:
+    """All primes <= limit, every one read off the library's one sieve (see
+    `_primes_upto`).  A limit past DEFAULT_LIMIT_CAP raises ResourceError
+    before anything is allocated."""
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > DEFAULT_LIMIT_CAP:  # before the presieves of sqrt(limit) and of limit
+        raise ResourceError(f"sieve limit {limit} exceeds the cap {DEFAULT_LIMIT_CAP}")
+    return PrimeTable(limit, _primes_upto(limit))
 
 
 def mertens_product(table: PrimeTable, y) -> float:
@@ -270,7 +264,6 @@ def mertens_product(table: PrimeTable, y) -> float:
     """
     if not y >= 2:
         raise DomainError(f"mertens_product needs y >= 2, got {y}")
-    table._check_range(y)
-    ps = table.primes[: table._count_upto(y)]
+    ps = table.primes_between(0, y)
     # multiply.reduce walks the array left to right: ascending primes.
     return float(np.multiply.reduce(1.0 - 1.0 / ps.astype(np.float64)))

@@ -277,7 +277,7 @@ def s_y_closed_form(y: float) -> float:
     sum_{5<p<=y} p^(2 eps - 1) at eps = 1/log y, where li(y^(2 eps)) = li(e^2)
     exactly.
     """
-    if y < CLOSED_FORM_MIN_Y:
+    if not y >= CLOSED_FORM_MIN_Y:  # nan fails it too
         raise DomainError(
             f"closed form asserted for y >= {CLOSED_FORM_MIN_Y}, got {y}; "
             "use the finite-product branch below that"
@@ -291,9 +291,10 @@ def s_y_closed_form(y: float) -> float:
 
 def closed_form_factor(y: float) -> float:
     """(1 - D^-eps e^S(y))^-1 at x = y^7.5, eps = 1/log y."""
+    s_y = s_y_closed_form(y)   # refuses y below CLOSED_FORM_MIN_Y before the logs
     eps = 1.0 / math.log(y)
     log_d = math.log(SELBERG_D_COEFF) + 7.5 * math.log(y) - 3.0 * math.log(math.log(y))
-    f_upper = math.exp(s_y_closed_form(y) - eps * log_d)
+    f_upper = math.exp(s_y - eps * log_d)
     if f_upper >= 1.0:
         raise InfeasibleError(f"closed-form Rankin bound {f_upper:.4f} >= 1 at y={y}")
     return 1.0 / (1.0 - f_upper)

@@ -52,20 +52,61 @@ def test_phi_past_the_sieve_ceiling_exits_3_before_allocating(capsys):
     assert "exceeds the exhaustive cap 2147483648" in captured.err
 
 
-@pytest.mark.parametrize("method", ["all", "two-prime"])
-def test_phi_table_past_the_ceiling_exits_3_before_allocating(method, capsys):
-    # these methods size the prime table by x itself, whose plain sieve of
-    # sqrt(x) would ask for 1 TB
+def traced_peak(argv):
+    """main(argv)'s exit status and its traced peak allocation in bytes."""
     tracemalloc.start()
     try:
-        assert main(["phi", "--x", str(10**24), "--y", "3", "--method", method]) == 3
-        peak = tracemalloc.get_traced_memory()[1]
+        status = main(argv)
+        return status, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("x, y, method, message", [
+    # direct refuses x first
+    (10**24, 3, "all", f"x={10**24} exceeds the exhaustive cap 30000000"),
+    # 1291^2 <= x < 1297^3: the prime-pair identity applies and needs pi(x)
+    (2_150_000_000, 1291, "two-prime", "sieve limit 2150000000 exceeds the cap 2147483648"),
+], ids=["all", "two-prime"])
+def test_phi_table_past_the_ceiling_exits_3_before_allocating(x, y, method, message, capsys):
+    # a table sized by x itself would start with a presieve of [0, sqrt(x)]
+    status, peak = traced_peak(["phi", "--x", str(x), "--y", str(y), "--method", method])
+    assert status == 3
     assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"sieve limit {10**24} exceeds the cap 2147483648" in captured.err
+    assert captured.err.startswith("resource error:")
+    assert message in captured.err
+
+
+def test_phi_two_prime_off_its_domain_exits_2_before_allocating(capsys):
+    # x >= q^3 = 125: the identity does not apply, and a table of the primes
+    # up to 2y decides that before any table sized by x
+    status, peak = traced_peak(["phi", "--x", str(10**24), "--y", "3", "--method", "two-prime"])
+    assert status == 2
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: prime-pair identity needs y^2 <= x < q^3 (q=5")
+
+
+def test_phi_two_prime_off_its_domain_builds_no_table_to_x(monkeypatch, capsys):
+    import roughbound.cli as cli
+    limits = []
+    build = cli.build_prime_table
+
+    def recorded(limit):
+        limits.append(limit)
+        return build(limit)
+
+    monkeypatch.setattr(cli, "build_prime_table", recorded)
+    assert main(["phi", "--x", "100000000", "--y", "3", "--method", "two-prime"]) == 2
+    assert main(["phi", "--x", "100000000", "--y", "3", "--method", "all",
+                 "--cap", "100000000"]) == 0
+    assert capsys.readouterr().out.strip() == "33333333"
+    assert max(limits) <= 6
+    assert main(["phi", "--x", "2000", "--y", "11", "--method", "all"]) == 0
+    assert limits[-1] == 2000      # 11^2 <= 2000 < 13^3: the identity runs
 
 
 @pytest.mark.parametrize("argv", [
@@ -237,6 +278,14 @@ def test_plot_data_nonpositive_step_exit(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "expected a number above 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y", ["1", "0.5", "-3", "499999"])
+def test_bound_large_y_below_its_domain_exits_2(y, capsys):
+    assert main(["bound", "--kind", "large-y", "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: closed form asserted for y >= 500000")
 
 
 def test_bound_large_y(capsys):

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from roughbound import phi
-from roughbound.errors import DomainError, ResourceError
+from roughbound.errors import DomainError, OutOfRangeError, ResourceError
 from roughbound.phi import (
     KEPT_VIOLATIONS,
     IntervalScan,
-    _strike_primes,
     max_statistic,
     phi_direct,
     phi_legendre,
@@ -202,7 +201,7 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
     <= y_lo from consecutive integer segments and evaluate both statistics on
     every rough n.  Oracle for scan_rough_interval."""
     segment = 1 << 22
-    strike = _strike_primes(table, y_lo)
+    strike = table.primes_between(0, y_lo)
     log_q = math.log(y_hi)
     q2 = int(y_hi) * int(y_hi)
     lo_bound = int(y_lo) * int(y_lo)
@@ -300,13 +299,13 @@ def test_scan_from_a_presieve_equals_scan_without(interval, x_cap, target):
     # a longer range than their own
     y_lo, y_hi = interval
     want = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
-    presieve = Presieve(_strike_primes(_T, y_lo), _SEGMENT_30 + 200)
+    presieve = Presieve(_T.primes_between(0, y_lo), _SEGMENT_30 + 200)
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target, presieve=presieve)
     assert got == want
 
 
 # the primes <= 17, sieved past the first segment boundary
-_PRIMES_TO_17 = Presieve(_strike_primes(_T, 17), _SEGMENT_30 + 200)
+_PRIMES_TO_17 = Presieve(_T.primes_between(0, 17), _SEGMENT_30 + 200)
 
 
 @pytest.mark.parametrize("y_lo, x_cap, presieve, match", [
@@ -339,6 +338,18 @@ def test_scan_rejects_an_empty_interval(y_lo, y_hi, x_cap):
 def test_nan_y_rejected(count):
     # nan compares false with everything, so no range check would catch it
     with pytest.raises(DomainError, match="nan"):
+        count()
+
+
+@pytest.mark.parametrize("count", [
+    lambda: phi_direct(20_000, 20_000, _T),
+    lambda: phi_direct(20_000, math.inf, _T),
+    lambda: phi_legendre(20_000, 10_200, _T),
+    lambda: scan_rough_interval(_T, 10_200, 10_300, 100),
+    lambda: scan_rough_interval(_T, math.inf, 3, 100),
+])
+def test_primes_past_the_table_rejected(count):
+    with pytest.raises(OutOfRangeError, match="exceeds sieve limit 10100"):
         count()
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from roughbound import primes as primes_module
 from roughbound.analytic import EULER_GAMMA, MEISSEL_MERTENS_B, r_ratio
 from roughbound.errors import DomainError, OutOfRangeError, ResourceError
 from roughbound.primes import (
@@ -18,7 +19,6 @@ from roughbound.primes import (
     build_prime_table,
     mertens_product,
     rough_segments,
-    wheel_row,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -88,7 +88,8 @@ def test_build_errors():
 
 
 def test_build_refuses_a_limit_past_the_cap_before_allocating():
-    # the plain sieve of sqrt(limit) alone would ask for 1 TB here
+    # the presieve of [0, sqrt(limit)] for its base primes alone would ask for
+    # 33 GB here
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="sieve limit 10{24} exceeds the cap"):
@@ -123,6 +124,30 @@ def bytearray_primes(n):
     return np.flatnonzero(np.frombuffer(mask, dtype=np.uint8))
 
 
+def test_build_matches_bytearray_sieve_beside_prime_squares():
+    # at p^2 a level of the recursion for the base primes gains p
+    oracle = bytearray_primes(320 ** 2 + 1)
+    for p in oracle[oracle < 320].tolist():
+        for limit in (p * p - 1, p * p, p * p + 1):
+            assert np.array_equal(build_prime_table(limit).primes, oracle[oracle <= limit]), limit
+
+
+def test_building_a_table_calls_the_public_builder_once(monkeypatch):
+    # the base primes come from a private recursion, so a wrapper on the
+    # public name sees one call per table
+    calls = []
+    build = primes_module.build_prime_table
+
+    def counted(limit):
+        calls.append(limit)
+        return build(limit)
+
+    monkeypatch.setattr(primes_module, "build_prime_table", counted)
+    table = primes_module.build_prime_table(10**6)
+    assert calls == [10**6]
+    assert table.pi(10**6) == 78_498
+
+
 def test_segmented_equals_unsegmented():
     # three wheel segments against one unsegmented bytearray sieve
     limit = 3 * (ROUGH_SEGMENT // 8 * 30) - 7
@@ -143,7 +168,7 @@ def primes_upto(primes, y):
 
 def presieve_cells(presieve):
     """(n, survives) for every cell of `presieve` with n <= its x_cap."""
-    step, residues = wheel_row(presieve.strike)
+    step, residues = presieve.step, presieve.residues
     cells = np.arange(8 * presieve.turns.size)
     ns = (cells >> 5) * step + residues[cells & 31]
     keep = ns <= presieve.x_cap
@@ -153,7 +178,7 @@ def presieve_cells(presieve):
 def segment_survivors(presieve, x_cap):
     """The integers set in the segments of `rough_segments(presieve, x_cap)`,
     checking each segment's base, size and dtype on the way."""
-    step, residues = wheel_row(presieve.strike)
+    step, residues = presieve.step, presieve.residues
     span = ROUGH_SEGMENT // 32 * step
     found = []
     for k, (base, rows) in enumerate(rough_segments(presieve, x_cap)):
@@ -182,7 +207,7 @@ def test_presieve_and_its_segments_match_a_plain_sieve(table_small, count):
     # every wheel (1, 2, 6, 30) and every count of presieved primes, and one
     # prime struck above them
     strike = table_small.primes[:count]
-    width = wheel_row(strike)[0] // 4
+    width = Presieve(strike, 1).step // 4
     span = ROUGH_SEGMENT // 8 * width
     oracle = rough_oracle(strike, 2 * span + 1000)
     # x caps at and beside the edges of a turn, a row and a segment, and past

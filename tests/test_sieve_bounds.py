@@ -389,6 +389,14 @@ def test_closed_form_domain():
         s_y_closed_form(499_999.0)
 
 
+@pytest.mark.parametrize("y", [math.nan, 1.0, 0.5, -3.0])
+@pytest.mark.parametrize("fn", [s_y_closed_form, closed_form_factor, final_large_y_bound])
+def test_closed_form_refuses_y_below_its_domain_before_the_logs(fn, y):
+    # log y is 0 at 1 and undefined below; nan fails every comparison
+    with pytest.raises(DomainError, match="closed form asserted for y >= 500000"):
+        fn(y)
+
+
 def test_e_gamma_constant():
     assert math.exp(-EULER_GAMMA) == pytest.approx(0.561459483566885, abs=1e-12)
 
