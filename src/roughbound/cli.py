@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -52,17 +53,12 @@ EXIT_RESOURCE = 3
 PLOT_ROW_LIMIT = 1_000_000   # rows one plot-data run may write
 
 
-def _data_dir() -> str | None:
-    return os.environ.get("ROUGHBOUND_DATA_DIR")
-
-
-def _open_out(path):
+def _output(path):
+    """The stream `--out path` names: stdout for none or "-", else the file,
+    relative to ROUGHBOUND_DATA_DIR if that is set, closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
-    base = _data_dir()
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    return open(path, "w"), True
+        return nullcontext(sys.stdout)
+    return open(os.path.join(os.environ.get("ROUGHBOUND_DATA_DIR", ""), path), "w")
 
 
 def _finite(text: str) -> float:
@@ -195,8 +191,7 @@ def _cmd_omega(args) -> int:
 
 def _cmd_table1(args) -> int:
     report = run_full_pipeline(PipelineConfig(regions=(SMALL_Y,), parallelism=args.parallelism))
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             import json
             json.dump(report.table1, out, indent=2)
@@ -209,9 +204,6 @@ def _cmd_table1(args) -> int:
             out.write("y_lo,y_hi,x_bound,max\n")
             for r in report.table1:
                 out.write(f"{r['y_lo']},{r['y_hi']},{r['x_bound']},{r['max_stat']:.5f}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
@@ -219,14 +211,10 @@ def _cmd_bound(args) -> int:
     if args.kind == "selberg-sweep":
         table = build_prime_table(args.y_hi + 1000)
         rows = selberg_sweep(table, lo=args.y_lo, hi=args.y_hi, target=args.target)
-        out, close = _open_out(args.out)
-        try:
+        with _output(args.out) as out:
             out.write("y,epsilon,f_value,coefficient,margin\n")
             for y, _, eps, f, coefficient, margin in rows.tolist():
                 out.write(f"{y},{eps:.6f},{f:.8f},{coefficient:.8f},{margin:.8f}\n")
-        finally:
-            if close:
-                out.close()
         return EXIT_OK
     if args.kind == "large-y":
         if args.y is None:
@@ -277,17 +265,13 @@ def _cmd_verify(args) -> int:
         regions=regions,
     )
     report = run_full_pipeline(config)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             out.write(report.to_json(indent=2) + "\n")
         elif args.format == "csv":
             out.write(report.to_csv() + "\n")
         else:
             out.write(report.to_text() + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
@@ -330,8 +314,7 @@ def _cmd_plot_data(args) -> int:
         us = _ratio_us(args.u_step, len(ys))
         _check_ratio_x(max(ys), us[-1])
         table = build_prime_table(max(300, int(max(ys)) + 10))
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.kind == "omega":
             out.write("u,omega\n")
             for u, w in samples:
@@ -343,9 +326,6 @@ def _cmd_plot_data(args) -> int:
                     x = int(y ** u)
                     val = phi_direct(x, y, table) * math.log(y) / x
                     out.write(f"{y:g},{u:.4f},{val:.8f}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

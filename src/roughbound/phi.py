@@ -100,6 +100,8 @@ def phi_two_prime(x: int, y: float, table: PrimeTable) -> int:
     x = int(x)
     if not y * y <= x:  # before next_prime, which may find no prime above a huge y
         raise DomainError(f"prime-pair identity needs y^2 <= x < q^3, got x={x}, y={y}")
+    if x == 0:  # the formula counts n = 1, which needs x >= 1
+        return 0
     q = table.next_prime(y)
     if not x < q * q * q:
         raise DomainError(

@@ -17,14 +17,15 @@ witnesses of failure.  The default target is .6.
 All region work is pure and deterministic.  A run opens one task pool
 (`_task_pool`): each interval scan, the Selberg sweep, the small-u grid and
 the iteration is a task on it, and the calling process only submits tasks
-and assembles certificates.  The pool's workers receive the prime table once,
-and below two workers the pool is inline (no processes), as it is for a
-verifier called without a pool.  A mid-y or small-u scan task names the range
-its presieve must cover.  Each process keeps one presieve: it advances it in
-place to each scan's primes, so that scans in ascending y strike each prime
-once per process, and it builds a new one only for a longer range or fewer
-primes.  The presieve is freed with its pool.  The report does not depend on
-the parallelism setting, `PipelineConfig.parallelism`.
+and assembles certificates.  The pool's workers receive the prime table once.
+Below two workers the pool is inline: it is the calling process's own task
+state (`_PoolState`), which runs each task as it is submitted, and a verifier
+called without a pool runs in-process on one of its own.  A mid-y or small-u
+scan task names the range its presieve must cover.  Each process keeps one
+presieve: it advances it in place to each scan's primes, so that scans in
+ascending y strike each prime once per process, and it builds a new one only
+for a longer range or fewer primes.  The presieve is freed with its pool.  The
+report does not depend on the parallelism setting, `PipelineConfig.parallelism`.
 """
 
 from __future__ import annotations
@@ -180,7 +181,12 @@ def _ceil_two_sig(n: int) -> int:
 
 class _PoolState:
     """What the tasks of one pool share in one process: the prime table, and
-    one presieve that the scans advance."""
+    one presieve that the scans advance.
+
+    Entered as a context in the calling thread, it is the pool without
+    processes: a task runs in this thread as it is submitted, and the
+    presieve is dropped on exit.
+    """
 
     def __init__(self, table: PrimeTable):
         self.table = table
@@ -202,29 +208,13 @@ class _PoolState:
             held.advance(strike)
         return held
 
-
-# The state of the pool a task runs in: set once in each worker process by
-# the pool's initializer, and in the calling thread around an inline pool.
-_POOL: ContextVar[_PoolState] = ContextVar("roughbound_pool")
-
-
-def _serve(table: PrimeTable) -> None:
-    _POOL.set(_PoolState(table))
-
-
-class _InlinePool:
-    """The executor interface without processes: a task runs in the calling
-    thread as it is submitted."""
-
-    def __init__(self, table: PrimeTable):
-        self._table = table
-
     def __enter__(self):
-        self._token = _POOL.set(_PoolState(self._table))
+        self._token = _POOL.set(self)
         return self
 
     def __exit__(self, *exc):
         _POOL.reset(self._token)
+        self._presieve = None
         return False
 
     def submit(self, fn, *args):
@@ -236,6 +226,15 @@ class _InlinePool:
         return [fn(item) for item in iterable]
 
 
+# The state of the pool a task runs in: set once in each worker process by
+# the pool's initializer, and in the calling thread around an inline pool.
+_POOL: ContextVar[_PoolState] = ContextVar("roughbound_pool")
+
+
+def _serve(table: PrimeTable) -> None:
+    _POOL.set(_PoolState(table))
+
+
 def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
     """A pool for `tasks` tasks on min(parallelism, tasks, usable CPUs) worker
     processes, each handed `table` once by the initializer; inline below two."""
@@ -244,13 +243,19 @@ def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(parallelism, tasks, cpus or 1)
     if workers < 2:
-        return _InlinePool(table)
+        return _PoolState(table)
     return ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(table,))
 
 
+def _on(pool, table: PrimeTable):
+    """`pool` as a context that leaves it open, or else an inline pool on `table`."""
+    return nullcontext(pool) if pool else _PoolState(table)
+
+
 # The tasks below look up what they run as a module global when they run, and
-# a submitted `small_u_grid_max` is pickled by its name on this module: either
-# way a wrapper installed on this module before the pool starts reaches its workers.
+# a submitted function (`small_u_grid_max`, a verifier) is pickled by its name
+# on this module: either way a wrapper installed on this module before the
+# pool starts reaches its workers.
 
 def _scan_task(task):
     """One interval scan; `cover`, if not None, is the range the process's
@@ -261,19 +266,34 @@ def _scan_task(task):
     return scan_rough_interval(state.table, y_lo, y_hi, x_cap, target=target, presieve=presieve)
 
 
-def _selberg_task(target):
-    return verify_selberg(target, _POOL.get().table)
+def _table_task(verify, target):
+    """One analytic verifier on the pool's prime table."""
+    return verify(_POOL.get().table, target=target)
 
 
-def _iteration_task(target):
-    return verify_iteration(_POOL.get().table, target=target)
+def _interval_rows(intervals, scans, extent_key: str):
+    """The rows of scanned intervals (y_lo, y_hi, extent), the "target
+    violated" failures among them, and the largest supremum of all scans
+    (-inf for none).  Each row records its extent under `extent_key`."""
+    rows = []
+    failures = []
+    for (p, q, extent), scan in zip(intervals, scans):
+        rows.append({"y_lo": p, "y_hi": q, extent_key: extent,
+                     "max_ratio": scan.sup_max,
+                     "witness_n": scan.sup_witness[0], "witness_j": scan.sup_witness[1],
+                     "violations": scan.violation_count})
+        if scan.violation_count:
+            failures.append({"interval": [p, q], "issue": "target violated",
+                             "witnesses": [list(v) for v in scan.violations[:8]]})
+    return rows, failures, max((scan.sup_max for scan in scans), default=-math.inf)
 
 
 # ---------------------------------------------------------------------------
 # small-y region
 # ---------------------------------------------------------------------------
 
-def verify_small_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertificate:
+def verify_small_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
+                   pool=None) -> RegionCertificate:
     """Reproduce the reference small-y table and scan every interval for
     violations of the target.
 
@@ -294,7 +314,7 @@ def verify_small_y(target: float, table: PrimeTable, *, pool=None) -> RegionCert
             xb = None  # elementary bound can never reach this target
         meta.append((p, q, printed, is_rounded, printed_max, xb))
 
-    with nullcontext(pool) if pool else _InlinePool(table) as pool:
+    with _on(pool, table) as pool:
         scans = list(pool.map(_scan_task, [(p, q, printed - 1, target, None)
                                            for p, q, printed, *_ in meta]))
 
@@ -354,7 +374,8 @@ def verify_small_y(target: float, table: PrimeTable, *, pool=None) -> RegionCert
 # mid-y region
 # ---------------------------------------------------------------------------
 
-def verify_mid_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertificate:
+def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
+                 pool=None) -> RegionCertificate:
     """Exhaustively check 71 <= y < 241 below the pre-sieved truncation bounds.
 
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
@@ -380,26 +401,15 @@ def verify_mid_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertif
         meta.append((p, q, xb))
 
     cover = max(xb for _, _, xb in meta) - 1
-    with nullcontext(pool) if pool else _InlinePool(table) as pool:
+    with _on(pool, table) as pool:
         scans = list(pool.map(_scan_task, [(p, q, xb - 1, target, cover) for p, q, xb in meta]))
-
-    rows = []
-    failures = list(bound_failures)
-    margin = math.inf
-    for (p, q, xb), scan in zip(meta, scans):
-        rows.append({"y_lo": p, "y_hi": q, "x_bound": xb,
-                     "max_ratio": scan.sup_max,
-                     "witness_n": scan.sup_witness[0], "witness_j": scan.sup_witness[1],
-                     "violations": scan.violation_count})
-        margin = min(margin, target - scan.sup_max)
-        if scan.violation_count:
-            failures.append({"interval": [p, q], "issue": "target violated",
-                             "witnesses": [list(v) for v in scan.violations[:8]]})
+    rows, violated, sup_max = _interval_rows(meta, scans, "x_bound")
+    failures = bound_failures + violated
 
     return RegionCertificate(
         region=MID_Y,
         method="interval scans below pre-sieved Bonferroni x-bounds (14/15 remainder)",
-        margin=margin,
+        margin=target - sup_max,
         verified=not failures,
         params={"target": target, "cap": DEFAULT_EXHAUSTIVE_CAP, "intervals": len(rows),
                 "max_x_bound": max(r["x_bound"] for r in rows)},
@@ -412,7 +422,7 @@ def verify_mid_y(target: float, table: PrimeTable, *, pool=None) -> RegionCertif
 # Selberg regions (u >= 7.5)
 # ---------------------------------------------------------------------------
 
-def verify_selberg(target: float, table: PrimeTable):
+def verify_selberg(table: PrimeTable, *, target: float = DEFAULT_TARGET):
     """Both sieve branches; returns (finite certificate, closed certificate)."""
     sweep = selberg_sweep(table, lo=SELBERG_MIN_Y, hi=CLOSED_FORM_MIN_Y, target=target)
     bad = sweep[~((sweep.margin > 0) & (sweep.f_value < 1))]
@@ -597,26 +607,14 @@ def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     submitted before the scans, and all of them run as in `verify_small_y`.
     """
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
-    meta = [(p, table.next_prime(p)) for p in ps]
-    cover = meta[-1][1] ** 3 - 1 if meta else None
+    meta = [(p, q, q ** 3 - 1) for p, q in zip(ps, map(table.next_prime, ps))]
+    cover = meta[-1][2] if meta else None
 
-    with nullcontext(pool) if pool else _InlinePool(table) as pool:
+    with _on(pool, table) as pool:
         grid = pool.submit(small_u_grid_max)
-        scans = list(pool.map(_scan_task, [(p, q, q ** 3 - 1, target, cover) for p, q in meta]))
+        scans = list(pool.map(_scan_task, [(p, q, x_cap, target, cover) for p, q, x_cap in meta]))
         (analytic_max, at_y, at_u), grid_rows = grid.result()
-
-    rows = []
-    failures = []
-    exhaustive_max = -math.inf
-    for (p, q), scan in zip(meta, scans):
-        rows.append({"y_lo": p, "y_hi": q, "x_cap": scan.x_cap,
-                     "max_ratio": scan.sup_max,
-                     "witness_n": scan.sup_witness[0], "witness_j": scan.sup_witness[1],
-                     "violations": scan.violation_count})
-        exhaustive_max = max(exhaustive_max, scan.sup_max)
-        if scan.violation_count:
-            failures.append({"interval": [p, q], "issue": "target violated",
-                             "witnesses": [list(v) for v in scan.violations[:8]]})
+    rows, failures, exhaustive_max = _interval_rows(meta, scans, "x_cap")
     if exhaustive_max >= SMALL_U_EXHAUSTIVE_MAX:
         failures.append({"issue": "exhaustive milestone exceeded",
                          "max_ratio": exhaustive_max,
@@ -738,15 +736,10 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> Re
 # ---------------------------------------------------------------------------
 
 def _required_limit(config: PipelineConfig) -> int:
-    limit = 300
-    if SMALL_U in config.regions:
-        limit = max(limit, 2 * config.small_u_cap + 100)
-    if ITERATION in config.regions:
-        # epsilon_k(q0, 3) reads the primes to q0^(4/3)
-        limit = max(limit, math.ceil((ITERATION_TAIL_FROM - 1) ** (4 / 3)) + 100)
-    if SELBERG_FINITE in config.regions or SELBERG_CLOSED in config.regions:
-        limit = max(limit, CLOSED_FORM_MIN_Y + 1000)
-    return limit
+    """The prime table's limit, the same whichever regions run: past the
+    Selberg sweep's 5e5 (and so past the iteration's 1499^(4/3)), and past
+    the first prime above small-u's cap."""
+    return max(CLOSED_FORM_MIN_Y + 1000, 2 * config.small_u_cap + 100)
 
 
 def run_full_pipeline(config: PipelineConfig | None = None, *,
@@ -780,13 +773,13 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
     with _task_pool(table, config.parallelism, tasks) as pool:
         # small-y's short scans finish before the analytic tasks are queued
         if SMALL_Y in regions:
-            certs.append(verify_small_y(config.target, table, pool=pool))
+            certs.append(verify_small_y(table, target=config.target, pool=pool))
         if selberg:
-            selberg_certs = pool.submit(_selberg_task, config.target)
+            selberg_certs = pool.submit(_table_task, verify_selberg, config.target)
         if ITERATION in regions:
-            iteration = pool.submit(_iteration_task, config.target)
+            iteration = pool.submit(_table_task, verify_iteration, config.target)
         if MID_Y in regions:
-            certs.append(verify_mid_y(config.target, table, pool=pool))
+            certs.append(verify_mid_y(table, target=config.target, pool=pool))
         if SMALL_U in regions:
             certs.append(verify_small_u(table, target=config.target,
                                         y_exhaustive_cap=config.small_u_cap, pool=pool))

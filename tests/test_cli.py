@@ -26,6 +26,12 @@ def test_phi_all_methods_agree(capsys):
     assert capsys.readouterr().out.strip() == "128"
 
 
+@pytest.mark.parametrize("method", ["direct", "legendre", "two-prime"])
+def test_phi_at_zero(method, capsys):
+    assert main(["phi", "--x", "0", "--y", "0", "--method", method]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_phi_negative_x_is_domain_error(capsys):
     assert main(["phi", "--x", "-5", "--y", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: x must be >= 0")
@@ -322,7 +328,7 @@ def test_verify_iteration_json(capsys):
 
 @pytest.mark.parametrize("region", ["small-y", "mid-y"])
 def test_verify_scan_region_alone(capsys, region):
-    # the run's table stops at 300 when no region needs the small-u primes
+    # a run reads the same table whichever regions it runs
     assert main(["verify", "--region", region, "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(f"{region},True,")
 
@@ -366,3 +372,22 @@ def test_table1_csv(capsys, monkeypatch):
     assert lines[0] == "y_lo,y_hi,x_bound,max"
     assert lines[1] == "2,3,22,0.61034"
     assert lines[4].startswith("7,11,370,")
+
+
+def test_table1_out_writes_the_stdout_csv(capsys, monkeypatch, tmp_path):
+    import roughbound.pipeline as pl
+    monkeypatch.setattr(pl, "REFERENCE_SMALL_Y_ROWS", pl.REFERENCE_SMALL_Y_ROWS[:4])
+    assert main(["table1"]) == 0
+    csv = capsys.readouterr().out
+    data = tmp_path / "data"
+    data.mkdir()
+    monkeypatch.setenv("ROUGHBOUND_DATA_DIR", str(data))
+    # a relative --out lands in ROUGHBOUND_DATA_DIR, an absolute one where it names
+    assert main(["table1", "--out", "t.csv"]) == 0
+    assert main(["table1", "--out", str(tmp_path / "abs.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (data / "t.csv").read_text() == (tmp_path / "abs.csv").read_text() == csv
+    # "-" is stdout
+    assert main(["table1", "--out", "-"]) == 0
+    assert capsys.readouterr().out == csv
+    assert sorted(os.listdir(data)) == ["t.csv"]

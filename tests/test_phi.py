@@ -120,6 +120,12 @@ def test_cross_method_randomized():
 def test_two_prime_examples(table_1m):
     assert phi_two_prime(121, 11, table_1m) == phi_direct(121, 11, table_1m)
     assert phi_two_prime(500_000, 79, table_1m) == phi_direct(500_000, 79, table_1m)
+    # every y below 2 in the domain y^2 <= x, x = 0 included
+    for x in range(8):
+        for y in (0, 0.5, 1, 1.5, 1.99):
+            if y * y <= x:
+                counts = {f(x, y, _T) for f in (phi_two_prime, phi_direct, phi_legendre)}
+                assert counts == {x}, (x, y)
 
 
 def test_two_prime_randomized(table_1m):

@@ -26,6 +26,8 @@ from roughbound.pipeline import (
     PipelineConfig,
     REFERENCE_SMALL_Y_ROWS,
     REGION_ORDER,
+    SELBERG_CLOSED,
+    SELBERG_FINITE,
     SMALL_U,
     SMALL_U_GRID_YS,
     SMALL_Y,
@@ -116,7 +118,7 @@ def test_theta_defect_holds_where_the_tail_applies():
 
 
 def test_small_y_fast_rows():
-    cert = verify_small_y(0.6, _T)
+    cert = verify_small_y(_T)
     assert len(cert.rows) == len(REFERENCE_SMALL_Y_ROWS)
     assert cert.verified
     assert cert.margin == pytest.approx(0.6 - 0.579398, abs=1e-4)
@@ -127,7 +129,7 @@ def test_small_y_fast_rows():
 
 
 def test_small_y_lowered_target_fails_with_witnesses():
-    cert = verify_small_y(0.55, _T)
+    cert = verify_small_y(_T, target=0.55)
     assert not cert.verified
     issues = {f["issue"] for f in cert.failures}
     assert "target violated" in issues
@@ -358,6 +360,23 @@ def test_pool_clamped_to_usable_cpus(fake_pool, monkeypatch):
     assert fake_pool.sizes == [3]  # one usable CPU: the scans run in this process
 
 
+# the tasks a run at small_u_cap=270 submits: 19 small-y scans, 33 mid-y
+# scans, the Selberg sweep, the small-u grid and 5 scans, and the iteration
+_TASKS_270 = {SMALL_Y: 19, MID_Y: 33, SELBERG_FINITE: 1, SELBERG_CLOSED: 1, SMALL_U: 6,
+              ITERATION: 1, "all": 60}
+
+
+@pytest.mark.parametrize("region", list(_TASKS_270))
+def test_pool_sized_to_the_tasks_the_run_submits(fake_pool, region):
+    regions = REGION_ORDER if region == "all" else (region,)
+    run_full_pipeline(PipelineConfig(regions=regions, small_u_cap=270, parallelism=5000))
+    tasks = _TASKS_270[region]
+    if tasks == 1:   # the one task runs in this process
+        assert fake_pool.sizes == [] and fake_pool.task_args == []
+    else:
+        assert fake_pool.sizes == [len(fake_pool.task_args)] == [tasks]
+
+
 @pytest.fixture(scope="module")
 def serial_270():
     return run_full_pipeline(PipelineConfig(small_u_cap=270))
@@ -420,20 +439,20 @@ def test_mid_y_and_small_u_scans_are_the_same_in_any_order():
 
     tasks = []
 
-    class Recording(pl._InlinePool):
+    class Recording(pl._PoolState):
         def map(self, fn, items):
             items = list(items)
             tasks.extend(items)
             return super().map(fn, items)
 
     with Recording(_T) as pool:
-        pl.verify_mid_y(0.6, _T, pool=pool)
+        pl.verify_mid_y(_T, pool=pool)
         pl.verify_small_u(_T, y_exhaustive_cap=270, pool=pool)
     assert len(tasks) == 33 + 5 and all(task[4] for task in tasks)
     want = [scan_rough_interval(_T, *task[:3], target=task[3]) for task in tasks]
     ascending = list(range(len(tasks)))
     for order in (ascending, ascending[::-1], np.random.default_rng(15).permutation(len(tasks))):
-        with pl._InlinePool(_T) as pool:   # one process's presieve across both regions
+        with pl._PoolState(_T) as pool:   # one process's presieve across both regions
             got = pool.map(pl._scan_task, [tasks[i] for i in order])
         assert got == [want[i] for i in order]
 
