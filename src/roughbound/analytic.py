@@ -1,12 +1,14 @@
-"""Logarithmic integral, explicit prime-count constants, and ratio functions.
+"""Logarithmic integral, explicit prime-count constants, ratio functions, and
+the library's one root finder.
 
 The module constants below are numerically explicit facts about primes taken
-as axioms (they rest on large published computations); everything else here
-is built from them and from li(x).
+as axioms (they rest on large published computations); every function but
+`bracketed_newton` is built from them and from li(x).
 
-Each function takes a float or a numpy array: a float gives a float, an array
-an array of the same shape, with every element computed exactly as a float
-argument would be.  An element outside the domain raises for the whole call.
+Each of those takes a float or a numpy array: a float gives a float, an
+array an array of the same shape, with every element computed exactly as a
+float argument would be.  An element outside the domain raises for the whole
+call.  `bracketed_newton` takes floats only.
 """
 
 from __future__ import annotations
@@ -110,3 +112,26 @@ def pi_lower_599(t):
     _refuse(t < 599, t, DomainError, "pi_lower_599 is only asserted for t >= 599")
     lt = np.log(t)
     return _out(t / lt + t / (lt * lt))
+
+
+def bracketed_newton(step, a: float, b: float, x: float, tol: float) -> float:
+    """Root in [a, b] of an increasing g by safeguarded Newton from x.
+
+    `step(x)` returns g(x) and g'(x).  The sign of g narrows the bracket, a
+    Newton step that leaves it is replaced by a bisection, and the search
+    stops when the step or the bracket is below `tol`, or after 100 steps,
+    more than the 47 bisections that take a unit bracket below 1e-14.  A
+    root pinned to a bracket end is approached by bisection.
+    """
+    for _ in range(100):
+        g, slope = step(x)
+        if g > 0:
+            b = x
+        else:
+            a = x
+        newton = x - g / slope
+        converged = abs(newton - x) < tol
+        x = newton if converged or a < newton < b else 0.5 * (a + b)
+        if converged or b - a < tol:
+            break
+    return x

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
+from .analytic import bracketed_newton
 from .errors import DomainError, NumericError, ResolutionError, ResourceError
 
 DEFAULT_U_MAX = 16.0
@@ -137,22 +138,14 @@ def _extremum_23():
     """Argmax and maximum of the closed form (1 + log(u-1))/u on [2, 3].
 
     The argmax is the root of h(u) = u/(u-1) - 1 - log(u-1), which falls
-    from 1 at u = 2 to -0.19 at u = 3; safeguarded Newton keeps a sign
-    bracket and bisects whenever a step leaves it.
+    from 1 at u = 2 to -0.19 at u = 3; `bracketed_newton` finds it as the
+    root of -h, which rises, from 2.5.
     """
-    a, b = 2.0, 3.0
-    u = 2.5
-    for _ in range(100):
-        h = u / (u - 1.0) - 1.0 - math.log(u - 1.0)
-        if h > 0:
-            a = u
-        else:
-            b = u
-        newton = u - h / (-1.0 / (u - 1.0) ** 2 - 1.0 / (u - 1.0))
-        converged = abs(newton - u) < 1e-14
-        u = newton if converged or a < newton < b else 0.5 * (a + b)
-        if converged or b - a < 1e-14:
-            break
+    def step(u):
+        d = u - 1.0
+        return math.log(d) - (u / d - 1.0), 1.0 / d ** 2 + 1.0 / d   # -h and -h', exactly
+
+    u = bracketed_newton(step, 2.0, 3.0, 2.5, 1e-14)
     return u, (1.0 + math.log(u - 1.0)) / u
 
 

@@ -13,10 +13,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import __version__
-from .buchstab import build_omega, locate_extremum, omega_samples
+from .buchstab import DEFAULT_U_MAX, build_omega, locate_extremum, omega_samples
 from .errors import DomainError, ResourceError
 from .phi import DEFAULT_EXHAUSTIVE_CAP, phi_direct, phi_legendre, phi_two_prime
 from .pipeline import (
@@ -102,9 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("omega", help="evaluate the rough-number density function")
     sp.add_argument("--u", type=_finite, required=True)
-    sp.add_argument("--u-max", type=_finite, default=16.0)
     sp.add_argument("--extremum", action="store_true",
-                    help="also print the maximum on [2, u_max] and its location")
+                    help="also print the maximum of omega and its location")
 
     sp = sub.add_parser("table1", help="reproduce the small-y reference table")
     sp.add_argument("--format", choices=["csv", "text", "json"], default="csv")
@@ -130,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paper-scale", action="store_const", dest="small_u_cap",
                     const=PAPER_SCALE_SMALL_U_CAP, default=SMALL_U_CAP,
                     help=f"run the exhaustive small-u scans to y <= {PAPER_SCALE_SMALL_U_CAP}, "
-                         f"where the analytic grid starts, instead of {SMALL_U_CAP} "
-                         "(about 10 s on one core)")
+                         f"where the analytic grid starts, instead of {SMALL_U_CAP}")
     sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--out", default=None)
 
@@ -148,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_phi(args) -> int:
-    if args.x < 0:
-        raise DomainError(f"x must be >= 0, got {args.x}")
     # the primes <= min(y, x), and for the prime-pair identity, when y^2 <= x,
     # q, the first prime above y, which is at most 2y (Bertrand)
     pair = args.method in ("two-prime", "all") and args.y * args.y <= args.x
@@ -181,7 +175,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    table = build_omega(args.u_max)
+    table = build_omega(max(DEFAULT_U_MAX, args.u))
     print(repr(table.omega(args.u)))
     if args.extremum:
         u_star, m0 = locate_extremum(table)
@@ -304,7 +298,7 @@ def _check_ratio_x(y: float, u: float) -> None:
 def _cmd_plot_data(args) -> int:
     # every grid is counted, and built if it is omega's, before the output opens
     if args.kind == "omega":
-        table = build_omega(max(16.0, args.u_hi))
+        table = build_omega(max(DEFAULT_U_MAX, args.u_hi))
         _check_rows((args.u_hi + 0.5 * args.step - args.u_lo) / args.step)   # omega_samples' arange
         samples = omega_samples(table, args.u_lo, args.u_hi, args.step)
     else:

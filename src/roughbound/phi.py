@@ -66,8 +66,6 @@ def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
     def rec(n: int, a: int) -> int:
         if a == 0:
             return n
-        if n == 0:
-            return 0
         if ps[a - 1] >= n:
             # every prime <= n is among the first a primes: only 1 survives
             return 1
@@ -116,13 +114,8 @@ def phi_two_prime(x: int, y: float, table: PrimeTable) -> int:
     z = table.pi(root)
     w = table.pi(y)
     m = z * (z - 1) // 2 - (w - 1) * (w - 2) // 2
-    ps = table.primes_between(y, root)
-    if len(ps):
-        quotients = x // ps
-        tail = int(np.sum(np.searchsorted(table.primes, quotients, side="right")))
-    else:
-        tail = 0
-    return table.pi(x) - m + tail
+    quotients = x // table.primes_between(y, root)   # none when no prime lies in (y, sqrt(x)]
+    return table.pi(x) - m + int(np.sum(np.searchsorted(table.primes, quotients, side="right")))
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ REGION_ORDER = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATI
 DEFAULT_TARGET = 0.6
 # Exhaustive small-u scans run to y <= SMALL_U_CAP by default; the paper
 # scale runs them to 1100, where the analytic grid takes over (132 scans from
-# a 45 MB presieve, about 9 s on one core).
+# a 45 MB presieve).
 SMALL_U_CAP = 500
 PAPER_SCALE_SMALL_U_CAP = 1100
 CLOSED_GRID_TOP = 1e12
@@ -598,13 +598,13 @@ def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     analytic bound on a grid for y >= 1100.
 
     The default cap keeps the exhaustive branch at desk scale; raising it to
-    PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch in about
-    9 s on one core.  Scans cover x < q^3 per interval [p, q), with the
-    two-dimensional supremum convention for the multiplier.  Every scan
-    reads its segments from its process's presieve over the largest range
-    (4.2 MB at the default cap, 45 MB at the paper's), advanced to the
-    scan's primes, so that it strikes none itself.  The grid is a task
-    submitted before the scans, and all of them run as in `verify_small_y`.
+    PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch.  Scans
+    cover x < q^3 per interval [p, q), with the two-dimensional supremum
+    convention for the multiplier.  Every scan reads its segments from its
+    process's presieve over the largest range (4.2 MB at the default cap,
+    45 MB at the paper's), advanced to the scan's primes, so that it strikes
+    none itself.  The grid is a task submitted before the scans, and all of
+    them run as in `verify_small_y`.
     """
     ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
     meta = [(p, q, q ** 3 - 1) for p, q in zip(ps, map(table.next_prime, ps))]
@@ -742,8 +742,7 @@ def _required_limit(config: PipelineConfig) -> int:
     return max(CLOSED_FORM_MIN_Y + 1000, 2 * config.small_u_cap + 100)
 
 
-def run_full_pipeline(config: PipelineConfig | None = None, *,
-                      table: PrimeTable | None = None) -> BoundReport:
+def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
     """Run the selected region verifiers and aggregate their certificates.
 
     The overall verdict is the conjunction of the per-region verdicts; output
@@ -751,7 +750,8 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
     run's one task pool: small-y's scans, the Selberg sweep and the
     iteration go first, then mid-y's and small-u's scans (small-u's grid
     just before them); each exhaustive verifier assembles its certificate as
-    its scans' results arrive.
+    its scans' results arrive.  The run builds its one prime table, to
+    `_required_limit(config)`.
     """
     config = config or PipelineConfig()
     regions = config.regions
@@ -760,8 +760,7 @@ def run_full_pipeline(config: PipelineConfig | None = None, *,
             raise DomainError(f"unknown region {r!r}")
     if not math.isfinite(config.target):
         raise DomainError(f"target must be finite, got {config.target}")
-    if table is None:
-        table = build_prime_table(_required_limit(config))
+    table = build_prime_table(_required_limit(config))
     selberg = SELBERG_FINITE in regions or SELBERG_CLOSED in regions
     # one task per analytic computation and per scan of the verifiers below
     tasks = (selberg + (ITERATION in regions)

@@ -169,9 +169,9 @@ def rough_segments(presieve: Presieve, x_cap: int):
 class PrimeTable:
     """Immutable store of the primes <= limit.
 
-    Every lookup (`pi`, `power_sum`, `primes_between`, `next_prime`) counts
-    the primes <= t as the primes <= floor(t), searched with an int key: a
-    float key would make numpy cast the whole table to float64 on each call.
+    Every lookup (`pi`, `primes_between`, `next_prime`) counts the primes
+    <= t as the primes <= floor(t), searched with an int key: a float key
+    would make numpy cast the whole table to float64 on each call.
     A nan key raises DomainError.
     """
 
@@ -199,16 +199,6 @@ class PrimeTable:
         """Number of primes <= t."""
         self._check_range(t)
         return self._count_upto(t)
-
-    def power_sum(self, k: int, lo, t) -> float:
-        """Sum of (1/p)^k over primes lo < p <= t, for k in 1..4."""
-        if k not in (1, 2, 3, 4):
-            raise DomainError(f"power_sum supports k in 1..4, got {k}")
-        self._check_range(t)
-        i0 = self._count_upto(lo)
-        i1 = self._count_upto(t)
-        ps = self.primes[i0:i1].astype(np.float64)
-        return float(np.sum((1.0 / ps) ** k))
 
     def primes_between(self, lo, hi) -> np.ndarray:
         """Primes p with lo < p <= hi, as a read-only array view."""

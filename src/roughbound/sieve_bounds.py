@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import BETA0, EULER_GAMMA, MERTENS_SLACK, li
+from .analytic import BETA0, EULER_GAMMA, MERTENS_SLACK, bracketed_newton, li
 from .errors import DomainError, InfeasibleError
 from .primes import PrimeTable, mertens_product
 
@@ -35,7 +35,6 @@ CLOSED_FORM_MIN_Y = 500_000
 EPSILON_BRACKET = (1e-3, 0.5)
 EPSILON_TOL = 1e-6         # an optimum this close to a bracket end is reported as pinned
 _NEWTON_TOL = 1e-12        # the epsilon search stops at a step or bracket this small
-_NEWTON_MAX_STEPS = 100    # more than the bisections that take the bracket below _NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +102,10 @@ def elementary_x_bound(y: float, target: float, table: PrimeTable) -> int:
 
 @dataclass(frozen=True)
 class BonferroniData:
-    """Intermediates of the depth-4 truncated inclusion-exclusion."""
+    """The density s(y) and the constant b(y) of the depth-4 truncation."""
 
-    y: float
-    power_sums: tuple[float, float, float, float]
-    elementary: tuple[float, float, float, float, float]  # e_0 .. e_4
     s_y: float
     b_y: int
-    nu_truncation: int = 4
 
 
 def newton_elementary(p1: float, p2: float, p3: float, p4: float):
@@ -127,14 +122,12 @@ def bonferroni_bound(x: float, y: float, table: PrimeTable):
     applied to the integers coprime to 30 and the primes in (5, y]."""
     if y < 5:
         raise DomainError(f"the pre-sieved truncation needs y >= 5, got {y}")
-    psums = tuple(table.power_sum(k, 5, y) for k in (1, 2, 3, 4))
-    e1, e2, e3, e4 = newton_elementary(*psums)
+    inv = 1.0 / table.primes_between(5, y).astype(np.float64)
+    e1, e2, e3, e4 = newton_elementary(*(float(np.sum(inv ** k)) for k in (1, 2, 3, 4)))
     s_y = PRESIEVE_DENSITY * (1.0 - e1 + e2 - e3 + e4)
     k = table.pi(y) - 3
     b_y = sum(math.comb(k, i) for i in range(5))
-    data = BonferroniData(y=float(y), power_sums=psums,
-                          elementary=(1.0, e1, e2, e3, e4), s_y=s_y, b_y=b_y)
-    return x * s_y + b_y, data
+    return x * s_y + b_y, BonferroniData(s_y=s_y, b_y=b_y)
 
 
 def bonferroni_x_bound(y: float, target: float, table: PrimeTable) -> int:
@@ -171,7 +164,10 @@ class SieveConfig:
 
 
 def default_sieve_level(x: float, y: float) -> float:
-    """D = .03 x / (log y)^3, which makes the remainder .006 x / log y."""
+    """D = .03 x / (log y)^3, which makes the remainder .006 x / log y; it
+    needs x > 0 and y > 1, where D is positive."""
+    if not (x > 0 and y > 1):  # nan fails it too
+        raise DomainError(f"the sieve level needs x > 0 and y > 1, got x={x}, y={y}")
     return SELBERG_D_COEFF * x / math.log(y) ** 3
 
 
@@ -222,13 +218,11 @@ def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
 
     log f is convex in epsilon, so its minimizer is the root of the slope
     g(eps) = sum 2 log p * w_p - log D, w_p = p^(2 eps) / (p - 1 + p^(2 eps)),
-    which increases with derivative sum (2 log p)^2 w_p (1 - w_p).  A
-    safeguarded Newton iteration finds it: the bracket in EPSILON_BRACKET is
-    narrowed by the sign of g, a step that leaves it is replaced by a
-    bisection, and the search stops when the step or the bracket is below
-    1e-12.  Each step is one pass over the sieving primes; log p is taken
-    once.  If the minimum pins to a bracket end, the search converges to
-    that end and a warning is logged.
+    which increases with derivative sum (2 log p)^2 w_p (1 - w_p).
+    `bracketed_newton` finds it in EPSILON_BRACKET, to a step or bracket
+    below 1e-12.  Each step is one pass over the sieving primes; log p is
+    taken once.  If the minimum pins to a bracket end, the search converges
+    to that end and a warning is logged.
     """
     if y < SELBERG_MIN_Y:
         raise DomainError(f"epsilon optimization targets y >= {SELBERG_MIN_Y}, got {y}")
@@ -238,28 +232,19 @@ def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
     p_minus_1 = np.subtract(ps, 1.0, out=ps)
     power, terms = np.empty_like(ps), np.empty_like(ps)   # reused: no fresh pages per pass
 
-    lo, hi = EPSILON_BRACKET
-    a, b = lo, hi
-    # The prime number theorem puts the root near c / log y with e^(2c) / c = u,
-    # c = 1.0 to 1.4 for u in [7.5, 12].
-    eps = 1.2 / math.log(y)
-    for _ in range(_NEWTON_MAX_STEPS):
+    def step(eps):
         np.exp(np.multiply(log_p2, eps, out=power), out=power)             # p^(2 eps)
         np.divide(power, np.add(p_minus_1, power, out=terms), out=terms)   # w_p
-        terms *= log_p2                                                    # 2 log p * w_p
+        np.multiply(terms, log_p2, out=terms)                              # 2 log p * w_p
         slope = float(np.sum(terms)) - log_d
         np.subtract(log_p2, terms, out=power)
-        power *= terms                                   # (2 log p)^2 * w_p * (1 - w_p)
-        curvature = float(np.sum(power))
-        if slope > 0:
-            b = eps
-        else:
-            a = eps
-        newton = eps - slope / curvature
-        converged = abs(newton - eps) < _NEWTON_TOL
-        eps = newton if converged or a < newton < b else 0.5 * (a + b)
-        if converged or b - a < _NEWTON_TOL:
-            break
+        np.multiply(power, terms, out=power)             # (2 log p)^2 * w_p * (1 - w_p)
+        return slope, float(np.sum(power))
+
+    lo, hi = EPSILON_BRACKET
+    # The prime number theorem puts the root near c / log y with e^(2c) / c = u,
+    # c = 1.0 to 1.4 for u in [7.5, 12].
+    eps = bracketed_newton(step, lo, hi, 1.2 / math.log(y), _NEWTON_TOL)
     if eps - lo < 2 * EPSILON_TOL or hi - eps < 2 * EPSILON_TOL:
         log.warning("epsilon optimizer pinned to bracket boundary at (x=%.3g, y=%s)", x, y)
     return eps

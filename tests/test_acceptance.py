@@ -52,10 +52,11 @@ def table():
 
 
 @pytest.fixture(scope="module")
-def full_report(table):
-    # one default run (target .6, cap 3e7, small-u cap 500, default context)
-    # supplies every region certificate below
-    return run_full_pipeline(PipelineConfig(), table=table)
+def full_report():
+    # one default run (target .6, cap 3e7, small-u cap 500, default context),
+    # on the 501k prime table it builds itself, supplies every region
+    # certificate below
+    return run_full_pipeline(PipelineConfig())
 
 
 def _cert(report_obj, region):
@@ -161,7 +162,7 @@ def test_criterion_6_small_u(small_u_cert):
            f"analytic grid max {p['analytic_max']:.6f} < {C3_SMALL_U} at "
            f"(y,u)={tuple(p['analytic_at'])}; exhaustive max to cap "
            f"{p['exhaustive_cap_y']} is {p['exhaustive_max']:.6f} < {SMALL_U_EXHAUSTIVE_MAX} "
-           f"(cap 1100 available via --paper-scale, about 10 s on one core)")
+           f"(cap 1100 available via --paper-scale)")
 
 
 def test_criterion_7_iteration(table):

@@ -10,6 +10,7 @@ from roughbound.analytic import (
     BETA1_SMALL,
     EULER_GAMMA,
     MEISSEL_MERTENS_B,
+    bracketed_newton,
     li,
     mertens_err_window,
     pi_lower_599,
@@ -106,6 +107,21 @@ def test_antiderivative_identity(a, b):
     val, _ = quad(lambda t: 1.0 / math.log(t) ** 2, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=200)
     closed = (li(hi) - hi / math.log(hi)) - (li(lo) - lo / math.log(lo))
     assert val == pytest.approx(closed, rel=1e-8, abs=1e-9)
+
+
+def test_bracketed_newton_bisects_a_step_that_leaves_the_bracket():
+    # atan is flat at 5: the Newton step lands at 5 - 26 atan(5) = -30.7, outside
+    # [-10, 10], so the second point is the bisection of [-10, 5]
+    points = []
+
+    def step(x):
+        points.append(x)
+        return math.atan(x), 1.0 / (1.0 + x * x)
+
+    root = bracketed_newton(step, -10.0, 10.0, 5.0, 1e-14)
+    assert points[:2] == [5.0, -2.5]
+    assert abs(root) < 1e-14
+    assert len(points) < 20
 
 
 def test_context_constants():

@@ -141,7 +141,7 @@ def test_unknown_flag_rejected():
     ["phi", "--x", "100", "--y", "nan"],
     ["phi", "--x", "100", "--y", "inf"],
     ["omega", "--u", "nan"],
-    ["omega", "--u", "2", "--u-max=-inf"],
+    ["omega", "--u=-inf"],
     ["bound", "--kind", "large-y", "--y", "nan"],
     ["bound", "--kind", "selberg", "--x", "1e30", "--y", "300", "--epsilon", "inf"],
     ["verify", "--region", "iteration", "--target", "nan"],
@@ -163,8 +163,22 @@ def test_pipeline_rejects_non_finite_target():
 
 
 def test_omega_value(capsys):
-    assert main(["omega", "--u", "2", "--u-max", "4"]) == 0
+    assert main(["omega", "--u", "2"]) == 0
     assert float(capsys.readouterr().out.strip()) == 0.5
+
+
+def test_omega_past_the_default_table(capsys):
+    # the table reaches max(16, u)
+    assert main(["omega", "--u", "20"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(0.5614594835668851, abs=1e-12)
+
+
+def test_omega_value_and_extremum_below_3(capsys):
+    # the table reaches 16 whatever u is, so the extremum on [2, 3] is always bracketed
+    assert main(["omega", "--u", "2", "--extremum"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["0.5", "max 0.5671432904097838 at u = 2.7632228343518968"]
+    assert captured.err == ""
 
 
 def test_omega_extremum(capsys):
@@ -195,7 +209,7 @@ def test_plot_data_ratio_map(capsys):
     ["plot-data", "--kind", "omega", "--step", "1e-9"],
     ["plot-data", "--kind", "omega", "--step", "1e-320"],
     ["plot-data", "--kind", "omega", "--u-hi", "101"],
-    ["omega", "--u", "2", "--u-max", "1e6"],
+    ["omega", "--u", "1e6"],
 ])
 def test_oversized_grid_or_table_exit_writes_nothing(argv, capsys, tmp_path):
     out = tmp_path / "out.csv"
@@ -292,6 +306,20 @@ def test_bound_large_y_below_its_domain_exits_2(y, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: closed form asserted for y >= 500000")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--x", "0", "--y", "241"],
+    ["--x", "-5", "--y", "241"],
+    ["--x", "10", "--y", "1", "--epsilon", "0.1"],
+    ["--x", "1e10", "--y", "0.5", "--epsilon", "0.1"],
+])
+def test_bound_selberg_without_a_positive_sieve_level_exits_2(argv, capsys):
+    assert main(["bound", "--kind", "selberg", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the sieve level needs x > 0 and y > 1")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_bound_large_y(capsys):

@@ -343,15 +343,6 @@ def test_mertens_product_examples(table_1m):
         mertens_product(table_1m, 1.5)
 
 
-def test_power_sum_direct(table_small):
-    ps = [int(p) for p in table_small.primes_between(5, 50)]
-    for k in (1, 2, 3, 4):
-        direct = math.fsum((1 / p) ** k for p in ps)
-        assert table_small.power_sum(k, 5, 50) == pytest.approx(direct, rel=1e-14)
-    with pytest.raises(DomainError):
-        table_small.power_sum(5, 5, 50)
-
-
 def test_next_prev_prime(table_small):
     assert table_small.next_prime(70) == 71
     # the prime below t is primes[pi(t) - 1]; none below 2

@@ -124,6 +124,15 @@ def test_newton_vs_subset_enumeration():
         assert e[j - 1] == pytest.approx(direct, rel=1e-13, abs=1e-14)
 
 
+def test_bonferroni_from_direct_power_sums():
+    # s(y) and b(y) at y = 50 from fsum power sums over 7..47, through the Newton identities
+    ps = [int(p) for p in _T.primes_between(5, 50)]
+    e1, e2, e3, e4 = newton_elementary(*(math.fsum((1 / p) ** k for p in ps) for k in (1, 2, 3, 4)))
+    _, data = bonferroni_bound(1.0, 50, _T)
+    assert data.s_y == pytest.approx(PRESIEVE_DENSITY * (1 - e1 + e2 - e3 + e4), rel=1e-14)
+    assert data.b_y == sum(math.comb(len(ps), i) for i in range(5))
+
+
 def test_bonferroni_edge_single_prime():
     # y = 7: the only sieving prime beyond the pre-sieve is 7 itself
     bound, data = bonferroni_bound(100.0, 7, _T)
@@ -256,6 +265,18 @@ def test_selberg_domain(table_sel):
     assert bad.f_value >= 1
     with pytest.raises(InfeasibleError):
         selberg_upper(241.0 ** 7.5, 241.0, bad, table_sel)
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 241.0), (-5.0, 241.0), (10.0, 1.0), (1e10, 0.5),
+                                  (math.nan, 241.0), (1e10, math.nan)])
+def test_sieve_level_needs_x_above_0_and_y_above_1(table_sel, x, y):
+    # log D needs D > 0, and D = .03 x / (log y)^3 divides by 0 at y = 1
+    calls = [default_sieve_level, lambda x, y: make_sieve_config(x, y, table_sel, 0.1)]
+    if not y < 241:  # below 241 optimize_epsilon refuses y first
+        calls.append(lambda x, y: optimize_epsilon(x, y, table_sel))
+    for call in calls:
+        with pytest.raises(DomainError, match="the sieve level needs x > 0 and y > 1"):
+            call(x, y)
 
 
 def test_optimizer_local_optimality(table_sel):
@@ -407,8 +428,6 @@ def test_e_gamma_constant():
     pytest.param(lambda: _T.pi(math.nan), id="pi"),
     pytest.param(lambda: _T.primes_between(0, math.nan), id="primes_between"),
     pytest.param(lambda: _T.primes_between(math.nan, 100), id="primes_between_lo"),
-    pytest.param(lambda: _T.power_sum(1, 5, math.nan), id="power_sum"),
-    pytest.param(lambda: _T.power_sum(1, math.nan, 100), id="power_sum_lo"),
     pytest.param(lambda: _T.next_prime(math.nan), id="next_prime"),
     pytest.param(lambda: mertens_product(_T, math.nan), id="mertens_product"),
     pytest.param(lambda: elementary_bound(100, math.nan, _T), id="elementary_bound"),
