@@ -14,7 +14,6 @@ call.  `bracketed_newton` takes floats only.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import DomainError, SingularityError
 
@@ -75,12 +74,22 @@ def mertens_err_window(t):
 def li(x):
     """Principal-value logarithmic integral of x.
 
-    Computed as Ei(L) with L = log x, whose implementation handles the
-    principal value at t = 1, plus d x / L for the rounding residual
+    Computed as Ei(L) with L = log x, plus d x / L for the rounding residual
     d = log(x / e^L) of L: near 1e15 neighbouring integers share one double
-    L, and without the residual they would share one value of li.  li(0) = 0
-    and li is strictly increasing on (1, inf) up to the rounding of Ei (a
-    few units in the last place, about 0.004 near 1e15).
+    L, and without the residual they would share one value of li.  li(0) = 0.
+
+    For L >= -1, Ei(L) = gamma + log|L| + sum_{k>=1} L^k / (k k!), whose
+    terms are all positive for L > 0.  The sum stops at the first term below
+    2^-54 of it, which is past the largest term.  That term and every later
+    one are below half an ulp of the sum, whatever their sign, so adding
+    them would change nothing: an array element gets a float's bits even
+    when its loop runs on.  For L < -1, Ei(L) = -E1(-L) by a continued
+    fraction of fixed depth.  Against 40-digit values, on 1,500 log-uniform
+    points each, the relative error was at most 1.9e-15 on [2, 1e20] and
+    7.6e-15 on [1e20, 1e308], and the absolute error at most 3.3e-16 on
+    [1.3, 1.6], around li's zero at 1.4513.  li is increasing on (1, inf)
+    only up to that rounding: from 1e15, 24 of 2,000 consecutive integer
+    steps do not increase it (27 with scipy's expi).
     """
     x = _arg(x)
     _refuse(x < 0, x, DomainError, "li needs x >= 0")
@@ -96,7 +105,76 @@ def _li_above_0(x):
     """li(x) for x > 0, x != 1 (see `li`)."""
     big_l = np.log(x)
     residual = np.log1p(x / np.exp(big_l) - 1.0)
-    return _special.expi(big_l) + residual * x / big_l
+    return _ei(big_l) + residual * x / big_l
+
+
+_SERIES_STOP = 2.0 ** -54
+# the series at L = 709.78, the log of the largest double, stops at k = 1948;
+# an infinite or nan L runs to the end and gives nan
+_SERIES_TERMS = 2048
+# the continued fraction converges slowest at z = 1, where depth 120 is within
+# 1.3e-16 of E1
+_CF_DEPTH = 128
+
+
+def _ei(big_l):
+    """Ei(L) for a float or an array L != 0 (see `li`)."""
+    if not isinstance(big_l, np.ndarray):
+        if big_l < -1:
+            return -_e1(-big_l)
+        return EULER_GAMMA + np.log(np.abs(big_l)) + _ei_series(big_l)
+    flat = big_l.ravel()
+    out = np.empty_like(flat)
+    low = flat < -1
+    out[low] = -_e1(-flat[low])
+    rest = flat[~low]
+    out[~low] = EULER_GAMMA + np.log(np.abs(rest)) + _ei_series(rest)
+    return out.reshape(big_l.shape)
+
+
+def _ei_series(big_l):
+    """sum_{k>=1} L^k / (k k!) for a float or a 1-d array L >= -1, to the
+    first term below _SERIES_STOP of the running sum.
+
+    A float runs in Python floats.  An array runs the same operations in
+    place, sorted by |L| so that the elements that stop first form a prefix,
+    which is cut off every 4 terms.
+    """
+    if not isinstance(big_l, np.ndarray):
+        big_l = float(big_l)
+        total = t = big_l
+        for k in range(2, _SERIES_TERMS):
+            t *= big_l / k       # L^k / k!, which stays below e^L: no overflow
+            term = t / k
+            if abs(term) < _SERIES_STOP * abs(total):
+                break
+            total += term
+        return total
+    order = np.argsort(np.abs(big_l), kind="stable")
+    big_l = big_l[order]
+    total, t, term = big_l.copy(), big_l.copy(), np.empty_like(big_l)
+    done = 0
+    for k in range(2, _SERIES_TERMS):
+        t[done:] *= big_l[done:] / k
+        np.divide(t[done:], k, out=term[done:])
+        if k % 4 == 0:
+            stopped = np.abs(term[done:]) < _SERIES_STOP * np.abs(total[done:])
+            done += stopped.size if stopped.all() else int(np.argmin(stopped))
+            if done == big_l.size:
+                break
+        total[done:] += term[done:]
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def _e1(z):
+    """E1(z) for a float or an array z > 1: e^-z / (z + 1 - 1/(z + 3 - 4/(z + 5
+    - ...))), evaluated from depth _CF_DEPTH up."""
+    f = z + (2 * _CF_DEPTH + 1)
+    for n in range(_CF_DEPTH - 1, -1, -1):
+        f = z + (2 * n + 1) - (n + 1) ** 2 / f
+    return np.exp(-z) / f
 
 
 def r_ratio(t):

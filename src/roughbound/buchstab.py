@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .analytic import bracketed_newton
 from .errors import DomainError, NumericError, ResolutionError, ResourceError
@@ -106,6 +105,8 @@ def build_omega(u_max: float = DEFAULT_U_MAX) -> BuchstabTable:
         raise ResourceError(f"an omega table to u_max={u_max} exceeds the limit {OMEGA_U_LIMIT}")
     if u_max <= 3.0:
         return BuchstabTable(u_max=float(u_max))
+    # here only, so that importing the package (and the certificate) needs no scipy
+    from scipy.interpolate import CubicSpline, PPoly
 
     def deriv(u, om_u, om_um1):
         # u*omega' + omega = omega(u-1)

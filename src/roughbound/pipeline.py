@@ -526,7 +526,7 @@ def small_u_coefficient(y, u):
     `y` and `u` are floats or arrays that broadcast together; a float pair
     gives a float.  The credit integral is a fixed 8-point Gauss-Legendre
     rule on each smooth piece (`_credit_integral`); over the 3,280 points of
-    the small-u grid it is within 7e-15 of adaptive quadrature at 1e-12.
+    the small-u grid it is within 1.3e-14 of adaptive quadrature at 1e-12.
     """
     y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
     bad = (u < 2) | (u > 3)
@@ -571,21 +571,26 @@ def small_u_grid_max():
     For each y of SMALL_U_GRID_YS, u takes 101 evenly spaced values in
     [2, 3] and the values where y^(u/2) crosses a window edge (the
     coefficient jumps down there, so the supremum sits just below the
-    crossing).  Each y is one array call of `small_u_coefficient` over its
-    103 or so u values; the maximum is the first in (y, u) order that no
-    later value exceeds.
+    crossing).  The whole ragged grid is one array call of
+    `small_u_coefficient`, whose points do not depend on their batch; each
+    y's row is the maximum over its slice, and the overall maximum is the
+    first in (y, u) order that no later value exceeds.
     """
     base_us = np.linspace(2.0, 3.0, 101)
-    best = (-math.inf, None, None)
-    rows = []
+    grid = []
     for y in SMALL_U_GRID_YS:
         log_y = math.log(y)
         crossings = [2.0 * math.log(1e4) / log_y, 2.0 * math.log(1e6) / log_y]
-        us = np.sort(np.concatenate([base_us] + [[c - 1e-9, c] for c in crossings
-                                                 if 2.0 < c < 3.0]))
-        values = small_u_coefficient(float(y), us)
-        i = int(np.argmax(values))
-        val, u = float(values[i]), float(us[i])
+        grid.append(np.sort(np.concatenate([base_us] + [[c - 1e-9, c] for c in crossings
+                                                        if 2.0 < c < 3.0])))
+    sizes = [len(us) for us in grid]
+    values = small_u_coefficient(np.repeat(np.array(SMALL_U_GRID_YS, dtype=float), sizes),
+                                 np.concatenate(grid))
+    best = (-math.inf, None, None)
+    rows = []
+    for y, us, row in zip(SMALL_U_GRID_YS, grid, np.split(values, np.cumsum(sizes)[:-1])):
+        i = int(np.argmax(row))
+        val, u = float(row[i]), float(us[i])
         rows.append({"y": float(y), "max_coefficient": val, "at_u": u})
         if val > best[0]:
             best = (val, float(y), u)

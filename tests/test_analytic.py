@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+import roughbound
 from roughbound.analytic import (
     BETA0,
     BETA1_SMALL,
@@ -65,6 +69,56 @@ def test_li_monotone(a, b):
     lo, hi = sorted((a, b))
     if lo < hi:
         assert li(lo) < li(hi)
+
+
+# li at 40 digits (mpmath.li, once); the test holds only the literals.  From
+# 0 to 1/e li takes the continued fraction, from 1/e to 1 the series at L < 0,
+# and 1.4150019300012364 is 11^(2 eps) at y = 1e6, a point of the closed form.
+LI_LITERALS = [
+    (1e-300, "-1.445558628919650927197687726188906823772e-303"),
+    (1e-10, "-0.000000000004168887750019648139849051758358064768399"),
+    (0.01, "-0.0018297434996255157299378289068530165254"),
+    (0.3, "-0.1574149028946894680250157179322485570105"),
+    (0.5, "-0.3786710430610879767272071846365609805512"),
+    (0.9, "-1.775800683423525147251994494605691767701"),
+    (1.01, "-4.022958673929934976891124709495021527728"),
+    (1.2, "-0.9337872926672577543963981000536094937899"),
+    (1.4150019300012364, "-0.1010979048510149575025675217451442853105"),
+    (1.44, "-0.03084717946876359889617437694146581227412"),
+    (1.4513, "-0.0001858736629707949303218337112209760587273"),
+    (2.0, "1.045163780117492784844588889194613136523"),
+    (1e4, "1246.137215899388459692771107529059792487"),
+    (1e15, "29844571475287.5810649058905859859430815"),
+    (1e20, "2220819602783663483.548305532067778823948"),
+    (1e300, "1.449750052669336365059039839805422974402e+297"),
+]
+
+
+@pytest.mark.parametrize("x, value", LI_LITERALS)
+def test_li_against_high_precision(x, value):
+    # a relative 4e-15, or an absolute 4e-16 next to li's zero at 1.4513
+    near_zero = 1.3 < x < 1.6
+    assert li(x) == pytest.approx(float(value), rel=4e-15, abs=4e-16 if near_zero else 0.0)
+
+
+def test_li_at_the_ends_of_its_domain():
+    # in a subprocess with a timeout: a series that never stops would hang here.
+    # li(inf) warns of inf / inf in the residual, as it did with scipy's expi.
+    code = """
+import math
+import numpy as np
+from roughbound.analytic import li
+xs = [1e308, math.inf, math.nan, 5e-324]
+got = [li(x) for x in xs] + list(li(np.array(xs + [2.0])))[:4]
+for big, top, not_a_number, tiny in (got[:4], got[4:]):
+    assert math.isclose(big, 1.412040882618694e305, rel_tol=4e-15), big
+    assert math.isnan(top) and math.isnan(not_a_number), (top, not_a_number)
+    assert tiny == 0.0 and math.copysign(1.0, tiny) == -1.0, tiny
+assert np.array_equal(got[:4], got[4:], equal_nan=True)
+"""
+    src = os.path.dirname(os.path.dirname(roughbound.__file__))
+    subprocess.run([sys.executable, "-W", "ignore", "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_partial_summation_constant(table_small):

@@ -159,7 +159,8 @@ def _window(t):
 
 
 def _li(x):
-    """roughbound.analytic.li's formula with math's log and exp, one float at a time."""
+    """li as Ei(log x) by scipy's expi, with roughbound.analytic.li's rounding
+    residual and math's log and exp, one float at a time."""
     big_l = math.log(x)
     return float(special.expi(big_l)) + math.log1p(x / math.exp(big_l) - 1.0) * x / big_l
 
@@ -241,6 +242,20 @@ def test_small_u_grid_max_picks_the_reference_maxima(small_u_grid):
     assert best[0] == pytest.approx(ref_best[0], abs=1e-13)
 
 
+def test_small_u_grid_max_equals_one_call_per_y(small_u_grid):
+    # the grid is one batched call; each y's row is what a call of its own gives
+    best, rows = small_u_grid_max()
+    want_best, want_rows = (-math.inf, None, None), []
+    for y, us, _ in small_u_grid:
+        values = small_u_coefficient(y, np.array(us))
+        i = int(np.argmax(values))
+        want_rows.append({"y": y, "max_coefficient": float(values[i]), "at_u": us[i]})
+        if values[i] > want_best[0]:
+            want_best = (float(values[i]), y, us[i])
+    assert rows == want_rows
+    assert best == want_best
+
+
 # quad warns on a credit interval a few ulps wide (u just above 2), where the credit is about 0
 @pytest.mark.filterwarnings("ignore:Extremely bad integrand behavior")
 @settings(max_examples=40, deadline=None)
@@ -254,13 +269,13 @@ def test_small_u_coefficient_matches_quadrature(y, u):
     assert small_u_coefficient(np.array([y, y]), u)[1] == small_u_coefficient(y, u)
 
 
-def test_import_does_not_load_scipy_integrate():
+def test_import_loads_no_scipy():
+    # scipy is needed by build_omega alone, which imports it when it runs
     src = os.path.dirname(os.path.dirname(roughbound.__file__))
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys, roughbound; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, check=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip() == "False"
+    code = "import sys, roughbound, roughbound.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "[]"
 
 
 def test_small_u_coefficient_spot():
