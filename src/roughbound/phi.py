@@ -6,9 +6,15 @@ one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_segments`
 (segments of `primes.ROUGH_SEGMENT` bits), or the count can be reproduced by
 full inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
 prime-pair identity (`phi_two_prime`).  The interval scans read the same
-sieve row by row and expand each segment once, to the (n, index) pairs of
-only the rows that can hold the interval max statistics used by the
-verification pipeline or a violation of its target.
+sieve on two levels.  Popcounts of blocks of SCAN_BLOCK rows over the whole
+range give bj[b], the survivors up to the end of block b.  The bj[b]-th
+survivor lies below the next block's first cell n_first[b + 1], so it
+attains j / n > bj[b] / n_first[b + 1], a lower bound; no survivor of block
+b exceeds bj[b] / n_first[b], an upper bound.  Only inside the blocks whose
+upper bound reaches the best lower bound are the rows counted and bounded
+the same way, and only the rows that can hold the interval max statistics
+used by the verification pipeline, or a violation of its target, are
+expanded to (n, index) pairs.
 """
 
 from __future__ import annotations
@@ -19,11 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import DEFAULT_LIMIT_CAP, Presieve, PrimeTable, rough_segments
+from .primes import DEFAULT_LIMIT_CAP, Presieve, PrimeTable, rough_rows, rough_segments
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
+SCAN_BLOCK = 16          # rows per scan block: 8 uint64 words, 1,920 integers on the wheel of 30
+SCAN_CHUNK = 2048        # blocks a scan counts at a time; a shorter range skips the block level
+_BYTE_LANES = np.uint64(0x00FF00FF00FF00FF)
 
 
 def phi_direct(x: int, y: float, table: PrimeTable, *,
@@ -159,6 +168,17 @@ def _better(best, ratios, ns, js):
     return (float(ratios[i]), int(ns[i]), int(js[i])) if ratios[i] > best[0] else best
 
 
+def _block_counts(words: np.ndarray) -> np.ndarray:
+    """Survivors per block of the packed rows `words`, SCAN_BLOCK uint32
+    rows a block.  A block's 8 uint64 words have popcounts of at most 64,
+    which are the 8 bytes of one uint64; they are added in lanes, byte pairs
+    into 16-bit lanes and those into the low 16 bits."""
+    v = np.bitwise_count(words.view(np.uint64)).view(np.uint64).ravel()
+    v = (v & _BYTE_LANES) + (v >> 8 & _BYTE_LANES)   # four sums, each at most 128
+    v += v >> 16
+    return ((v + (v >> 32)) & 0xFFFF).view(np.int64)
+
+
 def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                         target: float | None = None,
                         presieve: Presieve | None = None) -> IntervalScan:
@@ -169,20 +189,38 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     violations are kept as witnesses and all of them are counted.  Each
     witness is the first n attaining its maximum.
 
-    The segments are read by `rough_segments` off `presieve`, which must
-    hold exactly the primes <= y_lo over at least [0, x_cap], or else off a
-    `Presieve` built for the scan, as packed rows of 32 residues.  A row's
-    survivor count, the popcount of its word, gives the j of its last
-    survivor, j_end, so each survivor of a row has
-    j / n <= j_end / (the row's smallest n), its bound.  Only the kept rows
-    are unpacked, and each segment is expanded to (n, j) pairs once.  The
-    rows holding an n below y_hi^2 are kept whole.  From
-    y_hi^2 on both statistics are j log(y_hi) / n, and a row is expanded
-    only if its bound reaches the floor: the largest j / n known so far
-    (less 1e-13), capped at the target's j / n, so that every violation lies
-    in an expanded row.  Two running first maxima, over the band
-    [y_lo^2, y_hi^2) and over the n >= y_hi^2, give both statistics at the
-    end.
+    The scan reads `presieve`, which must hold exactly the primes <= y_lo
+    over at least [0, x_cap], or else a `Presieve` built for the scan, as
+    packed rows of 32 residues; the cells past x_cap are trimmed off by
+    `rough_rows`.  Two running first maxima, over the band [y_lo^2, y_hi^2)
+    and over the n >= y_hi^2, give both statistics at the end; from y_hi^2
+    on both are j log(y_hi) / n, so only the survivors whose j / n reaches a
+    floor need be expanded to (n, j) pairs.  The floor is a j / n some
+    survivor n >= y_hi^2 attains (less 1e-13), capped at the target's
+    j / n, so that every violation is expanded too.
+
+    Bounds come from counts.  If j_end survivors lie below the cell m, the
+    j_end-th lies below m, so it attains j / n > j_end / m; and every
+    survivor at or past a cell n_min, up to the j_end-th, has
+    j / n <= j_end / n_min.  The scan counts on two levels:
+
+    1. Blocks of SCAN_BLOCK rows, a chunk of SCAN_CHUNK blocks at a time,
+       read in place but for the last chunk: bj[b], the survivors up to the
+       end of block b, by popcount, and n_first[b], the block's first cell.
+       The bj[b]-th survivor lies in block b or below, so below
+       n_first[b + 1]: bj[b] / n_first[b + 1] is a lower bound on the j / n
+       it attains.  It lies at or past y_hi^2 once bj[b] exceeds the count
+       of the blocks that hold an n below y_hi^2.  The largest such bound
+       over the whole range is the floor.  A block is a candidate if it
+       holds an n in [y_lo^2, y_hi^2) or if its upper bound
+       bj[b] / n_first[b] reaches the floor.
+    2. Rows, only in the candidate blocks: the same two bounds per row,
+       with the floor raised by the rows' lower bounds.  The rows that hold
+       an n in [y_lo^2, y_hi^2) and those whose upper bound reaches the
+       floor are unpacked, and their survivors are folded into the maxima.
+
+    A range within one chunk goes straight to the row level, over all its
+    rows.
     """
     x_cap = int(x_cap)
     if x_cap < 1:
@@ -198,7 +236,6 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     # a survivor whose j / n is below this (less 1e-13) is no violation
     floor_cap = math.inf if target is None else target / log_q
 
-    j_offset = 0
     band = above = (-1.0, 0, 0)                # first maxima: in [y_lo^2, y_hi^2), from y_hi^2 on
     violations: list[tuple[int, int, float]] = []
     violation_count = 0
@@ -222,42 +259,97 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         raise DomainError(f"the presieve's primes are not the first {len(strike)}, "
                           f"the primes <= y_lo = {y_lo}")
     step, residues = presieve.step, presieve.residues
-    for base, rows in rough_segments(presieve, x_cap):
-        count = np.bitwise_count(rows)         # survivors per row
-        j_end = np.cumsum(count, dtype=np.int64)
-        j_end += j_offset
-        n_min = np.arange(base + residues[0], base + (len(rows) + 1) * step, step,
-                          dtype=np.float64)
-        # rows [0, head) hold an n below y_hi^2
-        head = min(len(rows), max(0, -(-(q2 - base - int(residues[0])) // step)))
-        # The last survivor of a row, at j_end, lies below the next row's
-        # n_min, so some survivor n >= y_hi^2 reaches j_end / (that n_min)
-        # from row `lead` on; before it, j_end may be the j of a survivor
-        # below y_hi^2.
-        lead = head + int(np.searchsorted(j_end[head:], j_end[head - 1] if head else j_offset,
-                                          "right"))
-        floor = min(max(above[0] / log_q, (j_end[lead:] / n_min[lead + 1:]).max(initial=0.0)),
-                    floor_cap)
-        # kept: the rows below y_hi^2, and those whose bound reaches the floor
-        keep = j_end >= n_min[:-1] * (floor * (1 - 1e-13))
-        keep[:head] = True
-        idx = np.flatnonzero(keep)
-        cells = np.flatnonzero(np.unpackbits(rows[idx].view(np.uint8)).view(bool))
-        rr = cells >> 5                        # the survivor's row, as an index into idx
-        ns = (base + step * idx)[rr] + residues[cells & 31]
-        js = (j_end[idx] - np.cumsum(count[idx], dtype=np.int64))[rr] + np.arange(1, rr.size + 1)
-        j_offset = int(j_end[-1])
+    n_one = int(residues[0])                   # the first cell of row 0
+    rows = -(-(x_cap + 1) // step)             # the rows that hold [0, x_cap]
 
-        lo, hi = np.searchsorted(ns, (lo_bound, q2)).tolist()
+    def expand(words, n_min, count, j_end, j_head, floor):
+        """The row level: fold in the survivors of the ascending rows packed
+        in `words`, with first cells n_min and `count` survivors each, the
+        last of them the j_end-th, if the row can reach the floor or holds
+        an n in [y_lo^2, y_hi^2).  A row whose j_end passes j_head ends at
+        or past y_hi^2.  Returns the raised floor."""
+        nonlocal band, above
+        lead = int(j_end.searchsorted(j_head, "right"))
+        floor = min(max(floor, (j_end[lead:] / (n_min[lead:] + step)).max(initial=0.0)),
+                    floor_cap)
+        keep = j_end >= n_min * (floor * (1 - 1e-13))
+        keep[slice(*n_min.searchsorted((lo_bound // step * step + n_one, q2)).tolist())] = True
+        idx = np.flatnonzero(keep)
+        cells = np.flatnonzero(np.unpackbits(words[idx].view(np.uint8)).view(bool))
+        rr = cells >> 5                        # the survivor's row, as an index into idx
+        ns = (n_min[idx] - n_one)[rr] + residues[cells & 31]   # exact in float64
+        js = (j_end[idx] - np.cumsum(count[idx], dtype=np.int64))[rr] + np.arange(1, rr.size + 1)
+        lo, hi = ns.searchsorted((lo_bound, q2)).tolist()
         nv, jv = ns[lo:hi], js[lo:hi]
         band = fold(band, jv * (0.5 * np.log(nv)) / nv, nv, jv)
         nv, jv = ns[hi:], js[hi:]
         above = fold(above, jv * log_q / nv, nv, jv)
+        return floor
+
+    if rows <= SCAN_CHUNK * SCAN_BLOCK:
+        words = rough_rows(presieve, 0, x_cap)
+        count = np.bitwise_count(words)
+        j_end = np.cumsum(count, dtype=np.int64)
+        n_min = np.arange(n_one, rows * step, step, dtype=np.float64)
+        head = min(rows, -(-(q2 - n_one) // step))   # rows [0, head) hold an n below y_hi^2
+        expand(words, n_min, count, j_end, int(j_end[head - 1]), 0.0)
+        rough_count = int(j_end[-1])
+    else:
+        blocks = -(-rows // SCAN_BLOCK)
+        span = SCAN_BLOCK * step               # integers per block
+        firsts = np.arange(SCAN_CHUNK + 1) * float(span) + n_one   # n_first[b0 + i] - b0 span
+        row_firsts = np.arange(SCAN_BLOCK) * float(step)           # a row's n_min - its block's
+        head = -(-(q2 - n_one) // span)        # blocks [0, head) hold an n below y_hi^2, head >= 1
+        band_lo = lo_bound // span             # the first block that holds an n >= y_lo^2
+        # the last chunk is a trimmed copy, padded to whole blocks; the others
+        # are read in place
+        last = (blocks - 1) // SCAN_CHUNK * SCAN_CHUNK
+        tail = np.zeros((blocks - last) * SCAN_BLOCK, dtype=np.uint32)
+        tail[:rows - last * SCAN_BLOCK] = rough_rows(presieve, last * span, x_cap)
+        whole = presieve.turns[:last * SCAN_BLOCK * 4].view(np.uint32)
+        chunks = [(b0, whole[b0 * SCAN_BLOCK:(b0 + SCAN_CHUNK) * SCAN_BLOCK])
+                  for b0 in range(0, last, SCAN_CHUNK)] + [(last, tail)]
+
+        # each chunk with the survivors below it and at least the upper bound of each of its blocks
+        counted = []
+        rough_count = j_head = 0
+        floor = 0.0
+        for b0, words in chunks:
+            bj = np.cumsum(_block_counts(words)) + rough_count
+            n_first = firsts[:len(bj) + 1] + b0 * span
+            lower = bj / n_first[1:]
+            # upper / lower = n_first[b + 1] / n_first[b], largest at the chunk's first block;
+            # a chunk that holds a block below y_hi^2 is always read
+            top = lower.max() * n_first[1] / n_first[0] if b0 >= head else math.inf
+            counted.append((b0, words, rough_count, top))
+            rough_count = int(bj[-1])
+            if b0 < head <= b0 + len(bj):
+                j_head = int(bj[head - 1 - b0])
+            if b0 + len(bj) >= head:           # the blocks whose count passes j_head
+                floor = max(floor, lower[bj.searchsorted(j_head, "right"):].max(initial=0.0))
+        floor = min(floor, floor_cap)
+
+        for b0, words, j0, top in counted:
+            reach = floor * (1 - 1e-13)
+            if top < reach:
+                continue
+            # the chunk's counts again, read only for a chunk with a candidate
+            bj = np.cumsum(_block_counts(words)) + j0
+            n_first = firsts[:len(bj)] + b0 * span
+            candidate = bj >= n_first * reach
+            candidate[max(0, band_lo - b0):max(0, head - b0)] = True
+            cand = np.flatnonzero(candidate)
+            words = words.reshape(-1, SCAN_BLOCK)[cand].ravel()
+            count = np.bitwise_count(words)
+            j_end = np.cumsum(count, dtype=np.int64)
+            j_end += np.repeat(bj[cand] - j_end[SCAN_BLOCK - 1::SCAN_BLOCK], SCAN_BLOCK)
+            n_min = (n_first[cand, None] + row_firsts).ravel()
+            floor = expand(words, n_min, count, j_end, j_head, floor)
 
     # band precedes the n >= y_hi^2: it holds the first maximum of both on a tie
     sup_best = band if band[0] >= above[0] else above
     return IntervalScan(
-        y_lo=int(y_lo), y_hi=int(y_hi), x_cap=x_cap, rough_count=j_offset,
+        y_lo=int(y_lo), y_hi=int(y_hi), x_cap=x_cap, rough_count=rough_count,
         table_max=above[0], table_witness=above[1:],
         sup_max=sup_best[0], sup_witness=sup_best[1:],
         violations=tuple(violations), violation_count=violation_count,

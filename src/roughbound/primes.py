@@ -108,8 +108,8 @@ class Presieve:
     24, 16 or 8 on the wheels of 30, 6, 2 and 1: the wheel's cached pattern
     repeated, then struck by the rest of `strike` in place.  `advance` strikes more
     primes into the same bytes.  0 is never set.  The bits past x_cap, up
-    to the end of the last row of 32 residues, are not trimmed; a segment
-    trims its own tail.  x_cap past DEFAULT_LIMIT_CAP raises ResourceError
+    to the end of the last row of 32 residues, are not trimmed; `rough_rows`
+    trims them off its copies.  x_cap past DEFAULT_LIMIT_CAP raises ResourceError
     before anything is allocated.
     """
 
@@ -139,31 +139,39 @@ class Presieve:
         self.strike = strike
 
 
+def rough_rows(presieve: Presieve, base: int, x_cap: int) -> np.ndarray:
+    """A fresh uint32 array of the packed rows of `presieve` (see
+    `rough_segments`) from the integer `base`, a multiple of
+    `presieve.step`, through the row of x_cap, with the cells past x_cap
+    cleared.  The presieve's range must reach x_cap."""
+    if presieve.x_cap < x_cap:
+        raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
+    step, residues = presieve.step, presieve.residues
+    size = x_cap + 1 - base
+    start = base // step * 4
+    turns = presieve.turns[start:start + -(-size // step) * 4].copy()
+    cut = size // step * 32 + int(np.searchsorted(residues, size % step))  # first cell past x_cap
+    turns[cut >> 3:(cut >> 3) + 1] &= 0xFF00 >> (cut & 7) & 0xFF
+    turns[(cut >> 3) + 1:] = 0
+    return turns.view(np.uint32)
+
+
 def rough_segments(presieve: Presieve, x_cap: int):
     """[0, x_cap] sieved by the primes of `presieve`, a segment at a time.
 
     Yields, for each segment in ascending order, its base and a fresh uint32
-    array of packed rows, copied from the presieve: row i is the four turns
-    (see `Presieve`) 4i to 4i + 3, so `np.unpackbits(rows.view(np.uint8))`
-    gives its 32 cells in the order of `presieve.residues`, and cell c of
-    row i stands for base + i*step + residues[c], step = `presieve.step`.
-    A cell is set if that integer is at most x_cap and has no factor in
-    `presieve.strike`.
+    array of packed rows, copied from the presieve by `rough_rows`: row i is
+    the four turns (see `Presieve`) 4i to 4i + 3, so
+    `np.unpackbits(rows.view(np.uint8))` gives its 32 cells in the order of
+    `presieve.residues`, and cell c of row i stands for
+    base + i*step + residues[c], step = `presieve.step`.  A cell is set if
+    that integer is at most x_cap and has no factor in `presieve.strike`.
     0 is never set; 1 always is.  A segment covers ROUGH_SEGMENT residues.
     The presieve's range must reach x_cap.
     """
-    if presieve.x_cap < x_cap:
-        raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
-    step, residues = presieve.step, presieve.residues
-    span = ROUGH_SEGMENT // 32 * step
+    span = ROUGH_SEGMENT // 32 * presieve.step
     for base in range(0, x_cap + 1, span):
-        size = min(span, x_cap + 1 - base)
-        start = base // step * 4
-        turns = presieve.turns[start:start + -(-size // step) * 4].copy()
-        cut = size // step * 32 + int(np.searchsorted(residues, size % step))  # first cell past x_cap
-        turns[cut >> 3:(cut >> 3) + 1] &= 0xFF00 >> (cut & 7) & 0xFF
-        turns[(cut >> 3) + 1:] = 0
-        yield base, turns.view(np.uint32)
+        yield base, rough_rows(presieve, base, min(base + span - 1, x_cap))
 
 
 class PrimeTable:

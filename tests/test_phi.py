@@ -258,6 +258,8 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
 
 
 _SEGMENT_30 = ROUGH_SEGMENT // 8 * 30    # integers in one segment of the wheel of 30
+_BLOCK_30 = phi.SCAN_BLOCK * 120          # integers in one scan block of the wheel of 30
+_CHUNK_30 = phi.SCAN_CHUNK * _BLOCK_30    # integers in one scan chunk of the wheel of 30
 
 
 def _intervals(y_lo, y_hi_max):
@@ -284,6 +286,11 @@ def _intervals(y_lo, y_hi_max):
 @example((13, 17), 5_000_000, None)          # presieved pattern of 7, 11 and 13
 @example((53, 59), 2_999_999, 0.6)           # maximum at small j, where row bounds are loose
 @example((6247, 6254), 39_150_000, 0.3)      # the first bounded row past y_hi^2 is empty
+@example((7, 11), 2100 * _BLOCK_30 - 100, None)   # the last row closes a block, cells past x_cap
+@example((19, 23), 5 * _BLOCK_30 - 100, 0.55)     # the same within one chunk
+@example((23, 29), _CHUNK_30 - 1, 0.55)           # one whole chunk
+@example((23, 29), _CHUNK_30, 0.55)               # one integer past it: a second chunk of one row
+@example((241, 251), 251**3 - 1, 0.6)            # a default small-u scan, several chunks
 def test_scan_matches_reference(interval, x_cap, target):
     y_lo, y_hi = interval
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
@@ -296,18 +303,28 @@ def test_scan_matches_reference(interval, x_cap, target):
                  st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 200),
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
-@example((17, 19), _SEGMENT_30 + 200, 0.55)   # to the presieve's end
+@example((17, 19), 2100 * _BLOCK_30, 0.55)    # to the presieve's end
 @example((53, 59), 2_999_999, 0.6)
 @example((179, 181), _SEGMENT_30, None)
 @example((2, 3), 20_000, 0.5)                 # wheel of 2
+@example((7, 11), 2100 * _BLOCK_30 - 100, None)   # the last row closes a block, cells past x_cap
+@example((23, 29), _CHUNK_30 - 1, 0.55)           # one whole chunk
+@example((23, 29), _CHUNK_30, 0.55)               # one integer past it
 def test_scan_from_a_presieve_equals_scan_without(interval, x_cap, target):
     # the pipeline's scans read a presieve of exactly their own primes, over
     # a longer range than their own
     y_lo, y_hi = interval
     want = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
-    presieve = Presieve(_T.primes_between(0, y_lo), _SEGMENT_30 + 200)
+    presieve = Presieve(_T.primes_between(0, y_lo), 2100 * _BLOCK_30)
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target, presieve=presieve)
     assert got == want
+
+
+def test_scan_counts_the_largest_default_small_u_range():
+    # the rough count of the largest default small-u scan, every block of
+    # which but those of its last chunk is counted in place
+    x = 503**3 - 1
+    assert scan_rough_interval(_T, 499, 503, x).rough_count == phi_direct(x, 499, _T, cap=x)
 
 
 # the primes <= 17, sieved past the first segment boundary
