@@ -22,8 +22,7 @@ from .pipeline import (
     PAPER_SCALE_SMALL_U_CAP,
     PipelineConfig,
     REGION_ORDER,
-    SELBERG_CLOSED,
-    SELBERG_FINITE,
+    REGIONS,
     SMALL_U_CAP,
     SMALL_Y,
     run_full_pipeline,
@@ -120,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="run region verifiers and emit a certificate report")
-    sp.add_argument("--region", choices=["small-y", "mid-y", "selberg", "small-u",
-                                         "iteration", "all"], default="all")
+    sp.add_argument("--region", choices=[r.key for r in REGIONS] + ["all"], default="all")
     sp.add_argument("--target", type=_finite, default=DEFAULT_TARGET)
     sp.add_argument("--format", choices=["json", "text", "csv"], default="text")
     sp.add_argument("--paper-scale", action="store_const", dest="small_u_cap",
@@ -245,20 +243,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    regions: tuple[str, ...]
-    if args.region == "all":
-        regions = REGION_ORDER
-    elif args.region == "selberg":
-        regions = (SELBERG_FINITE, SELBERG_CLOSED)
-    else:
-        regions = (args.region,)
-    config = PipelineConfig(
-        target=args.target,
-        small_u_cap=args.small_u_cap,
-        parallelism=args.parallelism,
-        regions=regions,
-    )
-    report = run_full_pipeline(config)
+    regions = REGION_ORDER if args.region == "all" else next(
+        tuple(claim.name for claim in r.claims) for r in REGIONS if r.key == args.region)
+    report = run_full_pipeline(PipelineConfig(target=args.target, small_u_cap=args.small_u_cap,
+                                              parallelism=args.parallelism, regions=regions))
     with _output(args.out) as out:
         if args.format == "json":
             out.write(report.to_json(indent=2) + "\n")

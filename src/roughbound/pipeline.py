@@ -1,18 +1,11 @@
 """Region-by-region verification that Phi(x, y) < target * x / log y.
 
-The (x, y) plane with 3 <= y <= sqrt(x) is decomposed into six regions, each
-verified by its own method, and every verifier returns a RegionCertificate
-recording the method, the worst margin (normalized by x / log y), and any
-witnesses of failure.  The default target is .6.
-
-  small-y         3 <= y < 71,    scan below per-interval elementary bounds
-  mid-y           71 <= y < 241,  scan below pre-sieved truncation bounds
-  selberg-finite  241 <= y <= 5e5, u >= 7.5, explicit sieve per prime pair
-  selberg-closed  y >= 5e5, u >= 7.5, closed-form sieve evaluation
-  small-u         y >= 241, 2 <= u < 3, exhaustive below a cap + assembled
-                  prime-count bound on a (y, u) grid above it
-  iteration       y >= 241, 3 <= u < 8, geometric bootstrap from the small-u
-                  constant
+The (x, y) plane with 3 <= y <= sqrt(x) is cut into regions, each verified
+by its own method.  `REGIONS` declares them, one record per verifier: the
+(y, u) boxes its certificates cover, u = log x / log y, and the constants
+each assumes and establishes.  A RegionCertificate records the method, the
+worst margin (normalized by x / log y), any witnesses of failure, and its
+record's boxes and constants.  The default target is .6.
 
 All region work is pure and deterministic.  A run opens one task pool
 (`_task_pool`): each interval scan, the Selberg sweep, the small-u grid and
@@ -33,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from contextvars import ContextVar
@@ -68,7 +62,6 @@ SELBERG_FINITE = "selberg-finite"
 SELBERG_CLOSED = "selberg-closed"
 SMALL_U = "small-u"
 ITERATION = "iteration"
-REGION_ORDER = (SMALL_Y, MID_Y, SELBERG_FINITE, SELBERG_CLOSED, SMALL_U, ITERATION)
 
 DEFAULT_TARGET = 0.6
 # Exhaustive small-u scans run to y <= SMALL_U_CAP by default; the paper
@@ -77,7 +70,6 @@ DEFAULT_TARGET = 0.6
 SMALL_U_CAP = 500
 PAPER_SCALE_SMALL_U_CAP = 1100
 CLOSED_GRID_TOP = 1e12
-# Milestones established by the small-u region and consumed by the iteration.
 C3_SMALL_U = 0.57163
 SMALL_U_EXHAUSTIVE_MAX = 0.56404
 CLOSED_FACTOR_LIMIT = 1.057
@@ -109,14 +101,6 @@ REFERENCE_SMALL_Y_ROWS = (
 )
 
 MAX_STAT_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    target: float = DEFAULT_TARGET
-    small_u_cap: int = SMALL_U_CAP
-    parallelism: int = 1
-    regions: tuple[str, ...] = REGION_ORDER
 
 
 @dataclass
@@ -253,9 +237,9 @@ def _on(pool, table: PrimeTable):
 
 
 # The tasks below look up what they run as a module global when they run, and
-# a submitted function (`small_u_grid_max`, a verifier) is pickled by its name
-# on this module: either way a wrapper installed on this module before the
-# pool starts reaches its workers.
+# a submitted function (`small_u_grid_max`) is pickled by its name on this
+# module: either way a wrapper installed on this module before the pool
+# starts reaches its workers.
 
 def _scan_task(task):
     """One interval scan; `cover`, if not None, is the range the process's
@@ -266,9 +250,9 @@ def _scan_task(task):
     return scan_rough_interval(state.table, y_lo, y_hi, x_cap, target=target, presieve=presieve)
 
 
-def _table_task(verify, target):
-    """One analytic verifier on the pool's prime table."""
-    return verify(_POOL.get().table, target=target)
+def _table_task(verifier: str, target):
+    """One analytic verifier, named by its module global, on the pool's prime table."""
+    return globals()[verifier](_POOL.get().table, target=target)
 
 
 def _interval_rows(intervals, scans, extent_key: str):
@@ -358,21 +342,21 @@ def verify_small_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
                              "recomputed": [xb, scan.table_max],
                              "printed": [printed, printed_max]})
 
-    return RegionCertificate(
-        region=SMALL_Y,
-        method="interval scans below elementary inclusion-exclusion x-bounds",
-        margin=margin,
-        verified=not failures,
-        params={"target": target, "cap": DEFAULT_EXHAUSTIVE_CAP, "rows": len(out_rows),
-                "reproduction": reproduce},
-        failures=failures,
-        rows=out_rows,
-    )
+    return _certificate(
+        SMALL_Y, "interval scans below elementary inclusion-exclusion x-bounds", margin, failures,
+        {"target": target, "cap": DEFAULT_EXHAUSTIVE_CAP, "rows": len(out_rows),
+         "reproduction": reproduce},
+        rows=out_rows)
 
 
 # ---------------------------------------------------------------------------
 # mid-y region
 # ---------------------------------------------------------------------------
+
+def _mid_y_intervals(table: PrimeTable):
+    """Mid-y's intervals [p, q) of consecutive primes, 71 <= p < 241."""
+    return [(int(p), table.next_prime(p)) for p in table.primes_between(70, 240)]
+
 
 def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
                  pool=None) -> RegionCertificate:
@@ -384,11 +368,9 @@ def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     run as in `verify_small_y`, each from its process's presieve over the
     largest x-bound (1 MB), advanced to the scan's primes.
     """
-    ps = [int(p) for p in table.primes_between(70, 240)]
     meta = []
     bound_failures = []
-    for p in ps:
-        q = table.next_prime(p)
+    for p, q in _mid_y_intervals(table):
         try:
             xb = bonferroni_x_bound(p, target, table)
         except InfeasibleError:
@@ -406,16 +388,12 @@ def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     rows, violated, sup_max = _interval_rows(meta, scans, "x_bound")
     failures = bound_failures + violated
 
-    return RegionCertificate(
-        region=MID_Y,
-        method="interval scans below pre-sieved Bonferroni x-bounds (14/15 remainder)",
-        margin=target - sup_max,
-        verified=not failures,
-        params={"target": target, "cap": DEFAULT_EXHAUSTIVE_CAP, "intervals": len(rows),
-                "max_x_bound": max(r["x_bound"] for r in rows)},
-        failures=failures,
-        rows=rows,
-    )
+    return _certificate(
+        MID_Y, "interval scans below pre-sieved Bonferroni x-bounds (14/15 remainder)",
+        target - sup_max, failures,
+        {"target": target, "cap": DEFAULT_EXHAUSTIVE_CAP, "intervals": len(rows),
+         "max_x_bound": max(r["x_bound"] for r in rows)},
+        rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +409,14 @@ def verify_selberg(table: PrimeTable, *, target: float = DEFAULT_TARGET):
         for y, q, _, _, coefficient, _ in bad.tolist()
     ]
     worst = sweep[int(np.argmin(sweep.margin))]
-    finite = RegionCertificate(
-        region=SELBERG_FINITE,
-        method="explicit sieve at x = p^7.5 per consecutive-prime pair, grid-optimized epsilon",
-        margin=float(worst.margin),
-        verified=not failures,
-        params={"target": target, "pairs": len(sweep),
-                "y_range": [int(sweep.y[0]), int(sweep.y[-1])],
-                "worst_y": int(worst.y), "worst_epsilon": float(worst.epsilon),
-                "worst_f": float(worst.f_value),
-                "sieve_level_rule": "D = .03 x / (log y)^3",
-                "remainder_coefficient": SELBERG_REMAINDER_COEFF},
-        failures=failures,
-    )
+    finite = _certificate(
+        SELBERG_FINITE,
+        "explicit sieve at x = p^7.5 per consecutive-prime pair, grid-optimized epsilon",
+        float(worst.margin), failures,
+        {"target": target, "pairs": len(sweep), "y_range": [int(sweep.y[0]), int(sweep.y[-1])],
+         "worst_y": int(worst.y), "worst_epsilon": float(worst.epsilon),
+         "worst_f": float(worst.f_value), "sieve_level_rule": "D = .03 x / (log y)^3",
+         "remainder_coefficient": SELBERG_REMAINDER_COEFF})
 
     ys = np.geomspace(CLOSED_FORM_MIN_Y, CLOSED_GRID_TOP, 41)
     factors = [closed_form_factor(float(y)) for y in ys]
@@ -458,20 +431,15 @@ def verify_selberg(table: PrimeTable, *, target: float = DEFAULT_TARGET):
         closed_failures.append({"issue": "factor not decreasing across grid"})
     if max(coefs) >= target:
         closed_failures.append({"issue": "target violated", "coefficient": max(coefs)})
-    closed = RegionCertificate(
-        region=SELBERG_CLOSED,
-        method="closed-form sieve bound at x = y^7.5, epsilon = 1/log y",
-        margin=target - max(coefs),
-        verified=not closed_failures,
-        params={"target": target, "grid": [float(ys[0]), float(ys[-1]), len(ys)],
-                "factor_at_500k": factors[0], "factor_limit": CLOSED_FACTOR_LIMIT,
-                "coefficient_at_500k": coefs[0], "coefficient_limit": CLOSED_COEF_LIMIT,
-                "factor_decreasing": decreasing,
-                "equality_note": "x = y^7.5 checked; larger x follows from the same proof"},
-        failures=closed_failures,
+    closed = _certificate(
+        SELBERG_CLOSED, "closed-form sieve bound at x = y^7.5, epsilon = 1/log y",
+        target - max(coefs), closed_failures,
+        {"target": target, "grid": [float(ys[0]), float(ys[-1]), len(ys)],
+         "factor_at_500k": factors[0], "coefficient_at_500k": coefs[0],
+         "factor_decreasing": decreasing,
+         "equality_note": "x = y^7.5 checked; larger x follows from the same proof"},
         rows=[{"y": float(y), "factor": f, "coefficient": c}
-              for y, f, c in zip(ys, factors, coefs)],
-    )
+              for y, f, c in zip(ys, factors, coefs)])
     return finite, closed
 
 
@@ -597,22 +565,28 @@ def small_u_grid_max():
     return best, rows
 
 
+def _small_u_intervals(table: PrimeTable, cap: int):
+    """Small-u's exhaustive intervals (p, q, x cap): [p, q) of consecutive
+    primes with 241 <= p <= cap, each scanned for x < q^3."""
+    return [(int(p), q, q ** 3 - 1) for p in table.primes_between(240, cap)
+            for q in (table.next_prime(p),)]
+
+
 def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
                    y_exhaustive_cap: int = SMALL_U_CAP, pool=None) -> RegionCertificate:
-    """The 2 <= u < 3 region: exhaustive scans for 241 <= y <= cap, assembled
-    analytic bound on a grid for y >= 1100.
+    """The 2 <= u < 3 region: exhaustive scans for 241 <= y < q, q the first
+    prime above the cap, assembled analytic bound on a grid for y >= 1100.
 
-    The default cap keeps the exhaustive branch at desk scale; raising it to
-    PAPER_SCALE_SMALL_U_CAP closes the gap to the analytic branch.  Scans
-    cover x < q^3 per interval [p, q), with the two-dimensional supremum
-    convention for the multiplier.  Every scan reads its segments from its
-    process's presieve over the largest range (4.2 MB at the default cap,
-    45 MB at the paper's), advanced to the scan's primes, so that it strikes
-    none itself.  The grid is a task submitted before the scans, and all of
-    them run as in `verify_small_y`.
+    The default cap keeps the exhaustive branch at desk scale, and leaves
+    503 <= y < 1100 to neither branch; raising it to PAPER_SCALE_SMALL_U_CAP
+    closes the gap.  Scans cover x < q^3 per interval [p, q), with the
+    two-dimensional supremum convention for the multiplier.  Every scan reads
+    its segments from its process's presieve over the largest range (4.2 MB
+    at the default cap, 45 MB at the paper's), advanced to the scan's primes,
+    so that it strikes none itself.  The grid is a task submitted before the
+    scans, and all of them run as in `verify_small_y`.
     """
-    ps = [int(p) for p in table.primes_between(240, y_exhaustive_cap)]
-    meta = [(p, q, q ** 3 - 1) for p, q in zip(ps, map(table.next_prime, ps))]
+    meta = _small_u_intervals(table, y_exhaustive_cap)
     cover = meta[-1][2] if meta else None
 
     with _on(pool, table) as pool:
@@ -630,21 +604,13 @@ def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
                          "max_coefficient": analytic_max, "at_y": at_y, "at_u": at_u,
                          "milestone": min(C3_SMALL_U, target)})
 
-    return RegionCertificate(
-        region=SMALL_U,
-        method="exhaustive interval scans to the cap + assembled prime-count bound on a grid",
-        margin=target - max(exhaustive_max, analytic_max),
-        verified=not failures,
-        params={"target": target, "exhaustive_cap_y": y_exhaustive_cap,
-                "exhaustive_max": exhaustive_max,
-                "exhaustive_milestone": SMALL_U_EXHAUSTIVE_MAX,
-                "analytic_max": analytic_max, "analytic_at": [at_y, at_u],
-                "analytic_milestone": C3_SMALL_U,
-                "analytic_y_range": [1100, "unbounded (grid to 1e12)"],
-                "exhaustive_rows": len(rows)},
-        failures=failures,
+    return _certificate(
+        SMALL_U, "exhaustive interval scans to the cap + assembled prime-count bound on a grid",
+        target - max(exhaustive_max, analytic_max), failures,
+        {"target": target, "exhaustive_max": exhaustive_max, "analytic_max": analytic_max,
+         "analytic_at": [at_y, at_u], "exhaustive_rows": len(rows)},
         rows=rows + [{"grid": grid_rows}],
-    )
+        after_cap=meta[-1][1] if meta else SELBERG_MIN_Y)   # where the last scanned interval ends
 
 
 # ---------------------------------------------------------------------------
@@ -721,87 +687,132 @@ def verify_iteration(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> Re
         if chain >= target:
             failures.append({"q0": q0, "issue": "tail chain exceeds target", "chain": chain})
 
-    return RegionCertificate(
-        region=ITERATION,
-        method=f"geometric chain c3 -> c8 with exact eps_3 below {ITERATION_TAIL_FROM}, "
-               "theta-defect tail above",
-        margin=margin,
-        verified=not failures,
-        params={"target": target, "c3": C3_SMALL_U, "exact_range": [241, rows[-1]["q0"]],
-                "worst": worst,
-                "tail_rule": "eps3 < 1.95 / (sqrt(q0) (log q0)^2), decreasing in q0",
-                "tail_probes": list(ITERATION_TAIL_PROBES)},
-        failures=failures,
-        rows=[{"exact": rows[:4] + [{"...": len(rows)}], "tail": tail_rows}],
-    )
+    return _certificate(
+        ITERATION, f"geometric chain c3 -> c8 with exact eps_3 below {ITERATION_TAIL_FROM}, "
+                   "theta-defect tail above",
+        margin, failures,
+        {"target": target, "exact_range": [241, rows[-1]["q0"]], "worst": worst,
+         "tail_rule": "eps3 < 1.95 / (sqrt(q0) (log q0)^2), decreasing in q0",
+         "tail_probes": list(ITERATION_TAIL_PROBES)},
+        rows=[{"exact": rows[:4] + [{"...": len(rows)}], "tail": tail_rows}])
 
 
 # ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
 
-def _required_limit(config: PipelineConfig) -> int:
-    """The prime table's limit, the same whichever regions run: past the
-    Selberg sweep's 5e5 (and so past the iteration's 1499^(4/3)), and past
-    the first prime above small-u's cap."""
-    return max(CLOSED_FORM_MIN_Y + 1000, 2 * config.small_u_cap + 100)
+AFTER_CAP = "first prime above small_u_cap"
+
+
+@dataclass(frozen=True)
+class Claim:
+    """What one certificate states: its region name in the report, its (y, u)
+    boxes, and the constants (module globals, by name) that it assumes and
+    that it establishes.  A box is a (y, u) pair of sides (lo, hi, ends): hi
+    None is no upper end, AFTER_CAP the first prime above the run's small-u
+    cap, and `ends` is "[)", "[]", "(]" or "()"."""
+    name: str
+    boxes: tuple
+    assumes: tuple[str, ...] = ()
+    establishes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Region:
+    """One verifier: the key `roughbound verify --region` takes, the claims of
+    its certificates in report order, and the module global that runs it,
+    looked up when it runs, as the tasks above look theirs up.  Without
+    `tasks` the verifier is one task on the run's pool; with it, it runs in
+    the calling process and submits `tasks(table, small_u_cap)` tasks,
+    counted from the list it reads itself, given that cap if `takes_cap`."""
+    key: str
+    claims: tuple[Claim, ...]
+    verifier: str
+    tasks: Callable[[PrimeTable, int], int] | None = None
+    takes_cap: bool = False
+
+
+_U_ABOVE_2 = (2, None, "[)")     # y <= sqrt(x)
+_U_SMALL = (2, 3, "[)")
+
+# The regions in report order.  At the default cap the band 503 <= y < 1100,
+# 2 <= u < 3 falls between small-u's exhaustive and analytic boxes.
+REGIONS = (
+    Region(SMALL_Y, (Claim(SMALL_Y, (((3, 71, "[)"), _U_ABOVE_2),)),), "verify_small_y",
+           tasks=lambda table, cap: len(REFERENCE_SMALL_Y_ROWS)),
+    Region(MID_Y, (Claim(MID_Y, (((71, SELBERG_MIN_Y, "[)"), _U_ABOVE_2),)),), "verify_mid_y",
+           tasks=lambda table, cap: len(_mid_y_intervals(table))),
+    Region("selberg", (
+        Claim(SELBERG_FINITE, (((SELBERG_MIN_Y, CLOSED_FORM_MIN_Y, "[]"), (7.5, None, "[)")),)),
+        Claim(SELBERG_CLOSED, (((CLOSED_FORM_MIN_Y, None, "[)"), (7.5, None, "[)")),),
+              establishes=("CLOSED_FACTOR_LIMIT", "CLOSED_COEF_LIMIT"))), "verify_selberg"),
+    Region(SMALL_U, (Claim(SMALL_U, (((SELBERG_MIN_Y, AFTER_CAP, "[)"), _U_SMALL),
+                                     ((SMALL_U_GRID_YS[0], None, "[)"), _U_SMALL)),
+                           establishes=("C3_SMALL_U", "SMALL_U_EXHAUSTIVE_MAX")),),
+           "verify_small_u", tasks=lambda table, cap: len(_small_u_intervals(table, cap)) + 1,
+           takes_cap=True),
+    Region(ITERATION, (Claim(ITERATION, (((SELBERG_MIN_Y, None, "[)"), (3, 8, "[)")),),
+                             assumes=("C3_SMALL_U",)),), "verify_iteration"),
+)
+REGION_ORDER = tuple(claim.name for region in REGIONS for claim in region.claims)
+
+
+def _certificate(name: str, method: str, margin: float, failures: list, params: dict,
+                 rows=None, after_cap: int | None = None) -> RegionCertificate:
+    """The certificate `name`, verified if it has no failures, with `params`
+    followed by what its record claims (AFTER_CAP read as `after_cap`)."""
+    claim = next(claim for region in REGIONS for claim in region.claims if claim.name == name)
+    params = {**params, "boxes": [{"y": [after_cap if end is AFTER_CAP else end for end in y],
+                                   "u": list(u)} for y, u in claim.boxes],
+              "assumes": {c: globals()[c] for c in claim.assumes},
+              "establishes": {c: globals()[c] for c in claim.establishes}}
+    return RegionCertificate(name, method, margin, not failures, params, failures, rows or [])
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    target: float = DEFAULT_TARGET
+    small_u_cap: int = SMALL_U_CAP
+    parallelism: int = 1
+    regions: tuple[str, ...] = REGION_ORDER
 
 
 def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
-    """Run the selected region verifiers and aggregate their certificates.
+    """Run the regions of the selected certificates and aggregate them.
 
-    The overall verdict is the conjunction of the per-region verdicts; output
-    is independent of the parallelism setting.  Every region works on the
-    run's one task pool: small-y's scans, the Selberg sweep and the
-    iteration go first, then mid-y's and small-u's scans (small-u's grid
-    just before them); each exhaustive verifier assembles its certificate as
-    its scans' results arrive.  The run builds its one prime table, to
-    `_required_limit(config)`.
+    A region runs if any of its certificates is selected, and the report
+    holds all of them, in REGION_ORDER; its config names them.  The verdict
+    is the conjunction of theirs, and does not depend on the parallelism.
+    Every region works on the run's one task pool: each scanning verifier in
+    turn submits its scans and assembles its certificate as their results
+    arrive, and the analytic verifiers are queued after the first region.
     """
     config = config or PipelineConfig()
-    regions = config.regions
-    for r in regions:
-        if r not in REGION_ORDER:
-            raise DomainError(f"unknown region {r!r}")
+    selected = config.regions
+    if not selected or len(set(selected)) < len(selected) or not set(selected) <= set(REGION_ORDER):
+        raise DomainError(f"regions must be distinct names from {REGION_ORDER}, got {selected}")
     if not math.isfinite(config.target):
         raise DomainError(f"target must be finite, got {config.target}")
-    table = build_prime_table(_required_limit(config))
-    selberg = SELBERG_FINITE in regions or SELBERG_CLOSED in regions
-    # one task per analytic computation and per scan of the verifiers below
-    tasks = (selberg + (ITERATION in regions)
-             + (len(REFERENCE_SMALL_Y_ROWS) if SMALL_Y in regions else 0)
-             + (len(table.primes_between(70, 240)) if MID_Y in regions else 0)
-             + (len(table.primes_between(240, config.small_u_cap)) + 1 if SMALL_U in regions else 0))
+    regions = [region for region in REGIONS if any(c.name in selected for c in region.claims)]
+    # one table whichever regions run: past the Selberg sweep's 5e5 (and so past
+    # the iteration's 1499^(4/3)) and past the first prime above small-u's cap
+    table = build_prime_table(max(CLOSED_FORM_MIN_Y + 1000, 2 * config.small_u_cap + 100))
+    tasks = sum(r.tasks(table, config.small_u_cap) if r.tasks else 1 for r in regions)
+    cap = {"y_exhaustive_cap": config.small_u_cap}
 
-    certs: list[RegionCertificate] = []
     with _task_pool(table, config.parallelism, tasks) as pool:
-        # small-y's short scans finish before the analytic tasks are queued
-        if SMALL_Y in regions:
-            certs.append(verify_small_y(table, target=config.target, pool=pool))
-        if selberg:
-            selberg_certs = pool.submit(_table_task, verify_selberg, config.target)
-        if ITERATION in regions:
-            iteration = pool.submit(_table_task, verify_iteration, config.target)
-        if MID_Y in regions:
-            certs.append(verify_mid_y(table, target=config.target, pool=pool))
-        if SMALL_U in regions:
-            certs.append(verify_small_u(table, target=config.target,
-                                        y_exhaustive_cap=config.small_u_cap, pool=pool))
-        if selberg:
-            certs += [c for c in selberg_certs.result() if c.region in regions]
-        if ITERATION in regions:
-            certs.append(iteration.result())
+        queued, done = {}, {}
+        for i, region in enumerate(regions):
+            if region.tasks:
+                done[region.key] = globals()[region.verifier](
+                    table, target=config.target, pool=pool, **(cap if region.takes_cap else {}))
+            if i == 0:   # behind the first region's scans: small-y's, which are short
+                queued = {r.key: pool.submit(_table_task, r.verifier, config.target)
+                          for r in regions if not r.tasks}
+        done.update((key, future.result()) for key, future in queued.items())
 
-    certs.sort(key=lambda c: REGION_ORDER.index(c.region))
-    table1 = []
-    for c in certs:
-        if c.region == SMALL_Y:
-            table1 = [r for r in c.rows]
-    config_dict = asdict(config)
-    config_dict["regions"] = list(config.regions)  # JSON-stable form
-    return BoundReport(
-        certificates=certs,
-        table1=table1,
-        verdict=all(c.verified for c in certs),
-        config=config_dict,
-    )
+    certs = [cert for region in regions
+             for cert in (done[region.key] if len(region.claims) > 1 else (done[region.key],))]
+    table1 = next((list(c.rows) for c in certs if c.region == SMALL_Y), [])
+    config_dict = {**asdict(config), "regions": [c.region for c in certs]}   # JSON-stable form
+    return BoundReport(certs, table1, all(c.verified for c in certs), config_dict)

@@ -160,8 +160,8 @@ def test_criterion_6_small_u(small_u_cert):
           and p["exhaustive_max"] < SMALL_U_EXHAUSTIVE_MAX)
     report(6, ok,
            f"analytic grid max {p['analytic_max']:.6f} < {C3_SMALL_U} at "
-           f"(y,u)={tuple(p['analytic_at'])}; exhaustive max to cap "
-           f"{p['exhaustive_cap_y']} is {p['exhaustive_max']:.6f} < {SMALL_U_EXHAUSTIVE_MAX} "
+           f"(y,u)={tuple(p['analytic_at'])}; exhaustive max below y = "
+           f"{p['boxes'][0]['y'][1]} is {p['exhaustive_max']:.6f} < {SMALL_U_EXHAUSTIVE_MAX} "
            f"(cap 1100 available via --paper-scale)")
 
 

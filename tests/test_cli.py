@@ -361,6 +361,16 @@ def test_verify_scan_region_alone(capsys, region):
     assert capsys.readouterr().out.splitlines()[1].startswith(f"{region},True,")
 
 
+def test_verify_region_choices_are_the_records():
+    from roughbound.pipeline import REGION_ORDER, REGIONS
+    keys = [r.key for r in REGIONS]
+    assert len(set(keys)) == len(keys)
+    assert REGION_ORDER == tuple(claim.name for r in REGIONS for claim in r.claims)
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    region = next(a for a in commands.choices["verify"]._actions if a.dest == "region")
+    assert region.choices == keys + ["all"]
+
+
 def test_verify_paper_scale_sets_small_u_cap():
     assert build_parser().parse_args(["verify", "--paper-scale"]).small_u_cap == 1100
     assert build_parser().parse_args(["verify"]).small_u_cap == 500

@@ -19,6 +19,7 @@ from roughbound.analytic import BETA0, BETA1_SMALL, RECIP_SUM_COEFF, THETA_DEFEC
 from roughbound.errors import DomainError, OutOfRangeError
 from roughbound.phi import scan_rough_interval
 from roughbound.pipeline import (
+    AFTER_CAP,
     BoundReport,
     C3_SMALL_U,
     ITERATION,
@@ -26,6 +27,7 @@ from roughbound.pipeline import (
     PipelineConfig,
     REFERENCE_SMALL_Y_ROWS,
     REGION_ORDER,
+    REGIONS,
     SELBERG_CLOSED,
     SELBERG_FINITE,
     SMALL_U,
@@ -92,7 +94,7 @@ def test_iteration_certificate():
     cert = verify_iteration(build_prime_table(17_300))  # 1499^(4/3) is about 17,155
     assert cert.verified
     assert cert.margin > 0
-    assert cert.params["c3"] == C3_SMALL_U
+    assert cert.params["assumes"] == {"C3_SMALL_U": C3_SMALL_U}
     assert cert.params["exact_range"] == [241, 1499]
     # the tail value at the first probe already sits below the target
     eps = iteration_tail_epsilon(1511)
@@ -306,6 +308,91 @@ def test_unknown_region_rejected():
         run_full_pipeline(PipelineConfig(regions=("nowhere",)))
 
 
+@pytest.mark.parametrize("regions", [(), (ITERATION, ITERATION)])
+def test_empty_or_repeated_region_selection_rejected(regions):
+    # an empty selection would certify nothing and still read "verified"
+    with pytest.raises(DomainError, match="region"):
+        run_full_pipeline(PipelineConfig(regions=regions))
+
+
+def test_one_selberg_certificate_selects_its_region():
+    # both certificates come from one verify_selberg run, and the report says so
+    report = run_full_pipeline(PipelineConfig(regions=(SELBERG_CLOSED,)))
+    assert [c.region for c in report.certificates] == [SELBERG_FINITE, SELBERG_CLOSED]
+    assert report.config["regions"] == [SELBERG_FINITE, SELBERG_CLOSED]
+
+
+def _stated(claim, after_cap):
+    """The boxes and constants a certificate of `claim` must state."""
+    import roughbound.pipeline as pl
+    return {"boxes": [{"y": [after_cap if end == AFTER_CAP else end for end in y], "u": list(u)}
+                      for y, u in claim.boxes],
+            "assumes": {name: getattr(pl, name) for name in claim.assumes},
+            "establishes": {name: getattr(pl, name) for name in claim.establishes}}
+
+
+def test_certificates_state_their_records_boxes_and_constants(serial_270):
+    claims = [claim for region in REGIONS for claim in region.claims]
+    assert [c.region for c in serial_270.certificates] == [claim.name for claim in claims]
+    for cert, claim in zip(serial_270.certificates, claims):
+        stated = {key: cert.params[key] for key in ("boxes", "assumes", "establishes")}
+        assert stated == _stated(claim, 271)
+    # nothing else states them by hand
+    for cert in serial_270.certificates:
+        assert not {"c3", "exhaustive_cap_y", "analytic_y_range", "exhaustive_milestone",
+                    "analytic_milestone", "factor_limit", "coefficient_limit"} & set(cert.params)
+
+
+@pytest.mark.parametrize("cap, end", [(270, 271), (500, 503)])
+def test_small_u_boxes_show_the_gap_below_the_grid(cap, end):
+    # the exhaustive box ends at the first prime above the cap, and the
+    # analytic one starts at 1100: at the default cap 503 <= y < 1100 is in neither
+    cert = _region_run(SMALL_U, 1, small_u_cap=cap).certificates[0]
+    assert cert.params["boxes"] == [{"y": [241, end, "[)"], "u": [2, 3, "[)"]},
+                                    {"y": [1100, None, "[)"], "u": [2, 3, "[)"]}]
+
+
+def test_run_calls_each_verifier_by_its_module_name(monkeypatch):
+    # a wrapper installed on the module, as the benchmark's tracer installs
+    # one, is what the run calls
+    import roughbound.pipeline as pl
+
+    calls = []
+    for region in REGIONS:
+        verify = getattr(pl, region.verifier)
+
+        def wrapper(*args, _verify=verify, _name=region.verifier, **kwargs):
+            calls.append(_name)
+            return _verify(*args, **kwargs)
+
+        monkeypatch.setattr(pl, region.verifier, wrapper)
+    run_full_pipeline(PipelineConfig(small_u_cap=240))
+    assert sorted(calls) == sorted(region.verifier for region in REGIONS)
+
+
+def _box_text(box, after_cap):
+    """A (y, u) box as the README's region table writes it."""
+    def side(var, lo, hi, ends):
+        lo_op = "<=" if ends[0] == "[" else "<"
+        if hi is None:
+            return f"`{var} {'>=' if lo_op == '<=' else '>'} {lo:g}`"
+        return f"`{lo:g} {lo_op} {var} {'<=' if ends[1] == ']' else '<'} {hi:g}`"
+    y, u = box
+    return f"{side('y', *(after_cap if end == AFTER_CAP else end for end in y))}, {side('u', *u)}"
+
+
+def test_readme_region_table_states_the_records():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    rows = {cells[0]: cells[1:4] for line in readme.splitlines() if line.startswith("| ")
+            for cells in [[cell.strip() for cell in line.split("|")[1:]]]}
+    for region in REGIONS:
+        for claim in region.claims:
+            assert rows[claim.name] == [
+                "; ".join(_box_text(box, 503) for box in claim.boxes),   # at the default cap
+                ", ".join(f"`{name}`" for name in claim.assumes),
+                ", ".join(f"`{name}`" for name in claim.establishes)]
+
+
 def test_config_has_only_the_set_knobs():
     assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
         "target", "small_u_cap", "parallelism", "regions"]
@@ -400,8 +487,13 @@ def serial_270():
 def test_run_opens_one_pool_and_sends_no_table(fake_pool, serial_270):
     report = run_full_pipeline(PipelineConfig(small_u_cap=270, parallelism=2))
     assert fake_pool.sizes == [2]
-    # 2 analytic tasks, the small-u grid and 19 + 33 + 5 scans
-    assert len(fake_pool.task_args) == 60
+    # 2 analytic tasks, the small-u grid and 19 + 33 + 5 scans, submitted in
+    # this order: small-y's short scans first, and the grid before small-u's scans
+    kinds = ["scan" if args and isinstance(args[0], tuple)
+             else getattr(args[0], "__name__", args[0]) if args else "grid"
+             for args in fake_pool.task_args]
+    assert kinds == (["scan"] * 19 + ["verify_selberg", "verify_iteration"] + ["scan"] * 33
+                     + ["grid"] + ["scan"] * 5)
     sent = [a for args in fake_pool.task_args for arg in args
             for a in (arg if isinstance(arg, tuple) else (arg,))]
     assert not any(isinstance(a, (PrimeTable, Presieve)) for a in sent)
