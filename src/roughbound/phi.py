@@ -2,11 +2,11 @@
 
 Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
 (1 is always counted).  `phi_direct` counts the survivors of the library's
-one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_segments`
-(segments of `primes.ROUGH_SEGMENT` bits), or the count can be reproduced by
+one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_chunks`
+(CHUNK_ROWS rows of 32 bits at a time), or the count can be reproduced by
 full inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
 prime-pair identity (`phi_two_prime`).  The interval scans read the same
-sieve on two levels.  Popcounts of blocks of SCAN_BLOCK rows over the whole
+chunks on two levels.  Popcounts of blocks of SCAN_BLOCK rows over the whole
 range give bj[b], the survivors up to the end of block b.  The bj[b]-th
 survivor lies below the next block's first cell n_first[b + 1], so it
 attains j / n > bj[b] / n_first[b + 1], a lower bound; no survivor of block
@@ -25,20 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import DEFAULT_LIMIT_CAP, Presieve, PrimeTable, rough_rows, rough_segments
+from .primes import CHUNK_ROWS, DEFAULT_LIMIT_CAP, SCAN_BLOCK, Presieve, PrimeTable, rough_chunks
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
-SCAN_BLOCK = 16          # rows per scan block: 8 uint64 words, 1,920 integers on the wheel of 30
-SCAN_CHUNK = 2048        # blocks a scan counts at a time; a shorter range skips the block level
 _BYTE_LANES = np.uint64(0x00FF00FF00FF00FF)
 
 
 def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
     """Exact Phi(x, y): the survivors of a `Presieve` of [0, x] by the primes
-    <= y, each struck once over the whole range, read out by `rough_segments`
+    <= y, each struck once over the whole range, read out by `rough_chunks`
     and counted by popcount.  The presieve takes x / 30 bytes, x / 24 for
     3 <= y < 5 and x / 16 for 2 <= y < 3.  x must be at most `cap`, which
     counts only up to the sieve's ceiling DEFAULT_LIMIT_CAP.  Degenerate
@@ -55,7 +53,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
     if y < 2:
         return x
     presieve = Presieve(table.primes_between(0, min(y, x)), x)
-    return sum(int(np.bitwise_count(rows).sum()) for _, rows in rough_segments(presieve, x))
+    return sum(int(np.bitwise_count(rows).sum()) for _, rows in rough_chunks(presieve, x))
 
 
 def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
@@ -190,11 +188,11 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     witness is the first n attaining its maximum.
 
     The scan reads `presieve`, which must hold exactly the primes <= y_lo
-    over at least [0, x_cap], or else a `Presieve` built for the scan, as
-    packed rows of 32 residues; the cells past x_cap are trimmed off by
-    `rough_rows`.  Two running first maxima, over the band [y_lo^2, y_hi^2)
-    and over the n >= y_hi^2, give both statistics at the end; from y_hi^2
-    on both are j log(y_hi) / n, so only the survivors whose j / n reaches a
+    over at least [0, x_cap], or else a `Presieve` built for the scan, in
+    the chunks of packed rows of 32 residues of `rough_chunks`, trimmed at
+    x_cap.  Two running first maxima, over the band [y_lo^2, y_hi^2) and
+    over the n >= y_hi^2, give both statistics at the end; from y_hi^2 on
+    both are j log(y_hi) / n, so only the survivors whose j / n reaches a
     floor need be expanded to (n, j) pairs.  The floor is a j / n some
     survivor n >= y_hi^2 attains (less 1e-13), capped at the target's
     j / n, so that every violation is expanded too.
@@ -204,9 +202,9 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     survivor at or past a cell n_min, up to the j_end-th, has
     j / n <= j_end / n_min.  The scan counts on two levels:
 
-    1. Blocks of SCAN_BLOCK rows, a chunk of SCAN_CHUNK blocks at a time,
-       read in place but for the last chunk: bj[b], the survivors up to the
-       end of block b, by popcount, and n_first[b], the block's first cell.
+    1. Blocks of SCAN_BLOCK rows (8 uint64 words, 1,920 integers on the
+       wheel of 30), a chunk at a time: bj[b], the survivors up to the end
+       of block b, by popcount, and n_first[b], the block's first cell.
        The bj[b]-th survivor lies in block b or below, so below
        n_first[b + 1]: bj[b] / n_first[b + 1] is a lower bound on the j / n
        it attains.  It lies at or past y_hi^2 once bj[b] exceeds the count
@@ -219,8 +217,9 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
        an n in [y_lo^2, y_hi^2) and those whose upper bound reaches the
        floor are unpacked, and their survivors are folded into the maxima.
 
-    A range within one chunk goes straight to the row level, over all its
-    rows.
+    A range within one chunk, such as a `max_statistic` row, goes straight
+    to the row level over all its rows: its block level would cost more than
+    it saves (about 70 us a scan; see the README).
     """
     x_cap = int(x_cap)
     if x_cap < 1:
@@ -260,7 +259,8 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                           f"the primes <= y_lo = {y_lo}")
     step, residues = presieve.step, presieve.residues
     n_one = int(residues[0])                   # the first cell of row 0
-    rows = -(-(x_cap + 1) // step)             # the rows that hold [0, x_cap]
+    rows = x_cap // step + 1                   # the rows that hold [0, x_cap]
+    chunks = rough_chunks(presieve, x_cap)
 
     def expand(words, n_min, count, j_end, j_head, floor):
         """The row level: fold in the survivors of the ascending rows packed
@@ -286,8 +286,8 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         above = fold(above, jv * log_q / nv, nv, jv)
         return floor
 
-    if rows <= SCAN_CHUNK * SCAN_BLOCK:
-        words = rough_rows(presieve, 0, x_cap)
+    if rows <= CHUNK_ROWS:                     # one chunk: no block level, see above
+        words = next(chunks)[1][:rows]         # less its padding
         count = np.bitwise_count(words)
         j_end = np.cumsum(count, dtype=np.int64)
         n_min = np.arange(n_one, rows * step, step, dtype=np.float64)
@@ -295,26 +295,19 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         expand(words, n_min, count, j_end, int(j_end[head - 1]), 0.0)
         rough_count = int(j_end[-1])
     else:
-        blocks = -(-rows // SCAN_BLOCK)
         span = SCAN_BLOCK * step               # integers per block
-        firsts = np.arange(SCAN_CHUNK + 1) * float(span) + n_one   # n_first[b0 + i] - b0 span
+        # n_first[b0 + i] - b0 span, over the blocks of a chunk and the next one's first
+        firsts = np.arange(CHUNK_ROWS // SCAN_BLOCK + 1) * float(span) + n_one
         row_firsts = np.arange(SCAN_BLOCK) * float(step)           # a row's n_min - its block's
         head = -(-(q2 - n_one) // span)        # blocks [0, head) hold an n below y_hi^2, head >= 1
         band_lo = lo_bound // span             # the first block that holds an n >= y_lo^2
-        # the last chunk is a trimmed copy, padded to whole blocks; the others
-        # are read in place
-        last = (blocks - 1) // SCAN_CHUNK * SCAN_CHUNK
-        tail = np.zeros((blocks - last) * SCAN_BLOCK, dtype=np.uint32)
-        tail[:rows - last * SCAN_BLOCK] = rough_rows(presieve, last * span, x_cap)
-        whole = presieve.turns[:last * SCAN_BLOCK * 4].view(np.uint32)
-        chunks = [(b0, whole[b0 * SCAN_BLOCK:(b0 + SCAN_CHUNK) * SCAN_BLOCK])
-                  for b0 in range(0, last, SCAN_CHUNK)] + [(last, tail)]
 
         # each chunk with the survivors below it and at least the upper bound of each of its blocks
         counted = []
         rough_count = j_head = 0
         floor = 0.0
-        for b0, words in chunks:
+        for first, words in chunks:
+            b0 = first // SCAN_BLOCK
             bj = np.cumsum(_block_counts(words)) + rough_count
             n_first = firsts[:len(bj) + 1] + b0 * span
             lower = bj / n_first[1:]

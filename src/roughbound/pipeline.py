@@ -42,9 +42,9 @@ from .analytic import (
     pi_lower_599,
     r_ratio,
 )
-from .errors import DomainError, InfeasibleError, NumericError
+from .errors import DomainError, InfeasibleError, NumericError, ResourceError
 from .phi import DEFAULT_EXHAUSTIVE_CAP, KEPT_VIOLATIONS, scan_rough_interval
-from .primes import Presieve, PrimeTable, build_prime_table
+from .primes import DEFAULT_LIMIT_CAP, Presieve, PrimeTable, build_prime_table
 from .sieve_bounds import (
     CLOSED_FORM_MIN_Y,
     SELBERG_MIN_Y,
@@ -243,7 +243,7 @@ def _on(pool, table: PrimeTable):
 
 def _scan_task(task):
     """One interval scan; `cover`, if not None, is the range the process's
-    presieve must cover, and the scan reads its segments from it."""
+    presieve must cover, and the scan reads its chunks from it."""
     y_lo, y_hi, x_cap, target, cover = task
     state = _POOL.get()
     presieve = None if cover is None else state.presieve(y_lo, cover)
@@ -365,8 +365,8 @@ def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
     14/15 remainder refinement) takes over at an x-bound verified to stay
     below the 3e7 cap; one streaming pass covers all smaller x.  The scans
-    run as in `verify_small_y`, each from its process's presieve over the
-    largest x-bound (1 MB), advanced to the scan's primes.
+    run as in `verify_small_y`, each reading the chunks of its process's
+    presieve over the largest x-bound (1 MB), advanced to the scan's primes.
     """
     meta = []
     bound_failures = []
@@ -581,7 +581,7 @@ def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     503 <= y < 1100 to neither branch; raising it to PAPER_SCALE_SMALL_U_CAP
     closes the gap.  Scans cover x < q^3 per interval [p, q), with the
     two-dimensional supremum convention for the multiplier.  Every scan reads
-    its segments from its process's presieve over the largest range (4.2 MB
+    its chunks from its process's presieve over the largest range (4.2 MB
     at the default cap, 45 MB at the paper's), advanced to the scan's primes,
     so that it strikes none itself.  The grid is a task submitted before the
     scans, and all of them run as in `verify_small_y`.
@@ -786,6 +786,9 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
     Every region works on the run's one task pool: each scanning verifier in
     turn submits its scans and assembles its certificate as their results
     arrive, and the analytic verifiers are queued after the first region.
+    A small_u_cap of 1290 and up, whose small-u scans would pass the sieve's
+    cap DEFAULT_LIMIT_CAP at x < q^3, q > small_u_cap, raises ResourceError
+    before the prime table is built.
     """
     config = config or PipelineConfig()
     selected = config.regions
@@ -793,6 +796,9 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
         raise DomainError(f"regions must be distinct names from {REGION_ORDER}, got {selected}")
     if not math.isfinite(config.target):
         raise DomainError(f"target must be finite, got {config.target}")
+    if (config.small_u_cap + 1) ** 3 - 1 > DEFAULT_LIMIT_CAP:
+        raise ResourceError(f"small_u_cap {config.small_u_cap} scans past the sieve's cap "
+                            f"{DEFAULT_LIMIT_CAP}, to at least {(config.small_u_cap + 1) ** 3 - 1}")
     regions = [region for region in REGIONS if any(c.name in selected for c in region.claims)]
     # one table whichever regions run: past the Selberg sweep's 5e5 (and so past
     # the iteration's 1499^(4/3)) and past the first prime above small-u's cap

@@ -5,10 +5,11 @@ to x_cap that are free of them, kept packed, one bit per residue of a wheel.
 `_strike` is the sieve's one way to strike a prime, and each caller strikes
 each prime once, over its whole range: a presieve strikes its primes when it
 is built, and `Presieve.advance` strikes more into the same bytes, so one
-presieve can serve scans by ever longer sets.  `rough_segments` strikes
-nothing: it copies a presieve's range out a segment of ROUGH_SEGMENT bits at
-a time, trims the tail past x_cap and yields packed rows.
-`build_prime_table` reads every prime of its table off it: the primes above
+presieve can serve scans by ever longer sets.  `rough_chunks` strikes
+nothing: it is the one reader of a presieve's bytes, and hands its range out
+CHUNK_ROWS packed rows at a time, in place but for the last chunk, a copy
+trimmed at x_cap.  `build_prime_table` reads every prime of its table off
+it: the primes above
 sqrt(limit) off a presieve by the primes below, and those, level by level,
 off smaller presieves, down to one on the wheel of 1 that strikes nothing.
 `phi.phi_direct` counts its survivors and `phi.scan_rough_interval` streams
@@ -33,8 +34,9 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 # integers per turn, at 2^31 about 72 MB on the wheel of 30 (y >= 5), 89 MB on
 # that of 6 (3 <= y < 5) and 134 MB on that of 2 (2 <= y < 3).
 DEFAULT_LIMIT_CAP = 1 << 31
-ROUGH_SEGMENT = 1 << 20  # residues (bits) per segment of `rough_segments`
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
+CHUNK_ROWS = 1 << 15     # packed rows per chunk of `rough_chunks`: 128 KB
+SCAN_BLOCK = 16          # rows per block of `phi.scan_rough_interval`; a last chunk is whole blocks
 
 
 _WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -95,21 +97,20 @@ def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple) -> None:
 
 
 class Presieve:
-    """[0, x_cap] sieved by the primes `strike`, the source of every segment
-    of `rough_segments`.
+    """[0, x_cap] sieved by the primes `strike`, read out by `rough_chunks`.
 
     `strike` must be the primes up to some bound, ascending; it may be empty.
     The survivors are kept packed, one bit per residue of the wheel of the
     struck primes among 2, 3, 5 (see `_wheel`): byte i of `turns` is turn i
     (the integers i*W + residues[c]), column c in bit 7 - c, the byte order
-    of `np.packbits` on a C-order mask.  A row of `rough_segments` is four
+    of `np.packbits` on a C-order mask.  A row of `rough_chunks` is four
     turns: `step` = 4W integers, and `residues`, the 32 residues of its
     cells in ascending order.  That is x_cap / W bytes, W = 30,
     24, 16 or 8 on the wheels of 30, 6, 2 and 1: the wheel's cached pattern
     repeated, then struck by the rest of `strike` in place.  `advance` strikes more
     primes into the same bytes.  0 is never set.  The bits past x_cap, up
-    to the end of the last row of 32 residues, are not trimmed; `rough_rows`
-    trims them off its copies.  x_cap past DEFAULT_LIMIT_CAP raises ResourceError
+    to the end of the last row of 32 residues, are not trimmed; `rough_chunks`
+    trims them off its last chunk.  x_cap past DEFAULT_LIMIT_CAP raises ResourceError
     before anything is allocated.
     """
 
@@ -119,7 +120,7 @@ class Presieve:
         self.x_cap = int(x_cap)
         width, self.residues, _, pattern = _wheel(strike)
         self.step = 4 * width                  # integers per row of 32 residues
-        rows = -(-(self.x_cap + 1) // self.step)   # the whole rows `rough_segments` reads
+        rows = -(-(self.x_cap + 1) // self.step)   # the whole rows `rough_chunks` reads
         self.turns = np.concatenate((pattern,) * -(-4 * rows // len(pattern)))[:4 * rows]
         if not len(strike):
             self.turns[0] &= 0x7F  # 0 is not counted; 1 survives every strike
@@ -139,39 +140,37 @@ class Presieve:
         self.strike = strike
 
 
-def rough_rows(presieve: Presieve, base: int, x_cap: int) -> np.ndarray:
-    """A fresh uint32 array of the packed rows of `presieve` (see
-    `rough_segments`) from the integer `base`, a multiple of
-    `presieve.step`, through the row of x_cap, with the cells past x_cap
-    cleared.  The presieve's range must reach x_cap."""
+def rough_chunks(presieve: Presieve, x_cap: int):
+    """[0, x_cap] sieved by the primes of `presieve`, CHUNK_ROWS rows at a time.
+
+    Yields, for each chunk in ascending order, its first row and its packed
+    uint32 rows: row i is the four turns (see `Presieve`) 4i to 4i + 3, so
+    `np.unpackbits(rows.view(np.uint8))` gives its 32 cells in the order of
+    `presieve.residues`, and cell c of the chunk's row i stands for
+    (first_row + i) * step + residues[c], step = `presieve.step`.  A cell is
+    set if that integer is at most x_cap and has no factor in
+    `presieve.strike`; 0 is never set, 1 always is.  Every chunk but the last
+    is a read-only view of the presieve; the last is a fresh array, the rows
+    through the row of x_cap with the cells past x_cap cleared, zero-padded
+    to whole blocks of SCAN_BLOCK rows.  A presieve whose range stops below
+    x_cap is refused before the first chunk.
+    """
     if presieve.x_cap < x_cap:
         raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
-    step, residues = presieve.step, presieve.residues
-    size = x_cap + 1 - base
-    start = base // step * 4
-    turns = presieve.turns[start:start + -(-size // step) * 4].copy()
-    cut = size // step * 32 + int(np.searchsorted(residues, size % step))  # first cell past x_cap
-    turns[cut >> 3:(cut >> 3) + 1] &= 0xFF00 >> (cut & 7) & 0xFF
-    turns[(cut >> 3) + 1:] = 0
-    return turns.view(np.uint32)
-
-
-def rough_segments(presieve: Presieve, x_cap: int):
-    """[0, x_cap] sieved by the primes of `presieve`, a segment at a time.
-
-    Yields, for each segment in ascending order, its base and a fresh uint32
-    array of packed rows, copied from the presieve by `rough_rows`: row i is
-    the four turns (see `Presieve`) 4i to 4i + 3, so
-    `np.unpackbits(rows.view(np.uint8))` gives its 32 cells in the order of
-    `presieve.residues`, and cell c of row i stands for
-    base + i*step + residues[c], step = `presieve.step`.  A cell is set if
-    that integer is at most x_cap and has no factor in `presieve.strike`.
-    0 is never set; 1 always is.  A segment covers ROUGH_SEGMENT residues.
-    The presieve's range must reach x_cap.
-    """
-    span = ROUGH_SEGMENT // 32 * presieve.step
-    for base in range(0, x_cap + 1, span):
-        yield base, rough_rows(presieve, base, min(base + span - 1, x_cap))
+    step = presieve.step
+    rows = x_cap // step + 1                   # the rows that hold [0, x_cap]
+    last = (rows - 1) // CHUNK_ROWS * CHUNK_ROWS
+    for first in range(0, last, CHUNK_ROWS):
+        chunk = presieve.turns[4 * first:4 * (first + CHUNK_ROWS)].view(np.uint32)
+        chunk.flags.writeable = False
+        yield first, chunk
+    size = x_cap + 1 - last * step             # the last chunk's integers, and its cells:
+    cut = size // step * 32 + int(np.searchsorted(presieve.residues, size % step))
+    tail = np.zeros(-(-(rows - last) // SCAN_BLOCK) * SCAN_BLOCK * 4, dtype=np.uint8)
+    tail[:cut >> 3] = presieve.turns[4 * last:4 * last + (cut >> 3)]
+    if cut & 7:   # a byte cut at x_cap, masked as a scalar: on a one-byte slice, `&=` is 10x slower
+        tail[cut >> 3] = presieve.turns[4 * last + (cut >> 3)] & (0xFF00 >> (cut & 7) & 0xFF)
+    yield last, tail.view(np.uint32)
 
 
 class PrimeTable:
@@ -232,13 +231,13 @@ def _primes_upto(limit: int) -> np.ndarray:
     small = _primes_upto(root) if root >= 2 else np.zeros(0, dtype=np.int64)
 
     def survivors(presieve):
-        for base, rows in rough_segments(presieve, limit):
+        for first, rows in rough_chunks(presieve, limit):
             cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)).view(bool))
             ns = cells >> 5
+            ns += first
             ns *= presieve.step
             ns += presieve.residues[cells & 31]
-            ns += base
-            yield ns[1:] if base == 0 else ns  # 1 survives but is no prime
+            yield ns[1:] if first == 0 else ns  # 1 survives but is no prime
 
     # the spent generator frees the presieve before the concatenation
     return np.concatenate([small, *survivors(Presieve(small, limit))])

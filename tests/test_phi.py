@@ -16,7 +16,7 @@ from roughbound.phi import (
     phi_two_prime,
     scan_rough_interval,
 )
-from roughbound.primes import DEFAULT_LIMIT_CAP, ROUGH_SEGMENT, Presieve, build_prime_table
+from roughbound.primes import CHUNK_ROWS, DEFAULT_LIMIT_CAP, Presieve, build_prime_table
 
 _T = build_prime_table(10_100)
 
@@ -51,8 +51,8 @@ def test_direct_vs_bruteforce(x, y):
     assert phi_direct(x, y, _T) == brute_phi(x, y)
 
 
-# integers in one segment of the wheels of 1, 2, 6 and 30
-_SPANS = [ROUGH_SEGMENT // 8 * width for width in (8, 16, 24, 30)]
+# integers in one chunk of the wheels of 1, 2, 6 and 30: CHUNK_ROWS rows of 4 turns
+_SPANS = [CHUNK_ROWS * 4 * width for width in (8, 16, 24, 30)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -62,15 +62,16 @@ _SPANS = [ROUGH_SEGMENT // 8 * width for width in (8, 16, 24, 30)]
        st.one_of(st.sampled_from([1.5, 2, 2.5, 3, 4.9, 5, 7, 11, 13, 17, 19, 23]),
                  st.floats(min_value=2, max_value=40)))
 @example(1, 3)                             # only 1: no struck prime, wheel of 1
-@example(_SPANS[0], 2)                     # first integer past a segment of the wheel of 2
-@example(_SPANS[1] - 1, 2)                 # a segment of the wheel of 2, exactly
-@example(_SPANS[2] + 1, 3)                 # wheel of 6 across a segment boundary
-@example(_SPANS[3], 5)                     # wheel of 30 across a segment boundary
+@example(_SPANS[0], 2)                     # half a chunk of the wheel of 2
+@example(_SPANS[1] - 1, 2)                 # a chunk of the wheel of 2, exactly
+@example(_SPANS[1], 2)                     # one integer past it: a second chunk of one row
+@example(_SPANS[2] + 1, 3)                 # wheel of 6 across a chunk edge
+@example(_SPANS[3], 5)                     # wheel of 30 across a chunk edge
 @example(_SPANS[3] + 29, 7)                # presieved pattern of 7 alone
 @example(_SPANS[3] - 7, 11)                # presieved pattern of 7 and 11
 @example(_SPANS[3] + 1, 13)                # presieved pattern of 7, 11 and 13
 @example(_SPANS[3] - 1, 17)                # the full presieved pattern
-@example(_SPANS[3] + 1000, 23)             # struck primes in a second segment
+@example(_SPANS[3] + 1000, 23)             # struck primes in a second chunk
 def test_direct_vs_legendre_across_wheels(x, y):
     assert phi_direct(x, y, _T) == phi_legendre(x, y, _T)
 
@@ -257,9 +258,8 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
     )
 
 
-_SEGMENT_30 = ROUGH_SEGMENT // 8 * 30    # integers in one segment of the wheel of 30
 _BLOCK_30 = phi.SCAN_BLOCK * 120          # integers in one scan block of the wheel of 30
-_CHUNK_30 = phi.SCAN_CHUNK * _BLOCK_30    # integers in one scan chunk of the wheel of 30
+_CHUNK_30 = CHUNK_ROWS * 120              # integers in one chunk of the wheel of 30
 
 
 def _intervals(y_lo, y_hi_max):
@@ -272,15 +272,16 @@ def _intervals(y_lo, y_hi_max):
 @given(_intervals(st.one_of(st.sampled_from([1, 2, 3, 4, 5]),
                             st.integers(min_value=1, max_value=120)), 180),
        st.one_of(st.integers(min_value=1, max_value=20_000),
-                 st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 100),
+                 st.integers(min_value=_CHUNK_30 - 100, max_value=_CHUNK_30 + 100),
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
 @example((1, 2), 1000, 0.5)                  # no struck prime: wheel of 1
-@example((2, 3), (1 << 21) + 7, 0.3)         # wheel of 2, three segments, > KEPT_VIOLATIONS
-@example((3, 5), (1 << 20) + 29, 0.5)        # wheel of 6 across a segment boundary
+@example((2, 3), (1 << 21) + 7, 0.3)         # wheel of 2, past one chunk, > KEPT_VIOLATIONS
+@example((3, 5), (1 << 20) + 29, 0.5)        # wheel of 6 within one chunk
+@example((3, 5), 3 << 20, 0.5)               # wheel of 6, one integer past a chunk
 @example((5, 7), 2_000_003, 0.55)            # wheel of 30, x_cap not a multiple of 30
-@example((97, 101), 1_500_001, None)         # y_lo^2 and y_hi^2 in the first segment
-@example((5, 7), 8_000_003, 0.55)            # three segments, violations above y_hi^2
+@example((97, 101), 1_500_001, None)         # y_lo^2 and y_hi^2 in the first chunk
+@example((5, 7), 8_000_003, 0.55)            # three chunks, violations above y_hi^2
 @example((7, 11), 1_000_000, 0.56)           # presieved pattern of 7 alone
 @example((11, 13), 300_007, 0.55)            # presieved pattern of 7 and 11
 @example((13, 17), 5_000_000, None)          # presieved pattern of 7, 11 and 13
@@ -300,12 +301,12 @@ def test_scan_matches_reference(interval, x_cap, target):
 @settings(max_examples=40, deadline=None)
 @given(_intervals(st.integers(min_value=1, max_value=180), 200),
        st.one_of(st.integers(min_value=1, max_value=20_000),
-                 st.integers(min_value=_SEGMENT_30 - 100, max_value=_SEGMENT_30 + 200),
+                 st.integers(min_value=_CHUNK_30 - 100, max_value=_CHUNK_30 + 200),
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
 @example((17, 19), 2100 * _BLOCK_30, 0.55)    # to the presieve's end
 @example((53, 59), 2_999_999, 0.6)
-@example((179, 181), _SEGMENT_30, None)
+@example((179, 181), _CHUNK_30, None)
 @example((2, 3), 20_000, 0.5)                 # wheel of 2
 @example((7, 11), 2100 * _BLOCK_30 - 100, None)   # the last row closes a block, cells past x_cap
 @example((23, 29), _CHUNK_30 - 1, 0.55)           # one whole chunk
@@ -327,14 +328,14 @@ def test_scan_counts_the_largest_default_small_u_range():
     assert scan_rough_interval(_T, 499, 503, x).rough_count == phi_direct(x, 499, _T, cap=x)
 
 
-# the primes <= 17, sieved past the first segment boundary
-_PRIMES_TO_17 = Presieve(_T.primes_between(0, 17), _SEGMENT_30 + 200)
+# the primes <= 17, sieved past the first chunk edge
+_PRIMES_TO_17 = Presieve(_T.primes_between(0, 17), _CHUNK_30 + 200)
 
 
 @pytest.mark.parametrize("y_lo, x_cap, presieve, match", [
     (13, 1000, _PRIMES_TO_17, "not the first"),                # more primes than the scan's
     (19, 1000, Presieve(np.array([2, 3, 5, 7, 11, 13, 19]), 1000), "not the first"),  # 17 missing
-    (17, _SEGMENT_30 + 201, _PRIMES_TO_17, "stops at"),        # range ends below x_cap
+    (17, _CHUNK_30 + 201, _PRIMES_TO_17, "stops at"),          # range ends below x_cap
     (19, 1000, _PRIMES_TO_17, "not the first 8, the primes <= y_lo = 19"),  # fewer primes
 ])
 def test_scan_refuses_a_presieve_that_does_not_fit(y_lo, x_cap, presieve, match):

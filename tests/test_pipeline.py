@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 import roughbound
 from roughbound.analytic import BETA0, BETA1_SMALL, RECIP_SUM_COEFF, THETA_DEFECT_SMALL
-from roughbound.errors import DomainError, OutOfRangeError
+from roughbound.errors import DomainError, OutOfRangeError, ResourceError
 from roughbound.phi import scan_rough_interval
 from roughbound.pipeline import (
     AFTER_CAP,
@@ -313,6 +313,24 @@ def test_empty_or_repeated_region_selection_rejected(regions):
     # an empty selection would certify nothing and still read "verified"
     with pytest.raises(DomainError, match="region"):
         run_full_pipeline(PipelineConfig(regions=regions))
+
+
+@pytest.mark.parametrize("cap, refused", [(1289, False), (1290, True), (5_000_000, True)])
+def test_small_u_cap_past_the_sieve_refused_before_the_table(monkeypatch, cap, refused):
+    # small-u scans x < q^3, q > cap: from cap 1290 on that passes the sieve's
+    # cap, and the run stops before it sieves a table to 2 cap + 100
+    import roughbound.pipeline as pl
+
+    class Built(Exception):
+        pass
+
+    def build(limit):
+        raise Built(limit)
+
+    monkeypatch.setattr(pl, "build_prime_table", build)
+    expected = (ResourceError, "small_u_cap") if refused else (Built, None)
+    with pytest.raises(expected[0], match=expected[1]):
+        run_full_pipeline(PipelineConfig(small_u_cap=cap, regions=(SMALL_U,)))
 
 
 def test_one_selberg_certificate_selects_its_region():

@@ -13,12 +13,13 @@ from roughbound import primes as primes_module
 from roughbound.analytic import EULER_GAMMA, MEISSEL_MERTENS_B, r_ratio
 from roughbound.errors import DomainError, OutOfRangeError, ResourceError
 from roughbound.primes import (
+    CHUNK_ROWS,
     DEFAULT_LIMIT_CAP,
-    ROUGH_SEGMENT,
+    SCAN_BLOCK,
     Presieve,
     build_prime_table,
     mertens_product,
-    rough_segments,
+    rough_chunks,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -148,17 +149,19 @@ def test_building_a_table_calls_the_public_builder_once(monkeypatch):
     assert table.pi(10**6) == 78_498
 
 
-def test_segmented_equals_unsegmented():
-    # three wheel segments against one unsegmented bytearray sieve
-    limit = 3 * (ROUGH_SEGMENT // 8 * 30) - 7
+_SPAN_30 = CHUNK_ROWS * 120     # integers in one chunk of the wheel of 30
+
+
+def test_chunked_equals_unchunked():
+    # three chunks of the wheel of 30 against one unchunked bytearray sieve
+    limit = 3 * _SPAN_30 - 7
     assert np.array_equal(build_prime_table(limit).primes, bytearray_primes(limit))
 
 
-def test_build_matches_bytearray_sieve_at_segment_boundary():
-    span = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
-    oracle = bytearray_primes(span + 31)
+def test_build_matches_bytearray_sieve_at_chunk_edge():
+    oracle = bytearray_primes(_SPAN_30 + 31)
     for k in (-31, -30, -2, -1, 0, 1, 2, 30, 31):
-        limit = span + k
+        limit = _SPAN_30 + k
         assert np.array_equal(build_prime_table(limit).primes, oracle[oracle <= limit]), k
 
 
@@ -175,18 +178,27 @@ def presieve_cells(presieve):
     return ns[keep], np.unpackbits(presieve.turns).view(bool)[keep]
 
 
-def segment_survivors(presieve, x_cap):
-    """The integers set in the segments of `rough_segments(presieve, x_cap)`,
-    checking each segment's base, size and dtype on the way."""
+def chunk_survivors(presieve, x_cap):
+    """The integers set in the chunks of `rough_chunks(presieve, x_cap)`,
+    checking on the way each chunk's first row and dtype, that every chunk
+    but the last is a whole read-only view of the presieve, and that the
+    last is a fresh array of whole scan blocks, zero past x_cap's row."""
     step, residues = presieve.step, presieve.residues
-    span = ROUGH_SEGMENT // 32 * step
+    rows = x_cap // step + 1             # the rows through x_cap's
+    last = (rows - 1) // CHUNK_ROWS
     found = []
-    for k, (base, rows) in enumerate(rough_segments(presieve, x_cap)):
-        assert base == k * span and rows.dtype == np.uint32
-        assert len(rows) == min(ROUGH_SEGMENT // 32, -(-(x_cap + 1 - base) // step))
-        cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)))
-        found.append(base + (cells >> 5) * step + residues[cells & 31])
-    assert k == x_cap // span
+    for k, (first, chunk) in enumerate(rough_chunks(presieve, x_cap)):
+        assert first == k * CHUNK_ROWS and chunk.dtype == np.uint32
+        if k < last:
+            assert len(chunk) == CHUNK_ROWS and not chunk.flags.writeable
+            assert np.shares_memory(chunk, presieve.turns)
+        else:
+            assert len(chunk) == -(-(rows - first) // SCAN_BLOCK) * SCAN_BLOCK
+            assert not np.shares_memory(chunk, presieve.turns)
+            assert not chunk[rows - first:].any()
+        cells = np.flatnonzero(np.unpackbits(chunk.view(np.uint8)))
+        found.append((first + (cells >> 5)) * step + residues[cells & 31])
+    assert k == last
     return np.concatenate(found)
 
 
@@ -199,33 +211,67 @@ def rough_oracle(primes, x_cap):
     return mask
 
 
-_SPAN_30 = ROUGH_SEGMENT // 8 * 30      # integers in one segment of the wheel of 30
-
-
 @pytest.mark.parametrize("count", range(9))
-def test_presieve_and_its_segments_match_a_plain_sieve(table_small, count):
+def test_presieve_and_its_chunks_match_a_plain_sieve(table_small, count):
     # every wheel (1, 2, 6, 30) and every count of presieved primes, and one
     # prime struck above them
     strike = table_small.primes[:count]
     width = Presieve(strike, 1).step // 4
-    span = ROUGH_SEGMENT // 8 * width
+    span = CHUNK_ROWS * 4 * width         # integers in one chunk
     oracle = rough_oracle(strike, 2 * span + 1000)
-    # x caps at and beside the edges of a turn, a row and a segment, and past
-    # the second segment
+    # x caps at and beside the edges of a turn, a row and a chunk, and past
+    # the second chunk
     for x_cap in sorted({1, 2, 3, 29, 30, 31, width - 1, width, width + 1, 4 * width - 1,
                          4 * width, 4 * width + 1, 1_000_003, span - 1, span, span + 1,
                          2 * span + 1000}):
         presieve = Presieve(strike, x_cap)
         ns, survives = presieve_cells(presieve)
         assert np.array_equal(survives, oracle[ns]), (count, x_cap)
-        assert np.array_equal(segment_survivors(presieve, x_cap),
+        assert np.array_equal(chunk_survivors(presieve, x_cap),
                               np.flatnonzero(oracle[:x_cap + 1])), (count, x_cap)
     # a presieve read short of its own end
-    assert np.array_equal(segment_survivors(presieve, span + 7),
+    assert np.array_equal(chunk_survivors(presieve, span + 7),
                           np.flatnonzero(oracle[:span + 8])), count
 
 
-# ranges ending inside a turn, inside a row, at a segment's edges and past them
+def test_chunks_but_the_last_are_read_only_views(table_small):
+    presieve = Presieve(table_small.primes[:5], 2 * _SPAN_30 + 1000)
+    before = presieve.turns.tobytes()
+    chunks = rough_chunks(presieve, 2 * _SPAN_30 + 1000)
+    for _, chunk in (next(chunks), next(chunks)):
+        with pytest.raises(ValueError, match="read-only"):
+            chunk[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            chunk.view(np.uint8)[-1] = 0
+    first, tail = next(chunks)
+    tail[:] = 0                          # the last chunk is the caller's own
+    assert first == 2 * CHUNK_ROWS and next(chunks, None) is None
+    assert presieve.turns.tobytes() == before
+
+
+@pytest.mark.parametrize("x_cap", [1, 119, 120, 1919, 1920, _SPAN_30 - 1, _SPAN_30,
+                                   _SPAN_30 + 1, _SPAN_30 + 1919, _SPAN_30 + 1920])
+def test_chunks_read_short_of_the_presieve(table_small, x_cap):
+    # the presieve's bits run on past x_cap: the last chunk clears them and
+    # is zero from x_cap's row to the end of its scan block (see chunk_survivors)
+    strike = table_small.primes[:3]
+    presieve = Presieve(strike, 2 * _SPAN_30)
+    assert np.array_equal(chunk_survivors(presieve, x_cap),
+                          np.flatnonzero(rough_oracle(strike, x_cap)))
+
+
+def test_short_presieve_refused_before_the_first_chunk(table_small):
+    # a consumer summing chunk by chunk sees none of a presieve that stops short
+    presieve = Presieve(table_small.primes[:3], 2 * _SPAN_30)
+    chunks = rough_chunks(presieve, 2 * _SPAN_30 + 1)
+    seen = []
+    with pytest.raises(DomainError, match=f"stops at {2 * _SPAN_30}, below x_cap"):
+        for _, rows in chunks:
+            seen.append(int(np.bitwise_count(rows).sum()))
+    assert seen == []
+
+
+# ranges ending inside a turn, inside a row, at a chunk's edges and past them
 @pytest.mark.parametrize("x_cap", [45, 100, _SPAN_30 - 1, _SPAN_30, _SPAN_30 + 1,
                                    2 * _SPAN_30 + 1000])
 def test_advancing_a_presieve_equals_building_it(table_small, x_cap):
