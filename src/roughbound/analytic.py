@@ -7,8 +7,8 @@ as axioms (they rest on large published computations); every function but
 
 Each of those takes a float or a numpy array: a float gives a float, an
 array an array of the same shape, with every element computed exactly as a
-float argument would be.  An element outside the domain raises for the whole
-call.  `bracketed_newton` takes floats only.
+float argument would be.  An element outside the domain (nan and inf too, li
+aside) raises for the whole call.  `bracketed_newton` takes floats only.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def mertens_err_window(t):
     constant chosen from the lower endpoint's range.
     """
     t = _arg(t)
-    _refuse(t < 1100, t, DomainError, "error window asserted only for t >= 1100")
+    _refuse(~((t >= 1100) & (t < np.inf)), t, DomainError, "error window needs finite t >= 1100")
     w = RECIP_SUM_COEFF / np.power(np.log(t), 3)
     lo = _where(t < 1e6, 0.0, -w)
     hi = _where(t < 1e4, BETA1_SMALL, _where(t < 1e6, 0.00161, w))
@@ -180,14 +180,14 @@ def _e1(z):
 def r_ratio(t):
     """(1 + beta0) li(t) log(t) / t; tends to 1 + beta0 as t grows."""
     t = _arg(t)
-    _refuse(t <= 1, t, DomainError, "r_ratio needs t > 1")
+    _refuse(~((t > 1) & (t < np.inf)), t, DomainError, "r_ratio needs finite t > 1")
     return _out((1.0 + BETA0) * li(t) * np.log(t) / t)
 
 
 def pi_lower_599(t):
     """t/log t + t/(log t)^2, a lower bound for pi(t) valid for t >= 599."""
     t = _arg(t)
-    _refuse(t < 599, t, DomainError, "pi_lower_599 is only asserted for t >= 599")
+    _refuse(~((t >= 599) & (t < np.inf)), t, DomainError, "pi_lower_599 needs finite t >= 599")
     lt = np.log(t)
     return _out(t / lt + t / (lt * lt))
 

@@ -22,7 +22,6 @@ from .pipeline import (
     PAPER_SCALE_SMALL_U_CAP,
     PipelineConfig,
     REGION_ORDER,
-    REGIONS,
     SMALL_U_CAP,
     SMALL_Y,
     run_full_pipeline,
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="run region verifiers and emit a certificate report")
-    sp.add_argument("--region", choices=[r.key for r in REGIONS] + ["all"], default="all")
+    sp.add_argument("--region", choices=[*REGION_ORDER, "all"], default="all")
     sp.add_argument("--target", type=_finite, default=DEFAULT_TARGET)
     sp.add_argument("--format", choices=["json", "text", "csv"], default="text")
     sp.add_argument("--paper-scale", action="store_const", dest="small_u_cap",
@@ -243,8 +242,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    regions = REGION_ORDER if args.region == "all" else next(
-        tuple(claim.name for claim in r.claims) for r in REGIONS if r.key == args.region)
+    regions = REGION_ORDER if args.region == "all" else (args.region,)
     report = run_full_pipeline(PipelineConfig(target=args.target, small_u_cap=args.small_u_cap,
                                               parallelism=args.parallelism, regions=regions))
     with _output(args.out) as out:

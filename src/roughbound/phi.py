@@ -221,12 +221,17 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     to the row level over all its rows: its block level would cost more than
     it saves (about 70 us a scan; see the README).
     """
+    if not 1 <= x_cap < math.inf:  # nan fails it too
+        raise DomainError(f"x_cap must be finite and >= 1, got {x_cap}")
     x_cap = int(x_cap)
-    if x_cap < 1:
-        raise DomainError(f"x_cap must be >= 1, got {x_cap}")
+    if target is not None and not math.isfinite(target):
+        raise DomainError(f"target must be finite, got {target}")
     if y_hi < 2:  # log(y_hi) > 0 keeps the order of j/n that of j log(y_hi)/n
         raise DomainError(f"y_hi must be >= 2, got {y_hi}")
-    strike = table.primes_between(0, y_lo)
+    strike = table.primes_between(0, y_lo)     # refuses a nan y_lo and one past the table
+    if not all(isinstance(y, (int, np.integer)) or isinstance(y, float) and y.is_integer()
+               for y in (y_lo, y_hi)):
+        raise DomainError(f"y_lo and y_hi must be integers, got y_lo={y_lo}, y_hi={y_hi}")
     if not y_hi > y_lo:
         raise DomainError(f"need y_hi > y_lo, got y_lo={y_lo}, y_hi={y_hi}")
     log_q = math.log(y_hi)
@@ -353,7 +358,7 @@ def max_statistic(y_lo: int, y_hi: int, x_bound: int, table: PrimeTable) -> MaxS
     """Tabulated max statistic for the interval [y_lo, y_hi): the supremum of
     j log(y_hi) / n over rough n with y_hi^2 <= n < x_bound, which needs
     x_bound > y_hi^2."""
-    if x_bound <= y_hi * y_hi:
+    if not x_bound > y_hi * y_hi:  # nan fails it too
         raise DomainError(f"x_bound {x_bound} must exceed y_hi^2 = {y_hi * y_hi}")
     if x_bound - 1 > DEFAULT_EXHAUSTIVE_CAP:
         raise ResourceError(f"scan to {x_bound - 1} exceeds the exhaustive cap "

@@ -1,16 +1,16 @@
 """Region-by-region verification that Phi(x, y) < target * x / log y.
 
 The (x, y) plane with 3 <= y <= sqrt(x) is cut into regions, each verified
-by its own method.  `REGIONS` declares them, one record per verifier: the
-(y, u) boxes its certificates cover, u = log x / log y, and the constants
-each assumes and establishes.  A RegionCertificate records the method, the
-worst margin (normalized by x / log y), any witnesses of failure, and its
-record's boxes and constants.  The default target is .6.
+by its own method.  `REGIONS` declares them, one record per certificate:
+the (y, u) boxes it covers, u = log x / log y, the verifier that gives it,
+and the constants it assumes and establishes.  A RegionCertificate records
+the method, the worst margin (normalized by x / log y), any witnesses of
+failure, and its record's boxes and constants.  The default target is .6.
 
 All region work is pure and deterministic.  A run opens one task pool
-(`_task_pool`): each interval scan, the Selberg sweep, the small-u grid and
-the iteration is a task on it, and the calling process only submits tasks
-and assembles certificates.  The pool's workers receive the prime table once.
+(`_task_pool`): each interval scan, each analytic verifier and the small-u
+grid is a task on it, and the calling process only submits tasks and
+assembles certificates.  The pool's workers receive the prime table once.
 Below two workers the pool is inline: it is the calling process's own task
 state (`_PoolState`), which runs each task as it is submitted, and a verifier
 called without a pool runs in-process on one of its own.  A mid-y or small-u
@@ -400,8 +400,9 @@ def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
 # Selberg regions (u >= 7.5)
 # ---------------------------------------------------------------------------
 
-def verify_selberg(table: PrimeTable, *, target: float = DEFAULT_TARGET):
-    """Both sieve branches; returns (finite certificate, closed certificate)."""
+def verify_selberg(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> RegionCertificate:
+    """The explicit sieve at x = p^7.5 for every consecutive-prime pair p < q
+    with 241 <= p <= 5e5, with the sieve level's epsilon optimized per pair."""
     sweep = selberg_sweep(table, lo=SELBERG_MIN_Y, hi=CLOSED_FORM_MIN_Y, target=target)
     bad = sweep[~((sweep.margin > 0) & (sweep.f_value < 1))]
     failures = [
@@ -409,7 +410,7 @@ def verify_selberg(table: PrimeTable, *, target: float = DEFAULT_TARGET):
         for y, q, _, _, coefficient, _ in bad.tolist()
     ]
     worst = sweep[int(np.argmin(sweep.margin))]
-    finite = _certificate(
+    return _certificate(
         SELBERG_FINITE,
         "explicit sieve at x = p^7.5 per consecutive-prime pair, grid-optimized epsilon",
         float(worst.margin), failures,
@@ -418,29 +419,33 @@ def verify_selberg(table: PrimeTable, *, target: float = DEFAULT_TARGET):
          "worst_f": float(worst.f_value), "sieve_level_rule": "D = .03 x / (log y)^3",
          "remainder_coefficient": SELBERG_REMAINDER_COEFF})
 
+
+def verify_selberg_closed(table: PrimeTable, *,
+                          target: float = DEFAULT_TARGET) -> RegionCertificate:
+    """The closed-form sieve bound at x = y^7.5, epsilon = 1/log y, on 41 points
+    y in [5e5, 1e12].  It takes a table, as every verifier does, and reads none."""
     ys = np.geomspace(CLOSED_FORM_MIN_Y, CLOSED_GRID_TOP, 41)
     factors = [closed_form_factor(float(y)) for y in ys]
     coefs = [final_large_y_bound(float(y)) for y in ys]
     decreasing = all(a > b for a, b in zip(factors, factors[1:]))
-    closed_failures = []
+    failures = []
     if factors[0] >= CLOSED_FACTOR_LIMIT:
-        closed_failures.append({"issue": "factor limit", "factor": factors[0]})
+        failures.append({"issue": "factor limit", "factor": factors[0]})
     if coefs[0] >= CLOSED_COEF_LIMIT:
-        closed_failures.append({"issue": "coefficient limit", "coefficient": coefs[0]})
+        failures.append({"issue": "coefficient limit", "coefficient": coefs[0]})
     if not decreasing:
-        closed_failures.append({"issue": "factor not decreasing across grid"})
+        failures.append({"issue": "factor not decreasing across grid"})
     if max(coefs) >= target:
-        closed_failures.append({"issue": "target violated", "coefficient": max(coefs)})
-    closed = _certificate(
+        failures.append({"issue": "target violated", "coefficient": max(coefs)})
+    return _certificate(
         SELBERG_CLOSED, "closed-form sieve bound at x = y^7.5, epsilon = 1/log y",
-        target - max(coefs), closed_failures,
+        target - max(coefs), failures,
         {"target": target, "grid": [float(ys[0]), float(ys[-1]), len(ys)],
          "factor_at_500k": factors[0], "coefficient_at_500k": coefs[0],
          "factor_decreasing": decreasing,
          "equality_note": "x = y^7.5 checked; larger x follows from the same proof"},
         rows=[{"y": float(y), "factor": f, "coefficient": c}
               for y, f, c in zip(ys, factors, coefs)])
-    return finite, closed
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +502,7 @@ def small_u_coefficient(y, u):
     the small-u grid it is within 1.3e-14 of adaptive quadrature at 1e-12.
     """
     y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
-    bad = (u < 2) | (u > 3)
+    bad = ~((u >= 2) & (u <= 3))   # nan fails it too; the error window refuses a bad y
     if np.any(bad):
         raise DomainError(f"coefficient asserted for 2 <= u <= 3, got u={u[bad].flat[0]}")
     shape = y.shape
@@ -705,29 +710,20 @@ AFTER_CAP = "first prime above small_u_cap"
 
 
 @dataclass(frozen=True)
-class Claim:
-    """What one certificate states: its region name in the report, its (y, u)
-    boxes, and the constants (module globals, by name) that it assumes and
-    that it establishes.  A box is a (y, u) pair of sides (lo, hi, ends): hi
-    None is no upper end, AFTER_CAP the first prime above the run's small-u
-    cap, and `ends` is "[)", "[]", "(]" or "()"."""
+class Region:
+    """One certificate: its name in the report and in `verify --region`, its
+    (y, u) boxes, the module global that verifies it (looked up when it runs,
+    as the tasks above look theirs up) and the constants (module globals, by
+    name) it assumes and establishes.  A box side is (lo, hi, ends): hi None is
+    no upper end, AFTER_CAP the first prime above the run's small-u cap, and
+    `ends` "[)", "[]", "(]" or "()".  Without `tasks` the verifier is one task
+    on the run's pool; with it, it runs in the calling process and submits
+    `tasks(table, small_u_cap)` tasks, given that cap if `takes_cap`."""
     name: str
     boxes: tuple
+    verifier: str
     assumes: tuple[str, ...] = ()
     establishes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Region:
-    """One verifier: the key `roughbound verify --region` takes, the claims of
-    its certificates in report order, and the module global that runs it,
-    looked up when it runs, as the tasks above look theirs up.  Without
-    `tasks` the verifier is one task on the run's pool; with it, it runs in
-    the calling process and submits `tasks(table, small_u_cap)` tasks,
-    counted from the list it reads itself, given that cap if `takes_cap`."""
-    key: str
-    claims: tuple[Claim, ...]
-    verifier: str
     tasks: Callable[[PrimeTable, int], int] | None = None
     takes_cap: bool = False
 
@@ -738,34 +734,33 @@ _U_SMALL = (2, 3, "[)")
 # The regions in report order.  At the default cap the band 503 <= y < 1100,
 # 2 <= u < 3 falls between small-u's exhaustive and analytic boxes.
 REGIONS = (
-    Region(SMALL_Y, (Claim(SMALL_Y, (((3, 71, "[)"), _U_ABOVE_2),)),), "verify_small_y",
+    Region(SMALL_Y, (((3, 71, "[)"), _U_ABOVE_2),), "verify_small_y",
            tasks=lambda table, cap: len(REFERENCE_SMALL_Y_ROWS)),
-    Region(MID_Y, (Claim(MID_Y, (((71, SELBERG_MIN_Y, "[)"), _U_ABOVE_2),)),), "verify_mid_y",
+    Region(MID_Y, (((71, SELBERG_MIN_Y, "[)"), _U_ABOVE_2),), "verify_mid_y",
            tasks=lambda table, cap: len(_mid_y_intervals(table))),
-    Region("selberg", (
-        Claim(SELBERG_FINITE, (((SELBERG_MIN_Y, CLOSED_FORM_MIN_Y, "[]"), (7.5, None, "[)")),)),
-        Claim(SELBERG_CLOSED, (((CLOSED_FORM_MIN_Y, None, "[)"), (7.5, None, "[)")),),
-              establishes=("CLOSED_FACTOR_LIMIT", "CLOSED_COEF_LIMIT"))), "verify_selberg"),
-    Region(SMALL_U, (Claim(SMALL_U, (((SELBERG_MIN_Y, AFTER_CAP, "[)"), _U_SMALL),
-                                     ((SMALL_U_GRID_YS[0], None, "[)"), _U_SMALL)),
-                           establishes=("C3_SMALL_U", "SMALL_U_EXHAUSTIVE_MAX")),),
-           "verify_small_u", tasks=lambda table, cap: len(_small_u_intervals(table, cap)) + 1,
-           takes_cap=True),
-    Region(ITERATION, (Claim(ITERATION, (((SELBERG_MIN_Y, None, "[)"), (3, 8, "[)")),),
-                             assumes=("C3_SMALL_U",)),), "verify_iteration"),
+    Region(SELBERG_FINITE, (((SELBERG_MIN_Y, CLOSED_FORM_MIN_Y, "[]"), (7.5, None, "[)")),),
+           "verify_selberg"),
+    Region(SELBERG_CLOSED, (((CLOSED_FORM_MIN_Y, None, "[)"), (7.5, None, "[)")),),
+           "verify_selberg_closed", establishes=("CLOSED_FACTOR_LIMIT", "CLOSED_COEF_LIMIT")),
+    Region(SMALL_U, (((SELBERG_MIN_Y, AFTER_CAP, "[)"), _U_SMALL),
+                     ((SMALL_U_GRID_YS[0], None, "[)"), _U_SMALL)), "verify_small_u",
+           establishes=("C3_SMALL_U", "SMALL_U_EXHAUSTIVE_MAX"),
+           tasks=lambda table, cap: len(_small_u_intervals(table, cap)) + 1, takes_cap=True),
+    Region(ITERATION, (((SELBERG_MIN_Y, None, "[)"), (3, 8, "[)")),), "verify_iteration",
+           assumes=("C3_SMALL_U",)),
 )
-REGION_ORDER = tuple(claim.name for region in REGIONS for claim in region.claims)
+REGION_ORDER = tuple(region.name for region in REGIONS)
 
 
 def _certificate(name: str, method: str, margin: float, failures: list, params: dict,
                  rows=None, after_cap: int | None = None) -> RegionCertificate:
     """The certificate `name`, verified if it has no failures, with `params`
-    followed by what its record claims (AFTER_CAP read as `after_cap`)."""
-    claim = next(claim for region in REGIONS for claim in region.claims if claim.name == name)
+    followed by what its record states (AFTER_CAP read as `after_cap`)."""
+    region = next(region for region in REGIONS if region.name == name)
     params = {**params, "boxes": [{"y": [after_cap if end is AFTER_CAP else end for end in y],
-                                   "u": list(u)} for y, u in claim.boxes],
-              "assumes": {c: globals()[c] for c in claim.assumes},
-              "establishes": {c: globals()[c] for c in claim.establishes}}
+                                   "u": list(u)} for y, u in region.boxes],
+              "assumes": {c: globals()[c] for c in region.assumes},
+              "establishes": {c: globals()[c] for c in region.establishes}}
     return RegionCertificate(name, method, margin, not failures, params, failures, rows or [])
 
 
@@ -778,10 +773,10 @@ class PipelineConfig:
 
 
 def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
-    """Run the regions of the selected certificates and aggregate them.
+    """Run the selected regions and aggregate their certificates.
 
-    A region runs if any of its certificates is selected, and the report
-    holds all of them, in REGION_ORDER; its config names them.  The verdict
+    Each region gives one certificate, and the report holds those of the
+    selected regions in REGION_ORDER; its config names them.  The verdict
     is the conjunction of theirs, and does not depend on the parallelism.
     Every region works on the run's one task pool: each scanning verifier in
     turn submits its scans and assembles its certificate as their results
@@ -799,7 +794,7 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
     if (config.small_u_cap + 1) ** 3 - 1 > DEFAULT_LIMIT_CAP:
         raise ResourceError(f"small_u_cap {config.small_u_cap} scans past the sieve's cap "
                             f"{DEFAULT_LIMIT_CAP}, to at least {(config.small_u_cap + 1) ** 3 - 1}")
-    regions = [region for region in REGIONS if any(c.name in selected for c in region.claims)]
+    regions = [region for region in REGIONS if region.name in selected]
     # one table whichever regions run: past the Selberg sweep's 5e5 (and so past
     # the iteration's 1499^(4/3)) and past the first prime above small-u's cap
     table = build_prime_table(max(CLOSED_FORM_MIN_Y + 1000, 2 * config.small_u_cap + 100))
@@ -810,15 +805,14 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
         queued, done = {}, {}
         for i, region in enumerate(regions):
             if region.tasks:
-                done[region.key] = globals()[region.verifier](
+                done[region.name] = globals()[region.verifier](
                     table, target=config.target, pool=pool, **(cap if region.takes_cap else {}))
             if i == 0:   # behind the first region's scans: small-y's, which are short
-                queued = {r.key: pool.submit(_table_task, r.verifier, config.target)
+                queued = {r.name: pool.submit(_table_task, r.verifier, config.target)
                           for r in regions if not r.tasks}
-        done.update((key, future.result()) for key, future in queued.items())
+        done.update((name, future.result()) for name, future in queued.items())
 
-    certs = [cert for region in regions
-             for cert in (done[region.key] if len(region.claims) > 1 else (done[region.key],))]
+    certs = [done[region.name] for region in regions]
     table1 = next((list(c.rows) for c in certs if c.region == SMALL_Y), [])
     config_dict = {**asdict(config), "regions": [c.region for c in certs]}   # JSON-stable form
     return BoundReport(certs, table1, all(c.verified for c in certs), config_dict)

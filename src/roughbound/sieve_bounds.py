@@ -68,6 +68,8 @@ def _least_crossover(y: float, density: float, const: float, target: float,
                      table: PrimeTable) -> int:
     """Least integer X0 with density*x + const < target*x/log(q) for every
     x >= X0, where q is the first prime above y (the worst log in [y, q))."""
+    if not math.isfinite(target):
+        raise DomainError(f"target must be finite, got {target}")
     q = table.next_prime(y)
     slope = target / math.log(q) - density
     if slope <= 0:
@@ -262,7 +264,7 @@ def s_y_closed_form(y: float) -> float:
     sum_{5<p<=y} p^(2 eps - 1) at eps = 1/log y, where li(y^(2 eps)) = li(e^2)
     exactly.
     """
-    if not y >= CLOSED_FORM_MIN_Y:  # nan fails it too
+    if not CLOSED_FORM_MIN_Y <= y < math.inf:  # nan and inf fail it too
         raise DomainError(
             f"closed form asserted for y >= {CLOSED_FORM_MIN_Y}, got {y}; "
             "use the finite-product branch below that"

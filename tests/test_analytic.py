@@ -250,3 +250,42 @@ def test_scalar_forms_return_floats():
 def test_array_forms_refuse_any_bad_element(call, error):
     with pytest.raises(error):
         call()
+
+
+def _non_finite_calls():
+    """Calls with a nan or an infinite argument, each outside its domain."""
+    from roughbound.phi import max_statistic, scan_rough_interval
+    from roughbound.pipeline import small_u_coefficient
+    from roughbound.sieve_bounds import (bonferroni_x_bound, closed_form_factor,
+                                         elementary_x_bound, final_large_y_bound,
+                                         s_y_closed_form)
+    nan, inf = math.nan, math.inf
+    return {
+        "r_ratio(nan)": lambda t: r_ratio(nan),
+        "r_ratio(inf)": lambda t: r_ratio(inf),
+        "pi_lower_599(nan)": lambda t: pi_lower_599(nan),
+        "pi_lower_599(inf)": lambda t: pi_lower_599(inf),
+        "mertens_err_window(nan)": lambda t: mertens_err_window(nan),
+        "mertens_err_window(inf)": lambda t: mertens_err_window(inf),
+        "mertens_err_window([2000, nan])": lambda t: mertens_err_window(np.array([2000.0, nan])),
+        "small_u_coefficient(nan, 2.5)": lambda t: small_u_coefficient(nan, 2.5),
+        "small_u_coefficient(1100, nan)": lambda t: small_u_coefficient(1100.0, nan),
+        "small_u_coefficient(inf, 2.5)": lambda t: small_u_coefficient(inf, 2.5),
+        "s_y_closed_form(inf)": lambda t: s_y_closed_form(inf),
+        "closed_form_factor(inf)": lambda t: closed_form_factor(inf),
+        "final_large_y_bound(inf)": lambda t: final_large_y_bound(inf),
+        "elementary_x_bound(3, nan)": lambda t: elementary_x_bound(3, nan, t),
+        "elementary_x_bound(3, inf)": lambda t: elementary_x_bound(3, inf, t),
+        "bonferroni_x_bound(100, nan)": lambda t: bonferroni_x_bound(100, nan, t),
+        "max_statistic(5, 7, nan)": lambda t: max_statistic(5, 7, nan, t),
+        "scan_rough_interval(target=nan)": lambda t: scan_rough_interval(t, 5, 7, 100, target=nan),
+        "scan_rough_interval(x_cap=nan)": lambda t: scan_rough_interval(t, 5, 7, nan),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_finite_calls()))
+def test_non_finite_arguments_raise_domain_error(table_small, name):
+    # a nan fails every comparison, so each domain test is written as
+    # "not (holds)"; the message names the value refused
+    with pytest.raises(DomainError, match=r"\b(nan|inf)\b"):
+        _non_finite_calls()[name](table_small)

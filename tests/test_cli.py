@@ -363,12 +363,12 @@ def test_verify_scan_region_alone(capsys, region):
 
 def test_verify_region_choices_are_the_records():
     from roughbound.pipeline import REGION_ORDER, REGIONS
-    keys = [r.key for r in REGIONS]
-    assert len(set(keys)) == len(keys)
-    assert REGION_ORDER == tuple(claim.name for r in REGIONS for claim in r.claims)
+    names = [r.name for r in REGIONS]
+    assert len(set(names)) == len(names)
+    assert REGION_ORDER == tuple(names)
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     region = next(a for a in commands.choices["verify"]._actions if a.dest == "region")
-    assert region.choices == keys + ["all"]
+    assert region.choices == [*REGION_ORDER, "all"]
 
 
 def test_verify_paper_scale_sets_small_u_cap():

@@ -377,6 +377,24 @@ def test_primes_past_the_table_rejected(count):
         count()
 
 
+@pytest.mark.parametrize("count", [
+    lambda: scan_rough_interval(_T, 5, 7.5, 100),
+    lambda: scan_rough_interval(_T, 4.5, 7, 100),
+    lambda: scan_rough_interval(_T, 5, math.inf, 100),
+    lambda: max_statistic(5, 7.5, 100, _T),
+])
+def test_scan_refuses_non_integral_endpoints(count):
+    # [5, 7.5) was scanned as [5, 7) with its statistic taken at log 7.5
+    with pytest.raises(DomainError, match="must be integers"):
+        count()
+
+
+def test_scan_takes_integral_floats_and_numpy_ints():
+    want = scan_rough_interval(_T, 5, 7, 100)
+    assert scan_rough_interval(_T, 5.0, 7.0, 100) == want
+    assert scan_rough_interval(_T, np.int64(5), np.int32(7), 100) == want
+
+
 def test_scan_witness_reproduces_max():
     scan = scan_rough_interval(_T, 7, 11, 369)
     n, j = scan.table_witness

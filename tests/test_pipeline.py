@@ -333,28 +333,52 @@ def test_small_u_cap_past_the_sieve_refused_before_the_table(monkeypatch, cap, r
         run_full_pipeline(PipelineConfig(small_u_cap=cap, regions=(SMALL_U,)))
 
 
-def test_one_selberg_certificate_selects_its_region():
-    # both certificates come from one verify_selberg run, and the report says so
-    report = run_full_pipeline(PipelineConfig(regions=(SELBERG_CLOSED,)))
-    assert [c.region for c in report.certificates] == [SELBERG_FINITE, SELBERG_CLOSED]
-    assert report.config["regions"] == [SELBERG_FINITE, SELBERG_CLOSED]
+def _record_calls(monkeypatch):
+    """Wrap every region's verifier on the module, as the benchmark's tracer
+    does, and return the list of the names the run calls."""
+    import roughbound.pipeline as pl
+
+    calls = []
+    for region in REGIONS:
+        verify = getattr(pl, region.verifier)
+
+        def wrapper(*args, _verify=verify, _name=region.verifier, **kwargs):
+            calls.append(_name)
+            return _verify(*args, **kwargs)
+
+        monkeypatch.setattr(pl, region.verifier, wrapper)
+    return calls
 
 
-def _stated(claim, after_cap):
-    """The boxes and constants a certificate of `claim` must state."""
+@pytest.mark.parametrize("name, verifier", [(SELBERG_FINITE, "verify_selberg"),
+                                            (SELBERG_CLOSED, "verify_selberg_closed")])
+def test_one_selberg_certificate_runs_only_its_verifier(monkeypatch, name, verifier):
+    calls = _record_calls(monkeypatch)
+    report = run_full_pipeline(PipelineConfig(regions=(name,)))
+    assert calls == [verifier]
+    assert [c.region for c in report.certificates] == report.config["regions"] == [name]
+
+
+@pytest.mark.parametrize("name", REGION_ORDER)
+def test_each_region_alone_gives_its_certificate_of_the_full_run(serial_270, name):
+    report = _region_run(name, 1, small_u_cap=270)
+    assert report.certificates == [c for c in serial_270.certificates if c.region == name]
+
+
+def _stated(region, after_cap):
+    """The boxes and constants the certificate of `region` must state."""
     import roughbound.pipeline as pl
     return {"boxes": [{"y": [after_cap if end == AFTER_CAP else end for end in y], "u": list(u)}
-                      for y, u in claim.boxes],
-            "assumes": {name: getattr(pl, name) for name in claim.assumes},
-            "establishes": {name: getattr(pl, name) for name in claim.establishes}}
+                      for y, u in region.boxes],
+            "assumes": {name: getattr(pl, name) for name in region.assumes},
+            "establishes": {name: getattr(pl, name) for name in region.establishes}}
 
 
 def test_certificates_state_their_records_boxes_and_constants(serial_270):
-    claims = [claim for region in REGIONS for claim in region.claims]
-    assert [c.region for c in serial_270.certificates] == [claim.name for claim in claims]
-    for cert, claim in zip(serial_270.certificates, claims):
+    assert [c.region for c in serial_270.certificates] == [region.name for region in REGIONS]
+    for cert, region in zip(serial_270.certificates, REGIONS):
         stated = {key: cert.params[key] for key in ("boxes", "assumes", "establishes")}
-        assert stated == _stated(claim, 271)
+        assert stated == _stated(region, 271)
     # nothing else states them by hand
     for cert in serial_270.certificates:
         assert not {"c3", "exhaustive_cap_y", "analytic_y_range", "exhaustive_milestone",
@@ -373,17 +397,7 @@ def test_small_u_boxes_show_the_gap_below_the_grid(cap, end):
 def test_run_calls_each_verifier_by_its_module_name(monkeypatch):
     # a wrapper installed on the module, as the benchmark's tracer installs
     # one, is what the run calls
-    import roughbound.pipeline as pl
-
-    calls = []
-    for region in REGIONS:
-        verify = getattr(pl, region.verifier)
-
-        def wrapper(*args, _verify=verify, _name=region.verifier, **kwargs):
-            calls.append(_name)
-            return _verify(*args, **kwargs)
-
-        monkeypatch.setattr(pl, region.verifier, wrapper)
+    calls = _record_calls(monkeypatch)
     run_full_pipeline(PipelineConfig(small_u_cap=240))
     assert sorted(calls) == sorted(region.verifier for region in REGIONS)
 
@@ -404,11 +418,10 @@ def test_readme_region_table_states_the_records():
     rows = {cells[0]: cells[1:4] for line in readme.splitlines() if line.startswith("| ")
             for cells in [[cell.strip() for cell in line.split("|")[1:]]]}
     for region in REGIONS:
-        for claim in region.claims:
-            assert rows[claim.name] == [
-                "; ".join(_box_text(box, 503) for box in claim.boxes),   # at the default cap
-                ", ".join(f"`{name}`" for name in claim.assumes),
-                ", ".join(f"`{name}`" for name in claim.establishes)]
+        assert rows[region.name] == [
+            "; ".join(_box_text(box, 503) for box in region.boxes),   # at the default cap
+            ", ".join(f"`{name}`" for name in region.assumes),
+            ", ".join(f"`{name}`" for name in region.establishes)]
 
 
 def test_config_has_only_the_set_knobs():
@@ -481,9 +494,10 @@ def test_pool_clamped_to_usable_cpus(fake_pool, monkeypatch):
 
 
 # the tasks a run at small_u_cap=270 submits: 19 small-y scans, 33 mid-y
-# scans, the Selberg sweep, the small-u grid and 5 scans, and the iteration
+# scans, the Selberg sweep, the closed-form grid, the small-u grid and 5
+# scans, and the iteration
 _TASKS_270 = {SMALL_Y: 19, MID_Y: 33, SELBERG_FINITE: 1, SELBERG_CLOSED: 1, SMALL_U: 6,
-              ITERATION: 1, "all": 60}
+              ITERATION: 1, "all": 61}
 
 
 @pytest.mark.parametrize("region", list(_TASKS_270))
@@ -505,13 +519,14 @@ def serial_270():
 def test_run_opens_one_pool_and_sends_no_table(fake_pool, serial_270):
     report = run_full_pipeline(PipelineConfig(small_u_cap=270, parallelism=2))
     assert fake_pool.sizes == [2]
-    # 2 analytic tasks, the small-u grid and 19 + 33 + 5 scans, submitted in
-    # this order: small-y's short scans first, and the grid before small-u's scans
+    # 3 analytic tasks, the small-u grid and 19 + 33 + 5 scans, submitted in
+    # this order: small-y's short scans first, the analytic tasks in record
+    # order, and the grid before small-u's scans
     kinds = ["scan" if args and isinstance(args[0], tuple)
              else getattr(args[0], "__name__", args[0]) if args else "grid"
              for args in fake_pool.task_args]
-    assert kinds == (["scan"] * 19 + ["verify_selberg", "verify_iteration"] + ["scan"] * 33
-                     + ["grid"] + ["scan"] * 5)
+    assert kinds == (["scan"] * 19 + ["verify_selberg", "verify_selberg_closed", "verify_iteration"]
+                     + ["scan"] * 33 + ["grid"] + ["scan"] * 5)
     sent = [a for args in fake_pool.task_args for arg in args
             for a in (arg if isinstance(arg, tuple) else (arg,))]
     assert not any(isinstance(a, (PrimeTable, Presieve)) for a in sent)
