@@ -37,6 +37,7 @@ from .pipeline import (
     verify_iteration,
     verify_mid_y,
     verify_selberg,
+    verify_selberg_closed,
     verify_small_u,
     verify_small_y,
 )

@@ -89,7 +89,7 @@ def li(x):
     7.6e-15 on [1e20, 1e308], and the absolute error at most 3.3e-16 on
     [1.3, 1.6], around li's zero at 1.4513.  li is increasing on (1, inf)
     only up to that rounding: from 1e15, 24 of 2,000 consecutive integer
-    steps do not increase it (27 with scipy's expi).
+    steps do not increase it (27 when it took Ei from an outside library).
     """
     x = _arg(x)
     _refuse(x < 0, x, DomainError, "li needs x >= 0")

@@ -2,10 +2,10 @@
 
 omega(u) satisfies u*omega(u) = 1 on [1, 2] and (u*omega(u))' = omega(u - 1)
 beyond, so it is built segment by segment: [1, 2] and [2, 3] have closed
-forms, and each later unit segment integrates the previous one.  Nodes are
-pinned at the integers, where omega loses a derivative, so no interpolant or
-quadrature ever straddles a kink.  Above 3 the table is one piecewise cubic
-whose breakpoints include every integer.
+forms, and each later unit segment integrates the previous one, as one power
+series per segment (Marsaglia, Zaman and Marsaglia, Math. Comp. 53, 1989;
+Cheer and Goldston, Math. Comp. 55, 1990).  Segments end at the integers,
+where omega loses a derivative, so no series or quadrature straddles a kink.
 
 mu_y(u) = integral of omega(t) y^-(u - t) over t in [1, u] is a fixed rule.
 The range stops at u - V, where the dropped tail, at most e^(-V log y)/log y
@@ -27,12 +27,13 @@ from .analytic import bracketed_newton
 from .errors import DomainError, NumericError, ResolutionError, ResourceError
 
 DEFAULT_U_MAX = 16.0
-# build_omega takes about 0.8 ms and 80 KB per unit of u_max.  omega is within
-# 3e-11 of e^-gamma at u = 8, and the gap shrinks faster than exponentially.
+# build_omega takes about 15 us and 330 bytes per unit of u_max above 3.  omega is
+# within 3e-11 of e^-gamma at u = 8, and the gap shrinks faster than exponentially.
 OMEGA_U_LIMIT = 100.0
 MU_Y_TOL = 1e-11        # mu_y's error estimate must stay below this share of its value
 _TAIL_SHARE = 0.01      # of MU_Y_TOL: the most of it that mu_y's dropped tail may take
-_GRID_N = 2048
+_DEGREE = 40            # of omega's series on each unit segment; its terms fall by 3 or more
+_EXTREMUM_STEPS = 2048  # locate_extremum checks omega above 3 at this many steps per unit
 _MAX_LH = 8.0           # a Gauss-Legendre sub-piece spans at most this many e-foldings of y^-v
 
 
@@ -47,31 +48,45 @@ _X16, _W16 = _gauss_legendre(16)
 _NODES = np.concatenate([_X32, _X16])
 
 
-def _omega_12(u):
-    return 1.0 / u
-
-
 def _omega_23(u):
     return (1.0 + np.log(u - 1.0)) / u
 
 
+def _horner(coef, t):
+    """The sum of coef[j] t^j by Horner's rule, for a list and a float or for rows shaped as t."""
+    acc = coef[-1]
+    for c in coef[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
+def _divide(num, m):
+    """The coefficients of num(t) / (m + t), to the degree of num."""
+    out, b = [], 0.0
+    for c in num:
+        b = (c - b) / m
+        out.append(b)
+    return out
+
+
 @dataclass
 class BuchstabTable:
-    """Piecewise representation of omega(u) on [1, u_max]: closed forms on
-    [1, 3] and one piecewise cubic (None when u_max <= 3) above."""
+    """omega(u) on [1, u_max]: closed forms on [1, 3], and above, row k - 3 of
+    `_coef` holds the power series of omega on [k, k+1] in t = u - (k + 1/2)."""
 
     u_max: float
-    _poly: PPoly | None = field(default=None, repr=False)
+    _coef: np.ndarray = field(repr=False)
 
     def omega(self, u) -> float:
         u = float(u)
         if not 1.0 <= u <= self.u_max:
             raise DomainError(f"omega is tabulated on [1, {self.u_max}], got {u}")
         if u <= 2.0:
-            return float(_omega_12(u))
+            return 1.0 / u
         if u <= 3.0:
             return float(_omega_23(u))
-        return float(self._poly(u))
+        i = min(int(u) - 3, len(self._coef) - 1)
+        return _horner(self._coef[i].tolist(), u - (i + 3.5))
 
     def omega_many(self, us) -> np.ndarray:
         """omega at every point of `us` (any shape), equal to `omega` point by point."""
@@ -82,57 +97,36 @@ class BuchstabTable:
         out = np.empty_like(us)
         low, high = us <= 2.0, us > 3.0
         mid = ~(low | high)
-        out[low] = _omega_12(us[low])
+        out[low] = 1.0 / us[low]
         out[mid] = _omega_23(us[mid])
         if high.any():
-            out[high] = self._poly(us[high])
+            i = np.minimum(us[high].astype(int) - 3, len(self._coef) - 1)
+            out[high] = _horner(self._coef[i].T, us[high] - (i + 3.5))
         return out
 
 
 def build_omega(u_max: float = DEFAULT_U_MAX) -> BuchstabTable:
-    """Build the omega table by the method of steps.
+    """Build the omega table, one power series per unit segment above 3.
 
-    On [k, k+1] the values come from u*omega(u) = k*omega(k) + integral of
-    omega(t-1) over [k, u], where the previous segment is represented by a
-    cubic spline with exact endpoint derivatives; the spline's antiderivative
-    supplies the integral.  Interpolation error is O(_GRID_N^-4).  The
-    segments above 3 are kept as one PPoly with their coefficients unchanged.
+    On [k, k+1], in t = u - (k + 1/2), u*omega(u) is k*omega(k) plus the
+    integral of omega(s - 1), the previous segment's series in the same t: so
+    each series integrates the one before term by term, takes its constant
+    from omega(k), and is divided by k + 1/2 + t.  omega on [k, k+1] is
+    analytic but at u = k - 1, so the terms fall by 3 or more at |t| <= 1/2.
     u_max above OMEGA_U_LIMIT is refused.
     """
     if not u_max >= 1:
         raise DomainError(f"u_max must be >= 1, got {u_max}")
     if u_max > OMEGA_U_LIMIT:
         raise ResourceError(f"an omega table to u_max={u_max} exceeds the limit {OMEGA_U_LIMIT}")
-    if u_max <= 3.0:
-        return BuchstabTable(u_max=float(u_max))
-    # here only, so that importing the package (and the certificate) needs no scipy
-    from scipy.interpolate import CubicSpline, PPoly
-
-    def deriv(u, om_u, om_um1):
-        # u*omega' + omega = omega(u-1)
-        return (om_um1 - om_u) / u
-
-    # Machine-accurate spline copy of the closed form on [2, 3]; only used
-    # as the integrand source for the first numeric segment.
-    xs = np.linspace(2.0, 3.0, _GRID_N + 1)
-    ys = _omega_23(xs)
-    prev = CubicSpline(xs, ys, bc_type=((1, deriv(2.0, 0.5, 1.0)),          # omega(1) = 1
-                                        (1, deriv(3.0, ys[-1], _omega_12(2.0)))))
-    breaks, coeffs = [np.array([3.0])], []
-    k = 3.0
-    while k < u_max:
-        hi = min(k + 1.0, u_max)
-        xs = np.linspace(k, hi, _GRID_N + 1)
-        antiderivative = prev.antiderivative()
-        ys = (k * float(prev(k)) + (antiderivative(xs - 1.0) - antiderivative(k - 1.0))) / xs
-        d_lo = deriv(k, ys[0], float(prev(k - 1.0)))
-        d_hi = deriv(hi, ys[-1], float(prev(hi - 1.0)))
-        prev = CubicSpline(xs, ys, bc_type=((1, d_lo), (1, d_hi)))
-        breaks.append(xs[1:])
-        coeffs.append(prev.c)
-        k += 1.0
-    return BuchstabTable(u_max=float(u_max),
-                         _poly=PPoly(np.concatenate(coeffs, axis=1), np.concatenate(breaks)))
+    # omega on [2, 3] in t = u - 2.5, where log(1.5 + t) = log 1.5 - sum of (-t/1.5)^j / j
+    rows = [_divide([1.0 + math.log(1.5)] + [-(-1.0 / 1.5) ** j / j for j in range(1, _DEGREE + 1)], 2.5)]
+    for k in range(3, math.ceil(u_max)):
+        # u*omega(u) in t, its constant set so that it is k*omega(k) at t = -1/2
+        integral = [0.0] + [c / (j + 1) for j, c in enumerate(rows[-1][:-1])]
+        integral[0] = k * _horner(rows[-1], 0.5) - _horner(integral, -0.5)
+        rows.append(_divide(integral, k + 0.5))
+    return BuchstabTable(u_max=float(u_max), _coef=np.array(rows[1:]))
 
 
 def _extremum_23():
@@ -153,17 +147,20 @@ def _extremum_23():
 def locate_extremum(table: BuchstabTable):
     """Global maximum of omega on [2, u_max] and its location.
 
-    The maximum lies in the closed-form segment [2, 3]; the piecewise cubic
-    beyond is scanned at its breakpoints to confirm nothing exceeds it.
+    The maximum lies in the closed-form segment [2, 3]; beyond it omega is
+    checked at _EXTREMUM_STEPS even steps of each unit segment to confirm
+    nothing exceeds it.
     """
     if table.u_max < 3.0:
         raise ResolutionError("locate_extremum needs u_max >= 3 to bracket the maximum")
     u_star, m0 = _extremum_23()
-    if table._poly is not None:
-        values = table._poly(table._poly.x)
+    if table.u_max > 3.0:
+        ks = np.arange(3.0, table.u_max)
+        us = np.linspace(ks, np.minimum(ks + 1.0, table.u_max), _EXTREMUM_STEPS + 1, axis=1).ravel()
+        values = table.omega_many(us)
         i = int(np.argmax(values))
         if values[i] > m0:  # never expected: omega swings stay below the [2,3] peak
-            u_star, m0 = float(table._poly.x[i]), float(values[i])
+            u_star, m0 = float(us[i]), float(values[i])
     return u_star, m0
 
 

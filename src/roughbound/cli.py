@@ -284,6 +284,8 @@ def _check_ratio_x(y: float, u: float) -> None:
 def _cmd_plot_data(args) -> int:
     # every grid is counted, and built if it is omega's, before the output opens
     if args.kind == "omega":
+        if args.u_lo > args.u_hi:
+            raise DomainError(f"omega's range needs --u-lo <= --u-hi, got {args.u_lo:g} > {args.u_hi:g}")
         table = build_omega(max(DEFAULT_U_MAX, args.u_hi))
         _check_rows((args.u_hi + 0.5 * args.step - args.u_lo) / args.step)   # omega_samples' arange
         samples = omega_samples(table, args.u_lo, args.u_hi, args.step)

@@ -35,7 +35,7 @@ def test_omega4_dilog_oracle(omega_table):
     li2 = lambda z: float(spence(1.0 - z))  # dilogarithm Li_2(z)
     integral = math.log(1.5) + math.log(2) * math.log(3) + li2(-2.0) - li2(-1.0)
     oracle = (1 + math.log(2) + integral) / 4.0
-    assert omega_table.omega(4.0) == pytest.approx(oracle, abs=1e-12)
+    assert omega_table.omega(4.0) == pytest.approx(oracle, abs=1e-15)
 
 
 def test_extremum(omega_table):
@@ -80,12 +80,37 @@ def test_integral_form_consistency(omega_table):
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_grid_refinement(omega_table, monkeypatch):
-    monkeypatch.setattr(buchstab, "_GRID_N", 1024)
-    coarse = build_omega(16.0)
-    probes = np.linspace(1.0, 16.0, 1000)
-    diffs = [abs(coarse.omega(u) - omega_table.omega(u)) for u in probes]
-    assert max(diffs) < 1e-10
+def test_lower_degree_moves_no_value(omega_table, monkeypatch):
+    # the series' terms fall by 3 or more, so ten fewer of them change nothing
+    monkeypatch.setattr(buchstab, "_DEGREE", buchstab._DEGREE - 10)
+    shorter = build_omega(16.0)
+    probes = np.linspace(3.0, 16.0, 100_001)
+    assert np.max(np.abs(shorter.omega_many(probes) - omega_table.omega_many(probes))) <= 1e-14
+
+
+@pytest.mark.parametrize("k", range(3, 16))
+def test_continuous_at_the_integers(omega_table, k):
+    # each side of k is its own segment (at 3, the closed form and the first series)
+    below, above = math.nextafter(k, 0.0), math.nextafter(k, math.inf)
+    assert abs(omega_table.omega(below) - omega_table.omega(above)) <= 1e-14
+    assert abs(omega_table.omega(k) - omega_table.omega(below)) <= 1e-14
+
+
+def test_limit_to_4_ulps(omega_table):
+    assert abs(omega_table.omega(16.0) - E_GAMMA_INV) <= 4 * math.ulp(E_GAMMA_INV)
+
+
+def test_integral_form_to_the_limit():
+    # u w(u) - k w(k) = int_k^u w(s - 1) ds on every unit segment to 100, by
+    # a 20-point Gauss-Legendre rule, exact to rounding since w(s - 1) is one
+    # analytic piece there
+    table = build_omega(100.0)
+    x, w = np.polynomial.legendre.leggauss(20)
+    for k in range(3, 100):
+        for u in (k + 0.25, k + 0.5, k + 1.0):
+            s = k + 0.5 * (u - k) * (x + 1.0)
+            rhs = 0.5 * (u - k) * np.dot(w, table.omega_many(s - 1.0))
+            assert abs(u * table.omega(u) - k * table.omega(k) - rhs) <= 1e-12
 
 
 def test_build_errors():

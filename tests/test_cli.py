@@ -243,6 +243,15 @@ def test_ratio_map_y_below_2_exits_2(y_set, capsys):
     assert "needs every y >= 2" in captured.err
 
 
+def test_plot_data_reversed_omega_range_exits_2_before_writing(capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["plot-data", "--kind", "omega", "--u-lo", "3", "--u-hi", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs --u-lo <= --u-hi, got 3 > 2" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, rows", [
     (["plot-data", "--kind", "ratio-map", "--y-set", "3,5", "--u-step", "0.25"], 10),
     (["plot-data", "--kind", "omega", "--u-lo", "1", "--u-hi", "2", "--step", "0.5"], 3),

@@ -272,9 +272,14 @@ def test_small_u_coefficient_matches_quadrature(y, u):
 
 
 def test_import_loads_no_scipy():
-    # scipy is needed by build_omega alone, which imports it when it runs
+    # scipy is a test oracle only: neither the import nor omega's table and queries load it
     src = os.path.dirname(os.path.dirname(roughbound.__file__))
-    code = "import sys, roughbound, roughbound.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = ("import sys, roughbound, roughbound.cli\n"
+            "from roughbound.buchstab import omega_samples\n"
+            "table = roughbound.build_omega()\n"
+            "table.omega(7.3), table.omega_many([2.5, 7.3]), roughbound.mu_y(7.3, 1e3, table)\n"
+            "roughbound.locate_extremum(table), omega_samples(table)\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.strip() == "[]"
@@ -348,6 +353,12 @@ def _record_calls(monkeypatch):
 
         monkeypatch.setattr(pl, region.verifier, wrapper)
     return calls
+
+
+def test_every_verifier_is_a_package_export():
+    import roughbound.pipeline as pl
+    for region in REGIONS:
+        assert getattr(roughbound, region.verifier) is getattr(pl, region.verifier)
 
 
 @pytest.mark.parametrize("name, verifier", [(SELBERG_FINITE, "verify_selberg"),
