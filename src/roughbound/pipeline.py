@@ -7,18 +7,16 @@ and the constants it assumes and establishes.  A RegionCertificate records
 the method, the worst margin (normalized by x / log y), any witnesses of
 failure, and its record's boxes and constants.  The default target is .6.
 
-All region work is pure and deterministic.  A run opens one task pool
-(`_task_pool`): each interval scan, each analytic verifier and the small-u
-grid is a task on it, and the calling process only submits tasks and
-assembles certificates.  The pool's workers receive the prime table once.
-Below two workers the pool is inline: it is the calling process's own task
-state (`_PoolState`), which runs each task as it is submitted, and a verifier
-called without a pool runs in-process on one of its own.  A mid-y or small-u
-scan task names the range its presieve must cover.  Each process keeps one
-presieve: it advances it in place to each scan's primes, so that scans in
-ascending y strike each prime once per process, and it builds a new one only
-for a longer range or fewer primes.  The presieve is freed with its pool.  The
-report does not depend on the parallelism setting, `PipelineConfig.parallelism`.
+All region work is pure and deterministic.  A run's unit of work is one
+region: each selected region's verifier is one task on the run's process
+pool, whose workers receive the prime table once, and the calling process
+only submits the tasks and collects the certificates.  Below two workers the
+run calls the verifiers in turn in the calling process.  A verifier runs its
+own interval scans in ascending y; mid-y and small-u read one local presieve
+over their largest x cap, built at the first interval and advanced in place
+to each later interval's primes, so that each prime is struck once per
+region.  The report does not depend on the parallelism setting,
+`PipelineConfig.parallelism`.
 """
 
 from __future__ import annotations
@@ -26,10 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable
-from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import nullcontext
-from contextvars import ContextVar
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -163,96 +158,29 @@ def _ceil_two_sig(n: int) -> int:
     return int(math.ceil(n / unit)) * unit
 
 
-class _PoolState:
-    """What the tasks of one pool share in one process: the prime table, and
-    one presieve that the scans advance.
+# Each scan calls `scan_rough_interval` through this module's global, so that
+# a wrapper installed on this module before a pool starts reaches the scans
+# in its workers.
 
-    Entered as a context in the calling thread, it is the pool without
-    processes: a task runs in this thread as it is submitted, and the
-    presieve is dropped on exit.
+def _scans(table: PrimeTable, intervals, target, rolling: bool = False):
+    """Scan each interval (y_lo, y_hi, x_cap) in the given, ascending order.
+
+    Rolling, every scan reads one presieve over the largest x_cap: built to
+    the primes <= the first y_lo, then advanced in place to each later
+    y_lo's, so that each prime is struck once.  Else each scan builds its own.
     """
-
-    def __init__(self, table: PrimeTable):
-        self.table = table
-        self._presieve: Presieve | None = None
-
-    def presieve(self, y: int, x_cap: int) -> Presieve:
-        """A presieve of exactly the primes <= y over at least [0, x_cap].
-
-        The held one, advanced in place, if it covers that range and has
-        struck no prime above y; else a new one.  Scans in ascending y
-        strike each prime once per process.
-        """
-        strike = self.table.primes_between(0, y)
-        held = self._presieve
-        if held is None or held.x_cap < x_cap or len(held.strike) > len(strike):
-            held = self._presieve = None       # free the old one before building its successor
-            held = self._presieve = Presieve(strike, x_cap)
-        else:
-            held.advance(strike)
-        return held
-
-    def __enter__(self):
-        self._token = _POOL.set(self)
-        return self
-
-    def __exit__(self, *exc):
-        _POOL.reset(self._token)
-        self._presieve = None
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def map(self, fn, iterable):
-        return [fn(item) for item in iterable]
-
-
-# The state of the pool a task runs in: set once in each worker process by
-# the pool's initializer, and in the calling thread around an inline pool.
-_POOL: ContextVar[_PoolState] = ContextVar("roughbound_pool")
-
-
-def _serve(table: PrimeTable) -> None:
-    _POOL.set(_PoolState(table))
-
-
-def _task_pool(table: PrimeTable, parallelism: int, tasks: int):
-    """A pool for `tasks` tasks on min(parallelism, tasks, usable CPUs) worker
-    processes, each handed `table` once by the initializer; inline below two."""
-    if parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(parallelism, tasks, cpus or 1)
-    if workers < 2:
-        return _PoolState(table)
-    return ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(table,))
-
-
-def _on(pool, table: PrimeTable):
-    """`pool` as a context that leaves it open, or else an inline pool on `table`."""
-    return nullcontext(pool) if pool else _PoolState(table)
-
-
-# The tasks below look up what they run as a module global when they run, and
-# a submitted function (`small_u_grid_max`) is pickled by its name on this
-# module: either way a wrapper installed on this module before the pool
-# starts reaches its workers.
-
-def _scan_task(task):
-    """One interval scan; `cover`, if not None, is the range the process's
-    presieve must cover, and the scan reads its chunks from it."""
-    y_lo, y_hi, x_cap, target, cover = task
-    state = _POOL.get()
-    presieve = None if cover is None else state.presieve(y_lo, cover)
-    return scan_rough_interval(state.table, y_lo, y_hi, x_cap, target=target, presieve=presieve)
-
-
-def _table_task(verifier: str, target):
-    """One analytic verifier, named by its module global, on the pool's prime table."""
-    return globals()[verifier](_POOL.get().table, target=target)
+    presieve = None
+    scans = []
+    for y_lo, y_hi, x_cap in intervals:
+        if rolling:
+            strike = table.primes_between(0, y_lo)
+            if presieve is None:
+                presieve = Presieve(strike, max(x for *_, x in intervals))
+            else:
+                presieve.advance(strike)
+        scans.append(scan_rough_interval(table, y_lo, y_hi, x_cap, target=target,
+                                         presieve=presieve))
+    return scans
 
 
 def _interval_rows(intervals, scans, extent_key: str):
@@ -276,8 +204,7 @@ def _interval_rows(intervals, scans, extent_key: str):
 # small-y region
 # ---------------------------------------------------------------------------
 
-def verify_small_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
-                   pool=None) -> RegionCertificate:
+def verify_small_y(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> RegionCertificate:
     """Reproduce the reference small-y table and scan every interval for
     violations of the target.
 
@@ -286,8 +213,6 @@ def verify_small_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
     rough numbers are streamed directly.  The interval [2, 3) is special: its
     statistic exceeds .6 at x = 9, and the certificate instead asserts that
     every violation there has x < 10.
-
-    The scans run on `pool`, a run's task pool, or else in this process.
     """
     reproduce = abs(target - DEFAULT_TARGET) < 1e-15
     meta = []
@@ -298,9 +223,7 @@ def verify_small_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
             xb = None  # elementary bound can never reach this target
         meta.append((p, q, printed, is_rounded, printed_max, xb))
 
-    with _on(pool, table) as pool:
-        scans = list(pool.map(_scan_task, [(p, q, printed - 1, target, None)
-                                           for p, q, printed, *_ in meta]))
+    scans = _scans(table, [(p, q, printed - 1) for p, q, printed, *_ in meta], target)
 
     out_rows = []
     failures = []
@@ -353,24 +276,19 @@ def verify_small_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
 # mid-y region
 # ---------------------------------------------------------------------------
 
-def _mid_y_intervals(table: PrimeTable):
-    """Mid-y's intervals [p, q) of consecutive primes, 71 <= p < 241."""
-    return [(int(p), table.next_prime(p)) for p in table.primes_between(70, 240)]
-
-
-def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
-                 pool=None) -> RegionCertificate:
+def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET) -> RegionCertificate:
     """Exhaustively check 71 <= y < 241 below the pre-sieved truncation bounds.
 
     For each prime interval [p, q) the depth-4 Bonferroni bound (with the
     14/15 remainder refinement) takes over at an x-bound verified to stay
     below the 3e7 cap; one streaming pass covers all smaller x.  The scans
-    run as in `verify_small_y`, each reading the chunks of its process's
-    presieve over the largest x-bound (1 MB), advanced to the scan's primes.
+    read the chunks of one presieve over the largest x-bound (1 MB), advanced
+    to each scan's primes.
     """
     meta = []
     bound_failures = []
-    for p, q in _mid_y_intervals(table):
+    for p in map(int, table.primes_between(70, 240)):
+        q = table.next_prime(p)
         try:
             xb = bonferroni_x_bound(p, target, table)
         except InfeasibleError:
@@ -382,9 +300,7 @@ def verify_mid_y(table: PrimeTable, *, target: float = DEFAULT_TARGET,
             xb = DEFAULT_EXHAUSTIVE_CAP
         meta.append((p, q, xb))
 
-    cover = max(xb for _, _, xb in meta) - 1
-    with _on(pool, table) as pool:
-        scans = list(pool.map(_scan_task, [(p, q, xb - 1, target, cover) for p, q, xb in meta]))
+    scans = _scans(table, [(p, q, xb - 1) for p, q, xb in meta], target, rolling=True)
     rows, violated, sup_max = _interval_rows(meta, scans, "x_bound")
     failures = bound_failures + violated
 
@@ -570,34 +486,23 @@ def small_u_grid_max():
     return best, rows
 
 
-def _small_u_intervals(table: PrimeTable, cap: int):
-    """Small-u's exhaustive intervals (p, q, x cap): [p, q) of consecutive
-    primes with 241 <= p <= cap, each scanned for x < q^3."""
-    return [(int(p), q, q ** 3 - 1) for p in table.primes_between(240, cap)
-            for q in (table.next_prime(p),)]
-
-
 def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
-                   y_exhaustive_cap: int = SMALL_U_CAP, pool=None) -> RegionCertificate:
+                   y_exhaustive_cap: int = SMALL_U_CAP) -> RegionCertificate:
     """The 2 <= u < 3 region: exhaustive scans for 241 <= y < q, q the first
     prime above the cap, assembled analytic bound on a grid for y >= 1100.
 
     The default cap keeps the exhaustive branch at desk scale, and leaves
     503 <= y < 1100 to neither branch; raising it to PAPER_SCALE_SMALL_U_CAP
     closes the gap.  Scans cover x < q^3 per interval [p, q), with the
-    two-dimensional supremum convention for the multiplier.  Every scan reads
-    its chunks from its process's presieve over the largest range (4.2 MB
-    at the default cap, 45 MB at the paper's), advanced to the scan's primes,
-    so that it strikes none itself.  The grid is a task submitted before the
-    scans, and all of them run as in `verify_small_y`.
+    two-dimensional supremum convention for the multiplier.  The grid runs
+    first; then every scan reads its chunks from one presieve over the
+    largest range (4.2 MB at the default cap, 45 MB at the paper's), advanced
+    to the scan's primes, so that it strikes none itself.
     """
-    meta = _small_u_intervals(table, y_exhaustive_cap)
-    cover = meta[-1][2] if meta else None
-
-    with _on(pool, table) as pool:
-        grid = pool.submit(small_u_grid_max)
-        scans = list(pool.map(_scan_task, [(p, q, x_cap, target, cover) for p, q, x_cap in meta]))
-        (analytic_max, at_y, at_u), grid_rows = grid.result()
+    (analytic_max, at_y, at_u), grid_rows = small_u_grid_max()
+    meta = [(int(p), q, q ** 3 - 1) for p in table.primes_between(240, y_exhaustive_cap)
+            for q in (table.next_prime(p),)]
+    scans = _scans(table, meta, target, rolling=True)
     rows, failures, exhaustive_max = _interval_rows(meta, scans, "x_cap")
     if exhaustive_max >= SMALL_U_EXHAUSTIVE_MAX:
         failures.append({"issue": "exhaustive milestone exceeded",
@@ -712,19 +617,16 @@ AFTER_CAP = "first prime above small_u_cap"
 @dataclass(frozen=True)
 class Region:
     """One certificate: its name in the report and in `verify --region`, its
-    (y, u) boxes, the module global that verifies it (looked up when it runs,
-    as the tasks above look theirs up) and the constants (module globals, by
-    name) it assumes and establishes.  A box side is (lo, hi, ends): hi None is
-    no upper end, AFTER_CAP the first prime above the run's small-u cap, and
-    `ends` "[)", "[]", "(]" or "()".  Without `tasks` the verifier is one task
-    on the run's pool; with it, it runs in the calling process and submits
-    `tasks(table, small_u_cap)` tasks, given that cap if `takes_cap`."""
+    (y, u) boxes, the module global that verifies it (looked up when it runs;
+    see `_verify`) and the constants (module globals, by name) it assumes and
+    establishes.  A box side is (lo, hi, ends): hi None is no upper end,
+    AFTER_CAP the first prime above the run's small-u cap, and `ends` "[)",
+    "[]", "(]" or "()".  The verifier is given that cap if `takes_cap`."""
     name: str
     boxes: tuple
     verifier: str
     assumes: tuple[str, ...] = ()
     establishes: tuple[str, ...] = ()
-    tasks: Callable[[PrimeTable, int], int] | None = None
     takes_cap: bool = False
 
 
@@ -734,18 +636,15 @@ _U_SMALL = (2, 3, "[)")
 # The regions in report order.  At the default cap the band 503 <= y < 1100,
 # 2 <= u < 3 falls between small-u's exhaustive and analytic boxes.
 REGIONS = (
-    Region(SMALL_Y, (((3, 71, "[)"), _U_ABOVE_2),), "verify_small_y",
-           tasks=lambda table, cap: len(REFERENCE_SMALL_Y_ROWS)),
-    Region(MID_Y, (((71, SELBERG_MIN_Y, "[)"), _U_ABOVE_2),), "verify_mid_y",
-           tasks=lambda table, cap: len(_mid_y_intervals(table))),
+    Region(SMALL_Y, (((3, 71, "[)"), _U_ABOVE_2),), "verify_small_y"),
+    Region(MID_Y, (((71, SELBERG_MIN_Y, "[)"), _U_ABOVE_2),), "verify_mid_y"),
     Region(SELBERG_FINITE, (((SELBERG_MIN_Y, CLOSED_FORM_MIN_Y, "[]"), (7.5, None, "[)")),),
            "verify_selberg"),
     Region(SELBERG_CLOSED, (((CLOSED_FORM_MIN_Y, None, "[)"), (7.5, None, "[)")),),
            "verify_selberg_closed", establishes=("CLOSED_FACTOR_LIMIT", "CLOSED_COEF_LIMIT")),
     Region(SMALL_U, (((SELBERG_MIN_Y, AFTER_CAP, "[)"), _U_SMALL),
                      ((SMALL_U_GRID_YS[0], None, "[)"), _U_SMALL)), "verify_small_u",
-           establishes=("C3_SMALL_U", "SMALL_U_EXHAUSTIVE_MAX"),
-           tasks=lambda table, cap: len(_small_u_intervals(table, cap)) + 1, takes_cap=True),
+           establishes=("C3_SMALL_U", "SMALL_U_EXHAUSTIVE_MAX"), takes_cap=True),
     Region(ITERATION, (((SELBERG_MIN_Y, None, "[)"), (3, 8, "[)")),), "verify_iteration",
            assumes=("C3_SMALL_U",)),
 )
@@ -772,18 +671,40 @@ class PipelineConfig:
     regions: tuple[str, ...] = REGION_ORDER
 
 
+def _verify(region: Region, table: PrimeTable, config: PipelineConfig) -> RegionCertificate:
+    """`region`'s certificate from its verifier, looked up as a module global
+    when it runs, so that a wrapper installed on this module before a pool
+    starts reaches its workers."""
+    cap = {"y_exhaustive_cap": config.small_u_cap} if region.takes_cap else {}
+    return globals()[region.verifier](table, target=config.target, **cap)
+
+
+# The prime table of a pool worker, handed to it once by the pool's initializer.
+_worker_table: PrimeTable | None = None
+
+
+def _serve(table: PrimeTable) -> None:
+    global _worker_table
+    _worker_table = table
+
+
+def _region_task(region: Region, config: PipelineConfig) -> RegionCertificate:
+    """One region, in a pool worker, on the table the initializer handed it."""
+    return _verify(region, _worker_table, config)
+
+
 def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
     """Run the selected regions and aggregate their certificates.
 
     Each region gives one certificate, and the report holds those of the
     selected regions in REGION_ORDER; its config names them.  The verdict
     is the conjunction of theirs, and does not depend on the parallelism.
-    Every region works on the run's one task pool: each scanning verifier in
-    turn submits its scans and assembles its certificate as their results
-    arrive, and the analytic verifiers are queued after the first region.
-    A small_u_cap of 1290 and up, whose small-u scans would pass the sieve's
-    cap DEFAULT_LIMIT_CAP at x < q^3, q > small_u_cap, raises ResourceError
-    before the prime table is built.
+    Each region is one task: on a pool of min(parallelism, regions, usable
+    CPUs) worker processes, or, below two workers, one verifier after the
+    other in this process.  A parallelism below 1 raises DomainError, and a
+    small_u_cap of 1290 and up, whose small-u scans would pass the sieve's
+    cap DEFAULT_LIMIT_CAP at x < q^3, q > small_u_cap, raises ResourceError,
+    both before the prime table is built.
     """
     config = config or PipelineConfig()
     selected = config.regions
@@ -791,28 +712,29 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
         raise DomainError(f"regions must be distinct names from {REGION_ORDER}, got {selected}")
     if not math.isfinite(config.target):
         raise DomainError(f"target must be finite, got {config.target}")
+    if config.parallelism < 1:
+        raise DomainError(f"parallelism must be >= 1, got {config.parallelism}")
     if (config.small_u_cap + 1) ** 3 - 1 > DEFAULT_LIMIT_CAP:
         raise ResourceError(f"small_u_cap {config.small_u_cap} scans past the sieve's cap "
                             f"{DEFAULT_LIMIT_CAP}, to at least {(config.small_u_cap + 1) ** 3 - 1}")
     regions = [region for region in REGIONS if region.name in selected]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.parallelism, len(regions), cpus or 1)
     # one table whichever regions run: past the Selberg sweep's 5e5 (and so past
     # the iteration's 1499^(4/3)) and past the first prime above small-u's cap
     table = build_prime_table(max(CLOSED_FORM_MIN_Y + 1000, 2 * config.small_u_cap + 100))
-    tasks = sum(r.tasks(table, config.small_u_cap) if r.tasks else 1 for r in regions)
-    cap = {"y_exhaustive_cap": config.small_u_cap}
 
-    with _task_pool(table, config.parallelism, tasks) as pool:
-        queued, done = {}, {}
-        for i, region in enumerate(regions):
-            if region.tasks:
-                done[region.name] = globals()[region.verifier](
-                    table, target=config.target, pool=pool, **(cap if region.takes_cap else {}))
-            if i == 0:   # behind the first region's scans: small-y's, which are short
-                queued = {r.name: pool.submit(_table_task, r.verifier, config.target)
-                          for r in regions if not r.tasks}
-        done.update((name, future.result()) for name, future in queued.items())
-
-    certs = [done[region.name] for region in regions]
+    if workers < 2:
+        certs = [_verify(region, table, config) for region in regions]
+    else:
+        # small-u first: it is over half the run, and the other regions share
+        # the other workers meanwhile
+        first = sorted(regions, key=lambda region: region.name != SMALL_U)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_serve,
+                                 initargs=(table,)) as pool:
+            done = {cert.region: cert for cert in pool.map(_region_task, first,
+                                                           [config] * len(first))}
+        certs = [done[region.name] for region in regions]
     table1 = next((list(c.rows) for c in certs if c.region == SMALL_Y), [])
     config_dict = {**asdict(config), "regions": [c.region for c in certs]}   # JSON-stable form
     return BoundReport(certs, table1, all(c.verified for c in certs), config_dict)

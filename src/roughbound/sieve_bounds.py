@@ -122,6 +122,8 @@ def newton_elementary(p1: float, p2: float, p3: float, p4: float):
 def bonferroni_bound(x: float, y: float, table: PrimeTable):
     """Upper bound x*s(y) + b(y) from the even-depth truncation at nu <= 4,
     applied to the integers coprime to 30 and the primes in (5, y]."""
+    if not x >= 1:  # nan fails it too
+        raise DomainError(f"the pre-sieved truncation bound needs x >= 1, got {x}")
     if y < 5:
         raise DomainError(f"the pre-sieved truncation needs y >= 5, got {y}")
     inv = 1.0 / table.primes_between(5, y).astype(np.float64)
@@ -184,7 +186,10 @@ def make_sieve_config(x: float, y: float, table: PrimeTable, epsilon: float) -> 
     D = default_sieve_level(x, y)
     ps = table.primes_between(5.0, y).astype(np.float64)
     V = float(np.exp(np.sum(np.log1p(-1.0 / ps))))
-    f = math.exp(float(np.sum(_rankin_terms(ps, epsilon))) - epsilon * math.log(D))
+    try:
+        f = math.exp(float(np.sum(_rankin_terms(ps, epsilon))) - epsilon * math.log(D))
+    except OverflowError:   # a factor past the float range is >= 1, which selberg_upper refuses
+        f = math.inf
     return SieveConfig(x=float(x), y=float(y), epsilon=float(epsilon), D=float(D),
                        V=V, f_value=f)
 
@@ -314,10 +319,13 @@ def selberg_sweep(table: PrimeTable, *, target: float, lo: int = SELBERG_MIN_Y,
     all sieving primes.  Epsilon is the best point of a fixed grid (any grid
     point yields a valid bound), found as a running minimum over the grid,
     one cumsum per grid point; ties keep the first point, as np.argmin does.
-    The sieve level uses log q, the worst y in the interval.
+    The sieve level uses log q, the worst y in the interval.  A lo below
+    SELBERG_MIN_Y or above hi raises DomainError.
     """
     if lo < SELBERG_MIN_Y:
         raise DomainError(f"the explicit sieve bound needs y >= {SELBERG_MIN_Y}, got {lo}")
+    if lo > hi:
+        raise DomainError(f"the sweep needs lo <= hi, got lo={lo}, hi={hi}")
     eps_grid = np.linspace(0.04, 0.26, 111)
 
     ps = table.primes_between(5, table.next_prime(hi))     # sieving primes 7..q of the last pair

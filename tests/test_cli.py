@@ -331,6 +331,22 @@ def test_bound_selberg_without_a_positive_sieve_level_exits_2(argv, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_bound_selberg_overflowing_rankin_factor_exits_2(capsys):
+    # the Rankin factor's exponent passes the float range: f is inf, and refused
+    assert main(["bound", "--kind", "selberg", "--x", "1e20", "--y", "1000",
+                 "--epsilon", "0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Rankin factor f=inf >= 1")
+
+
+def test_bound_bonferroni_below_x_1_exits_2(capsys):
+    assert main(["bound", "--kind", "bonferroni", "--x=-1e9", "--y", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs x >= 1" in captured.err
+
+
 def test_bound_large_y(capsys):
     assert main(["bound", "--kind", "large-y", "--y", "500000"]) == 0
     out = capsys.readouterr().out
@@ -350,8 +366,17 @@ def test_bound_sweep_below_method_range_exit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs y >= 241" in captured.err
-    assert main(["bound", "--kind", "selberg-sweep", "--y-lo", "300", "--y-hi", "250"]) == 0
+    # no prime lies in [300, 306]
+    assert main(["bound", "--kind", "selberg-sweep", "--y-lo", "300", "--y-hi", "306"]) == 0
     assert capsys.readouterr().out == "y,epsilon,f_value,coefficient,margin\n"
+
+
+def test_bound_sweep_reversed_range_exits_2_before_writing(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["bound", "--kind", "selberg-sweep", "--y-lo", "500", "--y-hi", "300",
+                 "--out", str(out)]) == 2
+    assert "needs lo <= hi" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_iteration_json(capsys):

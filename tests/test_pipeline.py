@@ -1,4 +1,3 @@
-import contextvars
 import dataclasses
 import json
 import math
@@ -6,7 +5,6 @@ import os
 import subprocess
 import sys
 import weakref
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -41,7 +39,7 @@ from roughbound.pipeline import (
     verify_iteration,
     verify_small_y,
 )
-from roughbound.primes import Presieve, PrimeTable, build_prime_table
+from roughbound.primes import Presieve, build_prime_table
 
 _T = build_prime_table(10_100)
 
@@ -441,7 +439,13 @@ def test_config_has_only_the_set_knobs():
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])
-def test_nonpositive_parallelism_rejected(parallelism):
+def test_nonpositive_parallelism_rejected(monkeypatch, parallelism):
+    import roughbound.pipeline as pl
+
+    def build(limit):
+        raise AssertionError("the table was built before the parallelism was refused")
+
+    monkeypatch.setattr(pl, "build_prime_table", build)
     with pytest.raises(DomainError, match="parallelism"):
         run_full_pipeline(PipelineConfig(regions=(ITERATION,), parallelism=parallelism))
 
@@ -450,8 +454,7 @@ def test_nonpositive_parallelism_rejected(parallelism):
 def fake_pool(monkeypatch):
     """Stands in for ProcessPoolExecutor on a machine with 64 usable CPUs and
     starts no process: records each pool's size and every task's arguments,
-    and runs the tasks here, in a context where the initializer ran, as a
-    worker would."""
+    and runs the tasks here, after the initializer, as a worker would."""
     import roughbound.pipeline as pl
 
     class FakePool:
@@ -460,8 +463,7 @@ def fake_pool(monkeypatch):
 
         def __init__(self, max_workers, initializer, initargs):
             self.sizes.append(max_workers)
-            self.context = contextvars.copy_context()
-            self.context.run(initializer, *initargs)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -469,16 +471,13 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            self.task_args.append(args)
-            future = Future()
-            future.set_result(self.context.run(fn, *args))
-            return future
-
-        def map(self, fn, tasks):
-            return [self.submit(fn, task).result() for task in tasks]
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))   # all submitted before the first result
+            self.task_args.extend(tasks)
+            return [fn(*args) for args in tasks]
 
     monkeypatch.setattr(pl, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(pl, "_worker_table", None)   # restored after the initializer sets it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     return FakePool
 
@@ -488,38 +487,34 @@ def _region_run(region, parallelism, **config):
 
 
 def test_pool_clamped_to_task_count(fake_pool):
-    serial = _region_run(SMALL_Y, 1)
-    assert _region_run(SMALL_Y, 5000).certificates == serial.certificates
-    assert fake_pool.sizes == [len(REFERENCE_SMALL_Y_ROWS)]
-    _region_run(ITERATION, 5000)
-    assert fake_pool.sizes == [len(REFERENCE_SMALL_Y_ROWS)]  # one task runs in this process
+    # one task per region
+    pair = (SMALL_Y, ITERATION)
+    serial = run_full_pipeline(PipelineConfig(regions=pair))
+    assert run_full_pipeline(PipelineConfig(regions=pair, parallelism=5000)).certificates \
+        == serial.certificates
+    assert fake_pool.sizes == [2]
+    _region_run(SMALL_Y, 5000)
+    assert fake_pool.sizes == [2]  # one task runs in this process
 
 
 def test_pool_clamped_to_usable_cpus(fake_pool, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    _region_run(SMALL_Y, 5000)
+    run_full_pipeline(PipelineConfig(small_u_cap=240, parallelism=5000))
     assert fake_pool.sizes == [3]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4}, raising=False)
-    _region_run(SMALL_Y, 5000)
-    assert fake_pool.sizes == [3]  # one usable CPU: the scans run in this process
+    run_full_pipeline(PipelineConfig(small_u_cap=240, parallelism=5000))
+    assert fake_pool.sizes == [3]  # one usable CPU: the regions run in this process
 
 
-# the tasks a run at small_u_cap=270 submits: 19 small-y scans, 33 mid-y
-# scans, the Selberg sweep, the closed-form grid, the small-u grid and 5
-# scans, and the iteration
-_TASKS_270 = {SMALL_Y: 19, MID_Y: 33, SELBERG_FINITE: 1, SELBERG_CLOSED: 1, SMALL_U: 6,
-              ITERATION: 1, "all": 61}
-
-
-@pytest.mark.parametrize("region", list(_TASKS_270))
+@pytest.mark.parametrize("region", list(REGION_ORDER) + ["all"])
 def test_pool_sized_to_the_tasks_the_run_submits(fake_pool, region):
+    # one task per selected region; a region alone runs in this process at any parallelism
     regions = REGION_ORDER if region == "all" else (region,)
     run_full_pipeline(PipelineConfig(regions=regions, small_u_cap=270, parallelism=5000))
-    tasks = _TASKS_270[region]
-    if tasks == 1:   # the one task runs in this process
-        assert fake_pool.sizes == [] and fake_pool.task_args == []
+    if region == "all":
+        assert fake_pool.sizes == [len(fake_pool.task_args)] == [len(REGIONS)]
     else:
-        assert fake_pool.sizes == [len(fake_pool.task_args)] == [tasks]
+        assert fake_pool.sizes == [] and fake_pool.task_args == []
 
 
 @pytest.fixture(scope="module")
@@ -528,19 +523,14 @@ def serial_270():
 
 
 def test_run_opens_one_pool_and_sends_no_table(fake_pool, serial_270):
-    report = run_full_pipeline(PipelineConfig(small_u_cap=270, parallelism=2))
+    config = PipelineConfig(small_u_cap=270, parallelism=2)
+    report = run_full_pipeline(config)
     assert fake_pool.sizes == [2]
-    # 3 analytic tasks, the small-u grid and 19 + 33 + 5 scans, submitted in
-    # this order: small-y's short scans first, the analytic tasks in record
-    # order, and the grid before small-u's scans
-    kinds = ["scan" if args and isinstance(args[0], tuple)
-             else getattr(args[0], "__name__", args[0]) if args else "grid"
-             for args in fake_pool.task_args]
-    assert kinds == (["scan"] * 19 + ["verify_selberg", "verify_selberg_closed", "verify_iteration"]
-                     + ["scan"] * 33 + ["grid"] + ["scan"] * 5)
-    sent = [a for args in fake_pool.task_args for arg in args
-            for a in (arg if isinstance(arg, tuple) else (arg,))]
-    assert not any(isinstance(a, (PrimeTable, Presieve)) for a in sent)
+    # one task per region, small-u first and the others in record order, each
+    # sent its record and the run's config: neither a PrimeTable nor a Presieve
+    order = [SMALL_U] + [name for name in REGION_ORDER if name != SMALL_U]
+    by_name = {region.name: region for region in REGIONS}
+    assert fake_pool.task_args == [(by_name[name], config) for name in order]
     assert report.certificates == serial_270.certificates
 
 
@@ -553,13 +543,15 @@ def test_run_parallel_report_equals_serial(serial_270):
 
 
 def test_small_u_reduced_deterministic_parallel():
-    serial = _region_run(SMALL_U, 1, small_u_cap=270)
-    twice = _region_run(SMALL_U, 2, small_u_cap=270)
+    # two regions, so that parallelism 2 starts a pool
+    pair = (SMALL_U, ITERATION)
+    serial = run_full_pipeline(PipelineConfig(regions=pair, small_u_cap=270))
+    twice = run_full_pipeline(PipelineConfig(regions=pair, small_u_cap=270, parallelism=2))
     assert serial.certificates == twice.certificates
     assert serial.certificates[0].params["exhaustive_max"] < 0.56404
 
 
-def test_small_u_presieve_built_once_per_pool_and_dropped_with_it(monkeypatch):
+def test_presieve_built_once_per_region_and_dropped_with_it(monkeypatch):
     import roughbound.pipeline as pl
 
     built, advanced = [], []
@@ -574,42 +566,40 @@ def test_small_u_presieve_built_once_per_pool_and_dropped_with_it(monkeypatch):
             advanced.append(int(strike[-1]))
 
     monkeypatch.setattr(pl, "Presieve", Recorded)
-    # small-u's largest x cap, 311^3 - 1, is beyond mid-y's, 29,264,556 (below a
-    # cap of 308, mid-y's presieve serves both regions)
-    report = run_full_pipeline(PipelineConfig(regions=(MID_Y, SMALL_U), small_u_cap=310))
+    report = run_full_pipeline(PipelineConfig(regions=(MID_Y, SMALL_U), small_u_cap=270))
     mid_y_cover = report.certificates[0].params["max_x_bound"] - 1
-    # one presieve per region, for its first scan, over the region's largest x cap
-    assert [(y, x_cap) for y, x_cap, _ in built] == [(71, mid_y_cover), (241, 311 ** 3 - 1)]
+    # one presieve per region, at its first scan, over the region's largest x cap
+    assert [(y, x_cap) for y, x_cap, _ in built] == [(71, mid_y_cover), (241, 271 ** 3 - 1)]
     # built to its first scan's primes, then advanced to each later scan's
-    assert advanced == [int(p) for p in _T.primes_between(70, 310)]
+    # (the constructor strikes its own primes by `advance`)
+    assert advanced == [int(p) for p in _T.primes_between(70, 270)]
     assert all(ref() is None for *_, ref in built)
 
 
-def test_mid_y_and_small_u_scans_are_the_same_in_any_order():
+def test_rolling_presieve_scans_equal_fresh_scans(monkeypatch):
+    # each mid-y and small-u scan reads its region's one presieve, advanced
+    # from scan to scan, and gives what a scan building its own would
     import roughbound.pipeline as pl
 
-    tasks = []
+    calls = []
 
-    class Recording(pl._PoolState):
-        def map(self, fn, items):
-            items = list(items)
-            tasks.extend(items)
-            return super().map(fn, items)
+    def recorded(table, y_lo, y_hi, x_cap, *, target, presieve):
+        scan = scan_rough_interval(table, y_lo, y_hi, x_cap, target=target, presieve=presieve)
+        calls.append(((y_lo, y_hi, x_cap), target, presieve is not None, scan))
+        return scan
 
-    with Recording(_T) as pool:
-        pl.verify_mid_y(_T, pool=pool)
-        pl.verify_small_u(_T, y_exhaustive_cap=270, pool=pool)
-    assert len(tasks) == 33 + 5 and all(task[4] for task in tasks)
-    want = [scan_rough_interval(_T, *task[:3], target=task[3]) for task in tasks]
-    ascending = list(range(len(tasks)))
-    for order in (ascending, ascending[::-1], np.random.default_rng(15).permutation(len(tasks))):
-        with pl._PoolState(_T) as pool:   # one process's presieve across both regions
-            got = pool.map(pl._scan_task, [tasks[i] for i in order])
-        assert got == [want[i] for i in order]
+    monkeypatch.setattr(pl, "scan_rough_interval", recorded)
+    pl.verify_mid_y(_T)
+    pl.verify_small_u(_T, y_exhaustive_cap=270)
+    assert len(calls) == 33 + 5 and all(rolled for _, _, rolled, _ in calls)
+    for interval, target, _, scan in calls:
+        assert scan_rough_interval(_T, *interval, target=target) == scan
 
 
 def test_small_y_parallel_deterministic():
-    serial = _region_run(SMALL_Y, 1)
-    par = _region_run(SMALL_Y, 3)
+    # two regions, so that parallelism 3 starts a pool
+    pair = (SMALL_Y, MID_Y)
+    serial = run_full_pipeline(PipelineConfig(regions=pair))
+    par = run_full_pipeline(PipelineConfig(regions=pair, parallelism=3))
     assert serial.certificates == par.certificates
     assert serial.table1 == par.table1

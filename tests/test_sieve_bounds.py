@@ -260,11 +260,14 @@ def test_selberg_domain(table_sel):
     cfg = make_sieve_config(x, 239.0, table_sel, 0.1)
     with pytest.raises(DomainError):
         selberg_upper(x, 239.0, cfg, table_sel)
-    # absurdly large epsilon makes the Rankin factor blow past 1
-    bad = make_sieve_config(241.0 ** 7.5, 241.0, table_sel, 0.9)
-    assert bad.f_value >= 1
-    with pytest.raises(InfeasibleError):
-        selberg_upper(241.0 ** 7.5, 241.0, bad, table_sel)
+    # absurdly large epsilon makes the Rankin factor blow past 1, and at
+    # (1e20, 1000) past the float range, where it reads inf
+    for x, y in ((241.0 ** 7.5, 241.0), (1e20, 1000.0)):
+        bad = make_sieve_config(x, y, table_sel, 0.9)
+        assert bad.f_value >= 1
+        with pytest.raises(InfeasibleError):
+            selberg_upper(x, y, bad, table_sel)
+    assert bad.f_value == math.inf
 
 
 @pytest.mark.parametrize("x, y", [(0.0, 241.0), (-5.0, 241.0), (10.0, 1.0), (1e10, 0.5),
@@ -433,6 +436,7 @@ def test_e_gamma_constant():
     pytest.param(lambda: elementary_bound(100, math.nan, _T), id="elementary_bound"),
     pytest.param(lambda: elementary_bound(math.nan, 100, _T), id="elementary_bound_x"),
     pytest.param(lambda: bonferroni_bound(100, math.nan, _T), id="bonferroni_bound"),
+    pytest.param(lambda: bonferroni_bound(math.nan, 100, _T), id="bonferroni_bound_x"),
 ])
 def test_nan_is_domain_error(call):
     # nan compares false with every bound, so each check must reject it by name
