@@ -556,7 +556,7 @@ ITERATION_TAIL_FROM = 1500
 def iteration_tail_epsilon(q0: float) -> float:
     """Upper bound 1.95 / (sqrt(q0) (log q0)^2) for eps_3(q0), valid for
     q0 >= ITERATION_TAIL_FROM."""
-    if q0 < ITERATION_TAIL_FROM:
+    if not ITERATION_TAIL_FROM <= q0 < math.inf:  # nan fails it too
         raise DomainError(f"tail bound used only for q0 >= {ITERATION_TAIL_FROM}, got {q0}")
     return THETA_DEFECT_SMALL / (math.sqrt(q0) * math.log(q0) ** 2)
 

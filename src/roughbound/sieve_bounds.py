@@ -35,6 +35,9 @@ CLOSED_FORM_MIN_Y = 500_000
 EPSILON_BRACKET = (1e-3, 0.5)
 EPSILON_TOL = 1e-6         # an optimum this close to a bracket end is reported as pinned
 _NEWTON_TOL = 1e-12        # the epsilon search stops at a step or bracket this small
+SWEEP_START_C = 1.0        # the sweep's first guess: the grid point at or below this / log p
+SWEEP_SLOPE_MARGIN = 0.1   # m_s: it starts there if every pair's d log f / d eps < -m_s
+SWEEP_RISE_MARGIN = 1e-4   # m_r: a pair is done once f exceeds its minimum by this share
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +183,19 @@ def _rankin_terms(ps: np.ndarray, epsilon: float) -> np.ndarray:
     return np.log1p((ps ** (2.0 * epsilon) - 1.0) / ps)
 
 
+def _slope_terms(log_p2: np.ndarray, p_minus_1: np.ndarray, eps: float,
+                 power: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """2 log p * w_p, w_p = p^(2 eps) / (p - 1 + p^(2 eps)), into `terms`: the
+    summands of the slope of log f in epsilon.  It writes only into the
+    buffers `power` and `terms`, so a pass allocates no fresh pages."""
+    np.exp(np.multiply(log_p2, eps, out=power), out=power)             # p^(2 eps)
+    np.divide(power, np.add(p_minus_1, power, out=terms), out=terms)   # w_p
+    return np.multiply(terms, log_p2, out=terms)
+
+
 def make_sieve_config(x: float, y: float, table: PrimeTable, epsilon: float) -> SieveConfig:
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # nan fails it too
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     D = default_sieve_level(x, y)
     ps = table.primes_between(5.0, y).astype(np.float64)
     V = float(np.exp(np.sum(np.log1p(-1.0 / ps))))
@@ -201,17 +214,21 @@ def lemma2_remainder(y: float, D: float) -> float:
     primes 2, 3, 5 contribute the exact factor 3/14.  The (log y)^2 estimate
     for the divisor sum holds for y >= 53.
     """
-    if y < 53:
+    if not y >= 53:  # nan fails it too
         raise DomainError(f"the (log y)^2 divisor bound needs y >= 53, got {y}")
-    if D <= 0:
+    if not D > 0:
         raise DomainError(f"sieve level D must be positive, got {D}")
     return PRESIEVE_REMAINDER * D * math.log(y) ** 2 * PRESIEVE_EXCLUDED_FACTOR
 
 
 def selberg_upper(x: float, y: float, cfg: SieveConfig, table: PrimeTable) -> float:
-    """The explicit Selberg upper bound X*V*(1 - f)^-1 + remainder at (x, y)."""
+    """The explicit Selberg upper bound X*V*(1 - f)^-1 + remainder at (x, y),
+    which must be the point `cfg` was made for."""
     if y < SELBERG_MIN_Y:
         raise DomainError(f"the explicit sieve bound needs y >= {SELBERG_MIN_Y}, got {y}")
+    if (float(x), float(y)) != (cfg.x, cfg.y):  # nan differs from every point
+        raise DomainError(f"the sieve configuration is for (x, y) = ({cfg.x!r}, {cfg.y!r}), "
+                          f"got ({x!r}, {y!r})")
     if cfg.f_value >= 1.0:
         raise InfeasibleError(
             f"Rankin factor f={cfg.f_value:.6f} >= 1 at epsilon={cfg.epsilon}; re-choose epsilon"
@@ -240,10 +257,7 @@ def optimize_epsilon(x: float, y: float, table: PrimeTable) -> float:
     power, terms = np.empty_like(ps), np.empty_like(ps)   # reused: no fresh pages per pass
 
     def step(eps):
-        np.exp(np.multiply(log_p2, eps, out=power), out=power)             # p^(2 eps)
-        np.divide(power, np.add(p_minus_1, power, out=terms), out=terms)   # w_p
-        np.multiply(terms, log_p2, out=terms)                              # 2 log p * w_p
-        slope = float(np.sum(terms)) - log_d
+        slope = float(np.sum(_slope_terms(log_p2, p_minus_1, eps, power, terms))) - log_d
         np.subtract(log_p2, terms, out=power)
         np.multiply(power, terms, out=power)             # (2 log p)^2 * w_p * (1 - w_p)
         return slope, float(np.sum(power))
@@ -316,36 +330,96 @@ def selberg_sweep(table: PrimeTable, *, target: float, lo: int = SELBERG_MIN_Y,
     coefficient); a pair whose best Rankin factor is >= 1 gets coefficient
     inf and margin -inf.  The sieving primes only change at primes, so each
     pair's sums over the primes <= p are entries of one ascending cumsum over
-    all sieving primes.  Epsilon is the best point of a fixed grid (any grid
-    point yields a valid bound), found as a running minimum over the grid,
-    one cumsum per grid point; ties keep the first point, as np.argmin does.
-    The sieve level uses log q, the worst y in the interval.  A lo below
-    SELBERG_MIN_Y or above hi raises DomainError.
+    the sieving primes.  Epsilon is the best point of the fixed grid
+    .04, .042, ..., .26 (step h = .002; any grid point yields a valid
+    bound), found as a running minimum over the grid, one cumsum per grid
+    point; ties keep the first point, as np.argmin does.  The sieve level
+    uses log q, the worst y in the interval.  A lo below SELBERG_MIN_Y or
+    above hi, or a target that is not finite, raises DomainError.
+
+    Only the grid points that can still be some pair's minimum are
+    evaluated, and the result has the bits of the full running minimum.
+    For a fixed pair, log f(eps) = sum_{7<=p'<=p} log(1 + (p'^(2 eps) - 1)/p')
+    - eps log D is a sum of convex terms (the second derivative of each is
+    (2 log p')^2 w (1 - w) >= 0, w = p'^(2 eps) / (p' - 1 + p'^(2 eps))), so
+    a pair's grid values fall to its minimum and then rise.  numpy's 1-d
+    cumsum adds in order, so the cumsum over a prefix of the primes has the
+    bits of that prefix of the full one: each f evaluated has the bits the
+    full grid gives it.  Let delta bound the relative rounding error of a
+    computed f.  A cumsum of n positive terms with sum S is off by at most
+    (n - 1) u S, u = 2^-53, and the terms, the product eps log D and the exp
+    add a few u of S + eps log D more, so delta < (n + 10) u (S + eps log D).
+    Up to 5e5 there are n = 41,535 sieving primes; at the grid's top S = 160
+    and eps log D < 23, so delta < 1e-9.  Up to 1e8 (n = 5,761,452, S = 1713,
+    eps log D < 33) delta < 1.2e-6.
+
+    - Start: k0 is the last grid point at or below SWEEP_START_C / log p
+      (1 / log p) of the last pair, left of every pair's optimum, which
+      sits near c / log p with c = 1.07 to 1.17 on this range.  One pass
+      over the primes checks that the slope of log f at k0,
+      sum 2 log p' w - log D (as in `optimize_epsilon`), is below
+      -m_s = -SWEEP_SLOPE_MARGIN for every pair; it reads -10 or less on
+      the default range, and its rounding error is below n u log D < 1e-7.
+      By convexity each earlier grid point's f then exceeds f(k0) by a
+      factor of at least exp(h m_s), and h m_s = 2e-4 > 2 delta, so none of
+      them can be a minimum and the full grid's running minimum after k0 is
+      f(k0).  If the check fails for any pair the sweep starts at grid
+      point 0, which is the full grid.
+    - Stop: a pair is done once its f exceeds its running minimum by more
+      than the share m_r = SWEEP_RISE_MARGIN = 1e-4 > 2 delta.  Its exact f
+      then already rises, so no later grid point's computed f beats the
+      minimum kept.  Pairs ascend in p and their optima fall with p, so the
+      pairs not done form a prefix (exactly so up to 3e6): each grid
+      point's cumsum runs over the primes up to the last pair not done, and
+      any pair done before it cannot change under the update rule.
+
+    Both margins exceed 2 delta at least tenfold for every hi up to 1e8.
+    Past that the sweep still reports a valid bound for every pair (any
+    grid point gives one), but its grid point may differ from the full
+    grid's by rounding.
     """
     if lo < SELBERG_MIN_Y:
         raise DomainError(f"the explicit sieve bound needs y >= {SELBERG_MIN_Y}, got {lo}")
     if lo > hi:
         raise DomainError(f"the sweep needs lo <= hi, got lo={lo}, hi={hi}")
+    if not math.isfinite(target):
+        raise DomainError(f"target must be finite, got {target}")
     eps_grid = np.linspace(0.04, 0.26, 111)
 
     ps = table.primes_between(5, table.next_prime(hi))     # sieving primes 7..q of the last pair
     start = len(ps) - 1 - len(table.primes_between(lo - 1, hi))
     y, q = ps[start:-1], ps[start + 1:]                      # the pairs: a run of consecutive primes
-    ps = ps.astype(np.float64)
+    ps = ps[:-1].astype(np.float64)                          # sieving primes 7..p of the last pair
     log_q = np.log(q)
     log_d = np.log(SELBERG_D_COEFF) + 7.5 * np.log(y) - 3.0 * np.log(log_q)
 
+    k0 = 0
+    if len(y):
+        guess = SWEEP_START_C / math.log(y[-1])
+        k0 = max(int(np.searchsorted(eps_grid, guess, side="right")) - 1, 0)
+        power, terms = np.empty_like(ps), np.empty_like(ps)
+        slope_terms = _slope_terms(2.0 * np.log(ps), ps - 1.0, eps_grid[k0], power, terms)
+        slopes = np.cumsum(slope_terms, out=terms)[start:] - log_d
+        if not np.all(slopes < -SWEEP_SLOPE_MARGIN):
+            k0 = 0
+
     f_best = np.full(len(y), np.inf)
     eps_best = np.full(len(y), eps_grid[0])
-    for eps in eps_grid:
+    open_pairs = len(y)             # the pairs after the first open_pairs are done
+    for eps in eps_grid[k0:]:
+        if not open_pairs:
+            break
         with np.errstate(over="raise"):
-            rankin = np.cumsum(_rankin_terms(ps, eps))[start:-1]
-        f = np.exp(rankin - eps * log_d)
-        better = f < f_best
-        f_best[better] = f[better]
-        eps_best[better] = eps
+            rankin = np.cumsum(_rankin_terms(ps[:start + open_pairs], eps))[start:]
+        f = np.exp(rankin - eps * log_d[:open_pairs])
+        f_open, eps_open = f_best[:open_pairs], eps_best[:open_pairs]   # views
+        better = f < f_open
+        f_open[better] = f[better]
+        eps_open[better] = eps
+        still_open = np.flatnonzero(f <= f_open * (1.0 + SWEEP_RISE_MARGIN))
+        open_pairs = int(still_open[-1]) + 1 if len(still_open) else 0
 
-    v_full = PRESIEVE_DENSITY * np.exp(np.cumsum(np.log1p(-1.0 / ps))[start:-1])  # all p' <= p
+    v_full = PRESIEVE_DENSITY * np.exp(np.cumsum(np.log1p(-1.0 / ps))[start:])  # all p' <= p
     coefficient = np.full(len(y), np.inf)
     ok = f_best < 1.0
     coefficient[ok] = v_full[ok] * log_q[ok] / (1.0 - f_best[ok]) + SELBERG_REMAINDER_COEFF

@@ -255,10 +255,11 @@ def test_array_forms_refuse_any_bad_element(call, error):
 def _non_finite_calls():
     """Calls with a nan or an infinite argument, each outside its domain."""
     from roughbound.phi import max_statistic, scan_rough_interval
-    from roughbound.pipeline import small_u_coefficient
+    from roughbound.pipeline import iteration_tail_epsilon, small_u_coefficient, verify_selberg
     from roughbound.sieve_bounds import (bonferroni_x_bound, closed_form_factor,
                                          elementary_x_bound, final_large_y_bound,
-                                         s_y_closed_form)
+                                         lemma2_remainder, make_sieve_config, s_y_closed_form,
+                                         selberg_sweep)
     nan, inf = math.nan, math.inf
     return {
         "r_ratio(nan)": lambda t: r_ratio(nan),
@@ -280,6 +281,15 @@ def _non_finite_calls():
         "max_statistic(5, 7, nan)": lambda t: max_statistic(5, 7, nan, t),
         "scan_rough_interval(target=nan)": lambda t: scan_rough_interval(t, 5, 7, 100, target=nan),
         "scan_rough_interval(x_cap=nan)": lambda t: scan_rough_interval(t, 5, 7, nan),
+        "selberg_sweep(target=nan)": lambda t: selberg_sweep(t, lo=241, hi=300, target=nan),
+        "selberg_sweep(target=inf)": lambda t: selberg_sweep(t, lo=241, hi=300, target=inf),
+        "verify_selberg(target=nan)": lambda t: verify_selberg(t, target=nan),
+        "make_sieve_config(epsilon=nan)": lambda t: make_sieve_config(1e20, 300.0, t, nan),
+        "make_sieve_config(epsilon=inf)": lambda t: make_sieve_config(1e20, 300.0, t, inf),
+        "lemma2_remainder(nan, 7)": lambda t: lemma2_remainder(nan, 7.0),
+        "lemma2_remainder(100, nan)": lambda t: lemma2_remainder(100.0, nan),
+        "iteration_tail_epsilon(nan)": lambda t: iteration_tail_epsilon(nan),
+        "iteration_tail_epsilon(inf)": lambda t: iteration_tail_epsilon(inf),
     }
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import roughbound
+from roughbound import sieve_bounds
 from divisor_oracles import selberg_divisor_sums, tau3_divisor_sum
 from roughbound.analytic import EULER_GAMMA
 from roughbound.errors import DomainError, InfeasibleError
@@ -270,6 +271,14 @@ def test_selberg_domain(table_sel):
     assert bad.f_value == math.inf
 
 
+def test_selberg_upper_refuses_a_config_made_for_another_point(table_sel):
+    cfg = make_sieve_config(1e20, 300.0, table_sel, 0.1)
+    assert selberg_upper(1e20, 300, cfg, table_sel) > 0
+    for x, y in ((-1e20, 300.0), (2e20, 300.0), (1e20, 307.0), (math.nan, 300.0)):
+        with pytest.raises(DomainError, match="the sieve configuration is for"):
+            selberg_upper(x, y, cfg, table_sel)
+
+
 @pytest.mark.parametrize("x, y", [(0.0, 241.0), (-5.0, 241.0), (10.0, 1.0), (1e10, 0.5),
                                   (math.nan, 241.0), (1e10, math.nan)])
 def test_sieve_level_needs_x_above_0_and_y_above_1(table_sel, x, y):
@@ -379,6 +388,87 @@ def reference_sweep(table, *, target, lo, hi):
         coefficient = v_full * log_q / (1.0 - f_best) + 0.006
         rows.append((p, q, float(eps_grid[k]), f_best, coefficient, target - coefficient))
     return rows
+
+
+def full_grid_sweep(table, *, target, lo, hi):
+    """The sweep before pruning: a running minimum over all 111 grid points,
+    each evaluated on every pair.  Oracle for selberg_sweep's bits."""
+    eps_grid = np.linspace(0.04, 0.26, 111)
+
+    ps = table.primes_between(5, table.next_prime(hi))
+    start = len(ps) - 1 - len(table.primes_between(lo - 1, hi))
+    y, q = ps[start:-1], ps[start + 1:]
+    ps = ps.astype(np.float64)
+    log_q = np.log(q)
+    log_d = np.log(SELBERG_D_COEFF) + 7.5 * np.log(y) - 3.0 * np.log(log_q)
+
+    f_best = np.full(len(y), np.inf)
+    eps_best = np.full(len(y), eps_grid[0])
+    for eps in eps_grid:
+        rankin = np.cumsum(np.log1p((ps ** (2.0 * eps) - 1.0) / ps))[start:-1]
+        f = np.exp(rankin - eps * log_d)
+        better = f < f_best
+        f_best[better] = f[better]
+        eps_best[better] = eps
+
+    v_full = PRESIEVE_DENSITY * np.exp(np.cumsum(np.log1p(-1.0 / ps))[start:-1])
+    coefficient = np.full(len(y), np.inf)
+    ok = f_best < 1.0
+    coefficient[ok] = v_full[ok] * log_q[ok] / (1.0 - f_best[ok]) + SELBERG_REMAINDER_COEFF
+    return {"y": y, "q": q, "epsilon": eps_best, "f_value": f_best,
+            "coefficient": coefficient, "margin": target - coefficient}
+
+
+def assert_same_bits(sweep, oracle):
+    assert sweep.dtype.names == tuple(oracle)
+    for name, want in oracle.items():
+        assert sweep[name].dtype == want.dtype, name
+        assert np.array_equal(sweep[name], want), name
+
+
+@pytest.mark.parametrize("lo, hi", [(241, 500_000), (241, 241), (241, 300), (300, 306),
+                                    (5000, 7000), (499_000, 500_000)])
+def test_pruned_sweep_has_the_full_grid_bits(table_sel, lo, hi):
+    # [300, 306] holds no prime: the sweep is empty
+    sweep = selberg_sweep(table_sel, lo=lo, hi=hi, target=DEFAULT_TARGET)
+    assert len(sweep) == table_sel.pi(hi) - table_sel.pi(lo - 1)
+    assert_same_bits(sweep, full_grid_sweep(table_sel, lo=lo, hi=hi, target=DEFAULT_TARGET))
+
+
+def _recorded_epsilons(monkeypatch):
+    """Record the epsilon of each Rankin pass the sweep makes."""
+    seen = []
+    terms = sieve_bounds._rankin_terms
+
+    def recorded(ps, eps):
+        seen.append(float(eps))
+        return terms(ps, eps)
+
+    monkeypatch.setattr(sieve_bounds, "_rankin_terms", recorded)
+    return seen
+
+
+def test_pruned_sweep_starts_at_one_over_log_p(table_sel, monkeypatch):
+    seen = _recorded_epsilons(monkeypatch)
+    selberg_sweep(table_sel, lo=241, hi=500_000, target=DEFAULT_TARGET)
+    # 1 / log 499979 = .0762; the last pair is done 70 grid points on
+    assert seen[0] == pytest.approx(0.076, abs=1e-12)
+    assert len(seen) == 71
+
+
+def test_failed_start_check_falls_back_to_the_full_grid(table_sel, monkeypatch):
+    # at 1.5 / log p the first guess lies right of the optima (about 1.1 / log p),
+    # where the slope of log f is positive: the sweep must start at .04
+    monkeypatch.setattr(sieve_bounds, "SWEEP_START_C", 1.5)
+    seen = _recorded_epsilons(monkeypatch)
+    sweep = selberg_sweep(table_sel, lo=5000, hi=7000, target=DEFAULT_TARGET)
+    assert seen[0] == 0.04
+    oracle = full_grid_sweep(table_sel, lo=5000, hi=7000, target=DEFAULT_TARGET)
+    assert_same_bits(sweep, oracle)
+    # without the check, that start would skip the pairs' minima
+    monkeypatch.setattr(sieve_bounds, "SWEEP_SLOPE_MARGIN", -math.inf)
+    unchecked = selberg_sweep(table_sel, lo=5000, hi=7000, target=DEFAULT_TARGET)
+    assert np.all(unchecked.f_value > oracle["f_value"])
 
 
 def test_sweep_matches_reference(table_sel):
