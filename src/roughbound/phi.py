@@ -6,15 +6,17 @@ one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_chunks`
 (CHUNK_ROWS rows of 32 bits at a time), or the count can be reproduced by
 full inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
 prime-pair identity (`phi_two_prime`).  The interval scans read the same
-chunks on two levels.  Popcounts of blocks of SCAN_BLOCK rows over the whole
-range give bj[b], the survivors up to the end of block b.  The bj[b]-th
-survivor lies below the next block's first cell n_first[b + 1], so it
-attains j / n > bj[b] / n_first[b + 1], a lower bound; no survivor of block
-b exceeds bj[b] / n_first[b], an upper bound.  Only inside the blocks whose
-upper bound reaches the best lower bound are the rows counted and bounded
-the same way, and only the rows that can hold the interval max statistics
-used by the verification pipeline, or a violation of its target, are
-expanded to (n, index) pairs.
+chunks on three levels.  The presieve's block counts, kept by the strike
+(`Presieve.block_counts`), give bj[b], the survivors up to the end of block
+b of SCAN_BLOCK rows, with no popcount but over the trimmed last chunk.
+The bj[b]-th survivor lies below the next block's first cell
+n_first[b + 1], so it attains j / n > bj[b] / n_first[b + 1], a lower
+bound; no survivor of block b exceeds bj[b] / n_first[b], an upper bound.
+Only inside the blocks whose upper bound reaches the best lower bound are
+sub-blocks of 4 rows counted and bounded the same way, only inside the
+sub-blocks that reach it the rows, and only the rows that can hold the
+interval max statistics used by the verification pipeline, or a violation
+of its target, are expanded to (n, index) pairs.
 """
 
 from __future__ import annotations
@@ -25,12 +27,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import CHUNK_ROWS, DEFAULT_LIMIT_CAP, SCAN_BLOCK, Presieve, PrimeTable, rough_chunks
+from .primes import (
+    CHUNK_ROWS,
+    DEFAULT_LIMIT_CAP,
+    SCAN_BLOCK,
+    Presieve,
+    PrimeTable,
+    count_blocks,
+    rough_chunks,
+)
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
-_BYTE_LANES = np.uint64(0x00FF00FF00FF00FF)
+_SLICE = 1 << 15         # blocks per slice of a scan's block level: 2 MB of presieve
+_PAIRS = np.uint64(0x00FF00FF00FF00FF)     # the even bytes of a uint64
+_PREFIX16 = np.uint64(0x0001000100010001)  # times this, 16-bit lanes become their prefix sums
+_PREFIX8 = np.uint32(0x01010101)           # and so do 8-bit lanes of a uint32
 
 
 def phi_direct(x: int, y: float, table: PrimeTable, *,
@@ -166,17 +179,6 @@ def _better(best, ratios, ns, js):
     return (float(ratios[i]), int(ns[i]), int(js[i])) if ratios[i] > best[0] else best
 
 
-def _block_counts(words: np.ndarray) -> np.ndarray:
-    """Survivors per block of the packed rows `words`, SCAN_BLOCK uint32
-    rows a block.  A block's 8 uint64 words have popcounts of at most 64,
-    which are the 8 bytes of one uint64; they are added in lanes, byte pairs
-    into 16-bit lanes and those into the low 16 bits."""
-    v = np.bitwise_count(words.view(np.uint64)).view(np.uint64).ravel()
-    v = (v & _BYTE_LANES) + (v >> 8 & _BYTE_LANES)   # four sums, each at most 128
-    v += v >> 16
-    return ((v + (v >> 32)) & 0xFFFF).view(np.int64)
-
-
 def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                         target: float | None = None,
                         presieve: Presieve | None = None) -> IntervalScan:
@@ -200,26 +202,36 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     Bounds come from counts.  If j_end survivors lie below the cell m, the
     j_end-th lies below m, so it attains j / n > j_end / m; and every
     survivor at or past a cell n_min, up to the j_end-th, has
-    j / n <= j_end / n_min.  The scan counts on two levels:
+    j / n <= j_end / n_min.  The scan counts on three levels, each only
+    inside the units the level above keeps:
 
     1. Blocks of SCAN_BLOCK rows (8 uint64 words, 1,920 integers on the
-       wheel of 30), a chunk at a time: bj[b], the survivors up to the end
-       of block b, by popcount, and n_first[b], the block's first cell.
-       The bj[b]-th survivor lies in block b or below, so below
+       wheel of 30).  Their counts are the presieve's `block_counts`, kept
+       by the strike through `Presieve.advance`; only the blocks of the
+       trimmed last chunk are popcounted.  A slice of _SLICE blocks at a
+       time, in ascending order, a cumsum gives bj[b], the survivors up to
+       the end of block b, and n_first[b] is the block's first cell.  The
+       bj[b]-th survivor lies in block b or below, so below
        n_first[b + 1]: bj[b] / n_first[b + 1] is a lower bound on the j / n
        it attains.  It lies at or past y_hi^2 once bj[b] exceeds the count
-       of the blocks that hold an n below y_hi^2.  The largest such bound
-       over the whole range is the floor.  A block is a candidate if it
-       holds an n in [y_lo^2, y_hi^2) or if its upper bound
-       bj[b] / n_first[b] reaches the floor.
-    2. Rows, only in the candidate blocks: the same two bounds per row,
-       with the floor raised by the rows' lower bounds.  The rows that hold
-       an n in [y_lo^2, y_hi^2) and those whose upper bound reaches the
-       floor are unpacked, and their survivors are folded into the maxima.
+       of the blocks that hold an n below y_hi^2.  The slice's largest such
+       bound raises the floor; then a block is kept if it holds an n in
+       [y_lo^2, y_hi^2), or if its upper bound bj[b] / n_first[b] reaches
+       the floor and it does not lie wholly below y_lo^2.
+    2. Sub-blocks of 4 rows (two uint64 words), in the kept blocks: the
+       same two bounds, from the running counts of the block's popcounts
+       in the 16-bit lanes of one uint64, with the floor raised by their
+       lower bounds first.
+    3. Rows, in the kept sub-blocks: the same again, in 8-bit lanes.  The
+       rows that hold an n in [y_lo^2, y_hi^2) and those whose upper bound
+       reaches the floor are unpacked, and their survivors are folded into
+       the maxima.
 
     A range within one chunk, such as a `max_statistic` row, goes straight
     to the row level over all its rows: its block level would cost more than
-    it saves (about 70 us a scan; see the README).
+    it saves (about 70 us a scan; see the README).  The floor only prunes:
+    the maxima, witnesses and violations are those of every survivor,
+    folded in ascending order.
     """
     if not 1 <= x_cap < math.inf:  # nan fails it too
         raise DomainError(f"x_cap must be finite and >= 1, got {x_cap}")
@@ -267,82 +279,118 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     rows = x_cap // step + 1                   # the rows that hold [0, x_cap]
     chunks = rough_chunks(presieve, x_cap)
 
-    def expand(words, n_min, count, j_end, j_head, floor):
-        """The row level: fold in the survivors of the ascending rows packed
-        in `words`, with first cells n_min and `count` survivors each, the
-        last of them the j_end-th, if the row can reach the floor or holds
-        an n in [y_lo^2, y_hi^2).  A row whose j_end passes j_head ends at
-        or past y_hi^2.  Returns the raised floor."""
-        nonlocal band, above
+    def lift(j_end, n_next, floor):
+        """The floor raised by the lower bounds j_end / n_next of ascending
+        units, the j_end-th survivor the last of its unit and n_next the
+        cell after it, of the units past y_hi^2: those whose j_end passes
+        j_head."""
         lead = int(j_end.searchsorted(j_head, "right"))
-        floor = min(max(floor, (j_end[lead:] / (n_min[lead:] + step)).max(initial=0.0)),
-                    floor_cap)
-        keep = j_end >= n_min * (floor * (1 - 1e-13))
-        keep[slice(*n_min.searchsorted((lo_bound // step * step + n_one, q2)).tolist())] = True
-        idx = np.flatnonzero(keep)
-        cells = np.flatnonzero(np.unpackbits(words[idx].view(np.uint8)).view(bool))
-        rr = cells >> 5                        # the survivor's row, as an index into idx
-        ns = (n_min[idx] - n_one)[rr] + residues[cells & 31]   # exact in float64
-        js = (j_end[idx] - np.cumsum(count[idx], dtype=np.int64))[rr] + np.arange(1, rr.size + 1)
+        return min(max(floor, (j_end[lead:] / n_next[lead:]).max(initial=0.0)), floor_cap)
+
+    def reach(j_end, n_min, width, floor):
+        """Which ascending units of `width` integers, with first cells n_min
+        and the j_end-th survivor their last, hold an n in [y_lo^2, y_hi^2)
+        or have an upper bound j_end / n_min that reaches the floor."""
+        kept = j_end >= n_min * (floor * (1 - 1e-13))
+        kept[slice(*n_min.searchsorted((lo_bound // width * width + n_one, q2)).tolist())] = True
+        return kept
+
+    def narrow(j_end, n_min, prefix, width, floor):
+        """Split ascending units, with first cells n_min and the j_end-th
+        survivor their last, into their four parts of `width` integers,
+        with running survivor counts `prefix` (units, 4).  The floor is
+        raised by the parts' lower bounds (`lift`), and `reach` keeps parts.
+        Returns the kept parts as flat indices into `prefix`, their j_end
+        and n_min, and the raised floor.  Column by column: a column is a
+        whole array, where (units, 4) arrays would loop over 4."""
+        js = prefix.astype(np.float64)         # the parts' j_end, exact
+        js += (j_end - js[:, 3])[:, None]
+        ns = [n_min + k * width for k in range(5)]   # ns[k + 1]: the cell after part k
+        for k in range(4):
+            floor = lift(js[:, k], ns[k + 1], floor)
+        kept = np.empty(prefix.shape, dtype=bool)
+        for k in range(4):
+            kept[:, k] = reach(js[:, k], ns[k], width, floor)
+        idx = np.flatnonzero(kept)
+        return idx, js.ravel()[idx], n_min[idx >> 2] + (idx & 3) * width, floor
+
+    def expand(words, count, j_end, n_min):
+        """Fold in the survivors of the ascending rows packed in `words`,
+        with first cells n_min and `count` survivors each, the last of them
+        the j_end-th."""
+        nonlocal band, above
+        cells = np.flatnonzero(np.unpackbits(words.view(np.uint8)).view(bool))
+        rr = cells >> 5                        # the survivor's row
+        ns = (n_min - n_one)[rr] + residues[cells & 31]   # exact in float64
+        js = (j_end - np.cumsum(count))[rr] + np.arange(1, rr.size + 1)
         lo, hi = ns.searchsorted((lo_bound, q2)).tolist()
         nv, jv = ns[lo:hi], js[lo:hi]
         band = fold(band, jv * (0.5 * np.log(nv)) / nv, nv, jv)
         nv, jv = ns[hi:], js[hi:]
         above = fold(above, jv * log_q / nv, nv, jv)
+
+    def row_level(words, j_end, n_min, floor):
+        """The row level under sub-blocks of 4 rows, packed in `words`, with
+        first cells n_min and the j_end-th survivor their last: `narrow` on
+        the rows' popcounts, then `expand` on the rows it keeps.  Returns
+        the raised floor."""
+        words = words.reshape(-1, 4)
+        count = np.bitwise_count(words)        # uint8; their running sums fit the 8-bit lanes
+        prefix = (count.view(np.uint32) * _PREFIX8).view(np.uint8).reshape(-1, 4)
+        idx, j_end, n_min, floor = narrow(j_end, n_min, prefix, step, floor)
+        expand(words.ravel()[idx], count.ravel()[idx], j_end, n_min)
         return floor
 
     if rows <= CHUNK_ROWS:                     # one chunk: no block level, see above
         words = next(chunks)[1][:rows]         # less its padding
         count = np.bitwise_count(words)
-        j_end = np.cumsum(count, dtype=np.int64)
-        n_min = np.arange(n_one, rows * step, step, dtype=np.float64)
+        j_end = np.cumsum(count, dtype=np.float64)   # exact
+        n_min = np.arange(rows) * float(step) + n_one
         head = min(rows, -(-(q2 - n_one) // step))   # rows [0, head) hold an n below y_hi^2
-        expand(words, n_min, count, j_end, int(j_end[head - 1]), 0.0)
+        j_head = int(j_end[head - 1])          # the survivors below the first row past y_hi^2
+        idx = np.flatnonzero(reach(j_end, n_min, step, lift(j_end, n_min + step, 0.0)))
+        expand(words[idx], count[idx], j_end[idx], n_min[idx])
         rough_count = int(j_end[-1])
     else:
         span = SCAN_BLOCK * step               # integers per block
-        # n_first[b0 + i] - b0 span, over the blocks of a chunk and the next one's first
-        firsts = np.arange(CHUNK_ROWS // SCAN_BLOCK + 1) * float(span) + n_one
-        row_firsts = np.arange(SCAN_BLOCK) * float(step)           # a row's n_min - its block's
-        head = -(-(q2 - n_one) // span)        # blocks [0, head) hold an n below y_hi^2, head >= 1
-        band_lo = lo_bound // span             # the first block that holds an n >= y_lo^2
+        per_chunk = CHUNK_ROWS // SCAN_BLOCK   # blocks per chunk
+        chunks = [words for _, words in chunks]   # views of the presieve, and the trimmed last
+        last = (len(chunks) - 1) * per_chunk   # the last chunk's first block
+        whole, tail = presieve.block_counts()[:last], count_blocks(chunks[-1])
+        # n_first[b0 + i] - b0 span, over a slice's blocks and the next one's first
+        firsts = np.arange(min(_SLICE, last + len(tail)) + 1) * float(span) + n_one
+        head = -(-(q2 - n_one) // span)        # blocks [0, head) hold an n below y_hi^2
+        # the survivors below the first block past y_hi^2
+        j_head = int(whole[:head].sum(dtype=np.int64)) + int(tail[:max(0, head - last)].sum())
 
-        # each chunk with the survivors below it and at least the upper bound of each of its blocks
-        counted = []
-        rough_count = j_head = 0
-        floor = 0.0
-        for first, words in chunks:
-            b0 = first // SCAN_BLOCK
-            bj = np.cumsum(_block_counts(words)) + rough_count
+        floor, j = 0.0, 0
+        for b0, counts in [*((b, whole[b:b + _SLICE]) for b in range(0, last, _SLICE)),
+                           (last, tail)]:
+            bj = counts.astype(np.float64)     # the survivors up to each block's end, exact
+            np.cumsum(bj, out=bj)
+            bj += j
+            j = int(bj[-1])
             n_first = firsts[:len(bj) + 1] + b0 * span
-            lower = bj / n_first[1:]
-            # upper / lower = n_first[b + 1] / n_first[b], largest at the chunk's first block;
-            # a chunk that holds a block below y_hi^2 is always read
-            top = lower.max() * n_first[1] / n_first[0] if b0 >= head else math.inf
-            counted.append((b0, words, rough_count, top))
-            rough_count = int(bj[-1])
-            if b0 < head <= b0 + len(bj):
-                j_head = int(bj[head - 1 - b0])
-            if b0 + len(bj) >= head:           # the blocks whose count passes j_head
-                floor = max(floor, lower[bj.searchsorted(j_head, "right"):].max(initial=0.0))
-        floor = min(floor, floor_cap)
-
-        for b0, words, j0, top in counted:
-            reach = floor * (1 - 1e-13)
-            if top < reach:
-                continue
-            # the chunk's counts again, read only for a chunk with a candidate
-            bj = np.cumsum(_block_counts(words)) + j0
-            n_first = firsts[:len(bj)] + b0 * span
-            candidate = bj >= n_first * reach
-            candidate[max(0, band_lo - b0):max(0, head - b0)] = True
+            floor = lift(bj, n_first[1:], floor)
+            candidate = reach(bj, n_first[:-1], span, floor)
+            candidate[:max(0, lo_bound // span - b0)] = False   # wholly below y_lo^2
             cand = np.flatnonzero(candidate)
-            words = words.reshape(-1, SCAN_BLOCK)[cand].ravel()
-            count = np.bitwise_count(words)
-            j_end = np.cumsum(count, dtype=np.int64)
-            j_end += np.repeat(bj[cand] - j_end[SCAN_BLOCK - 1::SCAN_BLOCK], SCAN_BLOCK)
-            n_min = (n_first[cand, None] + row_firsts).ravel()
-            floor = expand(words, n_min, count, j_end, j_head, floor)
+            if not cand.size:
+                continue
+            # the candidate blocks' rows, gathered chunk by chunk
+            cuts = cand.searchsorted(np.arange(0, len(bj) + per_chunk, per_chunk)).tolist()
+            words = np.concatenate([
+                np.take(chunks[(b0 + i) // per_chunk].reshape(-1, SCAN_BLOCK), cand[a:z] - i, axis=0)
+                for i, a, z in zip(range(0, len(bj), per_chunk), cuts, cuts[1:]) if a < z])
+            # a block's 8 word counts are the bytes of one uint64, and its sub-block
+            # counts the sums of byte pairs, four 16-bit lanes
+            v = np.bitwise_count(words.view(np.uint64)).view(np.uint64)
+            v = (v & _PAIRS) + (v >> 8 & _PAIRS)
+            v *= _PREFIX16
+            idx, j_end, n_min, floor = narrow(bj[cand], n_first[cand],
+                                              v.view(np.uint16).reshape(-1, 4), 4 * step, floor)
+            floor = row_level(words.reshape(-1, 4)[idx], j_end, n_min, floor)
+        rough_count = j
 
     # band precedes the n >= y_hi^2: it holds the first maximum of both on a tie
     sup_best = band if band[0] >= above[0] else above

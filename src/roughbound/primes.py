@@ -15,6 +15,14 @@ off smaller presieves, down to one on the wheel of 1 that strikes nothing.
 `phi.phi_direct` counts its survivors and `phi.scan_rough_interval` streams
 them.
 
+A presieve also keeps its survivors per block of SCAN_BLOCK rows, counted
+by popcount (`count_blocks`) when a scan first asks for them and kept
+current by the strike itself: striking a prime p removes exactly p times
+the survivors m it finds, so `advance` takes each new prime's blocks off
+the counts from a sorted list of the small survivors m, which it keeps,
+instead of counting the whole range again (Legendre's identity
+Phi(N, p) = Phi(N, p-) - Phi(N / p, p-), p- the prime before p).
+
 A :class:`PrimeTable` stores every prime up to a limit and nothing else: it
 keeps no prefix sums, and a sum over primes is taken over a slice of the
 list.  A built table is immutable and safe to share between concurrent
@@ -36,7 +44,9 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 DEFAULT_LIMIT_CAP = 1 << 31
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
 CHUNK_ROWS = 1 << 15     # packed rows per chunk of `rough_chunks`: 128 KB
-SCAN_BLOCK = 16          # rows per block of `phi.scan_rough_interval`; a last chunk is whole blocks
+SCAN_BLOCK = 16          # rows per block of the block counts; a last chunk is whole blocks
+_PIECE_CELLS = 1 << 15   # cells unpacked, or survivors taken off the counts, at a time: 256 KB as int64
+_BYTE_LANES = np.uint64(0x00FF00FF00FF00FF)
 
 
 _WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -110,11 +120,14 @@ class Presieve:
     repeated, then struck by the rest of `strike` in place.  `advance` strikes more
     primes into the same bytes.  0 is never set.  The bits past x_cap, up
     to the end of the last row of 32 residues, are not trimmed; `rough_chunks`
-    trims them off its last chunk.  x_cap past DEFAULT_LIMIT_CAP raises ResourceError
-    before anything is allocated.
+    trims them off its last chunk.  A negative or non-finite x_cap raises
+    DomainError, and one past DEFAULT_LIMIT_CAP ResourceError, before
+    anything is allocated.
     """
 
     def __init__(self, strike: np.ndarray, x_cap: int):
+        if not 0 <= x_cap < math.inf:  # nan fails it too
+            raise DomainError(f"a presieve needs a finite x_cap >= 0, got {x_cap}")
         if x_cap > DEFAULT_LIMIT_CAP:
             raise ResourceError(f"a presieve of [0, {x_cap}] exceeds the cap {DEFAULT_LIMIT_CAP}")
         self.x_cap = int(x_cap)
@@ -125,19 +138,97 @@ class Presieve:
         if not len(strike):
             self.turns[0] &= 0x7F  # 0 is not counted; 1 survives every strike
         self.strike = strike[:3 + PRESIEVED]
+        self._counts = None   # survivors per block, once `block_counts` is asked
+        self._small = None    # the survivors m by which `advance` takes p m off the counts
+        self._alive = None    # which of them no new prime has struck since
         self.advance(strike)
+
+    def block_counts(self) -> np.ndarray:
+        """The survivors per block of SCAN_BLOCK rows over the presieve's
+        whole rows (the bits past x_cap included), the last block zero
+        padded, as a read-only int16 array: at most 512 a block.  Counted by
+        `count_blocks` in place, CHUNK_ROWS rows at a time, on the first
+        call, and kept current by `advance` from then on."""
+        if self._counts is None:
+            words = self.turns.view(np.uint32)
+            whole = len(words) // SCAN_BLOCK * SCAN_BLOCK
+            counts = np.empty(-(-len(words) // SCAN_BLOCK), dtype=np.int16)
+            for r in range(0, whole, CHUNK_ROWS):
+                end = min(r + CHUNK_ROWS, whole)
+                counts[r // SCAN_BLOCK:end // SCAN_BLOCK] = count_blocks(words[r:end])
+            counts[whole // SCAN_BLOCK:] = np.bitwise_count(words[whole:]).sum()
+            self._counts = counts
+        counts = self._counts.view()
+        counts.flags.writeable = False
+        return counts
 
     def advance(self, strike: np.ndarray) -> None:
         """Strike, in place, the primes of `strike` beyond this presieve's
-        own, which must be its first primes, on the same wheel; refused,
-        the bytes stay as they are."""
+        own, which must be its first primes, on the same wheel, and take
+        what they strike off the block counts if these are kept; refused,
+        the bytes and the counts stay as they are."""
         if strike[:len(self.strike)].tolist() != self.strike.tolist():
             raise DomainError("the presieve's primes are not the first of the struck primes")
         if min(len(strike), 3) != min(len(self.strike), 3):
             raise DomainError(f"a presieve on the wheel of {self.strike.tolist()} cannot "
                               f"advance to the wheel of {strike[:3].tolist()}")
-        _strike(self.turns, strike[len(self.strike):], _wheel(strike))
+        new = strike[len(self.strike):]
+        if self._counts is not None and len(new):
+            self._uncount(new.tolist())
+        _strike(self.turns, new, _wheel(strike))
         self.strike = strike
+
+    def _uncount(self, ps: list[int]) -> None:
+        """Take off the block counts the survivors that the primes `ps`,
+        ascending and above the presieve's own, strike.  Striking p removes
+        p m for each survivor m <= top // p of the primes below p, top the
+        last integer of the rows, and nothing else: each p m is taken off
+        its block's count.  The m run over a sorted list of the survivors up
+        to top // ps[0], read once off the bytes; after each p, its
+        multiples p m' are marked struck in the list (each is in it), and
+        the list is cut to its live part once it is over twice as long as
+        the next p can reach.  When top // ps[0] exceeds x_cap / 64 (p below
+        about 64) the list would rival the presieve itself, five times its
+        bytes with p = 7: the counts are dropped instead, to be counted
+        afresh when next asked."""
+        top = len(self.turns) // 4 * self.step - 1
+        span = SCAN_BLOCK * self.step
+        if self._small is None:
+            if top // ps[0] > self.x_cap // 64:
+                self._counts = None
+                return
+            # sized by the counts of the blocks that hold them; below top / 64 < 2^31
+            small = np.empty(int(self._counts[:top // ps[0] // span + 1].sum(dtype=np.int64)),
+                             dtype=np.int32)
+            end = 0
+            for ns in _survivors(self, top // ps[0], _PIECE_CELLS // 32):
+                small[end:end + len(ns)] = ns
+                end += len(ns)
+            self._small, self._alive = small[:end], np.ones(end, dtype=bool)
+        for p in ps:   # int32 keys: an int64 key would cast the whole list
+            end = int(self._small.searchsorted(np.int32(top // p), "right"))
+            small, alive = self._small[:end], self._alive[:end]
+            for lo in range(0, end, _PIECE_CELLS):
+                ms = small[lo:lo + _PIECE_CELLS][alive[lo:lo + _PIECE_CELLS]]
+                np.subtract.at(self._counts, np.multiply(ms, p, dtype=np.int64) // span,
+                               np.int16(1))
+            # p m' for every m' of the list is in it: strike them off the list
+            multiples = small[:small.searchsorted(np.int32(top // p // p), "right")] * np.int32(p)
+            alive[small.searchsorted(multiples)] = False
+            if 2 * end < len(self._small):     # the list's tail is past every later prime's reach
+                self._small, self._alive = small[alive], np.ones(int(alive.sum()), dtype=bool)
+
+
+def count_blocks(words: np.ndarray) -> np.ndarray:
+    """Survivors per block of the packed rows `words` (see `rough_chunks`),
+    SCAN_BLOCK uint32 rows a block, as int64.  A block's 8 uint64 words have
+    popcounts of at most 64, which are the 8 bytes of one uint64; they are
+    added in lanes, byte pairs into 16-bit lanes and those into the low 16
+    bits."""
+    v = np.bitwise_count(words.view(np.uint64)).view(np.uint64).ravel()
+    v = (v & _BYTE_LANES) + (v >> 8 & _BYTE_LANES)   # four sums, each at most 128
+    v += v >> 16
+    return ((v + (v >> 32)) & 0xFFFF).view(np.int64)
 
 
 def rough_chunks(presieve: Presieve, x_cap: int):
@@ -152,18 +243,21 @@ def rough_chunks(presieve: Presieve, x_cap: int):
     `presieve.strike`; 0 is never set, 1 always is.  Every chunk but the last
     is a read-only view of the presieve; the last is a fresh array, the rows
     through the row of x_cap with the cells past x_cap cleared, zero-padded
-    to whole blocks of SCAN_BLOCK rows.  A presieve whose range stops below
-    x_cap is refused before the first chunk.
+    to whole blocks of SCAN_BLOCK rows.  A negative or non-finite x_cap, and
+    a presieve whose range stops below x_cap, are refused before the first
+    chunk.
     """
+    if not 0 <= x_cap < math.inf:  # nan fails it too
+        raise DomainError(f"chunks need a finite x_cap >= 0, got {x_cap}")
     if presieve.x_cap < x_cap:
         raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
     step = presieve.step
     rows = x_cap // step + 1                   # the rows that hold [0, x_cap]
     last = (rows - 1) // CHUNK_ROWS * CHUNK_ROWS
-    for first in range(0, last, CHUNK_ROWS):
-        chunk = presieve.turns[4 * first:4 * (first + CHUNK_ROWS)].view(np.uint32)
-        chunk.flags.writeable = False
-        yield first, chunk
+    whole = presieve.turns[:4 * last].view(np.uint32).reshape(-1, CHUNK_ROWS)
+    whole.flags.writeable = False              # and so is each chunk, a view of it
+    for k, chunk in enumerate(whole):
+        yield k * CHUNK_ROWS, chunk
     size = x_cap + 1 - last * step             # the last chunk's integers, and its cells:
     cut = size // step * 32 + int(np.searchsorted(presieve.residues, size % step))
     tail = np.zeros(-(-(rows - last) // SCAN_BLOCK) * SCAN_BLOCK * 4, dtype=np.uint8)
@@ -222,6 +316,19 @@ class PrimeTable:
         return int(self.primes[i])
 
 
+def _survivors(presieve: Presieve, x_cap: int, piece: int = CHUNK_ROWS):
+    """The survivors of `presieve` up to x_cap, ascending: one int64 array
+    per piece of at most `piece` rows of the chunks of `rough_chunks`."""
+    for first, rows in rough_chunks(presieve, x_cap):
+        for r in range(0, len(rows), piece):
+            cells = np.flatnonzero(np.unpackbits(rows[r:r + piece].view(np.uint8)).view(bool))
+            ns = cells >> 5
+            ns += first + r
+            ns *= presieve.step
+            ns += presieve.residues[cells & 31]
+            yield ns
+
+
 def _primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit: the primes <= sqrt(limit) by this function, then
     the survivors above them, read off a `Presieve` of [0, limit] by those
@@ -229,18 +336,9 @@ def _primes_upto(limit: int) -> np.ndarray:
     the wheel of 1 strikes nothing."""
     root = math.isqrt(limit)
     small = _primes_upto(root) if root >= 2 else np.zeros(0, dtype=np.int64)
-
-    def survivors(presieve):
-        for first, rows in rough_chunks(presieve, limit):
-            cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)).view(bool))
-            ns = cells >> 5
-            ns += first
-            ns *= presieve.step
-            ns += presieve.residues[cells & 31]
-            yield ns[1:] if first == 0 else ns  # 1 survives but is no prime
-
-    # the spent generator frees the presieve before the concatenation
-    return np.concatenate([small, *survivors(Presieve(small, limit))])
+    survivors = _survivors(Presieve(small, limit), limit)
+    # 1 survives but is no prime; the spent generator frees the presieve before the concatenation
+    return np.concatenate([small, next(survivors)[1:], *survivors])
 
 
 def build_prime_table(limit: int) -> PrimeTable:

@@ -16,6 +16,7 @@ from roughbound.phi import (
     phi_two_prime,
     scan_rough_interval,
 )
+from roughbound.pipeline import _scans
 from roughbound.primes import CHUNK_ROWS, DEFAULT_LIMIT_CAP, Presieve, build_prime_table
 
 _T = build_prime_table(10_100)
@@ -260,6 +261,7 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
 
 _BLOCK_30 = phi.SCAN_BLOCK * 120          # integers in one scan block of the wheel of 30
 _CHUNK_30 = CHUNK_ROWS * 120              # integers in one chunk of the wheel of 30
+_SUB_30 = 4 * 120                         # integers in one sub-block of 4 rows of the wheel of 30
 
 
 def _intervals(y_lo, y_hi_max):
@@ -292,6 +294,14 @@ def _intervals(y_lo, y_hi_max):
 @example((23, 29), _CHUNK_30 - 1, 0.55)           # one whole chunk
 @example((23, 29), _CHUNK_30, 0.55)               # one integer past it: a second chunk of one row
 @example((241, 251), 251**3 - 1, 0.6)            # a default small-u scan, several chunks
+@example((19, 23), 7 * _SUB_30 - 1, 0.55)         # one chunk: its rows in sub-blocks, at their edges
+@example((19, 23), 7 * _SUB_30, 0.55)
+@example((7, 11), _CHUNK_30 + _SUB_30 - 1, None)  # the last chunk ends a sub-block
+@example((7, 11), _CHUNK_30 + _SUB_30, 0.56)      # and one integer past it
+@example((11, 13), _CHUNK_30 + _BLOCK_30 - 1, 0.55)   # the last chunk ends a block
+@example((11, 13), _CHUNK_30 + _BLOCK_30 + 1, None)
+@example((13, 17), 2 * _CHUNK_30 - 1, 0.55)      # two whole chunks
+@example((13, 17), 2 * _CHUNK_30 + 3 * _SUB_30, 0.55)   # a third, of three sub-blocks
 def test_scan_matches_reference(interval, x_cap, target):
     y_lo, y_hi = interval
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
@@ -319,6 +329,30 @@ def test_scan_from_a_presieve_equals_scan_without(interval, x_cap, target):
     presieve = Presieve(_T.primes_between(0, y_lo), 2100 * _BLOCK_30)
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target, presieve=presieve)
     assert got == want
+
+
+# x caps at and beside the edges of sub-blocks, blocks and chunks, past the first chunk
+_EDGE_X_CAPS = st.builds(lambda base, k, d: base + k + d,
+                         st.sampled_from([_CHUNK_30, 2 * _CHUNK_30]),
+                         st.sampled_from([0, _SUB_30, 2 * _SUB_30, _BLOCK_30, 7 * _BLOCK_30,
+                                          _CHUNK_30 // 2]),
+                         st.integers(min_value=-2, max_value=2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=3, max_value=40), st.lists(_EDGE_X_CAPS, min_size=1, max_size=4),
+       st.one_of(st.none(), st.floats(min_value=0.5, max_value=0.6)))
+@example(18, [_CHUNK_30 + _SUB_30, _CHUNK_30 + _SUB_30 - 1, 2 * _CHUNK_30 + _BLOCK_30], 0.55)
+@example(3, [_CHUNK_30 + 1, 2 * _CHUNK_30 - 2], None)       # 7 and 11: counts taken afresh
+@example(40, [2 * _CHUNK_30 + 2, _CHUNK_30 - 1, _CHUNK_30 + 7 * _BLOCK_30], 0.6)
+def test_rolling_scans_equal_fresh_scans(first, x_caps, target):
+    # consecutive prime intervals from one presieve, advanced from scan to
+    # scan with its block counts, against scans that build their own
+    ps = _T.primes[first:first + len(x_caps) + 1].tolist()
+    intervals = [(p, q, x_cap) for p, q, x_cap in zip(ps, ps[1:], x_caps)]
+    rolled = _scans(_T, intervals, target, rolling=True)
+    for (y_lo, y_hi, x_cap), scan in zip(intervals, rolled):
+        assert scan == scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
 
 
 def test_scan_counts_the_largest_default_small_u_range():

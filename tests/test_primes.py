@@ -271,44 +271,82 @@ def test_short_presieve_refused_before_the_first_chunk(table_small):
     assert seen == []
 
 
-# ranges ending inside a turn, inside a row, at a chunk's edges and past them
-@pytest.mark.parametrize("x_cap", [45, 100, _SPAN_30 - 1, _SPAN_30, _SPAN_30 + 1,
-                                   2 * _SPAN_30 + 1000])
+def popcount_blocks(presieve):
+    """The survivors per block of SCAN_BLOCK rows over the presieve's whole
+    rows, the last block zero padded, by popcount of its bytes."""
+    turns = np.zeros(-(-presieve.turns.size // (4 * SCAN_BLOCK)) * 4 * SCAN_BLOCK, dtype=np.uint8)
+    turns[:presieve.turns.size] = presieve.turns
+    return np.bitwise_count(turns).reshape(-1, 4 * SCAN_BLOCK).sum(axis=1)
+
+
+# ranges ending inside a turn, inside a row, at a row's, a block's and a
+# chunk's edges and past them
+@pytest.mark.parametrize("x_cap", [45, 100, 119, 120, 121, 1919, 1920, 1921, _SPAN_30 - 1,
+                                   _SPAN_30, _SPAN_30 + 1, 2 * _SPAN_30 + 1000])
 def test_advancing_a_presieve_equals_building_it(table_small, x_cap):
     primes = table_small.primes
     stepped = Presieve(primes_upto(primes, 17), x_cap)
-    for y in (19, 241, 499):
+    counted = Presieve(primes_upto(primes, 17), x_cap)   # block counts kept from the start
+    counted.block_counts()
+    # by one prime (19, 71) and by many (67, 241, 499); from below 64 the
+    # counts are dropped and counted afresh, above it they follow the strike
+    for y in (19, 67, 71, 241, 499):
         strike = primes_upto(primes, y)
         stepped.advance(strike)
+        counted.advance(strike)
         one_step = Presieve(primes_upto(primes, 17), x_cap)
         one_step.advance(strike)
         fresh = Presieve(strike, x_cap)
-        assert stepped.turns.tobytes() == one_step.turns.tobytes() == fresh.turns.tobytes(), y
+        assert (stepped.turns.tobytes() == one_step.turns.tobytes() == fresh.turns.tobytes()
+                == counted.turns.tobytes()), y
         ns, survives = presieve_cells(fresh)
         assert np.array_equal(survives, rough_oracle(strike, x_cap)[ns]), y
+        want = popcount_blocks(fresh)
+        assert np.array_equal(counted.block_counts(), want), y
+        assert np.array_equal(fresh.block_counts(), want), y
+    assert not counted.block_counts().flags.writeable
 
 
 def test_presieve_refuses_to_advance_by_primes_that_do_not_extend_its_own(table_small):
     primes = table_small.primes
     presieve = Presieve(primes_upto(primes, 71), 10_000)
-    before = presieve.turns.tobytes()
-    for strike in (primes_upto(primes, 67),                  # fewer primes
+    presieve.advance(primes_upto(primes, 73))      # counts kept from here on
+    presieve.block_counts()
+    presieve.advance(primes_upto(primes, 79))
+    before, counts = presieve.turns.tobytes(), presieve.block_counts().copy()
+    for strike in (primes_upto(primes, 73),                  # fewer primes
                    np.delete(primes_upto(primes, 113), 12),  # 41 missing
                    primes_upto(primes, 113)[1:]):            # 2 missing
         with pytest.raises(DomainError, match="not the first"):
             presieve.advance(strike)
         assert presieve.turns.tobytes() == before
-        assert presieve.strike.tolist() == primes_upto(primes, 71).tolist()
+        assert np.array_equal(presieve.block_counts(), counts)
+        assert presieve.strike.tolist() == primes_upto(primes, 79).tolist()
+    presieve.advance(primes_upto(primes, 113))      # and the counts still follow the strike
+    assert np.array_equal(presieve.block_counts(), popcount_blocks(presieve))
+
+
+@pytest.mark.parametrize("x_cap", [-1, -0.5, math.nan, math.inf, -math.inf])
+def test_presieve_and_chunks_refuse_a_negative_or_non_finite_x_cap(table_small, x_cap):
+    with pytest.raises(DomainError, match="x_cap >= 0"):
+        Presieve(table_small.primes[:4], x_cap)
+    chunks = rough_chunks(Presieve(table_small.primes[:4], 1000), x_cap)
+    seen = []
+    with pytest.raises(DomainError, match="x_cap >= 0"):
+        for chunk in chunks:
+            seen.append(chunk)
+    assert seen == []
 
 
 @pytest.mark.parametrize("own, more", [(0, 1), (1, 2), (2, 3), (1, 3), (0, 8), (2, 5)])
 def test_presieve_refuses_to_advance_across_wheels(table_small, own, more):
     # a smaller wheel's bits stand for other integers than the larger wheel's
     presieve = Presieve(table_small.primes[:own], 1000)
-    before = presieve.turns.tobytes()
+    before, counts = presieve.turns.tobytes(), presieve.block_counts().copy()
     with pytest.raises(DomainError, match="cannot advance to the wheel"):
         presieve.advance(table_small.primes[:more])
     assert presieve.turns.tobytes() == before
+    assert np.array_equal(presieve.block_counts(), counts)
     assert len(presieve.strike) == own
 
 
