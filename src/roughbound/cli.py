@@ -274,10 +274,13 @@ def _ratio_us(step: float, rows_per_u: int) -> list[float]:
 
 def _check_ratio_x(y: float, u: float) -> None:
     """Refuse a ratio map whose largest x = int(y^u) is past the exhaustive
-    cap of its counts, naming the largest y (to two decimals) that fits."""
-    if int(y ** u) > DEFAULT_EXHAUSTIVE_CAP:
+    cap of its counts, naming the largest y (to two decimals) that fits.
+    u log(y) is compared first: y^u overflows a float past about 5.6e102 at u = 3."""
+    log_x = u * math.log(y)
+    if log_x > math.log(DEFAULT_EXHAUSTIVE_CAP + 1) + 1e-12 or int(y ** u) > DEFAULT_EXHAUSTIVE_CAP:
         y_max = math.floor(DEFAULT_EXHAUSTIVE_CAP ** (1.0 / u) * 100) / 100
-        raise ResourceError(f"y={y:g} at u={u:.4f} needs x={int(y ** u)}, past the exhaustive "
+        x = int(y ** u) if log_x < 700 else f"10^{log_x / math.log(10):.0f}"
+        raise ResourceError(f"y={y:g} at u={u:.4f} needs x={x}, past the exhaustive "
                             f"cap {DEFAULT_EXHAUSTIVE_CAP}; the largest y allowed is {y_max:g}")
 
 

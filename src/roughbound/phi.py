@@ -6,17 +6,19 @@ one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_chunks`
 (CHUNK_ROWS rows of 32 bits at a time), or the count can be reproduced by
 full inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
 prime-pair identity (`phi_two_prime`).  The interval scans read the same
-chunks on three levels.  The presieve's block counts, kept by the strike
-(`Presieve.block_counts`), give bj[b], the survivors up to the end of block
-b of SCAN_BLOCK rows, with no popcount but over the trimmed last chunk.
-The bj[b]-th survivor lies below the next block's first cell
-n_first[b + 1], so it attains j / n > bj[b] / n_first[b + 1], a lower
-bound; no survivor of block b exceeds bj[b] / n_first[b], an upper bound.
-Only inside the blocks whose upper bound reaches the best lower bound are
-sub-blocks of 4 rows counted and bounded the same way, only inside the
-sub-blocks that reach it the rows, and only the rows that can hold the
-interval max statistics used by the verification pipeline, or a violation
-of its target, are expanded to (n, index) pairs.
+chunks: the whole chunks on three levels, then the last chunk by its rows.
+The presieve's block counts, kept by the strike (`Presieve.block_counts`),
+give bj[b], the survivors up to the end of block b of SCAN_BLOCK rows of
+the whole chunks, with no popcount.  The bj[b]-th survivor lies below the
+next block's first cell n_first[b + 1], so it attains
+j / n > bj[b] / n_first[b + 1], a lower bound; no survivor of block b
+exceeds bj[b] / n_first[b], an upper bound.  Only inside the blocks whose
+upper bound reaches the best lower bound are sub-blocks of 4 rows counted
+and bounded the same way, and only inside the sub-blocks that reach it the
+rows.  The last chunk, trimmed at x_cap, bounds every row the same way, so
+a range within one chunk asks for no block counts.  Only the rows that can
+hold the interval max statistics used by the verification pipeline, or a
+violation of its target, are expanded to (n, index) pairs.
 """
 
 from __future__ import annotations
@@ -33,17 +35,15 @@ from .primes import (
     SCAN_BLOCK,
     Presieve,
     PrimeTable,
-    count_blocks,
     rough_chunks,
+    sub_block_counts,
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
 _SLICE = 1 << 15         # blocks per slice of a scan's block level: 2 MB of presieve
-_PAIRS = np.uint64(0x00FF00FF00FF00FF)     # the even bytes of a uint64
-_PREFIX16 = np.uint64(0x0001000100010001)  # times this, 16-bit lanes become their prefix sums
-_PREFIX8 = np.uint32(0x01010101)           # and so do 8-bit lanes of a uint32
+_PREFIX8 = np.uint32(0x01010101)  # times this, 8-bit lanes of a uint32 become their prefix sums
 
 
 def phi_direct(x: int, y: float, table: PrimeTable, *,
@@ -206,15 +206,16 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     inside the units the level above keeps:
 
     1. Blocks of SCAN_BLOCK rows (8 uint64 words, 1,920 integers on the
-       wheel of 30).  Their counts are the presieve's `block_counts`, kept
-       by the strike through `Presieve.advance`; only the blocks of the
-       trimmed last chunk are popcounted.  A slice of _SLICE blocks at a
-       time, in ascending order, a cumsum gives bj[b], the survivors up to
-       the end of block b, and n_first[b] is the block's first cell.  The
-       bj[b]-th survivor lies in block b or below, so below
-       n_first[b + 1]: bj[b] / n_first[b + 1] is a lower bound on the j / n
-       it attains.  It lies at or past y_hi^2 once bj[b] exceeds the count
-       of the blocks that hold an n below y_hi^2.  The slice's largest such
+       wheel of 30) of the whole chunks, every chunk but the last.  Their
+       counts are the presieve's `block_counts`, kept by the strike through
+       `Presieve.advance`.  A slice of _SLICE blocks at a time, in
+       ascending order, a cumsum gives bj[b], the survivors up to the end
+       of block b, and n_first[b] is the block's first cell.  The bj[b]-th
+       survivor lies in block b or below, so below n_first[b + 1]:
+       bj[b] / n_first[b + 1] is a lower bound on the j / n it attains.  It
+       lies at or past y_hi^2 once bj[b] exceeds j_head: the survivors of
+       the blocks that hold an n below y_hi^2, or, if y_hi^2 lies in the
+       last chunk, those of the rows that do.  The slice's largest such
        bound raises the floor; then a block is kept if it holds an n in
        [y_lo^2, y_hi^2), or if its upper bound bj[b] / n_first[b] reaches
        the floor and it does not lie wholly below y_lo^2.
@@ -227,11 +228,13 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
        reaches the floor are unpacked, and their survivors are folded into
        the maxima.
 
-    A range within one chunk, such as a `max_statistic` row, goes straight
-    to the row level over all its rows: its block level would cost more than
-    it saves (about 70 us a scan; see the README).  The floor only prunes:
-    the maxima, witnesses and violations are those of every survivor,
-    folded in ascending order.
+    The last chunk, trimmed at x_cap, comes last, and by its rows alone:
+    the cumsum of their popcounts gives each row's j_end, the rows' lower
+    bounds raise the floor, and the rows kept by the same rule as in 3 are
+    unpacked.  A range within one chunk, such as a `max_statistic` row, is
+    the case with no whole chunks, and asks for no block counts.  The floor
+    only prunes: the maxima, witnesses and violations are those of every
+    survivor, folded in ascending order.
     """
     if not 1 <= x_cap < math.inf:  # nan fails it too
         raise DomainError(f"x_cap must be finite and >= 1, got {x_cap}")
@@ -276,8 +279,21 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
                           f"the primes <= y_lo = {y_lo}")
     step, residues = presieve.step, presieve.residues
     n_one = int(residues[0])                   # the first cell of row 0
-    rows = x_cap // step + 1                   # the rows that hold [0, x_cap]
-    chunks = rough_chunks(presieve, x_cap)
+    span = SCAN_BLOCK * step                   # integers per block
+    per_chunk = CHUNK_ROWS // SCAN_BLOCK       # blocks per chunk
+    # views of the presieve, and the last chunk, a copy trimmed at x_cap
+    *chunks, tail = [words for _, words in rough_chunks(presieve, x_cap)]
+    last = len(chunks) * per_chunk             # the whole chunks' blocks
+    whole = presieve.block_counts()[:last] if chunks else np.zeros(0, dtype=np.int16)
+    r0 = last * SCAN_BLOCK                     # the last chunk's first row
+    tail_count = np.bitwise_count(tail)
+    j_tail = tail_count.astype(np.float64)     # the survivors up to each row's end, less j below
+    np.cumsum(j_tail, out=j_tail)              # exact; in place: a casting cumsum is 2x slower
+    head = -(-(q2 - n_one) // step)            # rows [0, head) hold an n below y_hi^2
+    # the survivors below the first row past y_hi^2
+    j_head = int(whole[:-(-head // SCAN_BLOCK)].sum(dtype=np.int64))
+    if head > r0:
+        j_head += int(j_tail[min(head - r0, len(tail)) - 1])
 
     def lift(j_end, n_next, floor):
         """The floor raised by the lower bounds j_end / n_next of ascending
@@ -329,68 +345,41 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         nv, jv = ns[hi:], js[hi:]
         above = fold(above, jv * log_q / nv, nv, jv)
 
-    def row_level(words, j_end, n_min, floor):
-        """The row level under sub-blocks of 4 rows, packed in `words`, with
-        first cells n_min and the j_end-th survivor their last: `narrow` on
-        the rows' popcounts, then `expand` on the rows it keeps.  Returns
-        the raised floor."""
-        words = words.reshape(-1, 4)
+    # n_first[b0 + i] - b0 span, over a slice's blocks and the next one's first; a float
+    # arange, as n_min below: an int one multiplied by a float takes about 5x as long
+    firsts = np.arange(n_one, (min(_SLICE, last) + 1) * span + n_one, span, dtype=np.float64)
+    floor, j = 0.0, 0
+    for b0 in range(0, last, _SLICE):
+        bj = whole[b0:b0 + _SLICE].astype(np.float64)   # survivors up to each block end, exact
+        np.cumsum(bj, out=bj)
+        bj += j
+        j = int(bj[-1])
+        n_first = firsts[:len(bj) + 1] + b0 * span
+        floor = lift(bj, n_first[1:], floor)
+        candidate = reach(bj, n_first[:-1], span, floor)
+        candidate[:max(0, lo_bound // span - b0)] = False   # wholly below y_lo^2
+        cand = np.flatnonzero(candidate)
+        if not cand.size:
+            continue
+        # the candidate blocks' rows, gathered chunk by chunk
+        cuts = cand.searchsorted(np.arange(0, len(bj) + per_chunk, per_chunk)).tolist()
+        words = np.concatenate([
+            np.take(chunks[(b0 + i) // per_chunk].reshape(-1, SCAN_BLOCK), cand[a:z] - i, axis=0)
+            for i, a, z in zip(range(0, len(bj), per_chunk), cuts, cuts[1:]) if a < z])
+        idx, j_end, n_min, floor = narrow(bj[cand], n_first[cand], sub_block_counts(words),
+                                          4 * step, floor)
+        words = words.reshape(-1, 4)[idx]      # the kept sub-blocks' rows
         count = np.bitwise_count(words)        # uint8; their running sums fit the 8-bit lanes
         prefix = (count.view(np.uint32) * _PREFIX8).view(np.uint8).reshape(-1, 4)
         idx, j_end, n_min, floor = narrow(j_end, n_min, prefix, step, floor)
         expand(words.ravel()[idx], count.ravel()[idx], j_end, n_min)
-        return floor
 
-    if rows <= CHUNK_ROWS:                     # one chunk: no block level, see above
-        words = next(chunks)[1][:rows]         # less its padding
-        count = np.bitwise_count(words)
-        j_end = np.cumsum(count, dtype=np.float64)   # exact
-        n_min = np.arange(rows) * float(step) + n_one
-        head = min(rows, -(-(q2 - n_one) // step))   # rows [0, head) hold an n below y_hi^2
-        j_head = int(j_end[head - 1])          # the survivors below the first row past y_hi^2
-        idx = np.flatnonzero(reach(j_end, n_min, step, lift(j_end, n_min + step, 0.0)))
-        expand(words[idx], count[idx], j_end[idx], n_min[idx])
-        rough_count = int(j_end[-1])
-    else:
-        span = SCAN_BLOCK * step               # integers per block
-        per_chunk = CHUNK_ROWS // SCAN_BLOCK   # blocks per chunk
-        chunks = [words for _, words in chunks]   # views of the presieve, and the trimmed last
-        last = (len(chunks) - 1) * per_chunk   # the last chunk's first block
-        whole, tail = presieve.block_counts()[:last], count_blocks(chunks[-1])
-        # n_first[b0 + i] - b0 span, over a slice's blocks and the next one's first
-        firsts = np.arange(min(_SLICE, last + len(tail)) + 1) * float(span) + n_one
-        head = -(-(q2 - n_one) // span)        # blocks [0, head) hold an n below y_hi^2
-        # the survivors below the first block past y_hi^2
-        j_head = int(whole[:head].sum(dtype=np.int64)) + int(tail[:max(0, head - last)].sum())
-
-        floor, j = 0.0, 0
-        for b0, counts in [*((b, whole[b:b + _SLICE]) for b in range(0, last, _SLICE)),
-                           (last, tail)]:
-            bj = counts.astype(np.float64)     # the survivors up to each block's end, exact
-            np.cumsum(bj, out=bj)
-            bj += j
-            j = int(bj[-1])
-            n_first = firsts[:len(bj) + 1] + b0 * span
-            floor = lift(bj, n_first[1:], floor)
-            candidate = reach(bj, n_first[:-1], span, floor)
-            candidate[:max(0, lo_bound // span - b0)] = False   # wholly below y_lo^2
-            cand = np.flatnonzero(candidate)
-            if not cand.size:
-                continue
-            # the candidate blocks' rows, gathered chunk by chunk
-            cuts = cand.searchsorted(np.arange(0, len(bj) + per_chunk, per_chunk)).tolist()
-            words = np.concatenate([
-                np.take(chunks[(b0 + i) // per_chunk].reshape(-1, SCAN_BLOCK), cand[a:z] - i, axis=0)
-                for i, a, z in zip(range(0, len(bj), per_chunk), cuts, cuts[1:]) if a < z])
-            # a block's 8 word counts are the bytes of one uint64, and its sub-block
-            # counts the sums of byte pairs, four 16-bit lanes
-            v = np.bitwise_count(words.view(np.uint64)).view(np.uint64)
-            v = (v & _PAIRS) + (v >> 8 & _PAIRS)
-            v *= _PREFIX16
-            idx, j_end, n_min, floor = narrow(bj[cand], n_first[cand],
-                                              v.view(np.uint16).reshape(-1, 4), 4 * step, floor)
-            floor = row_level(words.reshape(-1, 4)[idx], j_end, n_min, floor)
-        rough_count = j
+    # the last chunk, row by row
+    j_tail += j                                # each row's j_end
+    n_min = np.arange(r0 * step + n_one, (r0 + len(tail)) * step, step, dtype=np.float64)
+    idx = np.flatnonzero(reach(j_tail, n_min, step, lift(j_tail, n_min + step, floor)))
+    expand(tail[idx], tail_count[idx], j_tail[idx], n_min[idx])
+    rough_count = int(j_tail[-1])
 
     # band precedes the n >= y_hi^2: it holds the first maximum of both on a tie
     sup_best = band if band[0] >= above[0] else above

@@ -16,7 +16,7 @@ off smaller presieves, down to one on the wheel of 1 that strikes nothing.
 them.
 
 A presieve also keeps its survivors per block of SCAN_BLOCK rows, counted
-by popcount (`count_blocks`) when a scan first asks for them and kept
+by popcount (`sub_block_counts`) when a scan first asks for them and kept
 current by the strike itself: striking a prime p removes exactly p times
 the survivors m it finds, so `advance` takes each new prime's blocks off
 the counts from a sorted list of the small survivors m, which it keeps,
@@ -44,9 +44,10 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 DEFAULT_LIMIT_CAP = 1 << 31
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
 CHUNK_ROWS = 1 << 15     # packed rows per chunk of `rough_chunks`: 128 KB
-SCAN_BLOCK = 16          # rows per block of the block counts; a last chunk is whole blocks
+SCAN_BLOCK = 16          # rows per block of the block counts: 1,920 integers on the wheel of 30
 _PIECE_CELLS = 1 << 15   # cells unpacked, or survivors taken off the counts, at a time: 256 KB as int64
-_BYTE_LANES = np.uint64(0x00FF00FF00FF00FF)
+_BYTE_PAIRS = np.uint64(0x00FF00FF00FF00FF)   # the even bytes of a uint64
+_PREFIX16 = np.uint64(0x0001000100010001)     # times this, 16-bit lanes become their prefix sums
 
 
 _WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -147,7 +148,7 @@ class Presieve:
         """The survivors per block of SCAN_BLOCK rows over the presieve's
         whole rows (the bits past x_cap included), the last block zero
         padded, as a read-only int16 array: at most 512 a block.  Counted by
-        `count_blocks` in place, CHUNK_ROWS rows at a time, on the first
+        `sub_block_counts` in place, CHUNK_ROWS rows at a time, on the first
         call, and kept current by `advance` from then on."""
         if self._counts is None:
             words = self.turns.view(np.uint32)
@@ -155,7 +156,7 @@ class Presieve:
             counts = np.empty(-(-len(words) // SCAN_BLOCK), dtype=np.int16)
             for r in range(0, whole, CHUNK_ROWS):
                 end = min(r + CHUNK_ROWS, whole)
-                counts[r // SCAN_BLOCK:end // SCAN_BLOCK] = count_blocks(words[r:end])
+                counts[r // SCAN_BLOCK:end // SCAN_BLOCK] = sub_block_counts(words[r:end])[:, 3]
             counts[whole // SCAN_BLOCK:] = np.bitwise_count(words[whole:]).sum()
             self._counts = counts
         counts = self._counts.view()
@@ -219,16 +220,17 @@ class Presieve:
                 self._small, self._alive = small[alive], np.ones(int(alive.sum()), dtype=bool)
 
 
-def count_blocks(words: np.ndarray) -> np.ndarray:
-    """Survivors per block of the packed rows `words` (see `rough_chunks`),
-    SCAN_BLOCK uint32 rows a block, as int64.  A block's 8 uint64 words have
-    popcounts of at most 64, which are the 8 bytes of one uint64; they are
-    added in lanes, byte pairs into 16-bit lanes and those into the low 16
-    bits."""
+def sub_block_counts(words: np.ndarray) -> np.ndarray:
+    """The running survivor counts of the four sub-blocks of 4 rows in each
+    block of SCAN_BLOCK rows of the packed rows `words` (see `rough_chunks`),
+    as (blocks, 4) uint16: column k counts sub-blocks 0 to k, and column 3
+    the whole block.  A block's 8 uint64 words have popcounts of at most 64,
+    which are the 8 bytes of one uint64; byte pairs are added into four
+    16-bit lanes, and the multiply turns these into their prefix sums."""
     v = np.bitwise_count(words.view(np.uint64)).view(np.uint64).ravel()
-    v = (v & _BYTE_LANES) + (v >> 8 & _BYTE_LANES)   # four sums, each at most 128
-    v += v >> 16
-    return ((v + (v >> 32)) & 0xFFFF).view(np.int64)
+    v = (v & _BYTE_PAIRS) + (v >> 8 & _BYTE_PAIRS)   # four sums, each at most 128
+    v *= _PREFIX16
+    return v.view(np.uint16).reshape(-1, 4)
 
 
 def rough_chunks(presieve: Presieve, x_cap: int):
@@ -242,13 +244,14 @@ def rough_chunks(presieve: Presieve, x_cap: int):
     set if that integer is at most x_cap and has no factor in
     `presieve.strike`; 0 is never set, 1 always is.  Every chunk but the last
     is a read-only view of the presieve; the last is a fresh array, the rows
-    through the row of x_cap with the cells past x_cap cleared, zero-padded
-    to whole blocks of SCAN_BLOCK rows.  A negative or non-finite x_cap, and
-    a presieve whose range stops below x_cap, are refused before the first
-    chunk.
+    through the row of x_cap with the cells past x_cap cleared.  x_cap is
+    truncated to an integer, as `Presieve` does; a negative or non-finite
+    x_cap, and a presieve whose range stops below x_cap, are refused before
+    the first chunk.
     """
     if not 0 <= x_cap < math.inf:  # nan fails it too
         raise DomainError(f"chunks need a finite x_cap >= 0, got {x_cap}")
+    x_cap = int(x_cap)
     if presieve.x_cap < x_cap:
         raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
     step = presieve.step
@@ -260,7 +263,7 @@ def rough_chunks(presieve: Presieve, x_cap: int):
         yield k * CHUNK_ROWS, chunk
     size = x_cap + 1 - last * step             # the last chunk's integers, and its cells:
     cut = size // step * 32 + int(np.searchsorted(presieve.residues, size % step))
-    tail = np.zeros(-(-(rows - last) // SCAN_BLOCK) * SCAN_BLOCK * 4, dtype=np.uint8)
+    tail = np.zeros(4 * (rows - last), dtype=np.uint8)
     tail[:cut >> 3] = presieve.turns[4 * last:4 * last + (cut >> 3)]
     if cut & 7:   # a byte cut at x_cap, masked as a scalar: on a one-byte slice, `&=` is 10x slower
         tail[cut >> 3] = presieve.turns[4 * last + (cut >> 3)] & (0xFF00 >> (cut & 7) & 0xFF)

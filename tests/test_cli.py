@@ -235,6 +235,16 @@ def test_ratio_map_past_the_cap_exits_before_writing(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1].startswith("310.72,3.0000,")
 
 
+@pytest.mark.parametrize("y_set, x", [("1e300", "10^900"), ("3,1e103", "10^309")])
+def test_ratio_map_past_a_float_exits_3(y_set, x, capsys):
+    # y^u overflows a float: the cap is checked in logs first
+    assert main(["plot-data", "--kind", "ratio-map", "--y-set", y_set]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs x={x}, past the exhaustive cap" in captured.err
+    assert "the largest y allowed is 310.72" in captured.err
+
+
 @pytest.mark.parametrize("y_set", ["3,1", "1.5", "0,5"])
 def test_ratio_map_y_below_2_exits_2(y_set, capsys):
     assert main(["plot-data", "--kind", "ratio-map", "--y-set", y_set]) == 2

@@ -302,6 +302,9 @@ def _intervals(y_lo, y_hi_max):
 @example((11, 13), _CHUNK_30 + _BLOCK_30 + 1, None)
 @example((13, 17), 2 * _CHUNK_30 - 1, 0.55)      # two whole chunks
 @example((13, 17), 2 * _CHUNK_30 + 3 * _SUB_30, 0.55)   # a third, of three sub-blocks
+@example((1979, 1987), 5_000_000, 0.6)        # y_lo^2 in the first chunk, y_hi^2 in the last
+@example((1979, 1987), 3_940_000, 0.6)        # y_hi^2 in the last chunk, past x_cap
+@example((2003, 2011), 4_000_000, 0.6)        # two chunks, y_lo^2 and y_hi^2 past x_cap
 def test_scan_matches_reference(interval, x_cap, target):
     y_lo, y_hi = interval
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
@@ -353,6 +356,17 @@ def test_rolling_scans_equal_fresh_scans(first, x_caps, target):
     rolled = _scans(_T, intervals, target, rolling=True)
     for (y_lo, y_hi, x_cap), scan in zip(intervals, rolled):
         assert scan == scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
+
+
+def test_only_scans_past_one_chunk_ask_for_block_counts(monkeypatch):
+    # a range within one chunk is read by its rows alone
+    def refuse(self):
+        raise AssertionError("block counts asked for")
+    monkeypatch.setattr(Presieve, "block_counts", refuse)
+    for x_cap in (1, 5 * _BLOCK_30 - 100, _CHUNK_30 - 1):
+        assert scan_rough_interval(_T, 23, 29, x_cap) == reference_scan(_T, 23, 29, x_cap)
+    with pytest.raises(AssertionError, match="block counts asked for"):
+        scan_rough_interval(_T, 23, 29, _CHUNK_30)
 
 
 def test_scan_counts_the_largest_default_small_u_range():

@@ -182,7 +182,7 @@ def chunk_survivors(presieve, x_cap):
     """The integers set in the chunks of `rough_chunks(presieve, x_cap)`,
     checking on the way each chunk's first row and dtype, that every chunk
     but the last is a whole read-only view of the presieve, and that the
-    last is a fresh array of whole scan blocks, zero past x_cap's row."""
+    last is a fresh array of the rows through x_cap's."""
     step, residues = presieve.step, presieve.residues
     rows = x_cap // step + 1             # the rows through x_cap's
     last = (rows - 1) // CHUNK_ROWS
@@ -193,9 +193,8 @@ def chunk_survivors(presieve, x_cap):
             assert len(chunk) == CHUNK_ROWS and not chunk.flags.writeable
             assert np.shares_memory(chunk, presieve.turns)
         else:
-            assert len(chunk) == -(-(rows - first) // SCAN_BLOCK) * SCAN_BLOCK
+            assert len(chunk) == rows - first
             assert not np.shares_memory(chunk, presieve.turns)
-            assert not chunk[rows - first:].any()
         cells = np.flatnonzero(np.unpackbits(chunk.view(np.uint8)))
         found.append((first + (cells >> 5)) * step + residues[cells & 31])
     assert k == last
@@ -253,7 +252,7 @@ def test_chunks_but_the_last_are_read_only_views(table_small):
                                    _SPAN_30 + 1, _SPAN_30 + 1919, _SPAN_30 + 1920])
 def test_chunks_read_short_of_the_presieve(table_small, x_cap):
     # the presieve's bits run on past x_cap: the last chunk clears them and
-    # is zero from x_cap's row to the end of its scan block (see chunk_survivors)
+    # ends at x_cap's row (see chunk_survivors)
     strike = table_small.primes[:3]
     presieve = Presieve(strike, 2 * _SPAN_30)
     assert np.array_equal(chunk_survivors(presieve, x_cap),
@@ -336,6 +335,17 @@ def test_presieve_and_chunks_refuse_a_negative_or_non_finite_x_cap(table_small, 
         for chunk in chunks:
             seen.append(chunk)
     assert seen == []
+
+
+def test_presieve_and_chunks_truncate_a_float_x_cap(table_small):
+    strike = table_small.primes[:4]
+    presieve = Presieve(strike, 999.5)
+    assert presieve.x_cap == 999
+    assert presieve.turns.tobytes() == Presieve(strike, 999).turns.tobytes()
+    assert np.array_equal(chunk_survivors(presieve, 999.0),
+                          np.flatnonzero(rough_oracle(strike, 999)))
+    assert np.array_equal(chunk_survivors(presieve, 998.7),
+                          np.flatnonzero(rough_oracle(strike, 998)))
 
 
 @pytest.mark.parametrize("own, more", [(0, 1), (1, 2), (2, 3), (1, 3), (0, 8), (2, 5)])
