@@ -54,7 +54,10 @@ def _output(path):
     relative to ROUGHBOUND_DATA_DIR if that is set, closed on exit."""
     if path in (None, "-"):
         return nullcontext(sys.stdout)
-    return open(os.path.join(os.environ.get("ROUGHBOUND_DATA_DIR", ""), path), "w")
+    try:
+        return open(os.path.join(os.environ.get("ROUGHBOUND_DATA_DIR", ""), path), "w")
+    except OSError as exc:   # a missing directory, a directory: a usage error, not exit 1
+        raise DomainError(f"cannot write --out {exc.filename}: {exc.strerror}") from None
 
 
 def _finite(text: str) -> float:

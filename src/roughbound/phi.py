@@ -2,23 +2,23 @@
 
 Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
 (1 is always counted).  `phi_direct` counts the survivors of the library's
-one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_chunks`
-(CHUNK_ROWS rows of 32 bits at a time), or the count can be reproduced by
-full inclusion-exclusion (`phi_legendre`) and, for y^2 <= x < y^3, by the
-prime-pair identity (`phi_two_prime`).  The interval scans read the same
-chunks: the whole chunks on three levels, then the last chunk by its rows.
-The presieve's block counts, kept by the strike (`Presieve.block_counts`),
-give bj[b], the survivors up to the end of block b of SCAN_BLOCK rows of
-the whole chunks, with no popcount.  The bj[b]-th survivor lies below the
-next block's first cell n_first[b + 1], so it attains
+one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_rows`
+(rows of 32 bits: a view of its whole blocks, then a short tail), or the
+count can be reproduced by full inclusion-exclusion (`phi_legendre`) and,
+for y^2 <= x < y^3, by the prime-pair identity (`phi_two_prime`).  The
+interval scans read the same rows: the whole blocks on three levels, then
+the tail by its rows.  The presieve's block counts, kept by the strike
+(`Presieve.block_counts`), give bj[b], the survivors up to the end of block
+b of SCAN_BLOCK rows, with no popcount.  The bj[b]-th survivor lies below
+the next block's first cell n_first[b + 1], so it attains
 j / n > bj[b] / n_first[b + 1], a lower bound; no survivor of block b
 exceeds bj[b] / n_first[b], an upper bound.  Only inside the blocks whose
 upper bound reaches the best lower bound are sub-blocks of 4 rows counted
 and bounded the same way, and only inside the sub-blocks that reach it the
-rows.  The last chunk, trimmed at x_cap, bounds every row the same way, so
-a range within one chunk asks for no block counts.  Only the rows that can
-hold the interval max statistics used by the verification pipeline, or a
-violation of its target, are expanded to (n, index) pairs.
+rows.  The tail bounds every row the same way; a range of at most
+CHUNK_ROWS rows is all tail, and asks for no block counts.  Only the rows
+that can hold the interval max statistics used by the verification
+pipeline, or a violation of its target, are expanded to (n, index) pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .primes import (
     SCAN_BLOCK,
     Presieve,
     PrimeTable,
-    rough_chunks,
+    rough_rows,
     sub_block_counts,
 )
 
@@ -49,11 +49,11 @@ _PREFIX8 = np.uint32(0x01010101)  # times this, 8-bit lanes of a uint32 become t
 def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
     """Exact Phi(x, y): the survivors of a `Presieve` of [0, x] by the primes
-    <= y, each struck once over the whole range, read out by `rough_chunks`
-    and counted by popcount.  The presieve takes x / 30 bytes, x / 24 for
-    3 <= y < 5 and x / 16 for 2 <= y < 3.  x must be at most `cap`, which
-    counts only up to the sieve's ceiling DEFAULT_LIMIT_CAP.  Degenerate
-    cases: Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
+    <= y, each struck once over the whole range, read out by `rough_rows`
+    and popcounted CHUNK_ROWS rows at a time.  The presieve takes x / 30
+    bytes, x / 24 for 3 <= y < 5 and x / 16 for 2 <= y < 3.  x must be at
+    most `cap`, which counts only up to the sieve's ceiling DEFAULT_LIMIT_CAP.
+    Degenerate cases: Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
     x = int(x)
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
@@ -65,8 +65,9 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
         return 0
     if y < 2:
         return x
-    presieve = Presieve(table.primes_between(0, min(y, x)), x)
-    return sum(int(np.bitwise_count(rows).sum()) for _, rows in rough_chunks(presieve, x))
+    whole, tail = rough_rows(Presieve(table.primes_between(0, min(y, x)), x), x)
+    pieces = [whole[r:r + CHUNK_ROWS] for r in range(0, len(whole), CHUNK_ROWS)]
+    return sum(int(np.bitwise_count(rows).sum()) for rows in (*pieces, tail))
 
 
 def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
@@ -190,10 +191,10 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     witness is the first n attaining its maximum.
 
     The scan reads `presieve`, which must hold exactly the primes <= y_lo
-    over at least [0, x_cap], or else a `Presieve` built for the scan, in
-    the chunks of packed rows of 32 residues of `rough_chunks`, trimmed at
-    x_cap.  Two running first maxima, over the band [y_lo^2, y_hi^2) and
-    over the n >= y_hi^2, give both statistics at the end; from y_hi^2 on
+    over at least [0, x_cap], or else a `Presieve` built for the scan, as
+    the packed rows of 32 residues of `rough_rows`, trimmed at x_cap.  Two
+    running first maxima, over the band [y_lo^2, y_hi^2) and over the
+    n >= y_hi^2, give both statistics at the end; from y_hi^2 on
     both are j log(y_hi) / n, so only the survivors whose j / n reaches a
     floor need be expanded to (n, j) pairs.  The floor is a j / n some
     survivor n >= y_hi^2 attains (less 1e-13), capped at the target's
@@ -206,19 +207,20 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     inside the units the level above keeps:
 
     1. Blocks of SCAN_BLOCK rows (8 uint64 words, 1,920 integers on the
-       wheel of 30) of the whole chunks, every chunk but the last.  Their
-       counts are the presieve's `block_counts`, kept by the strike through
-       `Presieve.advance`.  A slice of _SLICE blocks at a time, in
-       ascending order, a cumsum gives bj[b], the survivors up to the end
-       of block b, and n_first[b] is the block's first cell.  The bj[b]-th
-       survivor lies in block b or below, so below n_first[b + 1]:
-       bj[b] / n_first[b + 1] is a lower bound on the j / n it attains.  It
-       lies at or past y_hi^2 once bj[b] exceeds j_head: the survivors of
-       the blocks that hold an n below y_hi^2, or, if y_hi^2 lies in the
-       last chunk, those of the rows that do.  The slice's largest such
-       bound raises the floor; then a block is kept if it holds an n in
-       [y_lo^2, y_hi^2), or if its upper bound bj[b] / n_first[b] reaches
-       the floor and it does not lie wholly below y_lo^2.
+       wheel of 30), the whole blocks of `rough_rows`, one view of the
+       presieve.  Their counts are the presieve's `block_counts`, kept by
+       the strike through `Presieve.advance`.  A slice of _SLICE blocks at
+       a time, in ascending order, a cumsum gives bj[b], the survivors up
+       to the end of block b, and n_first[b] is the block's first cell.
+       The bj[b]-th survivor lies in block b or below, so below
+       n_first[b + 1]: bj[b] / n_first[b + 1] is a lower bound on the
+       j / n it attains.  It lies at or past y_hi^2 once bj[b] exceeds
+       j_head: the survivors of the blocks that hold an n below y_hi^2,
+       or, if y_hi^2 lies in the tail, those of the rows that do.  The
+       slice's largest such bound raises the floor; then a block is kept
+       if it holds an n in [y_lo^2, y_hi^2), or if its upper bound
+       bj[b] / n_first[b] reaches the floor and it does not lie wholly
+       below y_lo^2.  One `take` gathers a slice's kept blocks.
     2. Sub-blocks of 4 rows (two uint64 words), in the kept blocks: the
        same two bounds, from the running counts of the block's popcounts
        in the 16-bit lanes of one uint64, with the floor raised by their
@@ -228,13 +230,13 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
        reaches the floor are unpacked, and their survivors are folded into
        the maxima.
 
-    The last chunk, trimmed at x_cap, comes last, and by its rows alone:
-    the cumsum of their popcounts gives each row's j_end, the rows' lower
+    The tail, trimmed at x_cap, comes last, and by its rows alone: the
+    cumsum of their popcounts gives each row's j_end, the rows' lower
     bounds raise the floor, and the rows kept by the same rule as in 3 are
-    unpacked.  A range within one chunk, such as a `max_statistic` row, is
-    the case with no whole chunks, and asks for no block counts.  The floor
-    only prunes: the maxima, witnesses and violations are those of every
-    survivor, folded in ascending order.
+    unpacked.  It is 1 to SCAN_BLOCK rows past CHUNK_ROWS rows, and up to
+    them the whole range, such as a `max_statistic` row's, which then asks
+    for no block counts.  The floor only prunes: the maxima, witnesses and
+    violations are those of every survivor, folded in ascending order.
     """
     if not 1 <= x_cap < math.inf:  # nan fails it too
         raise DomainError(f"x_cap must be finite and >= 1, got {x_cap}")
@@ -280,18 +282,16 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     step, residues = presieve.step, presieve.residues
     n_one = int(residues[0])                   # the first cell of row 0
     span = SCAN_BLOCK * step                   # integers per block
-    per_chunk = CHUNK_ROWS // SCAN_BLOCK       # blocks per chunk
-    # views of the presieve, and the last chunk, a copy trimmed at x_cap
-    *chunks, tail = [words for _, words in rough_chunks(presieve, x_cap)]
-    last = len(chunks) * per_chunk             # the whole chunks' blocks
-    whole = presieve.block_counts()[:last] if chunks else np.zeros(0, dtype=np.int16)
-    r0 = last * SCAN_BLOCK                     # the last chunk's first row
+    whole, tail = rough_rows(presieve, x_cap)  # a view of the whole blocks, a copy of the rest
+    blocks = whole.reshape(-1, SCAN_BLOCK)
+    last, r0 = len(blocks), len(whole)         # the whole blocks, and the tail's first row
+    counts = presieve.block_counts()[:last] if last else np.zeros(0, dtype=np.int16)
     tail_count = np.bitwise_count(tail)
     j_tail = tail_count.astype(np.float64)     # the survivors up to each row's end, less j below
     np.cumsum(j_tail, out=j_tail)              # exact; in place: a casting cumsum is 2x slower
     head = -(-(q2 - n_one) // step)            # rows [0, head) hold an n below y_hi^2
     # the survivors below the first row past y_hi^2
-    j_head = int(whole[:-(-head // SCAN_BLOCK)].sum(dtype=np.int64))
+    j_head = int(counts[:-(-head // SCAN_BLOCK)].sum(dtype=np.int64))
     if head > r0:
         j_head += int(j_tail[min(head - r0, len(tail)) - 1])
 
@@ -350,7 +350,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     firsts = np.arange(n_one, (min(_SLICE, last) + 1) * span + n_one, span, dtype=np.float64)
     floor, j = 0.0, 0
     for b0 in range(0, last, _SLICE):
-        bj = whole[b0:b0 + _SLICE].astype(np.float64)   # survivors up to each block end, exact
+        bj = counts[b0:b0 + _SLICE].astype(np.float64)   # survivors up to each block end, exact
         np.cumsum(bj, out=bj)
         bj += j
         j = int(bj[-1])
@@ -361,11 +361,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         cand = np.flatnonzero(candidate)
         if not cand.size:
             continue
-        # the candidate blocks' rows, gathered chunk by chunk
-        cuts = cand.searchsorted(np.arange(0, len(bj) + per_chunk, per_chunk)).tolist()
-        words = np.concatenate([
-            np.take(chunks[(b0 + i) // per_chunk].reshape(-1, SCAN_BLOCK), cand[a:z] - i, axis=0)
-            for i, a, z in zip(range(0, len(bj), per_chunk), cuts, cuts[1:]) if a < z])
+        words = np.take(blocks, b0 + cand, axis=0)   # the candidate blocks' rows
         idx, j_end, n_min, floor = narrow(bj[cand], n_first[cand], sub_block_counts(words),
                                           4 * step, floor)
         words = words.reshape(-1, 4)[idx]      # the kept sub-blocks' rows
@@ -374,7 +370,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         idx, j_end, n_min, floor = narrow(j_end, n_min, prefix, step, floor)
         expand(words.ravel()[idx], count.ravel()[idx], j_end, n_min)
 
-    # the last chunk, row by row
+    # the tail, row by row
     j_tail += j                                # each row's j_end
     n_min = np.arange(r0 * step + n_one, (r0 + len(tail)) * step, step, dtype=np.float64)
     idx = np.flatnonzero(reach(j_tail, n_min, step, lift(j_tail, n_min + step, floor)))

@@ -5,15 +5,14 @@ to x_cap that are free of them, kept packed, one bit per residue of a wheel.
 `_strike` is the sieve's one way to strike a prime, and each caller strikes
 each prime once, over its whole range: a presieve strikes its primes when it
 is built, and `Presieve.advance` strikes more into the same bytes, so one
-presieve can serve scans by ever longer sets.  `rough_chunks` strikes
+presieve can serve scans by ever longer sets.  `rough_rows` strikes
 nothing: it is the one reader of a presieve's bytes, and hands its range out
-CHUNK_ROWS packed rows at a time, in place but for the last chunk, a copy
-trimmed at x_cap.  `build_prime_table` reads every prime of its table off
-it: the primes above
-sqrt(limit) off a presieve by the primes below, and those, level by level,
-off smaller presieves, down to one on the wheel of 1 that strikes nothing.
-`phi.phi_direct` counts its survivors and `phi.scan_rough_interval` streams
-them.
+as packed rows, a read-only view of its whole blocks of SCAN_BLOCK rows and
+a tail of the rest, a copy trimmed at x_cap.  `build_prime_table` reads
+every prime of its table off it: the primes above sqrt(limit) off a presieve
+by the primes below, and those, level by level, off smaller presieves, down
+to one on the wheel of 1 that strikes nothing.  `phi.phi_direct` counts its
+survivors and `phi.scan_rough_interval` streams them.
 
 A presieve also keeps its survivors per block of SCAN_BLOCK rows, counted
 by popcount (`sub_block_counts`) when a scan first asks for them and kept
@@ -43,7 +42,8 @@ from .errors import DomainError, OutOfRangeError, ResourceError
 # that of 6 (3 <= y < 5) and 134 MB on that of 2 (2 <= y < 3).
 DEFAULT_LIMIT_CAP = 1 << 31
 PRESIEVED = 4            # struck primes above the wheel kept in its cached pattern
-CHUNK_ROWS = 1 << 15     # packed rows per chunk of `rough_chunks`: 128 KB
+CHUNK_ROWS = 1 << 15     # the most rows read by rows alone, with no block counts (faster on
+                         # short ranges), and the rows per popcount or unpack pass: 128 KB
 SCAN_BLOCK = 16          # rows per block of the block counts: 1,920 integers on the wheel of 30
 _PIECE_CELLS = 1 << 15   # cells unpacked, or survivors taken off the counts, at a time: 256 KB as int64
 _BYTE_PAIRS = np.uint64(0x00FF00FF00FF00FF)   # the even bytes of a uint64
@@ -108,20 +108,20 @@ def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple) -> None:
 
 
 class Presieve:
-    """[0, x_cap] sieved by the primes `strike`, read out by `rough_chunks`.
+    """[0, x_cap] sieved by the primes `strike`, read out by `rough_rows`.
 
     `strike` must be the primes up to some bound, ascending; it may be empty.
     The survivors are kept packed, one bit per residue of the wheel of the
     struck primes among 2, 3, 5 (see `_wheel`): byte i of `turns` is turn i
     (the integers i*W + residues[c]), column c in bit 7 - c, the byte order
-    of `np.packbits` on a C-order mask.  A row of `rough_chunks` is four
+    of `np.packbits` on a C-order mask.  A row of `rough_rows` is four
     turns: `step` = 4W integers, and `residues`, the 32 residues of its
     cells in ascending order.  That is x_cap / W bytes, W = 30,
     24, 16 or 8 on the wheels of 30, 6, 2 and 1: the wheel's cached pattern
     repeated, then struck by the rest of `strike` in place.  `advance` strikes more
     primes into the same bytes.  0 is never set.  The bits past x_cap, up
-    to the end of the last row of 32 residues, are not trimmed; `rough_chunks`
-    trims them off its last chunk.  A negative or non-finite x_cap raises
+    to the end of the last row of 32 residues, are not trimmed; `rough_rows`
+    trims them off its tail.  A negative or non-finite x_cap raises
     DomainError, and one past DEFAULT_LIMIT_CAP ResourceError, before
     anything is allocated.
     """
@@ -134,7 +134,7 @@ class Presieve:
         self.x_cap = int(x_cap)
         width, self.residues, _, pattern = _wheel(strike)
         self.step = 4 * width                  # integers per row of 32 residues
-        rows = -(-(self.x_cap + 1) // self.step)   # the whole rows `rough_chunks` reads
+        rows = -(-(self.x_cap + 1) // self.step)   # the whole rows `rough_rows` reads
         self.turns = np.concatenate((pattern,) * -(-4 * rows // len(pattern)))[:4 * rows]
         if not len(strike):
             self.turns[0] &= 0x7F  # 0 is not counted; 1 survives every strike
@@ -222,7 +222,7 @@ class Presieve:
 
 def sub_block_counts(words: np.ndarray) -> np.ndarray:
     """The running survivor counts of the four sub-blocks of 4 rows in each
-    block of SCAN_BLOCK rows of the packed rows `words` (see `rough_chunks`),
+    block of SCAN_BLOCK rows of the packed rows `words` (see `rough_rows`),
     as (blocks, 4) uint16: column k counts sub-blocks 0 to k, and column 3
     the whole block.  A block's 8 uint64 words have popcounts of at most 64,
     which are the 8 bytes of one uint64; byte pairs are added into four
@@ -233,41 +233,39 @@ def sub_block_counts(words: np.ndarray) -> np.ndarray:
     return v.view(np.uint16).reshape(-1, 4)
 
 
-def rough_chunks(presieve: Presieve, x_cap: int):
-    """[0, x_cap] sieved by the primes of `presieve`, CHUNK_ROWS rows at a time.
+def rough_rows(presieve: Presieve, x_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """[0, x_cap] sieved by the primes of `presieve`: packed uint32 rows `(whole, tail)`.
 
-    Yields, for each chunk in ascending order, its first row and its packed
-    uint32 rows: row i is the four turns (see `Presieve`) 4i to 4i + 3, so
+    Row i is the four turns (see `Presieve`) 4i to 4i + 3, so
     `np.unpackbits(rows.view(np.uint8))` gives its 32 cells in the order of
-    `presieve.residues`, and cell c of the chunk's row i stands for
-    (first_row + i) * step + residues[c], step = `presieve.step`.  A cell is
-    set if that integer is at most x_cap and has no factor in
-    `presieve.strike`; 0 is never set, 1 always is.  Every chunk but the last
-    is a read-only view of the presieve; the last is a fresh array, the rows
-    through the row of x_cap with the cells past x_cap cleared.  x_cap is
-    truncated to an integer, as `Presieve` does; a negative or non-finite
-    x_cap, and a presieve whose range stops below x_cap, are refused before
-    the first chunk.
+    `presieve.residues`, and cell c of row i stands for i * step +
+    residues[c], step = `presieve.step`.  A cell is set if that integer is at
+    most x_cap and has no factor in `presieve.strike`; 0 is never set, 1
+    always is.  Of the R rows through x_cap's, `whole` is a read-only view of
+    the presieve's first L, whole blocks of SCAN_BLOCK rows, and `tail` a
+    fresh array of rows [L, R) with the cells past x_cap cleared: L = 0 up
+    to CHUNK_ROWS rows, and past them the most blocks that leave `tail` 1 to
+    SCAN_BLOCK rows.  x_cap is truncated to an integer, as `Presieve` does; a
+    negative or non-finite x_cap, and a presieve whose range stops below
+    x_cap, are refused.
     """
     if not 0 <= x_cap < math.inf:  # nan fails it too
-        raise DomainError(f"chunks need a finite x_cap >= 0, got {x_cap}")
+        raise DomainError(f"rows need a finite x_cap >= 0, got {x_cap}")
     x_cap = int(x_cap)
     if presieve.x_cap < x_cap:
         raise DomainError(f"the presieve stops at {presieve.x_cap}, below x_cap {x_cap}")
     step = presieve.step
     rows = x_cap // step + 1                   # the rows that hold [0, x_cap]
-    last = (rows - 1) // CHUNK_ROWS * CHUNK_ROWS
-    whole = presieve.turns[:4 * last].view(np.uint32).reshape(-1, CHUNK_ROWS)
-    whole.flags.writeable = False              # and so is each chunk, a view of it
-    for k, chunk in enumerate(whole):
-        yield k * CHUNK_ROWS, chunk
-    size = x_cap + 1 - last * step             # the last chunk's integers, and its cells:
+    last = (rows - 1) // SCAN_BLOCK * SCAN_BLOCK if rows > CHUNK_ROWS else 0
+    whole = presieve.turns[:4 * last].view(np.uint32)
+    whole.flags.writeable = False
+    size = x_cap + 1 - last * step             # the tail's integers, and its cells:
     cut = size // step * 32 + int(np.searchsorted(presieve.residues, size % step))
     tail = np.zeros(4 * (rows - last), dtype=np.uint8)
     tail[:cut >> 3] = presieve.turns[4 * last:4 * last + (cut >> 3)]
     if cut & 7:   # a byte cut at x_cap, masked as a scalar: on a one-byte slice, `&=` is 10x slower
         tail[cut >> 3] = presieve.turns[4 * last + (cut >> 3)] & (0xFF00 >> (cut & 7) & 0xFF)
-    yield last, tail.view(np.uint32)
+    return whole, tail.view(np.uint32)
 
 
 class PrimeTable:
@@ -321,8 +319,9 @@ class PrimeTable:
 
 def _survivors(presieve: Presieve, x_cap: int, piece: int = CHUNK_ROWS):
     """The survivors of `presieve` up to x_cap, ascending: one int64 array
-    per piece of at most `piece` rows of the chunks of `rough_chunks`."""
-    for first, rows in rough_chunks(presieve, x_cap):
+    per piece of at most `piece` rows of `rough_rows`'s `whole`, then `tail`."""
+    whole, tail = rough_rows(presieve, x_cap)
+    for first, rows in ((0, whole), (len(whole), tail)):
         for r in range(0, len(rows), piece):
             cells = np.flatnonzero(np.unpackbits(rows[r:r + piece].view(np.uint8)).view(bool))
             ns = cells >> 5

@@ -473,3 +473,23 @@ def test_table1_out_writes_the_stdout_csv(capsys, monkeypatch, tmp_path):
     assert main(["table1", "--out", "-"]) == 0
     assert capsys.readouterr().out == csv
     assert sorted(os.listdir(data)) == ["t.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1"],
+    ["plot-data", "--kind", "omega", "--u-lo", "1", "--u-hi", "2", "--step", "0.5"],
+    ["bound", "--kind", "selberg-sweep", "--y-lo", "300", "--y-hi", "306"],
+    ["verify", "--region", "iteration"],
+])
+@pytest.mark.parametrize("where", ["missing-dir", "dir"])
+def test_unwritable_out_exits_2(argv, where, capsys, monkeypatch, tmp_path):
+    # a usage error, not a failed verification (exit 1) or a traceback
+    import roughbound.pipeline as pl
+    monkeypatch.setattr(pl, "REFERENCE_SMALL_Y_ROWS", pl.REFERENCE_SMALL_Y_ROWS[:4])
+    out = tmp_path / "missing" / "t.csv" if where == "missing-dir" else tmp_path
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()

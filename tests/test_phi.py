@@ -52,7 +52,8 @@ def test_direct_vs_bruteforce(x, y):
     assert phi_direct(x, y, _T) == brute_phi(x, y)
 
 
-# integers in one chunk of the wheels of 1, 2, 6 and 30: CHUNK_ROWS rows of 4 turns
+# integers in CHUNK_ROWS rows of 4 turns of the wheels of 1, 2, 6 and 30, the
+# longest range `rough_rows` hands out as a tail alone
 _SPANS = [CHUNK_ROWS * 4 * width for width in (8, 16, 24, 30)]
 
 
@@ -63,16 +64,16 @@ _SPANS = [CHUNK_ROWS * 4 * width for width in (8, 16, 24, 30)]
        st.one_of(st.sampled_from([1.5, 2, 2.5, 3, 4.9, 5, 7, 11, 13, 17, 19, 23]),
                  st.floats(min_value=2, max_value=40)))
 @example(1, 3)                             # only 1: no struck prime, wheel of 1
-@example(_SPANS[0], 2)                     # half a chunk of the wheel of 2
-@example(_SPANS[1] - 1, 2)                 # a chunk of the wheel of 2, exactly
-@example(_SPANS[1], 2)                     # one integer past it: a second chunk of one row
-@example(_SPANS[2] + 1, 3)                 # wheel of 6 across a chunk edge
-@example(_SPANS[3], 5)                     # wheel of 30 across a chunk edge
+@example(_SPANS[0], 2)                     # half of CHUNK_ROWS rows of the wheel of 2
+@example(_SPANS[1] - 1, 2)                 # CHUNK_ROWS rows of the wheel of 2, exactly
+@example(_SPANS[1], 2)                     # one integer past it: a tail of one row
+@example(_SPANS[2] + 1, 3)                 # wheel of 6 past CHUNK_ROWS rows
+@example(_SPANS[3], 5)                     # wheel of 30 past CHUNK_ROWS rows
 @example(_SPANS[3] + 29, 7)                # presieved pattern of 7 alone
 @example(_SPANS[3] - 7, 11)                # presieved pattern of 7 and 11
 @example(_SPANS[3] + 1, 13)                # presieved pattern of 7, 11 and 13
 @example(_SPANS[3] - 1, 17)                # the full presieved pattern
-@example(_SPANS[3] + 1000, 23)             # struck primes in a second chunk
+@example(_SPANS[3] + 1000, 23)             # struck primes in a tail of 9 rows
 def test_direct_vs_legendre_across_wheels(x, y):
     assert phi_direct(x, y, _T) == phi_legendre(x, y, _T)
 
@@ -260,7 +261,7 @@ def reference_scan(table, y_lo, y_hi, x_cap, target=None):
 
 
 _BLOCK_30 = phi.SCAN_BLOCK * 120          # integers in one scan block of the wheel of 30
-_CHUNK_30 = CHUNK_ROWS * 120              # integers in one chunk of the wheel of 30
+_CHUNK_30 = CHUNK_ROWS * 120              # integers in CHUNK_ROWS rows of the wheel of 30
 _SUB_30 = 4 * 120                         # integers in one sub-block of 4 rows of the wheel of 30
 
 
@@ -278,33 +279,37 @@ def _intervals(y_lo, y_hi_max):
                  st.integers(min_value=1, max_value=2_300_000)),
        st.one_of(st.none(), st.floats(min_value=0.3, max_value=0.7)))
 @example((1, 2), 1000, 0.5)                  # no struck prime: wheel of 1
-@example((2, 3), (1 << 21) + 7, 0.3)         # wheel of 2, past one chunk, > KEPT_VIOLATIONS
-@example((3, 5), (1 << 20) + 29, 0.5)        # wheel of 6 within one chunk
-@example((3, 5), 3 << 20, 0.5)               # wheel of 6, one integer past a chunk
+@example((2, 3), (1 << 21) + 7, 0.3)         # wheel of 2, past CHUNK_ROWS rows, > KEPT_VIOLATIONS
+@example((3, 5), (1 << 20) + 29, 0.5)        # wheel of 6, all tail
+@example((3, 5), 3 << 20, 0.5)               # wheel of 6, one integer past CHUNK_ROWS rows
 @example((5, 7), 2_000_003, 0.55)            # wheel of 30, x_cap not a multiple of 30
-@example((97, 101), 1_500_001, None)         # y_lo^2 and y_hi^2 in the first chunk
-@example((5, 7), 8_000_003, 0.55)            # three chunks, violations above y_hi^2
+@example((97, 101), 1_500_001, None)         # y_lo^2 and y_hi^2 near the start, all tail
+@example((5, 7), 8_000_003, 0.55)            # whole blocks and a tail, violations above y_hi^2
 @example((7, 11), 1_000_000, 0.56)           # presieved pattern of 7 alone
 @example((11, 13), 300_007, 0.55)            # presieved pattern of 7 and 11
 @example((13, 17), 5_000_000, None)          # presieved pattern of 7, 11 and 13
 @example((53, 59), 2_999_999, 0.6)           # maximum at small j, where row bounds are loose
 @example((6247, 6254), 39_150_000, 0.3)      # the first bounded row past y_hi^2 is empty
 @example((7, 11), 2100 * _BLOCK_30 - 100, None)   # the last row closes a block, cells past x_cap
-@example((19, 23), 5 * _BLOCK_30 - 100, 0.55)     # the same within one chunk
-@example((23, 29), _CHUNK_30 - 1, 0.55)           # one whole chunk
-@example((23, 29), _CHUNK_30, 0.55)               # one integer past it: a second chunk of one row
-@example((241, 251), 251**3 - 1, 0.6)            # a default small-u scan, several chunks
-@example((19, 23), 7 * _SUB_30 - 1, 0.55)         # one chunk: its rows in sub-blocks, at their edges
+@example((19, 23), 5 * _BLOCK_30 - 100, 0.55)     # the same, all tail
+@example((23, 29), _CHUNK_30 - 1, 0.55)           # CHUNK_ROWS rows, all tail
+@example((23, 29), _CHUNK_30, 0.55)               # one integer past it: a tail of one row
+@example((241, 251), 251**3 - 1, 0.6)            # a default small-u scan
+@example((19, 23), 7 * _SUB_30 - 1, 0.55)         # all tail, at the edges of sub-blocks
 @example((19, 23), 7 * _SUB_30, 0.55)
-@example((7, 11), _CHUNK_30 + _SUB_30 - 1, None)  # the last chunk ends a sub-block
+@example((7, 11), _CHUNK_30 + _SUB_30 - 1, None)  # the tail ends a sub-block
 @example((7, 11), _CHUNK_30 + _SUB_30, 0.56)      # and one integer past it
-@example((11, 13), _CHUNK_30 + _BLOCK_30 - 1, 0.55)   # the last chunk ends a block
+@example((11, 13), _CHUNK_30 + _BLOCK_30 - 1, 0.55)   # the tail ends a block
 @example((11, 13), _CHUNK_30 + _BLOCK_30 + 1, None)
-@example((13, 17), 2 * _CHUNK_30 - 1, 0.55)      # two whole chunks
-@example((13, 17), 2 * _CHUNK_30 + 3 * _SUB_30, 0.55)   # a third, of three sub-blocks
-@example((1979, 1987), 5_000_000, 0.6)        # y_lo^2 in the first chunk, y_hi^2 in the last
-@example((1979, 1987), 3_940_000, 0.6)        # y_hi^2 in the last chunk, past x_cap
-@example((2003, 2011), 4_000_000, 0.6)        # two chunks, y_lo^2 and y_hi^2 past x_cap
+@example((13, 17), 2 * _CHUNK_30 - 1, 0.55)      # a tail of one whole block
+@example((13, 17), 2 * _CHUNK_30 + 3 * _SUB_30, 0.55)   # a tail of three sub-blocks and a row
+@example((1979, 1987), 5_000_000, 0.6)        # y_lo^2 and y_hi^2 in the whole blocks
+@example((1979, 1987), 3_940_000, 0.6)        # y_hi^2 past x_cap
+@example((2003, 2011), 4_000_000, 0.6)        # y_lo^2 and y_hi^2 past x_cap
+@example((1979, 1987), 3_948_168, 0.6)        # y_hi^2 one past x_cap, a tail of six rows
+@example((1979, 1987), 3_948_169, 0.6)        # y_hi^2 at x_cap
+@example((1979, 1987), 3_948_200, 0.6)        # y_hi^2 inside the tail
+@example((1987, 1993), 3_948_200, 0.6)        # y_lo^2 inside the tail
 def test_scan_matches_reference(interval, x_cap, target):
     y_lo, y_hi = interval
     got = scan_rough_interval(_T, y_lo, y_hi, x_cap, target=target)
@@ -322,7 +327,7 @@ def test_scan_matches_reference(interval, x_cap, target):
 @example((179, 181), _CHUNK_30, None)
 @example((2, 3), 20_000, 0.5)                 # wheel of 2
 @example((7, 11), 2100 * _BLOCK_30 - 100, None)   # the last row closes a block, cells past x_cap
-@example((23, 29), _CHUNK_30 - 1, 0.55)           # one whole chunk
+@example((23, 29), _CHUNK_30 - 1, 0.55)           # CHUNK_ROWS rows, all tail
 @example((23, 29), _CHUNK_30, 0.55)               # one integer past it
 def test_scan_from_a_presieve_equals_scan_without(interval, x_cap, target):
     # the pipeline's scans read a presieve of exactly their own primes, over
@@ -334,7 +339,7 @@ def test_scan_from_a_presieve_equals_scan_without(interval, x_cap, target):
     assert got == want
 
 
-# x caps at and beside the edges of sub-blocks, blocks and chunks, past the first chunk
+# x caps at and beside the edges of sub-blocks and blocks, past CHUNK_ROWS rows
 _EDGE_X_CAPS = st.builds(lambda base, k, d: base + k + d,
                          st.sampled_from([_CHUNK_30, 2 * _CHUNK_30]),
                          st.sampled_from([0, _SUB_30, 2 * _SUB_30, _BLOCK_30, 7 * _BLOCK_30,
@@ -359,7 +364,7 @@ def test_rolling_scans_equal_fresh_scans(first, x_caps, target):
 
 
 def test_only_scans_past_one_chunk_ask_for_block_counts(monkeypatch):
-    # a range within one chunk is read by its rows alone
+    # a range of at most CHUNK_ROWS rows is all tail, read by its rows alone
     def refuse(self):
         raise AssertionError("block counts asked for")
     monkeypatch.setattr(Presieve, "block_counts", refuse)
@@ -371,12 +376,12 @@ def test_only_scans_past_one_chunk_ask_for_block_counts(monkeypatch):
 
 def test_scan_counts_the_largest_default_small_u_range():
     # the rough count of the largest default small-u scan, every block of
-    # which but those of its last chunk is counted in place
+    # which but its tail is counted in place
     x = 503**3 - 1
     assert scan_rough_interval(_T, 499, 503, x).rough_count == phi_direct(x, 499, _T, cap=x)
 
 
-# the primes <= 17, sieved past the first chunk edge
+# the primes <= 17, sieved past CHUNK_ROWS rows
 _PRIMES_TO_17 = Presieve(_T.primes_between(0, 17), _CHUNK_30 + 200)
 
 

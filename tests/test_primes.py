@@ -19,7 +19,7 @@ from roughbound.primes import (
     Presieve,
     build_prime_table,
     mertens_product,
-    rough_chunks,
+    rough_rows,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -149,7 +149,7 @@ def test_building_a_table_calls_the_public_builder_once(monkeypatch):
     assert table.pi(10**6) == 78_498
 
 
-_SPAN_30 = CHUNK_ROWS * 120     # integers in one chunk of the wheel of 30
+_SPAN_30 = CHUNK_ROWS * 120     # integers in CHUNK_ROWS rows of the wheel of 30
 
 
 def test_chunked_equals_unchunked():
@@ -178,26 +178,28 @@ def presieve_cells(presieve):
     return ns[keep], np.unpackbits(presieve.turns).view(bool)[keep]
 
 
-def chunk_survivors(presieve, x_cap):
-    """The integers set in the chunks of `rough_chunks(presieve, x_cap)`,
-    checking on the way each chunk's first row and dtype, that every chunk
-    but the last is a whole read-only view of the presieve, and that the
-    last is a fresh array of the rows through x_cap's."""
+def row_survivors(presieve, x_cap):
+    """The integers set in the rows of `rough_rows(presieve, x_cap)`,
+    checking on the way that `whole` is a read-only uint32 view of the
+    presieve's whole blocks, empty exactly when the R rows through x_cap's
+    are at most CHUNK_ROWS, and that `tail` is a fresh uint32 array of the
+    rest: all R rows, or 1 to SCAN_BLOCK of them after a non-empty `whole`.
+    That the cells past x_cap are cleared the caller checks against a plain
+    sieve."""
     step, residues = presieve.step, presieve.residues
-    rows = x_cap // step + 1             # the rows through x_cap's
-    last = (rows - 1) // CHUNK_ROWS
+    rows = int(x_cap) // step + 1        # the rows through x_cap's
+    whole, tail = rough_rows(presieve, x_cap)
+    assert whole.dtype == tail.dtype == np.uint32
+    assert not whole.flags.writeable and len(whole) % SCAN_BLOCK == 0
+    assert np.shares_memory(whole, presieve.turns) or not len(whole)
+    assert (not len(whole)) == (rows <= CHUNK_ROWS)
+    assert len(whole) + len(tail) == rows
+    assert len(tail) <= SCAN_BLOCK or not len(whole)
+    assert tail.flags.writeable and not np.shares_memory(tail, presieve.turns)
     found = []
-    for k, (first, chunk) in enumerate(rough_chunks(presieve, x_cap)):
-        assert first == k * CHUNK_ROWS and chunk.dtype == np.uint32
-        if k < last:
-            assert len(chunk) == CHUNK_ROWS and not chunk.flags.writeable
-            assert np.shares_memory(chunk, presieve.turns)
-        else:
-            assert len(chunk) == rows - first
-            assert not np.shares_memory(chunk, presieve.turns)
-        cells = np.flatnonzero(np.unpackbits(chunk.view(np.uint8)))
+    for first, words in ((0, whole), (len(whole), tail)):
+        cells = np.flatnonzero(np.unpackbits(words.view(np.uint8)))
         found.append((first + (cells >> 5)) * step + residues[cells & 31])
-    assert k == last
     return np.concatenate(found)
 
 
@@ -216,58 +218,69 @@ def test_presieve_and_its_chunks_match_a_plain_sieve(table_small, count):
     # prime struck above them
     strike = table_small.primes[:count]
     width = Presieve(strike, 1).step // 4
-    span = CHUNK_ROWS * 4 * width         # integers in one chunk
+    span = CHUNK_ROWS * 4 * width         # integers in CHUNK_ROWS rows
     oracle = rough_oracle(strike, 2 * span + 1000)
-    # x caps at and beside the edges of a turn, a row and a chunk, and past
-    # the second chunk
+    # x caps at and beside the edges of a turn, a row and CHUNK_ROWS rows,
+    # and past twice that
     for x_cap in sorted({1, 2, 3, 29, 30, 31, width - 1, width, width + 1, 4 * width - 1,
                          4 * width, 4 * width + 1, 1_000_003, span - 1, span, span + 1,
                          2 * span + 1000}):
         presieve = Presieve(strike, x_cap)
         ns, survives = presieve_cells(presieve)
         assert np.array_equal(survives, oracle[ns]), (count, x_cap)
-        assert np.array_equal(chunk_survivors(presieve, x_cap),
+        assert np.array_equal(row_survivors(presieve, x_cap),
                               np.flatnonzero(oracle[:x_cap + 1])), (count, x_cap)
     # a presieve read short of its own end
-    assert np.array_equal(chunk_survivors(presieve, span + 7),
+    assert np.array_equal(row_survivors(presieve, span + 7),
                           np.flatnonzero(oracle[:span + 8])), count
 
 
+@pytest.mark.parametrize("count", range(4))          # the wheels of 1, 2, 6 and 30
+@pytest.mark.parametrize("rows, whole", [(CHUNK_ROWS, 0), (CHUNK_ROWS + 1, CHUNK_ROWS),
+                                         (CHUNK_ROWS + 16, CHUNK_ROWS),
+                                         (CHUNK_ROWS + 17, CHUNK_ROWS + 16)])
+def test_rough_rows_split_into_whole_blocks_and_a_tail(table_small, count, rows, whole):
+    # up to CHUNK_ROWS rows all are tail; past them the tail is 1 to SCAN_BLOCK rows
+    strike = table_small.primes[:count]
+    step = Presieve(strike, 1).step
+    oracle = rough_oracle(strike, rows * step)
+    presieve = Presieve(strike, rows * step)
+    for x_cap in ((rows - 1) * step, rows * step - 1):   # the first and last integer of row R - 1
+        assert np.array_equal(row_survivors(presieve, x_cap),
+                              np.flatnonzero(oracle[:x_cap + 1])), x_cap
+        assert len(rough_rows(presieve, x_cap)[0]) == whole
+
+
 def test_chunks_but_the_last_are_read_only_views(table_small):
+    # the whole blocks are a read-only view of the presieve; the tail is the caller's own
     presieve = Presieve(table_small.primes[:5], 2 * _SPAN_30 + 1000)
     before = presieve.turns.tobytes()
-    chunks = rough_chunks(presieve, 2 * _SPAN_30 + 1000)
-    for _, chunk in (next(chunks), next(chunks)):
-        with pytest.raises(ValueError, match="read-only"):
-            chunk[0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            chunk.view(np.uint8)[-1] = 0
-    first, tail = next(chunks)
-    tail[:] = 0                          # the last chunk is the caller's own
-    assert first == 2 * CHUNK_ROWS and next(chunks, None) is None
+    whole, tail = rough_rows(presieve, 2 * _SPAN_30 + 1000)
+    assert len(whole) == 2 * CHUNK_ROWS and len(tail) == 9
+    with pytest.raises(ValueError, match="read-only"):
+        whole[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        whole.view(np.uint8)[-1] = 0
+    tail[:] = 0
     assert presieve.turns.tobytes() == before
 
 
 @pytest.mark.parametrize("x_cap", [1, 119, 120, 1919, 1920, _SPAN_30 - 1, _SPAN_30,
                                    _SPAN_30 + 1, _SPAN_30 + 1919, _SPAN_30 + 1920])
 def test_chunks_read_short_of_the_presieve(table_small, x_cap):
-    # the presieve's bits run on past x_cap: the last chunk clears them and
-    # ends at x_cap's row (see chunk_survivors)
+    # the presieve's bits run on past x_cap: the tail clears them and
+    # ends at x_cap's row (see row_survivors)
     strike = table_small.primes[:3]
     presieve = Presieve(strike, 2 * _SPAN_30)
-    assert np.array_equal(chunk_survivors(presieve, x_cap),
+    assert np.array_equal(row_survivors(presieve, x_cap),
                           np.flatnonzero(rough_oracle(strike, x_cap)))
 
 
 def test_short_presieve_refused_before_the_first_chunk(table_small):
-    # a consumer summing chunk by chunk sees none of a presieve that stops short
+    # refused at the call, before any row is handed out
     presieve = Presieve(table_small.primes[:3], 2 * _SPAN_30)
-    chunks = rough_chunks(presieve, 2 * _SPAN_30 + 1)
-    seen = []
     with pytest.raises(DomainError, match=f"stops at {2 * _SPAN_30}, below x_cap"):
-        for _, rows in chunks:
-            seen.append(int(np.bitwise_count(rows).sum()))
-    assert seen == []
+        rough_rows(presieve, 2 * _SPAN_30 + 1)
 
 
 def popcount_blocks(presieve):
@@ -329,12 +342,8 @@ def test_presieve_refuses_to_advance_by_primes_that_do_not_extend_its_own(table_
 def test_presieve_and_chunks_refuse_a_negative_or_non_finite_x_cap(table_small, x_cap):
     with pytest.raises(DomainError, match="x_cap >= 0"):
         Presieve(table_small.primes[:4], x_cap)
-    chunks = rough_chunks(Presieve(table_small.primes[:4], 1000), x_cap)
-    seen = []
     with pytest.raises(DomainError, match="x_cap >= 0"):
-        for chunk in chunks:
-            seen.append(chunk)
-    assert seen == []
+        rough_rows(Presieve(table_small.primes[:4], 1000), x_cap)
 
 
 def test_presieve_and_chunks_truncate_a_float_x_cap(table_small):
@@ -342,9 +351,9 @@ def test_presieve_and_chunks_truncate_a_float_x_cap(table_small):
     presieve = Presieve(strike, 999.5)
     assert presieve.x_cap == 999
     assert presieve.turns.tobytes() == Presieve(strike, 999).turns.tobytes()
-    assert np.array_equal(chunk_survivors(presieve, 999.0),
+    assert np.array_equal(row_survivors(presieve, 999.0),
                           np.flatnonzero(rough_oracle(strike, 999)))
-    assert np.array_equal(chunk_survivors(presieve, 998.7),
+    assert np.array_equal(row_survivors(presieve, 998.7),
                           np.flatnonzero(rough_oracle(strike, 998)))
 
 
