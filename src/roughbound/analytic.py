@@ -126,7 +126,8 @@ def _ei(big_l):
     flat = big_l.ravel()
     out = np.empty_like(flat)
     low = flat < -1
-    out[low] = -_e1(-flat[low])
+    if low.any():   # the continued fraction's 128 steps, skipped on an empty array
+        out[low] = -_e1(-flat[low])
     rest = flat[~low]
     out[~low] = EULER_GAMMA + np.log(np.abs(rest)) + _ei_series(rest)
     return out.reshape(big_l.shape)

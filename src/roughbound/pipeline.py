@@ -721,8 +721,9 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(config.parallelism, len(regions), cpus or 1)
     # one table whichever regions run: past the Selberg sweep's 5e5 (and so past
-    # the iteration's 1499^(4/3)) and past the first prime above small-u's cap
-    table = build_prime_table(max(CLOSED_FORM_MIN_Y + 1000, 2 * config.small_u_cap + 100))
+    # the iteration's 1499^(4/3)) and past the first prime above small-u's cap,
+    # which the check above keeps below 1290
+    table = build_prime_table(CLOSED_FORM_MIN_Y + 1000)
 
     if workers < 2:
         certs = [_verify(region, table, config) for region in regions]

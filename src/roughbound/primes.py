@@ -14,13 +14,15 @@ by the primes below, and those, level by level, off smaller presieves, down
 to one on the wheel of 1 that strikes nothing.  `phi.phi_direct` counts its
 survivors and `phi.scan_rough_interval` streams them.
 
-A presieve also keeps its survivors per block of SCAN_BLOCK rows, counted
-by popcount (`sub_block_counts`) when a scan first asks for them and kept
-current by the strike itself: striking a prime p removes exactly p times
-the survivors m it finds, so `advance` takes each new prime's blocks off
-the counts from a sorted list of the small survivors m, which it keeps,
-instead of counting the whole range again (Legendre's identity
-Phi(N, p) = Phi(N, p-) - Phi(N / p, p-), p- the prime before p).
+A presieve also keeps its survivors <= x_cap per block of SCAN_BLOCK rows,
+Phi per block, counted by popcount (`sub_block_counts`) of `rough_rows`
+when a scan first asks for them and kept current by the strike itself:
+striking a prime p removes exactly p m for each survivor m <= x_cap // p
+(Legendre's identity Phi(N, p) = Phi(N, p-) - Phi(N / p, p-), p- the
+prime before p), so `advance` takes each new prime's p m off the counts
+instead of counting the whole range again.  The m come from one sorted
+list of small survivors, read once off the bits; after each prime it is
+cut at x_cap // p and rid of p's multiples, and so stays current by itself.
 
 A :class:`PrimeTable` stores every prime up to a limit and nothing else: it
 keeps no prefix sums, and a sum over primes is taken over a slice of the
@@ -141,23 +143,23 @@ class Presieve:
         self.strike = strike[:3 + PRESIEVED]
         self._counts = None   # survivors per block, once `block_counts` is asked
         self._small = None    # the survivors m by which `advance` takes p m off the counts
-        self._alive = None    # which of them no new prime has struck since
         self.advance(strike)
 
     def block_counts(self) -> np.ndarray:
-        """The survivors per block of SCAN_BLOCK rows over the presieve's
-        whole rows (the bits past x_cap included), the last block zero
-        padded, as a read-only int16 array: at most 512 a block.  Counted by
-        `sub_block_counts` in place, CHUNK_ROWS rows at a time, on the first
-        call, and kept current by `advance` from then on."""
+        """The survivors <= x_cap per block of SCAN_BLOCK rows of
+        `rough_rows(self, self.x_cap)`, the tail zero padded to whole
+        blocks, as a read-only int16 array: at most 512 a block.  Counted by
+        `sub_block_counts`, CHUNK_ROWS rows of the whole blocks at a time,
+        on the first call, and kept current by `advance` from then on."""
         if self._counts is None:
-            words = self.turns.view(np.uint32)
-            whole = len(words) // SCAN_BLOCK * SCAN_BLOCK
-            counts = np.empty(-(-len(words) // SCAN_BLOCK), dtype=np.int16)
-            for r in range(0, whole, CHUNK_ROWS):
-                end = min(r + CHUNK_ROWS, whole)
-                counts[r // SCAN_BLOCK:end // SCAN_BLOCK] = sub_block_counts(words[r:end])[:, 3]
-            counts[whole // SCAN_BLOCK:] = np.bitwise_count(words[whole:]).sum()
+            whole, tail = rough_rows(self, self.x_cap)
+            padded = np.zeros(-(-len(tail) // SCAN_BLOCK) * SCAN_BLOCK, dtype=np.uint32)
+            padded[:len(tail)] = tail
+            counts = np.empty((len(whole) + len(padded)) // SCAN_BLOCK, dtype=np.int16)
+            for r in range(0, len(whole), CHUNK_ROWS):
+                end = min(r + CHUNK_ROWS, len(whole))
+                counts[r // SCAN_BLOCK:end // SCAN_BLOCK] = sub_block_counts(whole[r:end])[:, 3]
+            counts[len(whole) // SCAN_BLOCK:] = sub_block_counts(padded)[:, 3]
             self._counts = counts
         counts = self._counts.view()
         counts.flags.writeable = False
@@ -182,42 +184,34 @@ class Presieve:
     def _uncount(self, ps: list[int]) -> None:
         """Take off the block counts the survivors that the primes `ps`,
         ascending and above the presieve's own, strike.  Striking p removes
-        p m for each survivor m <= top // p of the primes below p, top the
-        last integer of the rows, and nothing else: each p m is taken off
-        its block's count.  The m run over a sorted list of the survivors up
-        to top // ps[0], read once off the bytes; after each p, its
-        multiples p m' are marked struck in the list (each is in it), and
-        the list is cut to its live part once it is over twice as long as
-        the next p can reach.  When top // ps[0] exceeds x_cap / 64 (p below
-        about 64) the list would rival the presieve itself, five times its
-        bytes with p = 7: the counts are dropped instead, to be counted
-        afresh when next asked."""
-        top = len(self.turns) // 4 * self.step - 1
+        p m for each survivor m <= x_cap // p of the primes below p, and
+        nothing else: each p m is taken off its block's count.  The m run
+        over one sorted list of the survivors up to x_cap // ps[0], read
+        once off the bytes; after each p it is cut at x_cap // p, which no
+        later prime reaches past, and p's multiples, struck by p, are
+        filtered out of it.  With a first new prime below 64 the list would
+        rival the presieve itself, five times its bytes with p = 7: the
+        counts are dropped instead, to be counted afresh when next asked."""
         span = SCAN_BLOCK * self.step
         if self._small is None:
-            if top // ps[0] > self.x_cap // 64:
+            if ps[0] < 64:
                 self._counts = None
                 return
-            # sized by the counts of the blocks that hold them; below top / 64 < 2^31
-            small = np.empty(int(self._counts[:top // ps[0] // span + 1].sum(dtype=np.int64)),
+            # sized by the counts of the blocks that hold them; below x_cap / 64 < 2^31
+            small = np.empty(int(self._counts[:self.x_cap // ps[0] // span + 1].sum(dtype=np.int64)),
                              dtype=np.int32)
             end = 0
-            for ns in _survivors(self, top // ps[0], _PIECE_CELLS // 32):
+            for ns in _survivors(self, self.x_cap // ps[0], _PIECE_CELLS // 32):
                 small[end:end + len(ns)] = ns
                 end += len(ns)
-            self._small, self._alive = small[:end], np.ones(end, dtype=bool)
+            self._small = small[:end]
         for p in ps:   # int32 keys: an int64 key would cast the whole list
-            end = int(self._small.searchsorted(np.int32(top // p), "right"))
-            small, alive = self._small[:end], self._alive[:end]
-            for lo in range(0, end, _PIECE_CELLS):
-                ms = small[lo:lo + _PIECE_CELLS][alive[lo:lo + _PIECE_CELLS]]
-                np.subtract.at(self._counts, np.multiply(ms, p, dtype=np.int64) // span,
+            small = self._small[:int(self._small.searchsorted(np.int32(self.x_cap // p), "right"))]
+            for lo in range(0, len(small), _PIECE_CELLS):
+                np.subtract.at(self._counts,
+                               np.multiply(small[lo:lo + _PIECE_CELLS], p, dtype=np.int64) // span,
                                np.int16(1))
-            # p m' for every m' of the list is in it: strike them off the list
-            multiples = small[:small.searchsorted(np.int32(top // p // p), "right")] * np.int32(p)
-            alive[small.searchsorted(multiples)] = False
-            if 2 * end < len(self._small):     # the list's tail is past every later prime's reach
-                self._small, self._alive = small[alive], np.ones(int(alive.sum()), dtype=bool)
+            self._small = small[small % np.int32(p) != 0]
 
 
 def sub_block_counts(words: np.ndarray) -> np.ndarray:

@@ -321,7 +321,7 @@ def test_empty_or_repeated_region_selection_rejected(regions):
 @pytest.mark.parametrize("cap, refused", [(1289, False), (1290, True), (5_000_000, True)])
 def test_small_u_cap_past_the_sieve_refused_before_the_table(monkeypatch, cap, refused):
     # small-u scans x < q^3, q > cap: from cap 1290 on that passes the sieve's
-    # cap, and the run stops before it sieves a table to 2 cap + 100
+    # cap, and the run stops before it sieves its table
     import roughbound.pipeline as pl
 
     class Built(Exception):

@@ -284,17 +284,21 @@ def test_short_presieve_refused_before_the_first_chunk(table_small):
 
 
 def popcount_blocks(presieve):
-    """The survivors per block of SCAN_BLOCK rows over the presieve's whole
-    rows, the last block zero padded, by popcount of its bytes."""
-    turns = np.zeros(-(-presieve.turns.size // (4 * SCAN_BLOCK)) * 4 * SCAN_BLOCK, dtype=np.uint8)
-    turns[:presieve.turns.size] = presieve.turns
-    return np.bitwise_count(turns).reshape(-1, 4 * SCAN_BLOCK).sum(axis=1)
+    """The survivors <= x_cap per block of SCAN_BLOCK rows over the
+    presieve's whole rows, the last block zero padded, counted cell by cell
+    off `presieve_cells`."""
+    ns, survives = presieve_cells(presieve)
+    blocks = -(-presieve.turns.size // (4 * SCAN_BLOCK))
+    return np.bincount(ns[survives] // (SCAN_BLOCK * presieve.step), minlength=blocks)
 
 
 # ranges ending inside a turn, inside a row, at a row's, a block's and a
-# chunk's edges and past them
-@pytest.mark.parametrize("x_cap", [45, 100, 119, 120, 121, 1919, 1920, 1921, _SPAN_30 - 1,
-                                   _SPAN_30, _SPAN_30 + 1, 2 * _SPAN_30 + 1000])
+# chunk's edges and past them, inside a last block of 9 rows (one chunk),
+# of 6 rows after a chunk and of 9 rows after two, and at the end of a tail
+# of one whole block
+@pytest.mark.parametrize("x_cap", [45, 100, 119, 120, 121, 1919, 1920, 1921, 120_077,
+                                   _SPAN_30 - 1, _SPAN_30, _SPAN_30 + 1, _SPAN_30 + 607,
+                                   _SPAN_30 + 1919, 2 * _SPAN_30 + 1000])
 def test_advancing_a_presieve_equals_building_it(table_small, x_cap):
     primes = table_small.primes
     stepped = Presieve(primes_upto(primes, 17), x_cap)
