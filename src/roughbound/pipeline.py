@@ -7,24 +7,29 @@ and the constants it assumes and establishes.  A RegionCertificate records
 the method, the worst margin (normalized by x / log y), any witnesses of
 failure, and its record's boxes and constants.  The default target is .6.
 
-All region work is pure and deterministic.  A run's unit of work is one
-region: each selected region's verifier is one task on the run's process
-pool, whose workers receive the prime table once, and the calling process
-only submits the tasks and collects the certificates.  Below two workers the
-run calls the verifiers in turn in the calling process.  A verifier runs its
-own interval scans in ascending y; mid-y and small-u read one local presieve
-over their largest x cap, built at the first interval and advanced in place
-to each later interval's primes, so that each prime is struck once per
-region.  The report does not depend on the parallelism setting,
-`PipelineConfig.parallelism`.
+All region work is pure and deterministic.  A run's unit of work is a
+task: one of the parts a region's record names (small-u's scans and its
+grid), or else the region's verifier.  On the run's process pool, whose
+workers receive the prime table once, the parts go first, then the other
+regions, each in record order, so that the longest tasks start first; the
+calling process submits the tasks, collects their results and hands each
+region with parts its parts' results, from which its verifier builds the
+certificate.  Below two workers the run calls the verifiers in turn in the
+calling process, and a verifier calls its own parts.  Interval scans run in
+ascending y; mid-y and small-u read one local presieve over their largest x
+cap, built at the first interval and advanced in place to each later
+interval's primes, so that each prime is struck once per region.  The report
+does not depend on the parallelism setting, `PipelineConfig.parallelism`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -486,23 +491,40 @@ def small_u_grid_max():
     return best, rows
 
 
+def small_u_scans(table: PrimeTable, *, target: float = DEFAULT_TARGET,
+                  y_exhaustive_cap: int = SMALL_U_CAP):
+    """Small-u's exhaustive scans: the intervals (p, q, q^3 - 1) of
+    consecutive primes p < q with 241 <= p <= the cap, and their scans, in
+    ascending order.
+
+    Every scan reads its chunks from one presieve over the largest range
+    (4.2 MB at the default cap, 45 MB at the paper's), advanced to the
+    scan's primes, so that it strikes none itself.
+    """
+    meta = [(int(p), q, q ** 3 - 1) for p in table.primes_between(240, y_exhaustive_cap)
+            for q in (table.next_prime(p),)]
+    return meta, _scans(table, meta, target, rolling=True)
+
+
 def verify_small_u(table: PrimeTable, *, target: float = DEFAULT_TARGET,
-                   y_exhaustive_cap: int = SMALL_U_CAP) -> RegionCertificate:
+                   y_exhaustive_cap: int = SMALL_U_CAP,
+                   parts: tuple | None = None) -> RegionCertificate:
     """The 2 <= u < 3 region: exhaustive scans for 241 <= y < q, q the first
     prime above the cap, assembled analytic bound on a grid for y >= 1100.
 
     The default cap keeps the exhaustive branch at desk scale, and leaves
     503 <= y < 1100 to neither branch; raising it to PAPER_SCALE_SMALL_U_CAP
     closes the gap.  Scans cover x < q^3 per interval [p, q), with the
-    two-dimensional supremum convention for the multiplier.  The grid runs
-    first; then every scan reads its chunks from one presieve over the
-    largest range (4.2 MB at the default cap, 45 MB at the paper's), advanced
-    to the scan's primes, so that it strikes none itself.
+    two-dimensional supremum convention for the multiplier.  The certificate
+    is built from the results of `small_u_scans` and `small_u_grid_max`, its
+    record's parts: `parts` is those results for this table, target and
+    cap, in that order, computed elsewhere (each in a pool worker of a run);
+    without it the grid runs first, then the scans.
     """
-    (analytic_max, at_y, at_u), grid_rows = small_u_grid_max()
-    meta = [(int(p), q, q ** 3 - 1) for p in table.primes_between(240, y_exhaustive_cap)
-            for q in (table.next_prime(p),)]
-    scans = _scans(table, meta, target, rolling=True)
+    if parts is None:
+        grid = small_u_grid_max()
+        parts = small_u_scans(table, target=target, y_exhaustive_cap=y_exhaustive_cap), grid
+    (meta, scans), ((analytic_max, at_y, at_u), grid_rows) = parts
     rows, failures, exhaustive_max = _interval_rows(meta, scans, "x_cap")
     if exhaustive_max >= SMALL_U_EXHAUSTIVE_MAX:
         failures.append({"issue": "exhaustive milestone exceeded",
@@ -618,16 +640,22 @@ AFTER_CAP = "first prime above small_u_cap"
 class Region:
     """One certificate: its name in the report and in `verify --region`, its
     (y, u) boxes, the module global that verifies it (looked up when it runs;
-    see `_verify`) and the constants (module globals, by name) it assumes and
+    see `_call`) and the constants (module globals, by name) it assumes and
     establishes.  A box side is (lo, hi, ends): hi None is no upper end,
     AFTER_CAP the first prime above the run's small-u cap, and `ends` "[)",
-    "[]", "(]" or "()".  The verifier is given that cap if `takes_cap`."""
+    "[]", "(]" or "()".  The verifier is given that cap if `takes_cap`.
+
+    `parts` names the module globals whose results the verifier builds its
+    certificate from, each with whether it is called as the verifier is or
+    with no arguments.  On a pool each part is a task, in this order, and the
+    verifier is handed their results as `parts`; else it calls them itself."""
     name: str
     boxes: tuple
     verifier: str
     assumes: tuple[str, ...] = ()
     establishes: tuple[str, ...] = ()
     takes_cap: bool = False
+    parts: tuple[tuple[str, bool], ...] = ()
 
 
 _U_ABOVE_2 = (2, None, "[)")     # y <= sqrt(x)
@@ -642,9 +670,11 @@ REGIONS = (
            "verify_selberg"),
     Region(SELBERG_CLOSED, (((CLOSED_FORM_MIN_Y, None, "[)"), (7.5, None, "[)")),),
            "verify_selberg_closed", establishes=("CLOSED_FACTOR_LIMIT", "CLOSED_COEF_LIMIT")),
+    # the scans first: they are the longest task of the run
     Region(SMALL_U, (((SELBERG_MIN_Y, AFTER_CAP, "[)"), _U_SMALL),
                      ((SMALL_U_GRID_YS[0], None, "[)"), _U_SMALL)), "verify_small_u",
-           establishes=("C3_SMALL_U", "SMALL_U_EXHAUSTIVE_MAX"), takes_cap=True),
+           establishes=("C3_SMALL_U", "SMALL_U_EXHAUSTIVE_MAX"), takes_cap=True,
+           parts=(("small_u_scans", True), ("small_u_grid_max", False))),
     Region(ITERATION, (((SELBERG_MIN_Y, None, "[)"), (3, 8, "[)")),), "verify_iteration",
            assumes=("C3_SMALL_U",)),
 )
@@ -671,12 +701,12 @@ class PipelineConfig:
     regions: tuple[str, ...] = REGION_ORDER
 
 
-def _verify(region: Region, table: PrimeTable, config: PipelineConfig) -> RegionCertificate:
-    """`region`'s certificate from its verifier, looked up as a module global
-    when it runs, so that a wrapper installed on this module before a pool
-    starts reaches its workers."""
+def _call(name: str, region: Region, table: PrimeTable, config: PipelineConfig, **kwargs):
+    """The module global `name`, looked up when it runs, so that a wrapper
+    installed on this module before a pool starts reaches its workers, called
+    as `region`'s verifier is, with `kwargs` besides."""
     cap = {"y_exhaustive_cap": config.small_u_cap} if region.takes_cap else {}
-    return globals()[region.verifier](table, target=config.target, **cap)
+    return globals()[name](table, target=config.target, **cap, **kwargs)
 
 
 # The prime table of a pool worker, handed to it once by the pool's initializer.
@@ -688,9 +718,13 @@ def _serve(table: PrimeTable) -> None:
     _worker_table = table
 
 
-def _region_task(region: Region, config: PipelineConfig) -> RegionCertificate:
-    """One region, in a pool worker, on the table the initializer handed it."""
-    return _verify(region, _worker_table, config)
+def _task(region: Region, part: tuple[str, bool] | None, config: PipelineConfig):
+    """In a pool worker, on the table the initializer handed it: the result
+    of `part`, one of `region`'s parts, or, if None, `region`'s certificate."""
+    if part is None:
+        return _call(region.verifier, region, _worker_table, config)
+    name, called_as_verifier = part
+    return _call(name, region, _worker_table, config) if called_as_verifier else globals()[name]()
 
 
 def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
@@ -699,12 +733,17 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
     Each region gives one certificate, and the report holds those of the
     selected regions in REGION_ORDER; its config names them.  The verdict
     is the conjunction of theirs, and does not depend on the parallelism.
-    Each region is one task: on a pool of min(parallelism, regions, usable
-    CPUs) worker processes, or, below two workers, one verifier after the
-    other in this process.  A parallelism below 1 raises DomainError, and a
+    A task is one part of a selected region's record or, for a region
+    without parts, its verifier.  On a pool of min(parallelism, tasks,
+    usable CPUs) worker processes the parts are submitted first, then the
+    other regions, each in record order, and each region with parts gets its
+    certificate here, from its verifier given their results.  Below two
+    workers the verifiers run one after the other in this process.  A
+    parallelism that is not an integer >= 1 raises DomainError, and a
     small_u_cap of 1290 and up, whose small-u scans would pass the sieve's
     cap DEFAULT_LIMIT_CAP at x < q^3, q > small_u_cap, raises ResourceError,
-    both before the prime table is built.
+    both before the prime table is built; a pool worker that dies raises
+    ResourceError naming the first task left without a result.
     """
     config = config or PipelineConfig()
     selected = config.regions
@@ -712,30 +751,40 @@ def run_full_pipeline(config: PipelineConfig | None = None) -> BoundReport:
         raise DomainError(f"regions must be distinct names from {REGION_ORDER}, got {selected}")
     if not math.isfinite(config.target):
         raise DomainError(f"target must be finite, got {config.target}")
-    if config.parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {config.parallelism}")
+    if not isinstance(config.parallelism, numbers.Integral) or config.parallelism < 1:
+        raise DomainError(f"parallelism must be an integer >= 1, got {config.parallelism!r}")
     if (config.small_u_cap + 1) ** 3 - 1 > DEFAULT_LIMIT_CAP:
         raise ResourceError(f"small_u_cap {config.small_u_cap} scans past the sieve's cap "
                             f"{DEFAULT_LIMIT_CAP}, to at least {(config.small_u_cap + 1) ** 3 - 1}")
     regions = [region for region in REGIONS if region.name in selected]
+    # the parts, then the regions without parts, each in record order, so that
+    # the longest tasks start first
+    tasks = [(region, part) for region in regions for part in region.parts] \
+        + [(region, None) for region in regions if not region.parts]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(config.parallelism, len(regions), cpus or 1)
+    workers = min(config.parallelism, len(tasks), cpus or 1)
     # one table whichever regions run: past the Selberg sweep's 5e5 (and so past
     # the iteration's 1499^(4/3)) and past the first prime above small-u's cap,
     # which the check above keeps below 1290
     table = build_prime_table(CLOSED_FORM_MIN_Y + 1000)
 
     if workers < 2:
-        certs = [_verify(region, table, config) for region in regions]
+        certs = [_call(region.verifier, region, table, config) for region in regions]
     else:
-        # small-u first: it is over half the run, and the other regions share
-        # the other workers meanwhile
-        first = sorted(regions, key=lambda region: region.name != SMALL_U)
+        done = {}
         with ProcessPoolExecutor(max_workers=workers, initializer=_serve,
                                  initargs=(table,)) as pool:
-            done = {cert.region: cert for cert in pool.map(_region_task, first,
-                                                           [config] * len(first))}
-        certs = [done[region.name] for region in regions]
+            futures = [pool.submit(_task, region, part, config) for region, part in tasks]
+            for (region, part), future in zip(tasks, futures):
+                try:
+                    done[region.name, part] = future.result()
+                except BrokenProcessPool as exc:
+                    task = region.name if part is None else f"{region.name} {part[0]}"
+                    raise ResourceError(f"a pool worker died before task {task} "
+                                        "gave its result") from exc
+        certs = [_call(region.verifier, region, table, config,
+                       parts=tuple(done[region.name, part] for part in region.parts))
+                 if region.parts else done[region.name, None] for region in regions]
     table1 = next((list(c.rows) for c in certs if c.region == SMALL_Y), [])
     config_dict = {**asdict(config), "regions": [c.region for c in certs]}   # JSON-stable form
     return BoundReport(certs, table1, all(c.verified for c in certs), config_dict)

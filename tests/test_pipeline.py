@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import weakref
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -450,11 +452,24 @@ def test_nonpositive_parallelism_rejected(monkeypatch, parallelism):
         run_full_pipeline(PipelineConfig(regions=(ITERATION,), parallelism=parallelism))
 
 
+@pytest.mark.parametrize("parallelism", [math.nan, 2.5, 2.0, "2"])
+def test_non_integer_parallelism_refused_before_the_table(monkeypatch, parallelism):
+    import roughbound.pipeline as pl
+
+    def build(limit):
+        raise AssertionError("the table was built before the parallelism was refused")
+
+    monkeypatch.setattr(pl, "build_prime_table", build)
+    with pytest.raises(DomainError, match="parallelism must be an integer"):
+        run_full_pipeline(PipelineConfig(regions=REGION_ORDER, parallelism=parallelism))
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Stands in for ProcessPoolExecutor on a machine with 64 usable CPUs and
     starts no process: records each pool's size and every task's arguments,
-    and runs the tasks here, after the initializer, as a worker would."""
+    and runs each task here when it is submitted, after the initializer, as
+    a worker would."""
     import roughbound.pipeline as pl
 
     class FakePool:
@@ -471,10 +486,11 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            tasks = list(zip(*iterables))   # all submitted before the first result
-            self.task_args.extend(tasks)
-            return [fn(*args) for args in tasks]
+        def submit(self, fn, *args):
+            self.task_args.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(pl, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(pl, "_worker_table", None)   # restored after the initializer sets it
@@ -508,11 +524,13 @@ def test_pool_clamped_to_usable_cpus(fake_pool, monkeypatch):
 
 @pytest.mark.parametrize("region", list(REGION_ORDER) + ["all"])
 def test_pool_sized_to_the_tasks_the_run_submits(fake_pool, region):
-    # one task per selected region; a region alone runs in this process at any parallelism
+    # one task per part of a selected region, and one per other selected region:
+    # small-u alone is two tasks, any other region alone runs in this process
     regions = REGION_ORDER if region == "all" else (region,)
     run_full_pipeline(PipelineConfig(regions=regions, small_u_cap=270, parallelism=5000))
-    if region == "all":
-        assert fake_pool.sizes == [len(fake_pool.task_args)] == [len(REGIONS)]
+    if region in ("all", SMALL_U):
+        tasks = len(REGIONS) + 1 if region == "all" else 2
+        assert fake_pool.sizes == [len(fake_pool.task_args)] == [tasks]
     else:
         assert fake_pool.sizes == [] and fake_pool.task_args == []
 
@@ -526,12 +544,56 @@ def test_run_opens_one_pool_and_sends_no_table(fake_pool, serial_270):
     config = PipelineConfig(small_u_cap=270, parallelism=2)
     report = run_full_pipeline(config)
     assert fake_pool.sizes == [2]
-    # one task per region, small-u first and the others in record order, each
-    # sent its record and the run's config: neither a PrimeTable nor a Presieve
-    order = [SMALL_U] + [name for name in REGION_ORDER if name != SMALL_U]
-    by_name = {region.name: region for region in REGIONS}
-    assert fake_pool.task_args == [(by_name[name], config) for name in order]
+    # small-u's parts first, then one task per other region in record order,
+    # each sent its record, its part and the run's config: neither a
+    # PrimeTable nor a Presieve
+    small_u = next(region for region in REGIONS if region.name == SMALL_U)
+    assert fake_pool.task_args == [(small_u, part, config) for part in small_u.parts] + [
+        (region, None, config) for region in REGIONS if region.name != SMALL_U]
     assert report.certificates == serial_270.certificates
+
+
+def test_small_u_submits_its_scans_first_and_its_grid_second(fake_pool):
+    config = PipelineConfig(regions=(SMALL_U,), small_u_cap=270, parallelism=5000)
+    run_full_pipeline(config)
+    small_u = next(region for region in REGIONS if region.name == SMALL_U)
+    assert fake_pool.sizes == [2]
+    assert fake_pool.task_args == [(small_u, ("small_u_scans", True), config),
+                                   (small_u, ("small_u_grid_max", False), config)]
+
+
+def test_small_u_alone_opens_a_pool_of_two_and_gives_the_serial_certificate(monkeypatch,
+                                                                            serial_270):
+    import roughbound.pipeline as pl
+
+    sizes = []
+
+    class Sized(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", Sized)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    report = _region_run(SMALL_U, 2, small_u_cap=270)
+    assert sizes == [2]
+    assert report.certificates == [c for c in serial_270.certificates if c.region == SMALL_U]
+
+
+def test_a_killed_pool_worker_raises_resource_error_naming_its_task(monkeypatch):
+    import roughbound.pipeline as pl
+
+    caller = os.getpid()
+
+    def killed(table, *, target):
+        if os.getpid() != caller:     # only in a pool worker
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("selberg-closed ran in the calling process")
+
+    monkeypatch.setattr(pl, "verify_selberg_closed", killed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ResourceError, match="task selberg-closed"):
+        run_full_pipeline(PipelineConfig(regions=(SELBERG_CLOSED, ITERATION), parallelism=2))
 
 
 def test_run_parallel_report_equals_serial(serial_270):
