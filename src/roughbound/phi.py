@@ -4,7 +4,8 @@ Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
 (1 is always counted).  `phi_direct` counts the survivors of the library's
 one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_rows`
 (rows of 32 bits: a view of its whole blocks, then a short tail), or the
-count can be reproduced by full inclusion-exclusion (`phi_legendre`) and,
+count can be reproduced by inclusion-exclusion down to a table mod 30030,
+with no sieve (`phi_legendre`), and,
 for y^2 <= x < y^3, by the prime-pair identity (`phi_two_prime`).  The
 interval scans read the same rows: the whole blocks on three levels, then
 the tail by its rows.  The presieve's block counts, kept by the strike
@@ -23,7 +24,9 @@ pipeline, or a violation of its target, are expanded to (n, index) pairs.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +44,17 @@ from .primes import (
 
 DEFAULT_EXHAUSTIVE_CAP = 30_000_000
 LEGENDRE_BUDGET = 4_000_000  # memo entries phi_legendre may hold
+_BASE_PRIMES = (2, 3, 5, 7, 11, 13)   # phi_legendre's recursion ends in tables mod their products
 KEPT_VIOLATIONS = 64     # violation witnesses a scan keeps; the rest are only counted
 _SLICE = 1 << 15         # blocks per slice of a scan's block level: 2 MB of presieve
 _PREFIX8 = np.uint32(0x01010101)  # times this, 8-bit lanes of a uint32 become their prefix sums
+
+
+def _finite(x) -> int:
+    """x truncated to an int; a nan or infinite x raises DomainError."""
+    if not -math.inf < x < math.inf:  # nan fails it too
+        raise DomainError(f"x must be finite, got {x}")
+    return int(x)
 
 
 def phi_direct(x: int, y: float, table: PrimeTable, *,
@@ -54,7 +65,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
     bytes, x / 24 for 3 <= y < 5 and x / 16 for 2 <= y < 3.  x must be at
     most `cap`, which counts only up to the sieve's ceiling DEFAULT_LIMIT_CAP.
     Degenerate cases: Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
-    x = int(x)
+    x = _finite(x)
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     cap = min(cap, DEFAULT_LIMIT_CAP)
@@ -70,23 +81,57 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
     return sum(int(np.bitwise_count(rows).sum()) for rows in (*pieces, tail))
 
 
+@functools.cache
+def _base_tables() -> tuple[tuple[int, int, array], ...]:
+    """(M, phi(M), T) for a = 0, ..., 6: M the product of the first a primes
+    (of _BASE_PRIMES), phi(M) Euler's totient and T[r], for 0 <= r < M, how
+    many m in [1, r] are coprime to M, so that phi(n, a) = (n // M) phi(M) +
+    T[n % M].  Counted by gcd, with no sieve, so that `phi_legendre` checks
+    the sieve; 65 KB, built on first use (about 2 ms), not at import."""
+    tables = []
+    for a in range(len(_BASE_PRIMES) + 1):
+        modulus = math.prod(_BASE_PRIMES[:a])
+        coprime = np.gcd(np.arange(modulus, dtype=np.uint16), np.uint16(modulus)) == 1
+        coprime[0] = False   # T[0] = 0, also mod 1
+        tables.append((modulus, math.prod(p - 1 for p in _BASE_PRIMES[:a]),
+                       array("H", np.cumsum(coprime, dtype=np.uint16).tobytes())))
+    return tuple(tables)
+
+
 def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
     """Exact Phi(x, y) by the memoized inclusion-exclusion recursion
-    phi(n, a) = n - sum_{i <= a} phi(n // p_i, i-1), whose call depth is at
-    most log2(x) rather than pi(y)."""
-    x = int(x)
+    phi(n, a) = phi(n, a-1) - phi(n // p_a, a-1), with no sieve.
+
+    It ends at a <= 6, the primes up to 13, in one table lookup mod their
+    product (the base case of Lagarias, Miller and Odlyzko, "Computing
+    pi(x): the Meissel-Lehmer method", 1985): phi(n, 6) = (n // 30030) *
+    5760 + T[n % 30030], and likewise mod 2310, 210, 30, 6, 2 and 1 for
+    a = 5, ..., 0 (`_base_tables`).  Above, phi(n, a) = phi(n, 6) -
+    sum_{6 < i <= a} phi(n // p_i, i-1), and once p_a >= n only 1
+    survives.  The call depth is at most log2(x) rather than pi(y), and the
+    memo of the values above the tables holds at most LEGENDRE_BUDGET
+    entries."""
+    x = _finite(x)
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     if x == 0:
         return 0
     if y < 2:
         return x
-    ps = [int(p) for p in table.primes_between(0, min(y, x))]
+    a = table.pi(min(y, x))                    # refuses a nan y and one past the table
+    bases = _base_tables()
+    base = len(bases) - 1                      # 6: the primes up to 13
+    if a <= base:                              # one lookup, and no recursion to set up
+        modulus, totient, counts = bases[a]
+        return x // modulus * totient + counts[x % modulus]
+    ps = table.primes[:a].tolist()
+    top, top_totient, top_counts = bases[base]
     memo: dict[tuple[int, int], int] = {}
 
     def rec(n: int, a: int) -> int:
-        if a == 0:
-            return n
+        if a <= base:
+            modulus, totient, counts = bases[a]
+            return n // modulus * totient + counts[n % modulus]
         if ps[a - 1] >= n:
             # every prime <= n is among the first a primes: only 1 survives
             return 1
@@ -96,14 +141,14 @@ def phi_legendre(x: int, y: float, table: PrimeTable) -> int:
             return hit
         if len(memo) >= LEGENDRE_BUDGET:
             raise ResourceError(f"inclusion-exclusion memo exceeded budget {LEGENDRE_BUDGET}")
-        val = n
-        for i in range(a):
+        val = n // top * top_totient + top_counts[n % top]
+        for i in range(base, a):
             val -= rec(n // ps[i], i)
         memo[key] = val
         return val
 
     try:
-        return rec(x, len(ps))
+        return rec(x, a)
     finally:
         del rec   # rec holds itself through its closure: free memo now, not at the next gc
 
@@ -116,7 +161,7 @@ def phi_two_prime(x: int, y: float, table: PrimeTable) -> int:
     Phi = pi(x) - M(x, y) + sum over y < p <= sqrt(x) of pi(x // p)
     with M = pi(rx)(pi(rx)-1)/2 - (pi(y)-1)(pi(y)-2)/2, rx = sqrt(x).
     """
-    x = int(x)
+    x = _finite(x)
     if not y * y <= x:  # before next_prime, which may find no prime above a huge y
         raise DomainError(f"prime-pair identity needs y^2 <= x < q^3, got x={x}, y={y}")
     if x == 0:  # the formula counts n = 1, which needs x >= 1

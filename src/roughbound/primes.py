@@ -2,17 +2,20 @@
 
 A `Presieve` is [0, x_cap] sieved by a set of small primes: the integers up
 to x_cap that are free of them, kept packed, one bit per residue of a wheel.
-`_strike` is the sieve's one way to strike a prime, and each caller strikes
-each prime once, over its whole range: a presieve strikes its primes when it
-is built, and `Presieve.advance` strikes more into the same bytes, so one
-presieve can serve scans by ever longer sets.  `rough_rows` strikes
-nothing: it is the one reader of a presieve's bytes, and hands its range out
-as packed rows, a read-only view of its whole blocks of SCAN_BLOCK rows and
-a tail of the rest, a copy trimmed at x_cap.  `build_prime_table` reads
-every prime of its table off it: the primes above sqrt(limit) off a presieve
-by the primes below, and those, level by level, off smaller presieves, down
-to one on the wheel of 1 that strikes nothing.  `phi.phi_direct` counts its
-survivors and `phi.scan_rough_interval` streams them.
+`_strike` is the sieve's one way to strike primes, and each caller strikes
+each prime once, over its whole range: consecutive small primes in groups,
+one AND with their shared periodic pattern a group, and primes from
+_STRIDED on by strided slices of their 8 wheel columns.  A presieve strikes
+its primes when it is built, and `Presieve.advance` strikes more into the
+same bytes, so one presieve can serve scans by ever longer sets.
+`rough_rows` strikes nothing: it is the one reader of a presieve's bytes,
+and hands its range out as packed rows, a read-only view of its whole
+blocks of SCAN_BLOCK rows and a tail of the rest, a copy trimmed at x_cap.
+`build_prime_table` reads every prime of its table off it: the primes above
+sqrt(limit) off a presieve by the primes below, and those, level by level,
+off smaller presieves, down to one on the wheel of 1 that strikes nothing.
+`phi.phi_direct` counts its survivors and `phi.scan_rough_interval` streams
+them.
 
 A presieve also keeps its survivors <= x_cap per block of SCAN_BLOCK rows,
 Phi per block, counted by popcount (`sub_block_counts`) of `rough_rows`
@@ -53,7 +56,12 @@ _PREFIX16 = np.uint64(0x0001000100010001)     # times this, 16-bit lanes become 
 
 
 _WHEELS: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
-_TILE = 4096  # bytes a periodic pattern is repeated to: at most for a strike, at least for a wheel
+_TILE = 4096  # bytes a periodic pattern covers at least: a wheel's, and a strike's on a longer range
+# From this prime on, over ranges of at least _STRIDED_BYTES bytes, strided
+# columns beat an AND pass: on a 2-core Xeon VM, from 317 at 1 MB, 509 at
+# 4.2 MB and 600 at 45 MB; below 256 KB the 8 slices' set-up costs more.
+_STRIDED = 600
+_STRIDED_BYTES = 1 << 18
 
 
 def _wheel(strike) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -82,12 +90,18 @@ def _wheel(strike) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple) -> None:
-    """Clear the multiples of each prime of `ps` from the packed `turns`,
-    which start at 0, on `wheel` (a `_wheel` tuple).
+    """Clear the multiples of each prime of `ps`, ascending, from the packed
+    `turns`, which start at 0, on `wheel` (a `_wheel` tuple).
 
-    A prime p is one AND with a periodic pattern: p bytes with the bits of
-    its 8 multiples cleared, repeated to about _TILE bytes so that a short
-    period is not one numpy inner loop every p bytes.
+    The multiples of p in column c are the turns s_c + k p, so p bytes with
+    the bits of its 8 multiples cleared repeat along the range.  Consecutive
+    primes whose product P is at most a sixteenth of the range make one
+    group: their patterns are ANDed into one of P bytes, repeated to at
+    least _TILE bytes (or the range, if shorter) so that a short period is
+    not one numpy inner loop every P bytes, and the group is one AND over
+    the range.  A prime from _STRIDED on, over a range of at least
+    _STRIDED_BYTES, clears its 8 columns by strided slices instead: 8 n / p
+    bytes touched, not n.
     """
     if not len(ps):
         return
@@ -95,18 +109,36 @@ def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple) -> None:
     col = ps[:, None]
     inv = (1 + col * neg_inv[col % width]) // width   # width^-1 mod p
     starts = (-residues[:8] * inv) % col   # turn of the first multiple per column
-    n = len(turns)
-    for p, first in zip(ps.tolist(), starts.tolist()):
-        pattern = bytearray(b"\xff") * p
-        for c, s in enumerate(first):
-            pattern[s] &= ~(0x80 >> c)
-        pattern = np.frombuffer(pattern * max(1, min(_TILE, n) // p), dtype=np.uint8)
+    n, tile = len(turns), min(_TILE, len(turns))
+    grouped = int(ps.searchsorted(_STRIDED)) if n >= _STRIDED_BYTES else len(ps)
+    ps, starts = ps.tolist(), starts.tolist()
+    i = 0
+    while i < grouped:
+        period, j = ps[i], i + 1
+        while j < grouped and period * ps[j] <= n >> 4:
+            period *= ps[j]
+            j += 1
+        pattern = None
+        for p, first in zip(ps[i:j], starts[i:j]):
+            one = bytearray(b"\xff") * p
+            for c, s in enumerate(first):
+                one[s] &= ~(0x80 >> c)
+            if pattern is None:   # whole periods, at least `tile` bytes
+                pattern = np.frombuffer(one * (period // p * -(-tile // period)), dtype=np.uint8)
+            else:
+                rows = pattern.reshape(-1, p)
+                rows &= np.frombuffer(one, dtype=np.uint8)
         whole = n - n % len(pattern)
         if whole:
             rows = turns[:whole].reshape(-1, len(pattern))
             rows &= pattern
         tail = turns[whole:]
         tail &= pattern[:n - whole]
+        i = j
+    for p, first in zip(ps[grouped:], starts[grouped:]):
+        for c, s in enumerate(first):
+            column = turns[s::p]
+            column &= ~(0x80 >> c) & 0xFF
 
 
 class Presieve:
@@ -189,9 +221,11 @@ class Presieve:
         over one sorted list of the survivors up to x_cap // ps[0], read
         once off the bytes; after each p it is cut at x_cap // p, which no
         later prime reaches past, and p's multiples, struck by p, are
-        filtered out of it.  With a first new prime below 64 the list would
-        rival the presieve itself, five times its bytes with p = 7: the
-        counts are dropped instead, to be counted afresh when next asked."""
+        deleted from it by position: they are the p m for the m of the list
+        up to its last // p, with no pass over the rest.  With a first new
+        prime below 64 the list would rival the presieve itself, five times
+        its bytes with p = 7: the counts are dropped instead, to be counted
+        afresh when next asked."""
         span = SCAN_BLOCK * self.step
         if self._small is None:
             if ps[0] < 64:
@@ -211,7 +245,10 @@ class Presieve:
                 np.subtract.at(self._counts,
                                np.multiply(small[lo:lo + _PIECE_CELLS], p, dtype=np.int64) // span,
                                np.int16(1))
-            self._small = small[small % np.int32(p) != 0]
+            if len(small):   # p's multiples p m, m <= small[-1] // p: each m is a survivor too
+                m = small[:int(small.searchsorted(small[-1] // np.int32(p), "right"))]
+                small = np.delete(small, small.searchsorted(m * np.int32(p)))
+            self._small = small
 
 
 def sub_block_counts(words: np.ndarray) -> np.ndarray:

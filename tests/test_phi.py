@@ -107,9 +107,37 @@ def test_legendre_leaves_no_cyclic_garbage():
 
 
 def test_legendre_budget(monkeypatch):
+    # Phi(10^5, 100) holds 97 memo entries (Phi(10^4, 50), ending at the
+    # table mod 30030, holds exactly 10)
     monkeypatch.setattr(phi, "LEGENDRE_BUDGET", 10)
     with pytest.raises(ResourceError, match="budget 10"):
-        phi_legendre(10_000, 50, _T)
+        phi_legendre(100_000, 100, _T)
+
+
+def test_base_tables_are_gcd_counts():
+    # phi_legendre's base case: mod the product M of the first a primes,
+    # T[r] counts the m in [1, r] coprime to M, and phi(M) the whole period
+    tables = phi._base_tables()
+    assert [(modulus, totient) for modulus, totient, _ in tables] == [
+        (1, 1), (2, 1), (6, 2), (30, 8), (210, 48), (2310, 480), (30030, 5760)]
+    for modulus, totient, counts in tables:
+        assert len(counts) == modulus and counts.itemsize == 2
+        count = 0
+        for r in range(modulus):
+            count += r > 0 and math.gcd(r, modulus) == 1
+            assert counts[r] == count, (modulus, r)
+        assert count + (modulus == 1) == totient
+
+
+# y below 13 (fewer than the 6 base primes), at 13 (exactly them), and above;
+# x beside multiples of 30030 (and so of 2310, 210, 30, 6 and 2), where the
+# tables' quotients step
+@pytest.mark.parametrize("y", [2, 3, 5, 7, 11, 12, 13, 16, 17, 19, 100, 500])
+def test_legendre_equals_direct_around_its_base_case(y):
+    xs = [1, 2, 12, 13, 14, 169, 1000, 30_029]
+    xs += [k * 30030 + d for k in (1, 2, 7, 33) for d in (-1, 0, 1)]
+    for x in xs:
+        assert phi_legendre(x, y, _T) == phi_direct(x, y, _T), (x, y)
 
 
 def test_cross_method_randomized():
@@ -416,6 +444,14 @@ def test_nan_y_rejected(count):
     # nan compares false with everything, so no range check would catch it
     with pytest.raises(DomainError, match="nan"):
         count()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("count", [phi_direct, phi_legendre, phi_two_prime])
+def test_non_finite_x_rejected(count, x):
+    # int(x) raised a bare ValueError (nan) or OverflowError (inf)
+    with pytest.raises(DomainError, match="x must be finite"):
+        count(x, 3, _T)
 
 
 @pytest.mark.parametrize("count", [

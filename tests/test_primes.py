@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,6 +236,42 @@ def test_presieve_and_its_chunks_match_a_plain_sieve(table_small, count):
                           np.flatnonzero(oracle[:span + 8])), count
 
 
+def struck_cells(count, ps, n):
+    """`_strike` of the primes `ps` over n set bytes on the wheel of the
+    first `count` primes, as (n, survives) by `presieve_cells`."""
+    width, residues, neg_inv, _ = primes_module._wheel(np.array([2, 3, 5][:count]))
+    turns = np.full(n, 0xFF, dtype=np.uint8)
+    primes_module._strike(turns, ps, (width, residues, neg_inv))
+    return presieve_cells(SimpleNamespace(step=4 * width, residues=residues, turns=turns,
+                                          x_cap=n * width - 1))
+
+
+_GROUP = 16 * 7 * 11 * 13        # the fewest bytes on which 7, 11 and 13 make one group
+
+
+# ranges shorter than most primes' period; on which 7 and 11 make a group but
+# 13 does not, or 7, 11 and 13 do, ending inside a group period; primes just
+# below and above the strided threshold, on ranges just too short for strided
+# columns and just long enough; and with the threshold lowered so that 89
+# and 97 make a group, that 97 is cut from 89's group, or that no group forms
+@pytest.mark.parametrize("count", range(4))          # the wheels of 1, 2, 6 and 30
+@pytest.mark.parametrize("lo, hi, n, strided", [
+    (7, 100, 50, None), (7, 100, _GROUP - 1, None), (7, 100, _GROUP + 5, None),
+    (577, 620, primes_module._STRIDED_BYTES - 1, None),
+    (577, 620, primes_module._STRIDED_BYTES + 3, None),
+    (89, 110, 16 * 89 * 97 + 3, 101), (89, 110, 16 * 89 * 97 + 3, 97),
+    (89, 110, 16 * 89 * 97 - 1, 101),
+])
+def test_strike_matches_a_plain_sieve(monkeypatch, count, lo, hi, n, strided):
+    ps = bytearray_primes(hi)
+    ps = ps[ps >= lo]
+    if strided is not None:
+        monkeypatch.setattr(primes_module, "_STRIDED", strided)
+        monkeypatch.setattr(primes_module, "_STRIDED_BYTES", n - 1000)
+    ns, survives = struck_cells(count, ps, n)
+    assert np.array_equal(survives, rough_oracle(ps, int(ns.max()))[ns])
+
+
 @pytest.mark.parametrize("count", range(4))          # the wheels of 1, 2, 6 and 30
 @pytest.mark.parametrize("rows, whole", [(CHUNK_ROWS, 0), (CHUNK_ROWS + 1, CHUNK_ROWS),
                                          (CHUNK_ROWS + 16, CHUNK_ROWS),
@@ -321,6 +358,20 @@ def test_advancing_a_presieve_equals_building_it(table_small, x_cap):
         assert np.array_equal(counted.block_counts(), want), y
         assert np.array_equal(fresh.block_counts(), want), y
     assert not counted.block_counts().flags.writeable
+
+
+@pytest.mark.parametrize("x_cap", [10_000, 1_000_003])
+def test_advance_keeps_the_small_survivors_of_its_last_prime(table_small, x_cap):
+    # after each prime p the list the counts are kept by holds the survivors
+    # of the primes <= p up to x_cap // p, p's multiples deleted by position
+    primes = table_small.primes
+    presieve = Presieve(primes_upto(primes, 67), x_cap)
+    presieve.block_counts()
+    for y in (71, 73, 241, 499):
+        strike = primes_upto(primes, y)
+        presieve.advance(strike)
+        p = int(strike[-1])
+        assert np.array_equal(presieve._small, np.flatnonzero(rough_oracle(strike, x_cap // p))), y
 
 
 def test_presieve_refuses_to_advance_by_primes_that_do_not_extend_its_own(table_small):
