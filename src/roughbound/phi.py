@@ -33,11 +33,11 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .primes import (
-    CHUNK_ROWS,
     DEFAULT_LIMIT_CAP,
     SCAN_BLOCK,
     Presieve,
     PrimeTable,
+    count_survivors,
     rough_rows,
     sub_block_counts,
 )
@@ -60,8 +60,8 @@ def _finite(x) -> int:
 def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
     """Exact Phi(x, y): the survivors of a `Presieve` of [0, x] by the primes
-    <= y, each struck once over the whole range, read out by `rough_rows`
-    and popcounted CHUNK_ROWS rows at a time.  The presieve takes x / 30
+    <= y, each struck once over the whole range, popcounted by
+    `count_survivors`.  The presieve takes x / 30
     bytes, x / 24 for 3 <= y < 5 and x / 16 for 2 <= y < 3.  x must be at
     most `cap`, which counts only up to the sieve's ceiling DEFAULT_LIMIT_CAP.
     Degenerate cases: Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
@@ -76,9 +76,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
         return 0
     if y < 2:
         return x
-    whole, tail = rough_rows(Presieve(table.primes_between(0, min(y, x)), x), x)
-    pieces = [whole[r:r + CHUNK_ROWS] for r in range(0, len(whole), CHUNK_ROWS)]
-    return sum(int(np.bitwise_count(rows).sum()) for rows in (*pieces, tail))
+    return count_survivors(Presieve(table.primes_between(0, min(y, x)), x), x)
 
 
 @functools.cache
@@ -180,8 +178,10 @@ def phi_two_prime(x: int, y: float, table: PrimeTable) -> int:
     z = table.pi(root)
     w = table.pi(y)
     m = z * (z - 1) // 2 - (w - 1) * (w - 2) // 2
-    quotients = x // table.primes_between(y, root)   # none when no prime lies in (y, sqrt(x)]
-    return table.pi(x) - m + int(np.sum(np.searchsorted(table.primes, quotients, side="right")))
+    # none when no prime lies in (y, sqrt(x)]; each below 2^30, but x may be 2^31: divided
+    # in int64, then searched in the table's dtype, so that the table is not cast
+    quotients = (np.int64(x) // table.primes_between(y, root)).astype(table.primes.dtype)
+    return table.pi(x) - m + int(table.primes.searchsorted(quotients, "right").sum())
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,11 @@ def small_u_coefficient(y, u):
 SMALL_U_GRID_YS = (1100, 1150, 1200, 1300, 1500, 1750, 2000, 2500, 3000, 4000,
                    5000, 7000, 9000, 9999.99, 10000, 12000, 15000, 20000, 30000,
                    50000, 1e5, 2e5, 5e5, 999999, 1e6, 3e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)
+# y's rows per call of `small_u_coefficient`: a quarter of the grid's
+# temporaries at a time, 2.9 MB traced against 9.9 MB in one call.  One call
+# per y repeats `_ei_series`'s numpy steps 32 times: 140 ms a grid against
+# 35 ms, in-process on a 2-core Xeon VM.
+SMALL_U_GRID_BATCH = 8
 
 
 def small_u_grid_max():
@@ -465,10 +470,11 @@ def small_u_grid_max():
     For each y of SMALL_U_GRID_YS, u takes 101 evenly spaced values in
     [2, 3] and the values where y^(u/2) crosses a window edge (the
     coefficient jumps down there, so the supremum sits just below the
-    crossing).  The whole ragged grid is one array call of
-    `small_u_coefficient`, whose points do not depend on their batch; each
-    y's row is the maximum over its slice, and the overall maximum is the
-    first in (y, u) order that no later value exceeds.
+    crossing).  The ragged grid is four array calls of
+    `small_u_coefficient`, on SMALL_U_GRID_BATCH y's rows each, whose points
+    do not depend on their batch; each y's row is the maximum over its
+    slice, and the overall maximum is the first in (y, u) order that no
+    later value exceeds.
     """
     base_us = np.linspace(2.0, 3.0, 101)
     grid = []
@@ -477,12 +483,15 @@ def small_u_grid_max():
         crossings = [2.0 * math.log(1e4) / log_y, 2.0 * math.log(1e6) / log_y]
         grid.append(np.sort(np.concatenate([base_us] + [[c - 1e-9, c] for c in crossings
                                                         if 2.0 < c < 3.0])))
-    sizes = [len(us) for us in grid]
-    values = small_u_coefficient(np.repeat(np.array(SMALL_U_GRID_YS, dtype=float), sizes),
-                                 np.concatenate(grid))
+    values = []
+    for b in range(0, len(grid), SMALL_U_GRID_BATCH):
+        us = grid[b:b + SMALL_U_GRID_BATCH]
+        sizes = [len(row) for row in us]
+        ys = np.repeat(np.array(SMALL_U_GRID_YS[b:b + SMALL_U_GRID_BATCH], dtype=float), sizes)
+        values += np.split(small_u_coefficient(ys, np.concatenate(us)), np.cumsum(sizes)[:-1])
     best = (-math.inf, None, None)
     rows = []
-    for y, us, row in zip(SMALL_U_GRID_YS, grid, np.split(values, np.cumsum(sizes)[:-1])):
+    for y, us, row in zip(SMALL_U_GRID_YS, grid, values):
         i = int(np.argmax(row))
         val, u = float(row[i]), float(us[i])
         rows.append({"y": float(y), "max_coefficient": val, "at_u": u})
@@ -558,7 +567,7 @@ def epsilon_k(table: PrimeTable, q0: int, k: int):
     if k < 1 or q0 < 2:
         raise DomainError(f"epsilon_k needs k >= 1 and q0 >= 2, got k={k}, q0={q0}")
     ps = table.primes_between(0, q0 ** (1.0 + 1.0 / k) + 1e-9)  # raises past the limit
-    i = int(np.searchsorted(ps, q0, side="right"))              # q1 runs over ps[i:]
+    i = table.pi(q0)                                            # q1 runs over ps[i:]
     if i == len(ps):
         raise DomainError(f"no prime in (q0, q0^(1+1/k)] for q0={q0}, k={k}")
     # sums of 1/(p log p) accumulated from p = 2 upward: float rounding depends on the order

@@ -29,8 +29,12 @@ cut at x_cap // p and rid of p's multiples, and so stays current by itself.
 
 A :class:`PrimeTable` stores every prime up to a limit and nothing else: it
 keeps no prefix sums, and a sum over primes is taken over a slice of the
-list.  A built table is immutable and safe to share between concurrent
-readers.
+list.  The primes are int32, 4 bytes each, which holds every prime up to
+the cap 2^31; `build_prime_table` fills them in place, into one array sized
+by a popcount of the presieve, so that the build never holds them twice.  A
+search of the table or of a slice of it passes its key as np.int32, the
+table's dtype: any other key makes numpy cast the whole array on each call.
+A built table is immutable and safe to share between concurrent readers.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def _strike(turns: np.ndarray, ps: np.ndarray, wheel: tuple) -> None:
     inv = (1 + col * neg_inv[col % width]) // width   # width^-1 mod p
     starts = (-residues[:8] * inv) % col   # turn of the first multiple per column
     n, tile = len(turns), min(_TILE, len(turns))
-    grouped = int(ps.searchsorted(_STRIDED)) if n >= _STRIDED_BYTES else len(ps)
+    grouped = int(ps.searchsorted(np.int32(_STRIDED))) if n >= _STRIDED_BYTES else len(ps)
     ps, starts = ps.tolist(), starts.tolist()
     i = 0
     while i < grouped:
@@ -234,10 +238,7 @@ class Presieve:
             # sized by the counts of the blocks that hold them; below x_cap / 64 < 2^31
             small = np.empty(int(self._counts[:self.x_cap // ps[0] // span + 1].sum(dtype=np.int64)),
                              dtype=np.int32)
-            end = 0
-            for ns in _survivors(self, self.x_cap // ps[0], _PIECE_CELLS // 32):
-                small[end:end + len(ns)] = ns
-                end += len(ns)
+            end = _write_survivors(self, self.x_cap // ps[0], small, _PIECE_CELLS // 32)
             self._small = small[:end]
         for p in ps:   # int32 keys: an int64 key would cast the whole list
             small = self._small[:int(self._small.searchsorted(np.int32(self.x_cap // p), "right"))]
@@ -300,11 +301,15 @@ def rough_rows(presieve: Presieve, x_cap: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PrimeTable:
-    """Immutable store of the primes <= limit.
+    """Immutable store of the primes <= limit, as one int32 array `primes`:
+    4 bytes a prime, and int32 holds every prime up to DEFAULT_LIMIT_CAP =
+    2^31, the largest 2^31 - 1.
 
     Every lookup (`pi`, `primes_between`, `next_prime`) counts the primes
-    <= t as the primes <= floor(t), searched with an int key: a float key
-    would make numpy cast the whole table to float64 on each call.
+    <= t as the primes <= floor(t), searched with an np.int32 key.  A
+    search of the table, or of a slice of it, must pass its key in the
+    table's dtype: with a Python int, an int64 or a float key numpy casts
+    the whole array to the key's type on each call, 14.9 MB at 3e7.
     A nan key raises DomainError.
     """
 
@@ -322,7 +327,7 @@ class PrimeTable:
             return len(self.primes)
         if t < 2:
             return 0
-        return int(np.searchsorted(self.primes, math.floor(t), side="right"))
+        return int(self.primes.searchsorted(np.int32(math.floor(t)), "right"))   # below 2^31
 
     def _check_range(self, t) -> None:
         if t > self.limit:
@@ -348,10 +353,14 @@ class PrimeTable:
         return int(self.primes[i])
 
 
-def _survivors(presieve: Presieve, x_cap: int, piece: int = CHUNK_ROWS):
-    """The survivors of `presieve` up to x_cap, ascending: one int64 array
-    per piece of at most `piece` rows of `rough_rows`'s `whole`, then `tail`."""
+def _write_survivors(presieve: Presieve, x_cap: int, out: np.ndarray,
+                     piece: int = CHUNK_ROWS) -> int:
+    """Write the survivors of `presieve` up to x_cap into `out`, ascending
+    from its start, and return how many: one piece of at most `piece` rows
+    of `rough_rows`'s `whole`, then `tail`, unpacked at a time, so that
+    nothing but `out` grows with the range."""
     whole, tail = rough_rows(presieve, x_cap)
+    end = 0
     for first, rows in ((0, whole), (len(whole), tail)):
         for r in range(0, len(rows), piece):
             cells = np.flatnonzero(np.unpackbits(rows[r:r + piece].view(np.uint8)).view(bool))
@@ -359,19 +368,38 @@ def _survivors(presieve: Presieve, x_cap: int, piece: int = CHUNK_ROWS):
             ns += first + r
             ns *= presieve.step
             ns += presieve.residues[cells & 31]
-            yield ns
+            out[end:end + len(ns)] = ns
+            end += len(ns)
+    return end
+
+
+def count_survivors(presieve: Presieve, x_cap: int) -> int:
+    """The survivors of `presieve` up to x_cap, popcounted CHUNK_ROWS rows
+    of `rough_rows` at a time."""
+    whole, tail = rough_rows(presieve, x_cap)
+    pieces = [whole[r:r + CHUNK_ROWS] for r in range(0, len(whole), CHUNK_ROWS)]
+    return sum(int(np.bitwise_count(rows).sum()) for rows in (*pieces, tail))
 
 
 def _primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit: the primes <= sqrt(limit) by this function, then
-    the survivors above them, read off a `Presieve` of [0, limit] by those
-    primes.  Below 4 there are no primes <= sqrt(limit), and the presieve on
-    the wheel of 1 strikes nothing."""
+    """All primes <= limit, as int32: the primes <= sqrt(limit) by this
+    function, then the survivors above them, read off a `Presieve` of
+    [0, limit] by those primes.  Below 4 there are no primes <= sqrt(limit),
+    and the presieve on the wheel of 1 strikes nothing.
+
+    The table is filled in place: one int32 array, sized by a popcount of
+    the presieve, takes the survivors piece by piece after room for the
+    small primes, so that the build holds the primes once, beside the
+    presieve and one piece.  The first survivor is 1, which is no prime:
+    the small primes are written one cell to the right of that room,
+    ending over the 1, and the table is the array from its second cell."""
     root = math.isqrt(limit)
-    small = _primes_upto(root) if root >= 2 else np.zeros(0, dtype=np.int64)
-    survivors = _survivors(Presieve(small, limit), limit)
-    # 1 survives but is no prime; the spent generator frees the presieve before the concatenation
-    return np.concatenate([small, next(survivors)[1:], *survivors])
+    small = _primes_upto(root) if root >= 2 else np.zeros(0, dtype=np.int32)
+    presieve = Presieve(small, limit)
+    primes = np.empty(len(small) + count_survivors(presieve, limit), dtype=np.int32)
+    _write_survivors(presieve, limit, primes[len(small):])
+    primes[1:len(small) + 1] = small
+    return primes[1:]
 
 
 def build_prime_table(limit: int) -> PrimeTable:

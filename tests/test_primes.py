@@ -1,3 +1,4 @@
+import bisect
 import csv
 import importlib.util
 import math
@@ -13,11 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from roughbound import primes as primes_module
 from roughbound.analytic import EULER_GAMMA, MEISSEL_MERTENS_B, r_ratio
 from roughbound.errors import DomainError, OutOfRangeError, ResourceError
+from roughbound.phi import phi_two_prime
+from roughbound.pipeline import epsilon_k
 from roughbound.primes import (
     CHUNK_ROWS,
     DEFAULT_LIMIT_CAP,
     SCAN_BLOCK,
     Presieve,
+    PrimeTable,
     build_prime_table,
     mertens_product,
     rough_rows,
@@ -69,17 +73,71 @@ def test_checkpoint_fixture(table_30m):
 
 
 def test_float_lookups_allocate_no_table_copy(table_30m):
-    # a float key once made numpy cast all 1.86 M primes to float64, 14.9 MB a call
+    # numpy casts all 1.86 M int32 primes to the key's type when the key is not
+    # int32: 14.9 MB a call for a float, an int or an np.int64 key
+    assert table_30m.primes.dtype == np.int32
     tracemalloc.start()
     try:
         for k in range(100):
             t = 241.5 + 299_999.25 * k
-            table_30m.pi(t)
-            table_30m.primes_between(5.0, t)
+            for key in (t, int(t), np.int64(t)):
+                table_30m.pi(key)
+                table_30m.primes_between(5.0, key)
+                table_30m.primes_between(key, 29_999_999)
+                table_30m.next_prime(key)
+            y = 2 + 49 * k      # y^2 <= x < q^3, q the first prime above y
+            phi_two_prime(min(y * y + 999_999 * k, table_30m.next_prime(y) ** 3 - 1, 30_000_000),
+                          y, table_30m)
+        for q0 in (241, 1009, 1499):
+            epsilon_k(table_30m, q0, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_lookups_at_the_cap_edge():
+    # a table at the cap 2^31 ending in 2^31 - 1, the largest int32, built by
+    # hand from the primes below 2e6 so as not to take 420 MB: no lookup may
+    # overflow, and each answer equals the same sum over the same list in
+    # Python ints
+    listed = bytearray_primes(2_000_000).tolist() + [2**31 - 1]
+    table = PrimeTable(DEFAULT_LIMIT_CAP, np.array(listed, dtype=np.int32))
+    assert DEFAULT_LIMIT_CAP == 2**31
+    assert table.pi(2**31) == len(listed)
+    assert table.pi(2**31 - 1.5) == len(listed) - 1
+    assert table.next_prime(2**31 - 2) == 2**31 - 1
+    assert table.primes_between(0, 2**31).tolist() == listed
+    assert table.primes_between(np.int64(2**31 - 2), 2**31).tolist() == [2**31 - 1]
+
+    def pi(t):
+        return bisect.bisect_right(listed, t)
+
+    x, y = 2**31, 1300                 # x < 1301^3, and x // p < 2e6 for p > y
+    root = math.isqrt(x)
+    z, w = pi(root), pi(y)
+    want = (pi(x) - (z * (z - 1) // 2 - (w - 1) * (w - 2) // 2)
+            + sum(pi(x // p) for p in listed if y < p <= root))
+    assert phi_two_prime(x, y, table) == want
+
+
+def concatenated_build(limit):
+    """The table as built before it was filled in place: each level's
+    survivors unpacked to int64 and concatenated after the primes below."""
+    root = math.isqrt(limit)
+    small = concatenated_build(root) if root >= 2 else np.zeros(0, dtype=np.int64)
+    presieve = Presieve(small, limit)
+    rows = np.concatenate(rough_rows(presieve, limit))
+    cells = np.flatnonzero(np.unpackbits(rows.view(np.uint8)).view(bool))
+    ns = (cells >> 5) * presieve.step + presieve.residues[cells & 31]
+    return np.concatenate([small, ns[1:]])     # 1 survives but is no prime
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 1000, 3_000_000])
+def test_build_in_place_equals_the_concatenated_int64_build(limit):
+    primes = build_prime_table(limit).primes
+    assert primes.dtype == np.int32
+    assert primes.tolist() == concatenated_build(limit).tolist()
 
 
 def test_build_errors():
