@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table1", help="reproduce the small-y reference table")
     sp.add_argument("--format", choices=["csv", "text", "json"], default="csv")
-    sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("bound", help="evaluate one upper bound at (x, y)")
@@ -184,7 +183,7 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    report = run_full_pipeline(PipelineConfig(regions=(SMALL_Y,), parallelism=args.parallelism))
+    report = run_full_pipeline(PipelineConfig(regions=(SMALL_Y,)))
     with _output(args.out) as out:
         if args.format == "json":
             import json

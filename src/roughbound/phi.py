@@ -1,22 +1,23 @@
 """Exact rough-number counting by three independent methods, plus interval scans.
 
 Phi(x, y) is the number of integers in [1, x] with no prime factor <= y
-(1 is always counted).  `phi_direct` counts the survivors of the library's
-one sieve, a `primes.Presieve` of [0, x] read out by `primes.rough_rows`
-(rows of 32 bits: a view of its whole blocks, then a short tail), or the
-count can be reproduced by inclusion-exclusion down to a table mod 30030,
-with no sieve (`phi_legendre`), and,
-for y^2 <= x < y^3, by the prime-pair identity (`phi_two_prime`).  The
-interval scans read the same rows: the whole blocks on three levels, then
-the tail by its rows.  The presieve's block counts, kept by the strike
-(`Presieve.block_counts`), give bj[b], the survivors up to the end of block
-b of SCAN_BLOCK rows, with no popcount.  The bj[b]-th survivor lies below
-the next block's first cell n_first[b + 1], so it attains
-j / n > bj[b] / n_first[b + 1], a lower bound; no survivor of block b
-exceeds bj[b] / n_first[b], an upper bound.  Only inside the blocks whose
-upper bound reaches the best lower bound are sub-blocks of 4 rows counted
-and bounded the same way, and only inside the sub-blocks that reach it the
-rows.  The tail bounds every row the same way; a range of at most
+(1 is always counted).  `phi_direct` sums the block counts of the library's
+one sieve, a `primes.Presieve` of [0, x]: `Presieve.block_counts`, the
+survivors per block of SCAN_BLOCK rows of `primes.rough_rows`, the tail
+included, is the library's one survivor count.  The count can be
+reproduced by inclusion-exclusion down to a table mod 30030, with no sieve
+(`phi_legendre`), and, for y^2 <= x < y^3, by the prime-pair identity
+(`phi_two_prime`).
+
+The interval scans read the same rows and block counts, and prune by one
+rule on every level.  A unit of `width` integers, with first cell n_min and
+the j_end-th survivor its last, bounds the j / n of its survivors: the
+j_end-th lies below the next unit's first cell, so it attains
+j / n > j_end / (n_min + width), a lower bound, and none exceeds
+j_end / n_min, an upper bound.  `keep` raises a floor by the lower bounds
+of flat ascending units and keeps those whose upper bound reaches it; the
+units are the blocks, the sub-blocks of 4 rows of the kept blocks, the
+rows of the kept sub-blocks, and the rows of the tail.  A range of at most
 CHUNK_ROWS rows is all tail, and asks for no block counts.  Only the rows
 that can hold the interval max statistics used by the verification
 pipeline, or a violation of its target, are expanded to (n, index) pairs.
@@ -37,7 +38,6 @@ from .primes import (
     SCAN_BLOCK,
     Presieve,
     PrimeTable,
-    count_survivors,
     rough_rows,
     sub_block_counts,
 )
@@ -60,8 +60,8 @@ def _finite(x) -> int:
 def phi_direct(x: int, y: float, table: PrimeTable, *,
                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> int:
     """Exact Phi(x, y): the survivors of a `Presieve` of [0, x] by the primes
-    <= y, each struck once over the whole range, popcounted by
-    `count_survivors`.  The presieve takes x / 30
+    <= y, each struck once over the whole range, as the sum of its
+    `block_counts`.  The presieve takes x / 30
     bytes, x / 24 for 3 <= y < 5 and x / 16 for 2 <= y < 3.  x must be at
     most `cap`, which counts only up to the sieve's ceiling DEFAULT_LIMIT_CAP.
     Degenerate cases: Phi(x, y) = floor(x) for y < 2 and Phi(0, y) = 0."""
@@ -76,7 +76,7 @@ def phi_direct(x: int, y: float, table: PrimeTable, *,
         return 0
     if y < 2:
         return x
-    return count_survivors(Presieve(table.primes_between(0, min(y, x)), x), x)
+    return int(Presieve(table.primes_between(0, min(y, x)), x).block_counts().sum(dtype=np.int64))
 
 
 @functools.cache
@@ -248,40 +248,39 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     Bounds come from counts.  If j_end survivors lie below the cell m, the
     j_end-th lies below m, so it attains j / n > j_end / m; and every
     survivor at or past a cell n_min, up to the j_end-th, has
-    j / n <= j_end / n_min.  The scan counts on three levels, each only
-    inside the units the level above keeps:
+    j / n <= j_end / n_min.  One closure, `keep`, applies them to flat
+    ascending units of `width` integers, with first cells n_min and the
+    j_end-th survivor their last.  It raises the floor by the lower bounds
+    j_end / (n_min + width) of the units past y_hi^2, those whose j_end
+    exceeds j_head (the survivors below the first row past y_hi^2), capped
+    at the target's j / n; then it keeps the units whose upper bound
+    j_end / n_min reaches that floor, and those that hold an n in
+    [y_lo^2, y_hi^2).  Each level calls it once, only inside the units the
+    level above keeps:
 
     1. Blocks of SCAN_BLOCK rows (8 uint64 words, 1,920 integers on the
        wheel of 30), the whole blocks of `rough_rows`, one view of the
-       presieve.  Their counts are the presieve's `block_counts`, kept by
-       the strike through `Presieve.advance`.  A slice of _SLICE blocks at
-       a time, in ascending order, a cumsum gives bj[b], the survivors up
-       to the end of block b, and n_first[b] is the block's first cell.
-       The bj[b]-th survivor lies in block b or below, so below
-       n_first[b + 1]: bj[b] / n_first[b + 1] is a lower bound on the
-       j / n it attains.  It lies at or past y_hi^2 once bj[b] exceeds
-       j_head: the survivors of the blocks that hold an n below y_hi^2,
-       or, if y_hi^2 lies in the tail, those of the rows that do.  The
-       slice's largest such bound raises the floor; then a block is kept
-       if it holds an n in [y_lo^2, y_hi^2), or if its upper bound
-       bj[b] / n_first[b] reaches the floor and it does not lie wholly
-       below y_lo^2.  One `take` gathers a slice's kept blocks.
-    2. Sub-blocks of 4 rows (two uint64 words), in the kept blocks: the
-       same two bounds, from the running counts of the block's popcounts
-       in the 16-bit lanes of one uint64, with the floor raised by their
-       lower bounds first.
-    3. Rows, in the kept sub-blocks: the same again, in 8-bit lanes.  The
-       rows that hold an n in [y_lo^2, y_hi^2) and those whose upper bound
-       reaches the floor are unpacked, and their survivors are folded into
-       the maxima.
+       presieve, a slice of _SLICE blocks at a time, in ascending order.
+       Their counts are the presieve's `block_counts`, kept by the strike
+       through `Presieve.advance`; a cumsum gives each block's j_end.  The
+       blocks that lie wholly below y_lo^2 are dropped, and one `take`
+       gathers a slice's kept blocks.
+    2. Sub-blocks of 4 rows (two uint64 words), in the kept blocks, their
+       running counts the block's popcounts summed in the 16-bit lanes of
+       one uint64.
+    3. Rows, in the kept sub-blocks, their running counts in 8-bit lanes.
+       The kept rows are unpacked, and their survivors are folded into the
+       maxima.
 
-    The tail, trimmed at x_cap, comes last, and by its rows alone: the
-    cumsum of their popcounts gives each row's j_end, the rows' lower
-    bounds raise the floor, and the rows kept by the same rule as in 3 are
-    unpacked.  It is 1 to SCAN_BLOCK rows past CHUNK_ROWS rows, and up to
-    them the whole range, such as a `max_statistic` row's, which then asks
-    for no block counts.  The floor only prunes: the maxima, witnesses and
-    violations are those of every survivor, folded in ascending order.
+    `narrow` makes the units of levels 2 and 3 by flattening the four
+    parts of each kept unit row-major, so that both their j_end and their
+    first cells ascend.  The tail, trimmed at x_cap, comes last, and by
+    its rows alone: the cumsum of their popcounts gives each row's j_end,
+    and the rows `keep` keeps are unpacked.  It is 1 to SCAN_BLOCK rows
+    past CHUNK_ROWS rows, and up to them the whole range, such as a
+    `max_statistic` row's, which then asks for no block counts.  The floor
+    only prunes: the maxima, witnesses and violations are those of every
+    survivor, folded in ascending order.
     """
     if not 1 <= x_cap < math.inf:  # nan fails it too
         raise DomainError(f"x_cap must be finite and >= 1, got {x_cap}")
@@ -340,40 +339,35 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     if head > r0:
         j_head += int(j_tail[min(head - r0, len(tail)) - 1])
 
-    def lift(j_end, n_next, floor):
-        """The floor raised by the lower bounds j_end / n_next of ascending
-        units, the j_end-th survivor the last of its unit and n_next the
-        cell after it, of the units past y_hi^2: those whose j_end passes
-        j_head."""
+    def keep(j_end, n_min, width, floor):
+        """The one pruning rule, on ascending units of `width` integers
+        with first cells n_min and the j_end-th survivor their last.  The
+        floor is raised by the lower bounds j_end / (n_min + width) of the
+        units past y_hi^2, those whose j_end passes j_head, and capped at
+        floor_cap; then a unit is kept if its upper bound j_end / n_min
+        reaches that floor or it holds an n in [y_lo^2, y_hi^2).  Returns
+        the kept units' indices and the raised floor."""
         lead = int(j_end.searchsorted(j_head, "right"))
-        return min(max(floor, (j_end[lead:] / n_next[lead:]).max(initial=0.0)), floor_cap)
-
-    def reach(j_end, n_min, width, floor):
-        """Which ascending units of `width` integers, with first cells n_min
-        and the j_end-th survivor their last, hold an n in [y_lo^2, y_hi^2)
-        or have an upper bound j_end / n_min that reaches the floor."""
+        lower = n_min[lead:] + width           # the cells after the units past y_hi^2
+        np.divide(j_end[lead:], lower, out=lower)
+        floor = min(max(floor, lower.max(initial=0.0)), floor_cap)
+        del lower                              # freed before the upper bounds' temporaries
         kept = j_end >= n_min * (floor * (1 - 1e-13))
         kept[slice(*n_min.searchsorted((lo_bound // width * width + n_one, q2)).tolist())] = True
-        return kept
+        return np.flatnonzero(kept), floor
 
     def narrow(j_end, n_min, prefix, width, floor):
-        """Split ascending units, with first cells n_min and the j_end-th
-        survivor their last, into their four parts of `width` integers,
-        with running survivor counts `prefix` (units, 4).  The floor is
-        raised by the parts' lower bounds (`lift`), and `reach` keeps parts.
-        Returns the kept parts as flat indices into `prefix`, their j_end
-        and n_min, and the raised floor.  Column by column: a column is a
-        whole array, where (units, 4) arrays would loop over 4."""
+        """`keep` on the four parts of `width` integers of ascending units,
+        with first cells n_min and the j_end-th survivor their last, and
+        running survivor counts `prefix` (units, 4).  Flattened row-major,
+        the parts' j_end and first cells ascend.  Returns the kept parts as
+        flat indices into `prefix`, their j_end and n_min, and the floor."""
         js = prefix.astype(np.float64)         # the parts' j_end, exact
         js += (j_end - js[:, 3])[:, None]
-        ns = [n_min + k * width for k in range(5)]   # ns[k + 1]: the cell after part k
-        for k in range(4):
-            floor = lift(js[:, k], ns[k + 1], floor)
-        kept = np.empty(prefix.shape, dtype=bool)
-        for k in range(4):
-            kept[:, k] = reach(js[:, k], ns[k], width, floor)
-        idx = np.flatnonzero(kept)
-        return idx, js.ravel()[idx], n_min[idx >> 2] + (idx & 3) * width, floor
+        ns = n_min[:, None] + np.arange(0, 4 * width, width)
+        js, ns = js.ravel(), ns.ravel()
+        idx, floor = keep(js, ns, width, floor)
+        return idx, js[idx], ns[idx], floor
 
     def expand(words, count, j_end, n_min):
         """Fold in the survivors of the ascending rows packed in `words`,
@@ -390,20 +384,18 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
         nv, jv = ns[hi:], js[hi:]
         above = fold(above, jv * log_q / nv, nv, jv)
 
-    # n_first[b0 + i] - b0 span, over a slice's blocks and the next one's first; a float
-    # arange, as n_min below: an int one multiplied by a float takes about 5x as long
-    firsts = np.arange(n_one, (min(_SLICE, last) + 1) * span + n_one, span, dtype=np.float64)
+    # n_first[b0 + i] - b0 span, over a slice's blocks; a float arange, as n_min
+    # below: an int one multiplied by a float takes about 5x as long
+    firsts = np.arange(n_one, min(_SLICE, last) * span + n_one, span, dtype=np.float64)
     floor, j = 0.0, 0
     for b0 in range(0, last, _SLICE):
         bj = counts[b0:b0 + _SLICE].astype(np.float64)   # survivors up to each block end, exact
         np.cumsum(bj, out=bj)
         bj += j
         j = int(bj[-1])
-        n_first = firsts[:len(bj) + 1] + b0 * span
-        floor = lift(bj, n_first[1:], floor)
-        candidate = reach(bj, n_first[:-1], span, floor)
-        candidate[:max(0, lo_bound // span - b0)] = False   # wholly below y_lo^2
-        cand = np.flatnonzero(candidate)
+        n_first = firsts[:len(bj)] + b0 * span
+        cand, floor = keep(bj, n_first, span, floor)
+        cand = cand[cand >= lo_bound // span - b0]   # not wholly below y_lo^2
         if not cand.size:
             continue
         words = np.take(blocks, b0 + cand, axis=0)   # the candidate blocks' rows
@@ -418,7 +410,7 @@ def scan_rough_interval(table: PrimeTable, y_lo: int, y_hi: int, x_cap: int, *,
     # the tail, row by row
     j_tail += j                                # each row's j_end
     n_min = np.arange(r0 * step + n_one, (r0 + len(tail)) * step, step, dtype=np.float64)
-    idx = np.flatnonzero(reach(j_tail, n_min, step, lift(j_tail, n_min + step, floor)))
+    idx, _ = keep(j_tail, n_min, step, floor)
     expand(tail[idx], tail_count[idx], j_tail[idx], n_min[idx])
     rough_count = int(j_tail[-1])
 

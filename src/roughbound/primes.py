@@ -14,12 +14,14 @@ blocks of SCAN_BLOCK rows and a tail of the rest, a copy trimmed at x_cap.
 `build_prime_table` reads every prime of its table off it: the primes above
 sqrt(limit) off a presieve by the primes below, and those, level by level,
 off smaller presieves, down to one on the wheel of 1 that strikes nothing.
-`phi.phi_direct` counts its survivors and `phi.scan_rough_interval` streams
-them.
+`phi.scan_rough_interval` streams its survivors.
 
 A presieve also keeps its survivors <= x_cap per block of SCAN_BLOCK rows,
-Phi per block, counted by popcount (`sub_block_counts`) of `rough_rows`
-when a scan first asks for them and kept current by the strike itself:
+Phi per block, the tail included (`Presieve.block_counts`).  They are the
+library's one survivor count: `phi.phi_direct` and `build_prime_table` sum
+them, and the scans bound by them.  They are counted by popcount
+(`sub_block_counts`) of `rough_rows` when first asked for, and kept
+current by the strike itself:
 striking a prime p removes exactly p m for each survivor m <= x_cap // p
 (Legendre's identity Phi(N, p) = Phi(N, p-) - Phi(N / p, p-), p- the
 prime before p), so `advance` takes each new prime's p m off the counts
@@ -31,9 +33,10 @@ A :class:`PrimeTable` stores every prime up to a limit and nothing else: it
 keeps no prefix sums, and a sum over primes is taken over a slice of the
 list.  The primes are int32, 4 bytes each, which holds every prime up to
 the cap 2^31; `build_prime_table` fills them in place, into one array sized
-by a popcount of the presieve, so that the build never holds them twice.  A
-search of the table or of a slice of it passes its key as np.int32, the
-table's dtype: any other key makes numpy cast the whole array on each call.
+by the sum of the presieve's block counts, so that the build never holds
+them twice.  A search of the table or of a slice of it passes its key as
+np.int32, the table's dtype: any other key makes numpy cast the whole
+array on each call.
 A built table is immutable and safe to share between concurrent readers.
 """
 
@@ -183,19 +186,21 @@ class Presieve:
 
     def block_counts(self) -> np.ndarray:
         """The survivors <= x_cap per block of SCAN_BLOCK rows of
-        `rough_rows(self, self.x_cap)`, the tail zero padded to whole
-        blocks, as a read-only int16 array: at most 512 a block.  Counted by
-        `sub_block_counts`, CHUNK_ROWS rows of the whole blocks at a time,
-        on the first call, and kept current by `advance` from then on."""
+        `rough_rows(self, self.x_cap)`, the tail's last block short (as if
+        zero padded), as a read-only int16 array: at most 512 a block.
+        Counted on the first call, the whole blocks by `sub_block_counts`,
+        CHUNK_ROWS rows at a time, and the tail by its rows' popcounts
+        summed per block, which costs a small presieve a few numpy calls;
+        kept current by `advance` from then on."""
         if self._counts is None:
             whole, tail = rough_rows(self, self.x_cap)
-            padded = np.zeros(-(-len(tail) // SCAN_BLOCK) * SCAN_BLOCK, dtype=np.uint32)
-            padded[:len(tail)] = tail
-            counts = np.empty((len(whole) + len(padded)) // SCAN_BLOCK, dtype=np.int16)
+            starts = np.arange(0, len(tail), SCAN_BLOCK)   # the tail's blocks
+            counts = np.empty(len(whole) // SCAN_BLOCK + len(starts), dtype=np.int16)
             for r in range(0, len(whole), CHUNK_ROWS):
                 end = min(r + CHUNK_ROWS, len(whole))
                 counts[r // SCAN_BLOCK:end // SCAN_BLOCK] = sub_block_counts(whole[r:end])[:, 3]
-            counts[len(whole) // SCAN_BLOCK:] = sub_block_counts(padded)[:, 3]
+            np.add.reduceat(np.bitwise_count(tail), starts, dtype=np.int16,
+                            out=counts[len(whole) // SCAN_BLOCK:])
             self._counts = counts
         counts = self._counts.view()
         counts.flags.writeable = False
@@ -373,30 +378,24 @@ def _write_survivors(presieve: Presieve, x_cap: int, out: np.ndarray,
     return end
 
 
-def count_survivors(presieve: Presieve, x_cap: int) -> int:
-    """The survivors of `presieve` up to x_cap, popcounted CHUNK_ROWS rows
-    of `rough_rows` at a time."""
-    whole, tail = rough_rows(presieve, x_cap)
-    pieces = [whole[r:r + CHUNK_ROWS] for r in range(0, len(whole), CHUNK_ROWS)]
-    return sum(int(np.bitwise_count(rows).sum()) for rows in (*pieces, tail))
-
-
 def _primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, as int32: the primes <= sqrt(limit) by this
     function, then the survivors above them, read off a `Presieve` of
     [0, limit] by those primes.  Below 4 there are no primes <= sqrt(limit),
     and the presieve on the wheel of 1 strikes nothing.
 
-    The table is filled in place: one int32 array, sized by a popcount of
-    the presieve, takes the survivors piece by piece after room for the
-    small primes, so that the build holds the primes once, beside the
-    presieve and one piece.  The first survivor is 1, which is no prime:
-    the small primes are written one cell to the right of that room,
-    ending over the 1, and the table is the array from its second cell."""
+    The table is filled in place: one int32 array, sized by the sum of the
+    presieve's block counts, takes the survivors piece by piece after room
+    for the small primes, so that the build holds the primes once, beside
+    the presieve, its block counts and one piece.  The first survivor is
+    1, which is no prime: the small primes are written one cell to the
+    right of that room, ending over the 1, and the table is the array
+    from its second cell."""
     root = math.isqrt(limit)
     small = _primes_upto(root) if root >= 2 else np.zeros(0, dtype=np.int32)
     presieve = Presieve(small, limit)
-    primes = np.empty(len(small) + count_survivors(presieve, limit), dtype=np.int32)
+    survivors = int(presieve.block_counts().sum(dtype=np.int64))
+    primes = np.empty(len(small) + survivors, dtype=np.int32)
     _write_survivors(presieve, limit, primes[len(small):])
     primes[1:len(small) + 1] = small
     return primes[1:]
@@ -404,12 +403,14 @@ def _primes_upto(limit: int) -> np.ndarray:
 
 def build_prime_table(limit: int) -> PrimeTable:
     """All primes <= limit, every one read off the library's one sieve (see
-    `_primes_upto`).  A limit past DEFAULT_LIMIT_CAP raises ResourceError
-    before anything is allocated."""
-    if limit < 2:
+    `_primes_upto`).  A finite float limit is truncated to an int, as
+    `Presieve` does.  A limit below 2 or nan raises DomainError, and one
+    past DEFAULT_LIMIT_CAP ResourceError, before anything is allocated."""
+    if not limit >= 2:  # nan fails it too
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > DEFAULT_LIMIT_CAP:  # before the presieves of sqrt(limit) and of limit
         raise ResourceError(f"sieve limit {limit} exceeds the cap {DEFAULT_LIMIT_CAP}")
+    limit = int(limit)
     return PrimeTable(limit, _primes_upto(limit))
 
 

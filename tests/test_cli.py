@@ -424,6 +424,7 @@ def test_verify_paper_scale_sets_small_u_cap():
     ["verify", "--exhaustive-cap", "1"],
     ["verify", "--small-u-cap", "600"],
     ["table1", "--cap", "1"],
+    ["table1", "--parallelism", "2"],   # small-y alone is one task: no pool to size
 ])
 def test_scan_caps_are_not_options(argv):
     with pytest.raises(SystemExit) as exc:

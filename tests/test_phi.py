@@ -74,6 +74,10 @@ _SPANS = [CHUNK_ROWS * 4 * width for width in (8, 16, 24, 30)]
 @example(_SPANS[3] + 1, 13)                # presieved pattern of 7, 11 and 13
 @example(_SPANS[3] - 1, 17)                # the full presieved pattern
 @example(_SPANS[3] + 1000, 23)             # struck primes in a tail of 9 rows
+@example(2099199, 2)                       # wheel of 2: a tail of SCAN_BLOCK rows, a whole block
+@example(2099200, 2)                       # one integer past it: a tail of one row, zero padded
+@example(3934079, 7)                       # the same on the wheel of 30
+@example(3934080, 7)
 def test_direct_vs_legendre_across_wheels(x, y):
     assert phi_direct(x, y, _T) == phi_legendre(x, y, _T)
 
@@ -404,9 +408,11 @@ def test_only_scans_past_one_chunk_ask_for_block_counts(monkeypatch):
 
 def test_scan_counts_the_largest_default_small_u_range():
     # the rough count of the largest default small-u scan, every block of
-    # which but its tail is counted in place
+    # which but its tail is counted in place, against inclusion-exclusion,
+    # which shares no code with the sieve
     x = 503**3 - 1
-    assert scan_rough_interval(_T, 499, 503, x).rough_count == phi_direct(x, 499, _T, cap=x)
+    rough_count = scan_rough_interval(_T, 499, 503, x).rough_count
+    assert rough_count == phi_legendre(x, 499, _T) == 11_475_934
 
 
 # the primes <= 17, sieved past CHUNK_ROWS rows

@@ -141,8 +141,11 @@ def test_build_in_place_equals_the_concatenated_int64_build(limit):
 
 
 def test_build_errors():
-    with pytest.raises(DomainError):
-        build_prime_table(1)
+    for limit in (1, 1.5, float("nan")):
+        with pytest.raises(DomainError):
+            build_prime_table(limit)
+    # a finite float limit is truncated, as a presieve's x_cap is
+    assert build_prime_table(1000.0).primes.tolist() == build_prime_table(1000).primes.tolist()
     with pytest.raises(ResourceError, match="exceeds the cap"):
         build_prime_table(DEFAULT_LIMIT_CAP + 1)  # raises before it allocates
 
